@@ -1,7 +1,7 @@
 // Package mat is a small dense linear-algebra kit: exactly the operations
-// the least-squares tomography baseline needs (normal equations with ridge
-// regularisation, Cholesky solve, and projected-gradient non-negative least
-// squares), implemented from scratch on float64 slices.
+// the least-squares tomography baseline needs (normal equations, Cholesky
+// solve, and projected-gradient non-negative least squares), implemented
+// from scratch on float64 slices.
 package mat
 
 import (
@@ -42,12 +42,12 @@ func (m *Dense) Reshape(rows, cols int) {
 	m.Rows, m.Cols = rows, cols
 }
 
-// growFloats returns s with length n and every element zero, reusing the
+// grow returns s with length n and every element zero, reusing the
 // backing array when it is large enough.
-func growFloats(s []float64, n int) []float64 {
+func grow[T float64 | int32](s []T, n int) []T {
 	if cap(s) < n {
 		//dophy:allow hotpathalloc -- scratch grows to the problem's high-water mark, then is reused
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -204,16 +204,15 @@ func (g *Dense) gramRankUpdate(rows *Dense, sign float64) {
 var ErrNotSPD = errors.New("mat: matrix not symmetric positive definite")
 
 // SPDSolver solves symmetric positive-definite systems repeatedly, reusing
-// its factorisation scratch across Solve calls — the allocation-free
-// counterpart of SolveSPD for per-epoch callers. The zero value is ready
-// to use.
+// its factorisation scratch across Solve calls. The zero value is ready to
+// use.
 type SPDSolver struct {
 	l, y, x []float64
 }
 
 // Solve solves A x = b by Cholesky decomposition without modifying A. The
 // returned slice aliases the solver's scratch and is valid until the next
-// Solve call. The arithmetic matches SolveSPD exactly.
+// Solve call.
 //
 //dophy:returns borrowed(recv) -- the result aliases s.x until the next Solve
 //dophy:invalidates
@@ -224,7 +223,7 @@ func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
 		panic("mat: SPDSolver dimension mismatch")
 	}
 	// L lower-triangular with A = L L^T.
-	s.l = growFloats(s.l, n*n)
+	s.l = grow(s.l, n*n)
 	l := s.l
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
@@ -243,7 +242,7 @@ func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
 		}
 	}
 	// Forward solve L y = b.
-	s.y = growFloats(s.y, n)
+	s.y = grow(s.y, n)
 	y := s.y
 	for i := 0; i < n; i++ {
 		sum := b[i]
@@ -253,7 +252,7 @@ func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
 		y[i] = sum / l[i*n+i]
 	}
 	// Back solve L^T x = y.
-	s.x = growFloats(s.x, n)
+	s.x = grow(s.x, n)
 	x := s.x
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
@@ -263,65 +262,6 @@ func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
 		x[i] = sum / l[i*n+i]
 	}
 	return x, nil
-}
-
-// SolveSPD solves A x = b for symmetric positive-definite A by Cholesky
-// decomposition. A is not modified.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("mat: SolveSPD dimension mismatch")
-	}
-	// L lower-triangular with A = L L^T.
-	l := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotSPD
-				}
-				l[i*n+i] = math.Sqrt(sum)
-			} else {
-				l[i*n+j] = sum / l[j*n+j]
-			}
-		}
-	}
-	// Forward solve L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * y[k]
-		}
-		y[i] = sum / l[i*n+i]
-	}
-	// Back solve L^T x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * x[k]
-		}
-		x[i] = sum / l[i*n+i]
-	}
-	return x, nil
-}
-
-// RidgeLeastSquares solves min ||A x - b||^2 + ridge ||x||^2 via the normal
-// equations. ridge > 0 guarantees solvability even for rank-deficient A.
-func RidgeLeastSquares(a *Dense, b []float64, ridge float64) ([]float64, error) {
-	if ridge <= 0 {
-		return nil, errors.New("mat: ridge must be positive")
-	}
-	g := a.Gram()
-	for i := 0; i < g.Rows; i++ {
-		g.Add(i, i, ridge)
-	}
-	return SolveSPD(g, a.TMulVec(b))
 }
 
 // NNLS solves min ||A x - b||^2 subject to x >= 0 by projected gradient
@@ -341,12 +281,21 @@ func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 // The zero value is ready to use; a warm start is only meaningful once a
 // full solve has populated the carried active set.
 //
-//dophy:states new: Solve -> solved; solved: Solve|SolveWarm -> solved
+//dophy:states new: Solve -> solved; solved: Solve|SolveWarm|Iters -> solved
 type NNLSSolver struct {
-	g    Dense
-	x    []float64
-	atb  []float64
-	grad []float64
+	g     Dense
+	x     []float64
+	atb   []float64
+	grad  []float64
+	iters int // projected-gradient iterations the last solve ran
+
+	// G's nonzeros, recorded once per solve for gramMulVec: row k's
+	// nonzeros sit at nz[nzStart[k]:nzStart[k+1]] (column indices,
+	// ascending) and at the same offsets in nzVal (values). G is
+	// symmetric, so these are also column k's row indices and values.
+	nzStart []int32
+	nz      []int32
+	nzVal   []float64
 
 	// Warm-start scratch: the active set carried across epochs and the
 	// Cholesky workspace for the Newton correction on its complement.
@@ -363,14 +312,19 @@ type NNLSSolver struct {
 //dophy:invalidates
 func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
 	a.GramInto(&s.g)
-	s.atb = growFloats(s.atb, a.Cols)
+	s.atb = grow(s.atb, a.Cols)
 	a.TMulVecTo(s.atb, b)
 	return s.SolveWarm(&s.g, s.atb, nil, iters, tol)
 }
 
+// Iters reports how many projected-gradient iterations the most recent
+// solve ran: the solve's iters bound when it stopped at the cap, fewer when
+// the iterate stagnated first, 0 when G is zero.
+func (s *NNLSSolver) Iters() int { return s.iters }
+
 // SolveWarm runs the projected-gradient NNLS iteration over a
-// caller-assembled system: g must be A^T A (square, Cols x Cols) and atb
-// must be A^T b. A non-nil x0 seeds the iteration — the warm start an
+// caller-assembled system: g must be A^T A (square, symmetric, Cols x Cols)
+// and atb must be A^T b. A non-nil x0 seeds the iteration — the warm start an
 // incremental caller uses to resume from the previous epoch's solution.
 // The seed's zero pattern is treated as the carried-over active set: a
 // Newton correction solves the system exactly on the free (positive)
@@ -391,18 +345,10 @@ func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float
 	if x0 != nil && len(x0) != g.Cols {
 		panic(fmt.Sprintf("mat: SolveWarm x0 length %d, want %d", len(x0), g.Cols))
 	}
-	// Lipschitz bound: max row sum of |G| >= spectral norm.
-	lip := 0.0
-	for i := 0; i < g.Rows; i++ {
-		sum := 0.0
-		for j := 0; j < g.Cols; j++ {
-			sum += math.Abs(g.At(i, j))
-		}
-		if sum > lip {
-			lip = sum
-		}
-	}
-	s.x = growFloats(s.x, g.Cols)
+	n := g.Cols
+	lip := s.scanGram(g)
+	s.iters = 0
+	s.x = grow(s.x, n)
 	x := s.x
 	if x0 != nil {
 		copy(x, x0)
@@ -412,11 +358,13 @@ func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float
 		return x // A is zero: any x is optimal, keep the seed
 	}
 	step := 1 / lip
-	s.grad = growFloats(s.grad, g.Rows)
+	s.grad = grow(s.grad, n)
 	grad := s.grad
-	for it := 0; it < iters; it++ {
+	it := 0
+	for it < iters {
+		it++
 		// grad = G x - A^T b
-		g.MulVecTo(grad, x)
+		s.gramMulVec(grad, x)
 		moved := 0.0
 		for j := range x {
 			nx := x[j] - step*(grad[j]-atb[j])
@@ -430,7 +378,68 @@ func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float
 			break
 		}
 	}
+	s.iters = it
 	return x
+}
+
+// scanGram records g's nonzeros for gramMulVec and returns the Lipschitz
+// bound of the NNLS gradient: the max row sum of |G|, which is at least
+// G's spectral norm. A first pass takes the bound and counts the nonzeros,
+// so the pattern scratch grows only to the largest nonzero count seen.
+func (s *NNLSSolver) scanGram(g *Dense) float64 {
+	n := g.Cols
+	lip := 0.0
+	nnz := 0
+	for i := 0; i < n; i++ {
+		sum := 0.0
+		for _, v := range g.data[i*n : (i+1)*n] {
+			sum += math.Abs(v)
+			if v != 0 {
+				nnz++
+			}
+		}
+		if sum > lip {
+			lip = sum
+		}
+	}
+	s.nzStart = grow(s.nzStart, n+1)
+	s.nz = grow(s.nz, nnz)
+	s.nzVal = grow(s.nzVal, nnz)
+	p := int32(0)
+	for i := 0; i < n; i++ {
+		for j, v := range g.data[i*n : (i+1)*n] {
+			if v != 0 {
+				s.nz[p] = int32(j)
+				s.nzVal[p] = v
+				p++
+			}
+		}
+		s.nzStart[i+1] = p
+	}
+	return lip
+}
+
+// gramMulVec computes grad = G x from the nonzeros scanGram recorded,
+// touching only the products of G's nonzeros with x's nonzeros. It is
+// bitwise-identical to G.MulVecTo(grad, x) for finite G and x: column k
+// is scattered into grad in ascending k, so every grad[j] adds its nonzero
+// terms in the dense row sum's order, and every skipped term is an exact
+// ±0 whose addition would leave the partial sum unchanged (a sum started
+// from +0 never becomes -0, and s + ±0 == s otherwise).
+//
+//dophy:hotpath
+func (s *NNLSSolver) gramMulVec(grad, x []float64) {
+	clear(grad)
+	for k, xk := range x {
+		if xk == 0 {
+			continue
+		}
+		lo, hi := s.nzStart[k], s.nzStart[k+1]
+		vals := s.nzVal[lo:hi]
+		for i, j := range s.nz[lo:hi] {
+			grad[j] += vals[i] * xk
+		}
+	}
 }
 
 // newtonCorrect is the active-set phase of a warm start: taking x's
@@ -462,7 +471,7 @@ func (s *NNLSSolver) newtonCorrect(g *Dense, atb, x []float64) {
 		for inner := 0; inner < maxRounds && len(s.free) > 0; inner++ {
 			nf := len(s.free)
 			s.gff.Reshape(nf, nf)
-			s.bf = growFloats(s.bf, nf)
+			s.bf = grow(s.bf, nf)
 			for a, ja := range s.free {
 				for b, jb := range s.free {
 					s.gff.Set(a, b, g.At(ja, jb))
@@ -491,7 +500,7 @@ func (s *NNLSSolver) newtonCorrect(g *Dense, atb, x []float64) {
 		}
 		// KKT check: an active coordinate with a strictly descending
 		// reduced gradient (atb_j - (Gx)_j > 0) must join the free set.
-		s.grad = growFloats(s.grad, g.Rows)
+		s.grad = grow(s.grad, g.Rows)
 		g.MulVecTo(s.grad, x)
 		entered := false
 		for j := range x {

@@ -104,6 +104,7 @@ type Stats struct {
 	Mode      string
 	DirtyRows int // dirty rows detected (matched-and-changed + added + removed)
 	Rows      int // rows in the current system
+	Iters     int // NNLS projected-gradient iterations run (0 in copy mode)
 }
 
 // LastStats reports how the most recent Estimate call was solved.
@@ -205,6 +206,7 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 			}
 		}
 		x := est.nnls.Solve(a, est.b, cfg.Iters, cfg.Tol)
+		est.stats.Iters = est.nnls.Iters()
 		for j, li := range est.cols {
 			drop := 1 - math.Exp(-x[j]) // per-hop post-ARQ drop probability
 			out[li] = geomle.LossFromDrop(drop, cfg.MaxAttempts)
@@ -334,7 +336,7 @@ func (est *Estimator) estimateIncremental(e *epochobs.Epoch, out []float64) {
 			}
 		}
 		x = est.nnls.SolveWarm(&est.gram, est.atb, est.xPrev, cfg.Iters, cfg.Tol)
-		est.stats = Stats{Mode: "warm", DirtyRows: dirtyRows, Rows: rows}
+		est.stats = Stats{Mode: "warm", DirtyRows: dirtyRows, Rows: rows, Iters: est.nnls.Iters()}
 	} else {
 		// From scratch, assembled exactly as NNLSSolver.Solve assembles
 		// internally — bitwise the historical result — but into the
@@ -350,7 +352,7 @@ func (est *Estimator) estimateIncremental(e *epochobs.Epoch, out []float64) {
 		est.atb = resizeFloats(est.atb, ncols)
 		a.TMulVecTo(est.atb, est.b)
 		x = est.nnls.SolveWarm(&est.gram, est.atb, nil, cfg.Iters, cfg.Tol)
-		est.stats = Stats{Mode: "full", DirtyRows: dirtyRows, Rows: rows}
+		est.stats = Stats{Mode: "full", DirtyRows: dirtyRows, Rows: rows, Iters: est.nnls.Iters()}
 	}
 	for j, li := range est.cols {
 		drop := 1 - math.Exp(-x[j]) // per-hop post-ARQ drop probability

@@ -175,3 +175,41 @@ func TestBranchyTree(t *testing.T) {
 	check(topo.Link{From: 2, To: 1}, d2)
 	check(topo.Link{From: 3, To: 1}, d3)
 }
+
+func TestStatsReportNNLSIters(t *testing.T) {
+	// A three-link chain cannot converge in three iterations: the solve
+	// stops at the cap.
+	cfg := DefaultConfig()
+	cfg.Iters = 3
+	lt := chainTable(4)
+	est := NewEstimator(lt, cfg)
+	est.Estimate(chainEpoch(100000, []float64{0.02, 0.05, 0.1}))
+	if got := est.LastStats().Iters; got != cfg.Iters {
+		t.Fatalf("capped solve reported %d iterations, want %d", got, cfg.Iters)
+	}
+
+	// One link, one origin: the first step lands on the optimum and the
+	// second sees no movement, far below the default cap.
+	cfg = DefaultConfig()
+	lt = chainTable(2)
+	est = NewEstimator(lt, cfg)
+	est.Estimate(chainEpoch(1000, []float64{0.1}))
+	if got := est.LastStats().Iters; got <= 0 || got >= cfg.Iters {
+		t.Fatalf("single-link solve reported %d iterations, want in (0, %d)", got, cfg.Iters)
+	}
+
+	// Incremental copy mode solves nothing.
+	cfg.DirtyThreshold = DefaultDirtyThreshold
+	est = NewEstimator(lt, cfg)
+	e := chainEpoch(1000, []float64{0.1})
+	est.Estimate(e)
+	if st := est.LastStats(); st.Mode != "full" || st.Iters <= 0 {
+		t.Fatalf("first incremental epoch: %+v, want a full solve with iterations", st)
+	}
+	next := chainEpoch(1000, []float64{0.1})
+	next.DiffFrom(e)
+	est.Estimate(next)
+	if st := est.LastStats(); st.Mode != "copy" || st.Iters != 0 {
+		t.Fatalf("unchanged epoch: %+v, want copy mode with 0 iterations", st)
+	}
+}
