@@ -237,7 +237,7 @@ func BenchmarkSweepRunAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunAll(scs)
+		res := experiment.RunAll(scs, experiment.RunOptions{})
 		if len(res) != len(scs) {
 			b.Fatal("missing results")
 		}
@@ -252,7 +252,7 @@ func BenchmarkSweepReplicates(b *testing.B) {
 	seeds := experiment.Seeds(30, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := experiment.RunReplicates(sc, seeds)
+		rep := experiment.RunReplicates(sc, seeds, experiment.RunOptions{})
 		if mean, _ := rep.MeanAccuracyCI(experiment.SchemeDophy); mean <= 0 {
 			b.Fatal("no accuracy signal")
 		}

@@ -13,7 +13,6 @@
 //	dophy-bench -list           # list experiment ids
 //	dophy-bench -exp S0 -shards 4
 //	                            # scale-tier experiment on the sharded engine
-//	dophy-bench -pipeline       # overlap epoch simulation with estimation
 //	dophy-bench -incremental    # dirty-link incremental MINC/LSQ re-estimation
 //	dophy-bench -compare BENCH_linux-amd64.json
 //	                            # rerun and exit nonzero on a perf regression
@@ -131,15 +130,10 @@ func main() {
 		maxEst      = flag.Float64("max-est-regress", 0.25, "per-experiment estimation-stage seconds regression tolerance for -compare")
 		maxRSS      = flag.Float64("max-rss-regress", 0.30, "whole-run peak-RSS regression tolerance for -compare")
 		requireAll  = flag.Bool("require-all", false, "fail -compare when any baseline experiment was not rerun")
-		pipeline    = flag.Bool("pipeline", false, "overlap each epoch's simulation with the previous epoch's estimation")
 		incremental = flag.Bool("incremental", false, "incremental MINC/LSQ re-estimation seeded by dirty-link tracking")
 	)
 	flag.Parse()
-
-	experiment.SetWorkers(*workers)
-	experiment.SetShards(*shards)
-	experiment.SetPipelined(*pipeline)
-	experiment.SetIncremental(*incremental)
+	opts := experiment.RunOptions{Workers: *workers, Shards: *shards, Incremental: *incremental}
 
 	// Scale tiers (S*) are opt-in: a bare run covers All() — the tables and
 	// figures the goldens and the seed-7 CSV pin down — while -exp may name
@@ -190,9 +184,9 @@ func main() {
 
 	// Experiments are fully independent and deterministic (each run derives
 	// all randomness from its own seed), so they parallelise trivially; each
-	// experiment additionally sweeps its own scenario points through the
-	// shared experiment.Workers() pool. Results are printed in registry
-	// order regardless of completion order.
+	// experiment additionally sweeps its own scenario points over up to
+	// -workers goroutines. Results are printed in registry order regardless
+	// of completion order.
 	expWorkers := *parallel
 	if expWorkers < 1 {
 		expWorkers = 1
@@ -219,7 +213,7 @@ func main() {
 				runtime.ReadMemStats(&before)
 			}
 			start := time.Now()
-			results[i] = outcome{table: r.Run(*seedFlag), elapsed: time.Since(start)}
+			results[i] = outcome{table: r.Run(*seedFlag, opts), elapsed: time.Since(start)}
 			results[i].peakRSSKB = readPeakRSSKB()
 			if expWorkers == 1 {
 				var after runtime.MemStats
@@ -232,14 +226,14 @@ func main() {
 	totalWall := time.Since(wallStart)
 
 	if *jsonFlag || *compare != "" {
-		repShards := experiment.Shards()
+		repShards := opts.ShardCount()
 		if repShards == 1 {
 			repShards = 0 // omitempty: unsharded runs match pre-shard reports
 		}
 		rep := benchReport{
 			Seed:       *seedFlag,
 			Parallel:   expWorkers,
-			Workers:    experiment.Workers(),
+			Workers:    opts.SweepWorkers(),
 			Shards:     repShards,
 			NumCPU:     runtime.NumCPU(),
 			GoVersion:  runtime.Version(),

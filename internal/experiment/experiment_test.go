@@ -174,7 +174,7 @@ func TestRegistryRunsDistinctIDs(t *testing.T) {
 func TestF6ValidationHolds(t *testing.T) {
 	// The simulator-validation experiment must agree with the analytic
 	// formulas to within sampling noise.
-	tab := F6(31)
+	tab := F6(31, RunOptions{})
 	for _, row := range tab.Rows {
 		var meas, ana float64
 		if _, err := sscan(row[1], &meas); err != nil {
@@ -213,7 +213,7 @@ func TestAllExperimentsProduceSaneTables(t *testing.T) {
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			tab := r.Run(97)
+			tab := r.Run(97, RunOptions{})
 			if tab.ID != r.ID {
 				t.Fatalf("table id %q != registry id %q", tab.ID, r.ID)
 			}
@@ -257,7 +257,7 @@ func TestExperimentGoldens(t *testing.T) {
 			if r.ID == "T4" {
 				t.Skip("T4 reports wall-clock timings; not reproducible")
 			}
-			got := r.Run(97).Format()
+			got := r.Run(97, RunOptions{}).Format()
 			path := filepath.Join("testdata", "golden", r.ID+".txt")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

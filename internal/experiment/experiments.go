@@ -101,7 +101,7 @@ var overheadSchemes = []string{SchemeDophy, SchemeDophyNA, SchemeHuffman, Scheme
 var accuracySchemes = []string{SchemeDophy, SchemeMINC, SchemeLSQ}
 
 // T1 measures encoding overhead (bytes/packet) versus network size.
-func T1(seed uint64) *Table {
+func T1(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T1",
 		Title:   "Encoding overhead (bytes/packet) vs network size",
@@ -114,7 +114,7 @@ func T1(seed uint64) *Table {
 	sides := []int{7, 10, 15, 20}
 	scs := make([]Scenario, len(sides))
 	for i, side := range sides {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t1-%d", side*side)
 		sc.Seed = seed + uint64(side)
 		sc.Topo = GridSpec(side)
@@ -122,7 +122,7 @@ func T1(seed uint64) *Table {
 		sc.EpochLen = 200
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		row := []string{
 			fmt.Sprintf("%d", sides[i]*sides[i]),
 			f2(res.Topology.Summary().AvgHops),
@@ -137,7 +137,7 @@ func T1(seed uint64) *Table {
 }
 
 // F1 measures per-packet encoding overhead versus path length.
-func F1(seed uint64) *Table {
+func F1(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F1",
 		Title:   "Dophy annotation size (bytes) vs path length",
@@ -147,7 +147,7 @@ func F1(seed uint64) *Table {
 			"claim: dophy grows by well under a byte per hop",
 		},
 	}
-	sc := DefaultScenario()
+	sc := o.scenario()
 	sc.Name = "f1"
 	sc.Seed = seed
 	sc.Topo = GridSpec(12) // deep network for long paths
@@ -202,7 +202,7 @@ func meanBitsPerHop(res *RunResult, scheme string) float64 {
 }
 
 // F2 measures estimation accuracy versus traffic volume per epoch.
-func F2(seed uint64) *Table {
+func F2(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F2",
 		Title:   "Per-link loss MAE vs packets received per epoch",
@@ -214,14 +214,14 @@ func F2(seed uint64) *Table {
 	lens := []float64{60, 150, 300, 600, 1200}
 	scs := make([]Scenario, len(lens))
 	for i, el := range lens {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f2-%.0f", el)
 		sc.Seed = seed + uint64(el)
 		sc.EpochLen = sim.Time(el)
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		row := []string{f1(lens[i]), f1(res.MeanPacketsPerEpoch)}
 		for _, s := range accuracySchemes {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
@@ -233,7 +233,7 @@ func F2(seed uint64) *Table {
 }
 
 // F3 measures accuracy versus routing dynamics (forced parent churn).
-func F3(seed uint64) *Table {
+func F3(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F3",
 		Title:   "Per-link loss MAE vs routing dynamics",
@@ -249,7 +249,7 @@ func F3(seed uint64) *Table {
 	churns := []float64{0, 0.05, 0.15, 0.3, 0.5}
 	scs := make([]Scenario, len(churns))
 	for i, churn := range churns {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f3-%.2f", churn)
 		sc.Seed = seed // identical network across rows; only churn varies
 		sc.Routing.RandomizeParentProb = churn
@@ -265,7 +265,7 @@ func F3(seed uint64) *Table {
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		row := []string{f2(churns[i]), f2(res.ParentChangesPerNodePerEpoch)}
 		for _, s := range accuracySchemes {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
@@ -277,7 +277,7 @@ func F3(seed uint64) *Table {
 }
 
 // F4 measures accuracy versus the overall link-loss level.
-func F4(seed uint64) *Table {
+func F4(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F4",
 		Title:   "Per-link loss MAE vs mean link loss",
@@ -290,14 +290,14 @@ func F4(seed uint64) *Table {
 	losses := []float64{0.05, 0.1, 0.2, 0.3}
 	scs := make([]Scenario, len(losses))
 	for i, loss := range losses {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f4-%.2f", loss)
 		sc.Seed = seed + uint64(loss*100)
 		sc.Radio = RadioSpec{Kind: RadioUniformLoss, UniformLoss: loss}
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		row := []string{f2(losses[i])}
 		for _, s := range accuracySchemes {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
@@ -309,7 +309,7 @@ func F4(seed uint64) *Table {
 }
 
 // F5 produces the CDF of absolute per-link error for each scheme.
-func F5(seed uint64) *Table {
+func F5(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F5",
 		Title:   "CDF of absolute per-link loss error",
@@ -318,7 +318,7 @@ func F5(seed uint64) *Table {
 			"error value at each percentile of the per-link |error| distribution",
 		},
 	}
-	sc := DefaultScenario()
+	sc := o.scenario()
 	sc.Name = "f5"
 	sc.Seed = seed
 	sc.Epochs = 4
@@ -349,7 +349,7 @@ func F5(seed uint64) *Table {
 }
 
 // T2 sweeps the symbol-aggregation threshold (optimisation 1).
-func T2(seed uint64) *Table {
+func T2(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T2",
 		Title:   "Aggregation threshold: overhead vs accuracy (optimisation 1)",
@@ -362,14 +362,14 @@ func T2(seed uint64) *Table {
 	thresholds := []int{0, 2, 3, 4, 6}
 	scs := make([]Scenario, len(thresholds))
 	for i, thr := range thresholds {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t2-%d", thr)
 		sc.Seed = seed // identical realisation across thresholds
 		sc.Dophy.AggThreshold = thr
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		thr := thresholds[i]
 		acc := res.MeanAccuracy(SchemeDophy)
 		symbols := scs[i].Mac.MaxRetx + 1
@@ -389,7 +389,7 @@ func T2(seed uint64) *Table {
 }
 
 // T3 sweeps the model-update period (optimisation 2) under drifting links.
-func T3(seed uint64) *Table {
+func T3(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T3",
 		Title:   "Model update period: total overhead under link drift (optimisation 2)",
@@ -403,7 +403,7 @@ func T3(seed uint64) *Table {
 	periods := []int{0, 1, 2, 4, 8}
 	scs := make([]Scenario, len(periods))
 	for i, ue := range periods {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t3-%d", ue)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{Kind: RadioRandomWalk, WalkStep: 0.35, WalkEvery: 5}
@@ -412,7 +412,7 @@ func T3(seed uint64) *Table {
 		sc.EpochLen = 200
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		annot := res.MeanBitsPerPacket(SchemeDophy) / 8
 		total := res.TotalBitsPerPacket(SchemeDophy) / 8
 		t.Rows = append(t.Rows, []string{
@@ -428,7 +428,7 @@ func T3(seed uint64) *Table {
 }
 
 // F6 validates the simulator against analytic ARQ formulas.
-func F6(seed uint64) *Table {
+func F6(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F6",
 		Title:   "Simulator validation: measured vs analytic ARQ behaviour",
@@ -440,7 +440,7 @@ func F6(seed uint64) *Table {
 	losses := []float64{0.1, 0.3, 0.5, 0.7}
 	scs := make([]Scenario, len(losses))
 	for i, loss := range losses {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f6-%.1f", loss)
 		sc.Seed = seed + uint64(loss*10)
 		sc.Topo = TopoSpec{Kind: TopoChain, N: 2, Spacing: 10, Range: 11}
@@ -450,7 +450,7 @@ func F6(seed uint64) *Table {
 		sc.EpochLen = 3000
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		loss := losses[i]
 		t.recordRuns(res)
 		truth := res.Epochs[0].Truth
@@ -494,14 +494,14 @@ func pow(x float64, n int) float64 {
 
 // T4 measures implementation throughput: coder speed, simulation event
 // rate, and end-to-end journey processing rate.
-func T4(seed uint64) *Table {
+func T4(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T4",
 		Title:   "Implementation throughput",
 		Columns: []string{"metric", "value", "unit"},
 	}
 	// Simulation event rate: run a mid-size scenario and time it.
-	sc := DefaultScenario()
+	sc := o.scenario()
 	sc.Name = "t4"
 	sc.Seed = seed
 	sc.Topo = GridSpec(10)
@@ -537,7 +537,7 @@ func nowNanos() int64 { return timeNow().UnixNano() }
 type Runner struct {
 	ID    string
 	Title string
-	Run   func(seed uint64) *Table
+	Run   func(seed uint64, o RunOptions) *Table
 }
 
 // All returns the experiment registry in presentation order.

@@ -19,7 +19,7 @@ import (
 // T5 ablates the conditional hop-identity model extension: disseminating
 // per-node next-hop distributions lets the coder beat log2(degree) on the
 // path symbols, at extra dissemination cost.
-func T5(seed uint64) *Table {
+func T5(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T5",
 		Title:   "Hop-identity model updates: annotation vs dissemination (extension)",
@@ -32,7 +32,7 @@ func T5(seed uint64) *Table {
 	periods := []int{0, 1, 2, 4}
 	scs := make([]Scenario, len(periods))
 	for i, ue := range periods {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t5-%d", ue)
 		sc.Seed = seed
 		sc.Dophy.HopModelUpdateEvery = ue
@@ -41,7 +41,7 @@ func T5(seed uint64) *Table {
 		sc.EpochLen = 250
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		annot := res.MeanBitsPerPacket(SchemeDophy) / 8
 		total := res.TotalBitsPerPacket(SchemeDophy) / 8
 		t.Rows = append(t.Rows, []string{
@@ -59,7 +59,7 @@ func T5(seed uint64) *Table {
 // T6 sweeps the MAC retry budget: as ARQ gets stronger, end-to-end delivery
 // stops carrying loss information and the traditional baselines go blind,
 // while Dophy's per-attempt observations get richer.
-func T6(seed uint64) *Table {
+func T6(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T6",
 		Title:   "Retry budget vs estimator visibility (why 'fine-grained' matters)",
@@ -72,7 +72,7 @@ func T6(seed uint64) *Table {
 	budgets := []int{0, 1, 3, 7}
 	scs := make([]Scenario, len(budgets))
 	for i, retx := range budgets {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t6-%d", retx)
 		sc.Seed = seed
 		sc.Mac.MaxRetx = retx
@@ -80,7 +80,7 @@ func T6(seed uint64) *Table {
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		var delivery float64
 		for _, eo := range res.Epochs {
 			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
@@ -99,7 +99,7 @@ func T6(seed uint64) *Table {
 
 // F7 overlays node crash/recover dynamics: the strongest routing dynamics,
 // where whole subtrees must re-home around dead forwarders.
-func F7(seed uint64) *Table {
+func F7(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F7",
 		Title:   "Accuracy and delivery under node failures (extension)",
@@ -112,7 +112,7 @@ func F7(seed uint64) *Table {
 	mtbfs := []float64{0, 2400, 1200, 600, 300}
 	scs := make([]Scenario, len(mtbfs))
 	for i, mtbf := range mtbfs {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f7-%.0f", mtbf)
 		sc.Seed = seed
 		if mtbf > 0 {
@@ -123,7 +123,7 @@ func F7(seed uint64) *Table {
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		mtbf := mtbfs[i]
 		t.recordRuns(res)
 		var delivery, churn float64
@@ -150,7 +150,7 @@ func F7(seed uint64) *Table {
 
 // F8 measures accuracy under bursty (Gilbert-Elliott) losses, where the
 // per-attempt loss a link exhibits is itself time-varying within an epoch.
-func F8(seed uint64) *Table {
+func F8(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F8",
 		Title:   "Accuracy under bursty (Gilbert-Elliott) losses (extension)",
@@ -163,7 +163,7 @@ func F8(seed uint64) *Table {
 	dwells := []float64{120, 60, 30, 10}
 	scs := make([]Scenario, len(dwells))
 	for i, bad := range dwells {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f8-%.0f", bad)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{
@@ -176,7 +176,7 @@ func F8(seed uint64) *Table {
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		bad := dwells[i]
 		t.recordRuns(res)
 		// p90 of Dophy's absolute per-link error across epochs.
@@ -207,7 +207,7 @@ func timeT(v float64) (out simTimeAlias) { return simTimeAlias(v) }
 // congestion loss that has nothing to do with link quality. Delivery-ratio
 // tomography cannot tell the two apart; Dophy's per-attempt observations
 // are untouched by queue drops.
-func F9(seed uint64) *Table {
+func F9(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F9",
 		Title:   "Accuracy under congestion (queue drops) (extension)",
@@ -220,7 +220,7 @@ func F9(seed uint64) *Table {
 	periods := []float64{5, 2, 1, 0.5}
 	scs := make([]Scenario, len(periods))
 	for i, gp := range periods {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f9-%.1f", gp)
 		sc.Seed = seed
 		sc.Collect.GenPeriod = timeT(gp)
@@ -230,7 +230,7 @@ func F9(seed uint64) *Table {
 		sc.Epochs = 3
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		gp := periods[i]
 		t.recordRuns(res)
 		var delivery, qdrops, generated float64
@@ -258,7 +258,7 @@ func F9(seed uint64) *Table {
 // T7 ablates the annotation source under ACK loss: receiver-observed
 // first-delivery attempts (what Dophy records) versus sender-side total
 // transmission counts (what a naive implementation would log).
-func T7(seed uint64) *Table {
+func T7(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T7",
 		Title:   "Annotation source under ACK loss: receiver vs sender counts (extension)",
@@ -274,9 +274,9 @@ func T7(seed uint64) *Table {
 		events uint64
 		estS   float64
 	}
-	for _, p := range Sweep(len(acks), func(i int) point {
+	for _, p := range Sweep(o, len(acks), func(i int) point {
 		al := acks[i]
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t7-%.1f", al)
 		sc.Seed = seed
 		sc.Mac.AckLoss = al
@@ -329,7 +329,7 @@ func T7(seed uint64) *Table {
 
 // T8 checks estimator calibration: how often the truth falls inside the
 // MLE's 95% observed-information interval, by sample-size bucket.
-func T8(seed uint64) *Table {
+func T8(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T8",
 		Title:   "Estimator calibration: 95% interval coverage (extension)",
@@ -339,7 +339,7 @@ func T8(seed uint64) *Table {
 			"truth itself is an empirical ratio, so coverage above ~90% is healthy",
 		},
 	}
-	sc := DefaultScenario()
+	sc := o.scenario()
 	sc.Name = "t8"
 	sc.Seed = seed
 	sc.Epochs = 6
@@ -402,7 +402,7 @@ func T8(seed uint64) *Table {
 
 // T9 compares fixed-period and Trickle-paced beaconing: control overhead
 // versus estimation accuracy and routing responsiveness.
-func T9(seed uint64) *Table {
+func T9(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T9",
 		Title:   "Beacon pacing: fixed vs Trickle (extension)",
@@ -423,7 +423,7 @@ func T9(seed uint64) *Table {
 	}
 	scs := make([]Scenario, len(combos))
 	for i, c := range combos {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t9-%s-%v", c.env, c.adaptive)
 		sc.Seed = seed
 		sc.Routing.Hysteresis = 3
@@ -442,7 +442,7 @@ func T9(seed uint64) *Table {
 		sc.EpochLen = 400
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		t.recordRuns(res)
 		label := "fixed-10s"
 		if combos[i].adaptive {
@@ -467,7 +467,7 @@ func T9(seed uint64) *Table {
 // T10 runs Dophy's true distributed encoding path (packets carry suspended
 // coder state hop by hop) alongside the sink-side convenience path and
 // reports the extra radiated cost of carrying the coder registers.
-func T10(seed uint64) *Table {
+func T10(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T10",
 		Title:   "Distributed encoding path: in-flight coder-state cost (extension)",
@@ -483,9 +483,9 @@ func T10(seed uint64) *Table {
 		events uint64
 		estS   float64
 	}
-	for _, p := range Sweep(len(sides), func(i int) point {
+	for _, p := range Sweep(o, len(sides), func(i int) point {
 		side := sides[i]
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("t10-%d", side)
 		sc.Seed = seed
 		sc.Topo = GridSpec(side)
@@ -540,7 +540,7 @@ func T10(seed uint64) *Table {
 
 // T11 prices each recording scheme's annotation in radio energy — the unit
 // battery deployments budget in — using CC2420-class constants.
-func T11(seed uint64) *Table {
+func T11(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "T11",
 		Title:   "Energy cost of in-packet annotations (extension)",
@@ -550,7 +550,7 @@ func T11(seed uint64) *Table {
 			"per-day figure assumes each node sources one packet per 5s, CC2420 at 0dBm",
 		},
 	}
-	sc := DefaultScenario()
+	sc := o.scenario()
 	sc.Name = "t11"
 	sc.Seed = seed
 	sc.Epochs = 3
@@ -583,7 +583,7 @@ func T11(seed uint64) *Table {
 // forgotten streaming estimators under drifting links and sparse traffic:
 // short epochs starve the window while decay accumulates evidence — at the
 // price of lag when the link actually moves.
-func F10(seed uint64) *Table {
+func F10(seed uint64, o RunOptions) *Table {
 	t := &Table{
 		ID:      "F10",
 		Title:   "Estimation window: per-epoch reset vs exponential forgetting (extension)",
@@ -597,7 +597,7 @@ func F10(seed uint64) *Table {
 	decays := []float64{0, 0.3, 0.6, 0.9}
 	scs := make([]Scenario, len(decays))
 	for i, decay := range decays {
-		sc := DefaultScenario()
+		sc := o.scenario()
 		sc.Name = fmt.Sprintf("f10-%.1f", decay)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{Kind: RadioRandomWalk, WalkStep: 0.15, WalkEvery: 10}
@@ -607,7 +607,7 @@ func F10(seed uint64) *Table {
 		sc.Dophy.ObsDecay = decay
 		scs[i] = sc
 	}
-	for i, res := range RunAll(scs) {
+	for i, res := range RunAll(scs, o) {
 		t.recordRuns(res)
 		acc := res.MeanAccuracy(SchemeDophy)
 		t.Rows = append(t.Rows, []string{

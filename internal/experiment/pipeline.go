@@ -1,21 +1,21 @@
 // This file is the epoch pipeline: a two-stage overlap of simulation and
-// estimation. Session.cutEpoch harvests everything the sink observed in an
-// epoch into an immutable epochCut; the estimation stage (estBank) turns a
-// cut into the finished EpochOutcome. Sequential Run composes the stages
-// on one goroutine; RunPipelined sends cuts over a channel to a single
-// estimation goroutine so epoch k's (often expensive) inference runs while
-// the simulator is already producing epoch k+1. There is exactly one
-// sender and one receiver, every cut crosses the channel exactly once, and
-// the estimator bank's scratch is touched only by the estimation
-// goroutine, so the outcome stream is identical — same values, same order
-// — to the sequential composition for the same scenario.
+// estimation. An engine's cutEpoch (Session or ShardedSession) harvests
+// everything the sink observed in an epoch into an immutable epochCut; the
+// estimation stage (estBank) turns a cut into the finished EpochOutcome.
+// RunEpoch composes the stages on one goroutine; runEpochs, the loop behind
+// Run and RunSharded, sends cuts over a channel to a single estimation
+// goroutine so epoch k's (often expensive) inference runs while the
+// simulator is already producing epoch k+1. There is exactly one sender and
+// one receiver, every cut crosses the channel exactly once, and the
+// estimator bank's scratch is touched only by the estimation goroutine, so
+// the outcome stream is identical — same values, same order — to stepping
+// RunEpoch for the same scenario.
 //
 //dophy:concurrency-boundary -- single-producer single-consumer epoch hand-off; cuts are immutable after construction and the bank is owned by the estimation goroutine
 package experiment
 
 import (
 	"math"
-	"sync/atomic"
 
 	"dophy/internal/tomo/epochobs"
 	"dophy/internal/tomo/lsq"
@@ -23,34 +23,8 @@ import (
 	"dophy/internal/topo"
 )
 
-// pipelined toggles the two-stage epoch pipeline inside Run.
-var pipelined atomic.Bool
-
-// SetPipelined switches Run between the sequential epoch loop and the
-// two-stage pipeline, returning the previous setting. Like SetWorkers the
-// toggle is package-global so cmd/dophy-bench applies it once for every
-// experiment. The produced tables are identical either way; only wall
-// time changes.
-func SetPipelined(on bool) bool { return pipelined.Swap(on) }
-
-// Pipelined reports whether Run executes epochs through the pipeline.
-func Pipelined() bool { return pipelined.Load() }
-
-// incremental toggles dirty-link incremental re-estimation in the
-// MINC/LSQ estimator bank.
-var incremental atomic.Bool
-
-// SetIncremental switches new sessions' MINC/LSQ estimators between
-// from-scratch (the historical default) and incremental re-estimation
-// seeded by dirty-link tracking, returning the previous setting. Applies
-// to sessions built after the call.
-func SetIncremental(on bool) bool { return incremental.Swap(on) }
-
-// Incremental reports whether new sessions use incremental estimators.
-func Incremental() bool { return incremental.Load() }
-
 // epochCut is one epoch's complete sink-side harvest, produced by
-// Session.cutEpoch and consumed exactly once by estBank.estimate. Sending
+// schemeBank.harvest and consumed exactly once by estBank.estimate. Sending
 // a cut transfers ownership: the simulation side never touches one again,
 // which is what makes the estimate stage's writes to out race-free.
 type epochCut struct {
@@ -64,37 +38,41 @@ type epochCut struct {
 
 // estBank is the estimation stage's state: the inference estimators whose
 // scratch persists across epochs (for reuse, and in incremental mode for
-// warm starts). Only the stage that owns the bank — the main goroutine
-// under sequential Run, the single estimation goroutine under
-// RunPipelined — may call estimate.
+// warm starts). Only the stage that owns the bank — the caller of RunEpoch,
+// or the single estimation goroutine under runEpochs — may call estimate.
 type estBank struct {
 	lt      *topo.LinkTable //dophy:owner immutable
 	mincEst *minc.Estimator //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
 	lsqEst  *lsq.Estimator  //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
 }
 
-// newEstBank builds the MINC/LSQ estimator pair, enabling incremental
-// re-estimation when the package toggle is on.
-func newEstBank(lt *topo.LinkTable, maxAttempts int) estBank {
+// newEstBank builds the MINC/LSQ estimator pair, with incremental
+// re-estimation when the scenario asks for it.
+func newEstBank(lt *topo.LinkTable, maxAttempts int, incremental bool) *estBank {
 	mcfg := minc.DefaultConfig()
 	mcfg.MaxAttempts = maxAttempts
 	lcfg := lsq.DefaultConfig()
 	lcfg.MaxAttempts = maxAttempts
-	if Incremental() {
+	if incremental {
 		mcfg.DirtyThreshold = minc.DefaultDirtyThreshold
 		lcfg.DirtyThreshold = lsq.DefaultDirtyThreshold
 	}
-	return estBank{lt: lt, mincEst: minc.NewEstimator(lt, mcfg), lsqEst: lsq.NewEstimator(lt, lcfg)}
+	return &estBank{lt: lt, mincEst: minc.NewEstimator(lt, mcfg), lsqEst: lsq.NewEstimator(lt, lcfg)}
 }
 
 // estimate runs the inference estimators over one cut and completes its
-// EpochOutcome. Called once per cut, in epoch order.
+// EpochOutcome. Called once per cut, in epoch order. A nil bank (a
+// Dophy-only schemeBank) has no inference stage and returns the outcome
+// as harvested.
 //
 //dophy:window
 //dophy:readonly c -- the cut is shared with the simulation side's run totals; only the transferred outcome may be written
 //dophy:effects noglobals -- estimation must not touch package state: the pipeline runs it concurrently with the simulator
 func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 	eo := c.out
+	if b == nil {
+		return eo
+	}
 	start := nowNanos()
 	// Estimate returns borrowed estimator scratch, rewritten next epoch; the
 	// SchemeEpoch outlives the epoch, so this is the one copy-out boundary.
@@ -131,47 +109,53 @@ func estLoop(b *estBank, cuts <-chan *epochCut, outs chan<- *EpochOutcome) {
 	close(outs)
 }
 
-// RunPipelined executes the scenario with epoch simulation and estimation
-// overlapped: while the estimation goroutine fits epoch k, the main
-// goroutine simulates epoch k+1. Output is identical to Run — the bank
-// sees the same cuts in the same order — so the pipeline is purely a
-// wall-clock optimisation, worth roughly min(sim, estimation) time per
-// epoch when the two stages are balanced.
-func RunPipelined(sc Scenario) *RunResult {
-	s := NewSession(sc)
-	res := &RunResult{Scenario: sc, Topology: s.tp}
+// epochEngine is a deployment runEpochs can step: Session or ShardedSession.
+type epochEngine interface {
+	cutEpoch() *epochCut
+	Topology() *topo.Topology
+	BeaconsSent() int64
+	Events() uint64
+}
+
+// runEpochs executes sc.Epochs epochs of e with simulation and estimation
+// overlapped: while the estimation goroutine fits epoch k on est, this
+// goroutine simulates epoch k+1. The outcomes equal stepping e's RunEpoch —
+// the bank sees the same cuts in the same order — so the overlap changes
+// wall time only, saving roughly min(sim, estimation) per epoch.
+func runEpochs(sc Scenario, e epochEngine, est *estBank) *RunResult {
+	res := &RunResult{Scenario: sc, Topology: e.Topology()}
 	// Buffer one cut so the simulator can run a full epoch ahead while the
 	// previous epoch is still being estimated.
 	cuts := make(chan *epochCut, 1)
 	outs := make(chan *EpochOutcome, 1)
-	spawnEst(&s.bank, cuts, outs)
+	spawnEst(est, cuts, outs)
+	add := func(eo *EpochOutcome) {
+		res.Epochs = append(res.Epochs, eo)
+		res.EstSeconds += eo.EstSeconds
+	}
 	var totalPackets, totalChanges int64
-	for e := 0; e < sc.Epochs; e++ {
-		c := s.cutEpoch()
+	for ep := 0; ep < sc.Epochs; ep++ {
+		c := e.cutEpoch()
 		// Truth is complete at cut time; accumulate run totals here so the
-		// receive side below only collects finished outcomes.
+		// receive side only collects finished outcomes.
 		totalPackets += c.out.Truth.Delivered
 		totalChanges += c.out.Truth.ParentChanges
 		//dophy:transfers -- the cut belongs to the estimation goroutine once sent
 		cuts <- c
-		if e >= 1 {
-			eo := <-outs
-			res.Epochs = append(res.Epochs, eo)
-			res.EstSeconds += eo.EstSeconds
+		if ep >= 1 {
+			add(<-outs)
 		}
 	}
 	close(cuts)
-	if sc.Epochs > 0 {
-		eo := <-outs
-		res.Epochs = append(res.Epochs, eo)
-		res.EstSeconds += eo.EstSeconds
+	for eo := range outs {
+		add(eo)
 	}
 	if sc.Epochs > 0 {
 		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
 		res.ParentChangesPerNodePerEpoch =
-			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(s.tp.N()-1))
+			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(res.Topology.N()-1))
 	}
-	res.BeaconsSent = s.BeaconsSent()
-	res.Events = s.Events()
+	res.BeaconsSent = e.BeaconsSent()
+	res.Events = e.Events()
 	return res
 }

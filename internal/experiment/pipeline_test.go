@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -25,59 +26,118 @@ func normalize(r *RunResult) {
 	}
 }
 
-// TestRunPipelinedMatchesRun pins the pipeline's contract: overlapping
-// simulation with estimation changes wall time only. Every epoch outcome —
-// truth, schemes, estimates, report bits — must be identical to the
-// sequential loop's, in both from-scratch and incremental estimator modes
-// (incremental matters because the warm-started estimators carry state
-// across epochs, so outcome k depends on the whole cut order).
-func TestRunPipelinedMatchesRun(t *testing.T) {
+// stepSession is the sequential reference for Run: a fresh session stepped
+// through RunEpoch, with the run totals folded the way runEpochs folds them.
+func stepSession(sc Scenario, s interface {
+	epochEngine
+	RunEpoch() *EpochOutcome
+}) *RunResult {
+	res := &RunResult{Scenario: sc, Topology: s.Topology()}
+	var packets, changes int64
+	for e := 0; e < sc.Epochs; e++ {
+		eo := s.RunEpoch()
+		res.Epochs = append(res.Epochs, eo)
+		packets += eo.Truth.Delivered
+		changes += eo.Truth.ParentChanges
+	}
+	if sc.Epochs > 0 {
+		res.MeanPacketsPerEpoch = float64(packets) / float64(sc.Epochs)
+		res.ParentChangesPerNodePerEpoch =
+			float64(changes) / float64(sc.Epochs) / math.Max(1, float64(s.Topology().N()-1))
+	}
+	res.BeaconsSent = s.BeaconsSent()
+	res.Events = s.Events()
+	return res
+}
+
+// TestRunMatchesRunEpoch pins the pipeline's contract: Run overlaps
+// simulation with estimation, which changes wall time only. Every epoch
+// outcome — truth, schemes, estimates, report bits — must be identical to
+// stepping a session through RunEpoch, in both from-scratch and incremental
+// estimator modes (incremental matters because the warm-started estimators
+// carry state across epochs, so outcome k depends on the whole cut order).
+func TestRunMatchesRunEpoch(t *testing.T) {
 	for _, inc := range []bool{false, true} {
 		name := "fromscratch"
 		if inc {
 			name = "incremental"
 		}
 		t.Run(name, func(t *testing.T) {
-			prev := SetIncremental(inc)
-			defer SetIncremental(prev)
 			sc := smallScenario(17)
 			sc.Epochs = 4
-			seq := Run(sc)
-			pip := RunPipelined(sc)
-			normalize(seq)
-			normalize(pip)
-			if !reflect.DeepEqual(seq, pip) {
-				t.Fatalf("pipelined run diverged from sequential run:\nseq: %+v\npip: %+v", seq, pip)
+			sc.Incremental = inc
+			ref := stepSession(sc, NewSession(sc))
+			got := Run(sc)
+			normalize(ref)
+			normalize(got)
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("Run diverged from stepping RunEpoch:\nref: %+v\ngot: %+v", ref, got)
 			}
 		})
 	}
 }
 
-// TestPipelinedToggleRoutesRun checks that the package toggle makes plain
-// Run take the pipelined path, and that the toggle round-trips.
-func TestPipelinedToggleRoutesRun(t *testing.T) {
-	prev := SetPipelined(true)
-	defer SetPipelined(prev)
-	if !Pipelined() {
-		t.Fatal("SetPipelined(true) did not stick")
+// TestRunShardedMatchesRunEpoch is the same contract for the sharded
+// engine: RunSharded with every scheme attached equals stepping a
+// ShardedSession through RunEpoch, unsharded and 2-way sharded.
+func TestRunShardedMatchesRunEpoch(t *testing.T) {
+	sc := smallScenario(29)
+	sc.Epochs = 3
+	for _, k := range []int{1, 2} {
+		sp := DefaultShardSpec(k)
+		sp.FullSchemes = true
+		s := NewShardedSession(sc, sp)
+		ref := stepSession(sc, s)
+		s.Close()
+		got := RunSharded(sc, sp)
+		normalize(ref)
+		normalize(got)
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("shards=%d: RunSharded diverged from stepping RunEpoch:\nref: %+v\ngot: %+v", k, ref, got)
+		}
 	}
-	sc := smallScenario(19)
-	via := Run(sc)
-	SetPipelined(false)
-	seq := Run(sc)
-	normalize(via)
-	normalize(seq)
-	if !reflect.DeepEqual(seq, via) {
-		t.Fatal("Run under the pipelined toggle diverged from sequential Run")
-	}
-	SetPipelined(true)
 }
 
-func TestRunPipelinedZeroEpochs(t *testing.T) {
+// TestRunZeroEpochs checks both engines' loops return an empty run (and
+// shut their estimation goroutine down) when there is nothing to step.
+func TestRunZeroEpochs(t *testing.T) {
 	sc := smallScenario(23)
 	sc.Epochs = 0
-	res := RunPipelined(sc)
-	if len(res.Epochs) != 0 {
-		t.Fatalf("zero-epoch run produced %d epochs", len(res.Epochs))
+	if res := Run(sc); len(res.Epochs) != 0 {
+		t.Fatalf("zero-epoch Run produced %d epochs", len(res.Epochs))
+	}
+	if res := RunSharded(sc, DefaultShardSpec(2)); len(res.Epochs) != 0 {
+		t.Fatalf("zero-epoch RunSharded produced %d epochs", len(res.Epochs))
+	}
+}
+
+// TestSchemeSetsMatchAcrossEngines ties the two engines' scheme banks
+// together: a full sharded bank harvests exactly the schemes Session does,
+// and a Dophy-only bank harvests dophy alone.
+func TestSchemeSetsMatchAcrossEngines(t *testing.T) {
+	names := func(eo *EpochOutcome) []string {
+		var out []string
+		for name := range eo.Schemes {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	sc := smallScenario(31)
+	want := []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeLSQ, SchemeMINC, SchemeRaw}
+	if got := names(NewSession(sc).RunEpoch()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Session schemes = %v, want %v", got, want)
+	}
+	sp := DefaultShardSpec(1)
+	sp.FullSchemes = true
+	full := NewShardedSession(sc, sp)
+	defer full.Close()
+	if got := names(full.RunEpoch()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("full ShardedSession schemes = %v, want %v", got, want)
+	}
+	lean := NewShardedSession(sc, DefaultShardSpec(1))
+	defer lean.Close()
+	if got := names(lean.RunEpoch()); !reflect.DeepEqual(got, []string{SchemeDophy}) {
+		t.Fatalf("Dophy-only ShardedSession schemes = %v, want [%s]", got, SchemeDophy)
 	}
 }

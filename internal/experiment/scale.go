@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file is the scale-tier registry: experiments sized to exercise the
 // sharded engine (internal/sim/shard) rather than to reproduce a paper
@@ -11,31 +8,8 @@ import (
 // bench CSV iterate over All(), and scale tiers are minutes of work meant
 // to be opted into explicitly (dophy-bench -exp S0 / -exp S1).
 
-// shardCount is the shard count scale tiers run with; 0/1 means unsharded.
-var shardCount atomic.Int32
-
-// SetShards sets the shard count used by the scale-tier runners (clamped
-// to >= 1) and returns the previous value. Like SetWorkers it is package-
-// global: cmd/dophy-bench threads its -shards flag through here.
-func SetShards(n int) int {
-	prev := Shards()
-	if n < 1 {
-		n = 1
-	}
-	shardCount.Store(int32(n))
-	return prev
-}
-
-// Shards returns the current scale-tier shard count.
-func Shards() int {
-	if n := int(shardCount.Load()); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// Scale returns the scale-tier runners. Disjoint from All(): these honour
-// SetShards and report partitioned-engine telemetry instead of scheme
+// Scale returns the scale-tier runners. Disjoint from All(): these run at
+// RunOptions.Shards and report partitioned-engine telemetry instead of scheme
 // comparisons.
 func Scale() []Runner {
 	return []Runner{
@@ -49,8 +23,8 @@ func Scale() []Runner {
 // one period per hop of tree depth to converge — hundreds of periods at
 // these diameters) and a generation period slow enough to bound in-flight
 // packets while still producing tens of packet events per node per epoch.
-func scaleScenario(name string, seed uint64, side int) Scenario {
-	sc := DefaultScenario()
+func scaleScenario(o RunOptions, name string, seed uint64, side int) Scenario {
+	sc := o.scenario()
 	sc.Name = name
 	sc.Seed = seed
 	sc.Topo = GridSpec(side)
@@ -71,28 +45,23 @@ func scaleScenario(name string, seed uint64, side int) Scenario {
 	return sc
 }
 
-// runScaleTier runs sc under the sharded engine at the registry shard
+// runScaleTier runs sc under the sharded engine at the options' shard
 // count and renders the telemetry table shared by S0 and S1.
-func runScaleTier(id, title string, sc Scenario) *Table {
+func runScaleTier(id, title string, sc Scenario, o RunOptions) *Table {
 	t := &Table{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"metric", "value"},
 		Notes: []string{
 			"sharded run: byte-identical at every -shards value; see DESIGN.md",
-			fmt.Sprintf("shards=%d (dophy-bench -shards)", Shards()),
+			fmt.Sprintf("shards=%d (dophy-bench -shards)", o.ShardCount()),
 		},
 	}
-	s := NewShardedSession(sc, DefaultShardSpec(Shards()))
+	s := NewShardedSession(sc, DefaultShardSpec(o.ShardCount()))
 	defer s.Close()
-	var eo *EpochOutcome
-	var estSeconds float64
-	for e := 0; e < sc.Epochs; e++ {
-		eo = s.RunEpoch()
-		estSeconds += eo.EstSeconds
-	}
+	res := runEpochs(sc, s, s.bank.est)
+	eo := res.Epochs[len(res.Epochs)-1]
 	st := s.Stats()
-	events := s.Events()
 	dophy := eo.Schemes[SchemeDophy]
 	row := func(metric, value string) { t.Rows = append(t.Rows, []string{metric, value}) }
 	row("nodes", fmt.Sprintf("%d", s.Topology().N()))
@@ -105,34 +74,34 @@ func runScaleTier(id, title string, sc Scenario) *Table {
 	// Wall-clock (and so events/sec) is deliberately absent: simulation code
 	// never reads wall time. dophy-bench times each experiment and derives
 	// sim_events_per_second in its -json report from the events count here.
-	row("events", fmt.Sprintf("%d", events))
+	row("events", fmt.Sprintf("%d", res.Events))
 	row("routed-nodes", fmt.Sprintf("%d", s.Routed()))
 	row("delivered", fmt.Sprintf("%d", eo.Truth.Delivered))
 	row("generated", fmt.Sprintf("%d", eo.Truth.Generated))
-	row("beacons", fmt.Sprintf("%d", s.BeaconsSent()))
+	row("beacons", fmt.Sprintf("%d", res.BeaconsSent))
 	row("dophy-bits-per-packet", f2(dophy.BitsPerPacket()))
-	t.recordSession(events, estSeconds)
+	t.recordRuns(res)
 	return t
 }
 
 // S0 is the CI-sized scale tier: large enough that a 2-shard run executes
 // thousands of windows, small enough to finish in seconds. The CI bench
 // smoke runs it at -shards 1 and -shards 2 and gates on events/sec.
-func S0(seed uint64) *Table {
-	sc := scaleScenario("s0-scale-smoke", seed, 50)
+func S0(seed uint64, o RunOptions) *Table {
+	sc := scaleScenario(o, "s0-scale-smoke", seed, 50)
 	sc.Warmup = 180
 	sc.EpochLen = 60
 	sc.Collect.GenPeriod = 30
-	return runScaleTier("S0", "sharded engine smoke (2.5k-node grid)", sc)
+	return runScaleTier("S0", "sharded engine smoke (2.5k-node grid)", sc, o)
 }
 
 // S1 is the headline scale tier: a ~100k-node grid (316x316) that a flat
 // per-epoch map pipeline could not hold. Expect minutes at one shard and
 // near-linear speedup with -shards up to the machine's cores.
-func S1(seed uint64) *Table {
-	sc := scaleScenario("s1-scale-100k", seed, 316)
+func S1(seed uint64, o RunOptions) *Table {
+	sc := scaleScenario(o, "s1-scale-100k", seed, 316)
 	sc.Warmup = 700
 	sc.EpochLen = 120
 	sc.Collect.GenPeriod = 120
-	return runScaleTier("S1", "sharded engine at scale (100k-node grid)", sc)
+	return runScaleTier("S1", "sharded engine at scale (100k-node grid)", sc, o)
 }

@@ -19,8 +19,6 @@ import (
 	"dophy/internal/routing"
 	"dophy/internal/sim"
 	"dophy/internal/stats"
-	"dophy/internal/tomo/epochobs"
-	"dophy/internal/tomo/pathrecord"
 	"dophy/internal/topo"
 	"dophy/internal/trace"
 )
@@ -139,6 +137,9 @@ type Scenario struct {
 	// MinTruthAttempts: links need this many ground-truth attempts in an
 	// epoch to participate in accuracy scoring.
 	MinTruthAttempts int64
+	// Incremental switches MINC/LSQ from from-scratch solves to
+	// incremental re-estimation seeded by dirty-link tracking.
+	Incremental bool
 }
 
 // DefaultScenario is the baseline configuration shared by experiments.
@@ -361,22 +362,14 @@ const (
 //
 //dophy:states fresh: SubscribeJourneys|AttachAnnotator -> fresh, RunEpoch -> running; running: RunEpoch -> running
 type Session struct {
-	sc       Scenario
-	tp       *topo.Topology
-	lt       *topo.LinkTable
-	eng      *sim.Engine
-	rec      *trace.Recorder
-	nw       *collect.Network
-	proto    *routing.Protocol
-	dophyEng *core.Dophy
-	dophyNA  *core.Dophy
-	raw      *pathrecord.Recorder
-	compact  *pathrecord.Recorder
-	huff     *pathrecord.Recorder
-	obsCol   *epochobs.Collector
-	bank     estBank
+	sc    Scenario
+	tp    *topo.Topology
+	eng   *sim.Engine
+	rec   *trace.Recorder
+	nw    *collect.Network
+	proto *routing.Protocol
+	bank  *schemeBank
 
-	perPacket      []PacketSample
 	epoch          int
 	lastQueueDrops int64
 }
@@ -393,41 +386,9 @@ func NewSession(sc Scenario) *Session {
 	arq := mac.New(sc.Mac, model, root.Split(), rec)
 	proto := routing.New(sc.Routing, eng, tp, model, root.Split(), rec)
 	nw := collect.New(sc.Collect, eng, tp, arq, proto, root.Split(), rec)
-
-	dcfg := sc.Dophy
-	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-	if dcfg.AggThreshold >= dcfg.MaxAttempts {
-		dcfg.AggThreshold = 0 // aggregation meaningless for tiny budgets
-	}
-	s := &Session{sc: sc, tp: tp, lt: lt, eng: eng, rec: rec, nw: nw, proto: proto}
-	s.dophyEng = core.New(tp, dcfg)
-	naCfg := dcfg
-	naCfg.AggThreshold = 0
-	s.dophyNA = core.New(tp, naCfg)
-
-	prCfg := func(v pathrecord.Variant) pathrecord.Config {
-		c := pathrecord.DefaultConfig(v)
-		c.MaxAttempts = dcfg.MaxAttempts
-		c.MinSamples = dcfg.MinSamples
-		return c
-	}
-	s.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
-	s.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
-	s.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
-	s.obsCol = epochobs.New(lt)
-	s.bank = newEstBank(lt, dcfg.MaxAttempts)
-
-	nw.Subscribe(func(j *collect.PacketJourney) {
-		bits := s.dophyEng.OnJourney(j)
-		s.dophyNA.OnJourney(j)
-		s.raw.OnJourney(j)
-		s.compact.OnJourney(j)
-		s.huff.OnJourney(j)
-		s.obsCol.OnJourney(j)
-		if j.Delivered {
-			s.perPacket = append(s.perPacket, PacketSample{Hops: len(j.Hops), DophyBits: bits})
-		}
-	})
+	s := &Session{sc: sc, tp: tp, eng: eng, rec: rec, nw: nw, proto: proto,
+		bank: newSchemeBank(sc, tp, lt, true)}
+	nw.Subscribe(s.bank.feed)
 
 	proto.Start()
 	eng.Run(sc.Warmup)
@@ -462,90 +423,22 @@ func (s *Session) cutEpoch() *epochCut {
 	s.epoch++
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
 	truth := s.rec.Cut()
-	// Seven schemes land in the map every epoch: size it once up front.
-	eo := &EpochOutcome{Epoch: s.epoch, Truth: truth, Schemes: make(map[string]*SchemeEpoch, 8)}
-	eo.DirtyLinks = truth.DirtyCount()
-	eo.Schemes[SchemeDophy] = fromDophy(SchemeDophy, s.dophyEng.EndEpoch())
-	eo.Schemes[SchemeDophyNA] = fromDophy(SchemeDophyNA, s.dophyNA.EndEpoch())
-	eo.Schemes[SchemeRaw] = fromPathRecord(SchemeRaw, s.raw.EndEpoch())
-	eo.Schemes[SchemeCompact] = fromPathRecord(SchemeCompact, s.compact.EndEpoch())
-	eo.Schemes[SchemeHuffman] = fromPathRecord(SchemeHuffman, s.huff.EndEpoch())
-	obsEpoch := s.obsCol.EndEpoch()
-	eo.PerPacket = s.perPacket
-	s.perPacket = nil
-	eo.QueueDrops = s.nw.QueueDrops - s.lastQueueDrops
-	s.lastQueueDrops = s.nw.QueueDrops
-	return &epochCut{out: eo, obs: obsEpoch}
+	drops := s.nw.QueueDrops - s.lastQueueDrops
+	s.lastQueueDrops += drops
+	return s.bank.harvest(s.epoch, truth, drops)
 }
 
 // RunEpoch advances the simulation one epoch and harvests every scheme.
 func (s *Session) RunEpoch() *EpochOutcome {
-	return s.bank.estimate(s.cutEpoch())
+	return s.bank.est.estimate(s.cutEpoch())
 }
 
-// Run executes the scenario with every scheme attached. With the
-// package-level pipeline toggle on (SetPipelined) the epochs execute
-// through the two-stage pipeline; the results are identical either way.
+// Run executes the scenario with every scheme attached, overlapping each
+// epoch's estimation with the next epoch's simulation (see runEpochs). The
+// outcomes equal stepping a NewSession through RunEpoch.
 func Run(sc Scenario) *RunResult {
-	if Pipelined() {
-		return RunPipelined(sc)
-	}
 	s := NewSession(sc)
-	res := &RunResult{Scenario: sc, Topology: s.tp}
-	var totalPackets, totalChanges int64
-	for e := 0; e < sc.Epochs; e++ {
-		eo := s.RunEpoch()
-		res.Epochs = append(res.Epochs, eo)
-		totalPackets += eo.Truth.Delivered
-		totalChanges += eo.Truth.ParentChanges
-		res.EstSeconds += eo.EstSeconds
-	}
-	if sc.Epochs > 0 {
-		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
-		res.ParentChangesPerNodePerEpoch =
-			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(s.tp.N()-1))
-	}
-	res.BeaconsSent = s.BeaconsSent()
-	res.Events = s.Events()
-	return res
-}
-
-func fromDophy(name string, rep *core.EpochReport) *SchemeEpoch {
-	se := &SchemeEpoch{
-		Name:            name,
-		Table:           rep.Table,
-		Loss:            make([]float64, len(rep.Est)),
-		Samples:         make([]int64, len(rep.Est)),
-		StdErr:          make([]float64, len(rep.Est)),
-		AnnotationBits:  rep.Overhead.AnnotationBits,
-		HeaderBits:      rep.Overhead.HeaderBits,
-		ExtraBits:       rep.Overhead.DisseminationBits,
-		TransmittedBits: rep.Overhead.TransmittedBits,
-		Packets:         rep.Overhead.Packets,
-		Hops:            rep.Overhead.Hops,
-		DecodeErrors:    rep.DecodeErrors,
-	}
-	for i, est := range rep.Est {
-		se.Loss[i] = est.Loss // NaN marks not-estimated, as in the report
-		se.Samples[i] = est.Samples
-		se.StdErr[i] = est.StdErr
-	}
-	return se
-}
-
-func fromPathRecord(name string, rep *pathrecord.EpochReport) *SchemeEpoch {
-	return &SchemeEpoch{
-		Name:            name,
-		Table:           rep.Table,
-		Loss:            rep.Loss,
-		Samples:         rep.Samples,
-		AnnotationBits:  rep.Overhead.AnnotationBits,
-		HeaderBits:      rep.Overhead.HeaderBits,
-		TransmittedBits: rep.Overhead.TransmittedBits,
-		Packets:         rep.Overhead.Packets,
-		Hops:            rep.Overhead.Hops,
-		DecodeErrors:    rep.DecodeErrors,
-	}
+	return runEpochs(sc, s, s.bank.est)
 }
 
 // MeanAccuracy averages a scheme's per-epoch accuracy across a run,

@@ -141,9 +141,7 @@ func TestScaleTierSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale tier smoke is seconds of work")
 	}
-	prev := SetShards(2)
-	defer SetShards(prev)
-	tab := S0(7)
+	tab := S0(7, RunOptions{Shards: 2})
 	vals := map[string]string{}
 	for _, row := range tab.Rows {
 		vals[row[0]] = row[1]

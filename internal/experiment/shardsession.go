@@ -2,17 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"dophy/internal/collect"
-	"dophy/internal/core"
 	"dophy/internal/mac"
 	"dophy/internal/rng"
 	"dophy/internal/routing"
 	"dophy/internal/sim"
 	"dophy/internal/sim/shard"
-	"dophy/internal/tomo/epochobs"
-	"dophy/internal/tomo/pathrecord"
 	"dophy/internal/topo"
 	"dophy/internal/trace"
 )
@@ -183,25 +179,18 @@ type ShardedSession struct {
 	bufs   [][]*collect.PacketJourney //dophy:owner shard -- journeys completed since the last flush, per shard
 	fmerge []*collect.PacketJourney   //dophy:owner engine -- flush merge scratch
 
-	// The estimator bank runs on the coordinator only, fed sequentially at
+	// The scheme bank runs on the coordinator only, fed sequentially at
 	// window barriers.
-	dophyEng *core.Dophy          //dophy:owner engine
-	dophyNA  *core.Dophy          //dophy:owner engine
-	raw      *pathrecord.Recorder //dophy:owner engine
-	compact  *pathrecord.Recorder //dophy:owner engine
-	huff     *pathrecord.Recorder //dophy:owner engine
-	obsCol   *epochobs.Collector  //dophy:owner engine
-	bank     estBank              //dophy:owner engine
+	bank *schemeBank //dophy:owner engine
 
-	perPacket      []PacketSample //dophy:owner engine
-	epoch          int            //dophy:owner engine
-	lastQueueDrops int64          //dophy:owner engine
+	epoch          int   //dophy:owner engine
+	lastQueueDrops int64 //dophy:owner engine
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
-// mac/routing/collect stack per shard, attaches the schemes, runs the
-// routing warmup and starts data generation — the sharded mirror of
-// NewSession.
+// mac/routing/collect stack per shard, attaches the scheme bank (dophy
+// alone unless sp.FullSchemes), runs the routing warmup and starts data
+// generation.
 func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	if sp.Shards < 1 {
 		panic(fmt.Sprintf("experiment: %d shards", sp.Shards))
@@ -276,29 +265,8 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
 	}
 
-	dcfg := sc.Dophy
-	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-	if dcfg.AggThreshold >= dcfg.MaxAttempts {
-		dcfg.AggThreshold = 0
-	}
-	s.dophyEng = core.New(tp, dcfg)
-	if sp.FullSchemes {
-		naCfg := dcfg
-		naCfg.AggThreshold = 0
-		s.dophyNA = core.New(tp, naCfg)
-		prCfg := func(v pathrecord.Variant) pathrecord.Config {
-			c := pathrecord.DefaultConfig(v)
-			c.MaxAttempts = dcfg.MaxAttempts
-			c.MinSamples = dcfg.MinSamples
-			return c
-		}
-		s.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
-		s.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
-		s.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
-		s.obsCol = epochobs.New(lt)
-		s.bank = newEstBank(lt, dcfg.MaxAttempts)
-	}
-	// Feeding the estimators at every barrier (rather than at epoch ends)
+	s.bank = newSchemeBank(sc, tp, lt, sp.FullSchemes)
+	// Feeding the schemes at every barrier (rather than at epoch ends)
 	// bounds journey buffering to one window's worth of completions.
 	s.eng.OnBarrier(s.flush)
 
@@ -328,7 +296,7 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 // flush drains every shard's completed-journey buffer in (Completed,
 // Origin, Seq) order — a pure function of simulation behaviour, so the
 // global feed sequence is identical at every shard count — and feeds the
-// estimators. Runs on the coordinator: at window barriers for K > 1, after
+// scheme bank. Runs on the coordinator: at window barriers for K > 1, after
 // Run returns for K == 1.
 //
 //dophy:barrier
@@ -346,7 +314,7 @@ func (s *ShardedSession) flush() {
 		sortJourneys(m)
 	}
 	for i, j := range m {
-		s.feed(j)
+		s.bank.feed(j)
 		m[i] = nil
 	}
 	s.fmerge = m[:0]
@@ -374,22 +342,6 @@ func journeyAfter(a, b *collect.PacketJourney) bool {
 		return a.Origin > b.Origin
 	}
 	return a.Seq > b.Seq
-}
-
-// feed applies one journey to every attached scheme — the sharded
-// counterpart of NewSession's subscriber.
-func (s *ShardedSession) feed(j *collect.PacketJourney) {
-	bits := s.dophyEng.OnJourney(j)
-	if s.sp.FullSchemes {
-		s.dophyNA.OnJourney(j)
-		s.raw.OnJourney(j)
-		s.compact.OnJourney(j)
-		s.huff.OnJourney(j)
-		s.obsCol.OnJourney(j)
-	}
-	if j.Delivered {
-		s.perPacket = append(s.perPacket, PacketSample{Hops: len(j.Hops), DophyBits: bits})
-	}
 }
 
 // Topology returns the built topology.
@@ -444,59 +396,36 @@ func (s *ShardedSession) queueDrops() int64 {
 	return total
 }
 
-// RunEpoch advances the simulation one epoch and harvests every attached
-// scheme, mirroring Session.RunEpoch. It drains per-shard recorders, so it
-// runs strictly between Run windows.
+// cutEpoch advances the simulation one epoch and harvests the scheme bank,
+// the first stage of RunEpoch (see Session.cutEpoch). It drains per-shard
+// recorders, so it runs strictly between Run windows.
 //
 //dophy:barrier
-func (s *ShardedSession) RunEpoch() *EpochOutcome {
+func (s *ShardedSession) cutEpoch() *epochCut {
 	s.epoch++
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
 	s.flush() // single-shard runs have no barriers; drain the epoch's tail
 	truth := trace.CutMerged(s.recs)
-	eo := &EpochOutcome{Epoch: s.epoch, Truth: truth, Schemes: map[string]*SchemeEpoch{}}
-	eo.DirtyLinks = truth.DirtyCount()
-	eo.Schemes[SchemeDophy] = fromDophy(SchemeDophy, s.dophyEng.EndEpoch())
-	if s.sp.FullSchemes {
-		eo.Schemes[SchemeDophyNA] = fromDophy(SchemeDophyNA, s.dophyNA.EndEpoch())
-		eo.Schemes[SchemeRaw] = fromPathRecord(SchemeRaw, s.raw.EndEpoch())
-		eo.Schemes[SchemeCompact] = fromPathRecord(SchemeCompact, s.compact.EndEpoch())
-		eo.Schemes[SchemeHuffman] = fromPathRecord(SchemeHuffman, s.huff.EndEpoch())
-		s.bank.estimate(&epochCut{out: eo, obs: s.obsCol.EndEpoch()})
-	}
-	eo.PerPacket = s.perPacket
-	s.perPacket = nil
-	drops := s.queueDrops()
-	eo.QueueDrops = drops - s.lastQueueDrops
-	s.lastQueueDrops = drops
-	return eo
+	drops := s.queueDrops() - s.lastQueueDrops
+	s.lastQueueDrops += drops
+	return s.bank.harvest(s.epoch, truth, drops)
+}
+
+// RunEpoch advances the simulation one epoch and harvests every attached
+// scheme, mirroring Session.RunEpoch.
+func (s *ShardedSession) RunEpoch() *EpochOutcome {
+	return s.bank.est.estimate(s.cutEpoch())
 }
 
 // Close stops the shard workers. The session must not be run afterwards.
 func (s *ShardedSession) Close() { s.eng.Close() }
 
-// RunSharded executes the scenario under the sharded engine — the
-// partitioned mirror of Run. The result is byte-identical for every value
-// of sp.Shards (see ShardSpec); it is NOT comparable to Run's, which
-// applies beacons and hand-offs with zero latency.
+// RunSharded executes the scenario under the sharded engine through the
+// same epoch loop as Run. The result is byte-identical for every value of
+// sp.Shards (see ShardSpec); it is NOT comparable to Run's, which applies
+// beacons and hand-offs with zero latency.
 func RunSharded(sc Scenario, sp ShardSpec) *RunResult {
 	s := NewShardedSession(sc, sp)
 	defer s.Close()
-	res := &RunResult{Scenario: sc, Topology: s.tp}
-	var totalPackets, totalChanges int64
-	for e := 0; e < sc.Epochs; e++ {
-		eo := s.RunEpoch()
-		res.Epochs = append(res.Epochs, eo)
-		totalPackets += eo.Truth.Delivered
-		totalChanges += eo.Truth.ParentChanges
-		res.EstSeconds += eo.EstSeconds
-	}
-	if sc.Epochs > 0 {
-		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
-		res.ParentChangesPerNodePerEpoch =
-			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(s.tp.N()-1))
-	}
-	res.BeaconsSent = s.BeaconsSent()
-	res.Events = s.Events()
-	return res
+	return runEpochs(sc, s, s.bank.est)
 }

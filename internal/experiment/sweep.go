@@ -1,11 +1,12 @@
 // This file is the parallel sweep engine. Every table/figure runner is a
-// sweep over independent scenario points, and each point is one strictly
-// single-threaded sim.Engine run (races impossible by construction), so
-// parallelism lands purely at the scenario level: points fan out across a
-// bounded worker pool and results land in input order, which keeps every
-// table byte-identical to a sequential execution for the same seed.
+// sweep over independent scenario points, and each point is a run that
+// shares no state with any other (its simulation is single-threaded; its
+// estimation stage is the pipeline's one goroutine), so points fan out
+// across a bounded worker pool and results land in input order, which
+// keeps every table byte-identical to a sequential execution for the same
+// seed.
 //
-//dophy:concurrency-boundary -- scenario-level fan-out over independent runs; results land in input order and workers share only atomics
+//dophy:concurrency-boundary -- scenario-level fan-out over independent runs; results land in input order and workers share only an atomic index
 package experiment
 
 import (
@@ -15,38 +16,52 @@ import (
 	"sync/atomic"
 )
 
-// sweepWorkers caps scenario-level parallelism; 0 means runtime.NumCPU().
-var sweepWorkers atomic.Int32
-
-// SetWorkers sets the sweep pool size (clamped to >= 1; n < 1 restores the
-// runtime.NumCPU() default) and returns the previous effective value. The
-// pool is package-global: concurrent sweeps share the same budget, so
-// cmd/dophy-bench running experiments in parallel does not multiply
-// goroutines beyond experiments x workers.
-func SetWorkers(n int) int {
-	prev := Workers()
-	if n < 1 {
-		n = 0
-	}
-	sweepWorkers.Store(int32(n))
-	return prev
+// RunOptions says how registry experiments run. Workers and Shards change
+// wall time only (the S* tables echo the shard count); Incremental switches
+// the MINC/LSQ estimators, and so their output, through
+// Scenario.Incremental. The zero value is the default: NumCPU sweep
+// workers, one shard, from-scratch estimation.
+type RunOptions struct {
+	// Workers caps scenario-level parallelism; < 1 means runtime.NumCPU().
+	Workers int
+	// Shards is the shard count of the scale tiers (S*); < 1 means 1.
+	Shards int
+	// Incremental seeds every scenario's Incremental field.
+	Incremental bool
 }
 
-// Workers returns the current sweep pool size.
-func Workers() int {
-	if n := int(sweepWorkers.Load()); n > 0 {
-		return n
+// SweepWorkers is the effective sweep pool size.
+func (o RunOptions) SweepWorkers() int {
+	if o.Workers > 0 {
+		return o.Workers
 	}
 	return runtime.NumCPU()
 }
 
-// Sweep evaluates fn(0..n-1) on up to Workers() goroutines and returns the
-// results in index order. fn must be safe to call concurrently with itself
-// — which every scenario-point function is, because each point builds its
-// own topology, RNG stream and simulation engine from its scenario alone.
-func Sweep[T any](n int, fn func(i int) T) []T {
+// ShardCount is the effective scale-tier shard count.
+func (o RunOptions) ShardCount() int {
+	if o.Shards > 0 {
+		return o.Shards
+	}
+	return 1
+}
+
+// scenario is the baseline every experiment starts its scenarios from:
+// DefaultScenario under the options' estimation mode.
+func (o RunOptions) scenario() Scenario {
+	sc := DefaultScenario()
+	sc.Incremental = o.Incremental
+	return sc
+}
+
+// Sweep evaluates fn(0..n-1) on up to o.SweepWorkers() goroutines and
+// returns the results in index order. fn must be safe to call concurrently
+// with itself — which every scenario-point function is, because each point
+// builds its own topology, RNG stream and simulation engine from its
+// scenario alone.
+func Sweep[T any](o RunOptions, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	w := Workers()
+	w := o.SweepWorkers()
 	if w > n {
 		w = n
 	}
@@ -77,8 +92,8 @@ func Sweep[T any](n int, fn func(i int) T) []T {
 
 // RunAll executes the scenarios through the sweep pool and returns their
 // results in input order.
-func RunAll(scs []Scenario) []*RunResult {
-	return Sweep(len(scs), func(i int) *RunResult { return Run(scs[i]) })
+func RunAll(scs []Scenario, o RunOptions) []*RunResult {
+	return Sweep(o, len(scs), func(i int) *RunResult { return Run(scs[i]) })
 }
 
 // Seeds derives n deterministic, well-separated replicate seeds from base.
@@ -103,8 +118,8 @@ type Replicates struct {
 
 // RunReplicates runs sc once per seed (overriding sc.Seed) through the
 // sweep pool.
-func RunReplicates(sc Scenario, seeds []uint64) *Replicates {
-	results := Sweep(len(seeds), func(i int) *RunResult {
+func RunReplicates(sc Scenario, seeds []uint64, o RunOptions) *Replicates {
+	results := Sweep(o, len(seeds), func(i int) *RunResult {
 		p := sc
 		p.Seed = seeds[i]
 		return Run(p)

@@ -2,19 +2,18 @@ package experiment
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 func TestSweepOrderAndCoverage(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 16} {
-		prev := SetWorkers(w)
 		var calls atomic.Int64
-		out := Sweep(100, func(i int) int {
+		out := Sweep(RunOptions{Workers: w}, 100, func(i int) int {
 			calls.Add(1)
 			return i * i
 		})
-		SetWorkers(prev)
 		if calls.Load() != 100 {
 			t.Fatalf("workers=%d: fn called %d times, want 100", w, calls.Load())
 		}
@@ -27,23 +26,25 @@ func TestSweepOrderAndCoverage(t *testing.T) {
 }
 
 func TestSweepZeroPoints(t *testing.T) {
-	if out := Sweep(0, func(i int) int { return i }); len(out) != 0 {
+	if out := Sweep(RunOptions{}, 0, func(i int) int { return i }); len(out) != 0 {
 		t.Fatalf("Sweep(0) returned %d results", len(out))
 	}
 }
 
-func TestSetWorkers(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	if prev := SetWorkers(3); prev != orig {
-		t.Fatalf("SetWorkers returned %d, want previous value %d", prev, orig)
+func TestRunOptionsDefaults(t *testing.T) {
+	var o RunOptions
+	if got := o.SweepWorkers(); got != runtime.NumCPU() {
+		t.Fatalf("RunOptions{}.SweepWorkers() = %d, want NumCPU %d", got, runtime.NumCPU())
 	}
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
+	if got := o.ShardCount(); got != 1 {
+		t.Fatalf("RunOptions{}.ShardCount() = %d, want 1", got)
 	}
-	SetWorkers(0) // restore the NumCPU default
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d with default, want >= 1", Workers())
+	if o.scenario() != DefaultScenario() {
+		t.Fatal("RunOptions{} does not start experiments from DefaultScenario")
+	}
+	set := RunOptions{Workers: 3, Shards: 2, Incremental: true}
+	if set.SweepWorkers() != 3 || set.ShardCount() != 2 || !set.scenario().Incremental {
+		t.Fatalf("explicit options not honoured: %+v", set)
 	}
 }
 
@@ -82,13 +83,10 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 		return out
 	}
 
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq := summarize(RunAll(scs))
+	seq := summarize(RunAll(scs, RunOptions{Workers: 1}))
 
 	for _, w := range []int{2, 4, 8} {
-		SetWorkers(w)
-		par := summarize(RunAll(scs))
+		par := summarize(RunAll(scs, RunOptions{Workers: w}))
 		for i := range seq {
 			for k := range seq[i] {
 				sv, pv := seq[i][k], par[i][k]
@@ -108,11 +106,8 @@ func TestRunnerTableDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment runner; skipped in -short")
 	}
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	seq := F4(7).Format()
-	SetWorkers(4)
-	par := F4(7).Format()
+	seq := F4(7, RunOptions{Workers: 1}).Format()
+	par := F4(7, RunOptions{Workers: 4}).Format()
 	if seq != par {
 		t.Fatalf("F4 table differs between 1 and 4 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -177,12 +172,9 @@ func TestReplicatesMetric(t *testing.T) {
 }
 
 func TestRunReplicates(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-
 	sc := sweepTestScenario(1)
 	seeds := Seeds(1, 3)
-	rep := RunReplicates(sc, seeds)
+	rep := RunReplicates(sc, seeds, RunOptions{Workers: 4})
 	if len(rep.Results) != len(seeds) {
 		t.Fatalf("got %d results for %d seeds", len(rep.Results), len(seeds))
 	}
@@ -196,8 +188,7 @@ func TestRunReplicates(t *testing.T) {
 
 	// Replicates are deterministic: the same seeds reproduce the same
 	// aggregate regardless of scheduling.
-	SetWorkers(1)
-	rep2 := RunReplicates(sc, seeds)
+	rep2 := RunReplicates(sc, seeds, RunOptions{Workers: 1})
 	mean2, ci2 := rep2.MeanAccuracyCI(SchemeDophy)
 	if mean2 != mean || ci2 != ci {
 		t.Fatalf("replicates not deterministic: (%v, %v) != (%v, %v)", mean2, ci2, mean, ci)

@@ -149,7 +149,7 @@ func fullSession() int {
 	return s.n
 }
 
-// Run wires the stages together the way RunPipelined does.
+// Run wires the stages together the way experiment.Run does.
 func Run(n int) float64 {
 	b := newBank()
 	cuts := make(chan *cut, 1)

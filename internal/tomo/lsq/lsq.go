@@ -135,7 +135,7 @@ func NewEstimator(lt *topo.LinkTable, cfg Config) *Estimator {
 //dophy:invalidates
 //dophy:hotpath
 //dophy:readonly e -- the epoch is the pipeline's shared input; estimators may only read it
-//dophy:effects noglobals -- estimation runs concurrently with the simulator under RunPipelined
+//dophy:effects noglobals -- estimation runs concurrently with the simulator under Run
 func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	cfg := est.cfg
 	for _, c := range est.cols {

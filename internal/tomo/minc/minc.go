@@ -140,7 +140,7 @@ func resize(s []float64, n int) []float64 {
 //dophy:invalidates
 //dophy:hotpath
 //dophy:readonly e -- the epoch is the pipeline's shared input; estimators may only read it
-//dophy:effects noglobals -- estimation runs concurrently with the simulator under RunPipelined
+//dophy:effects noglobals -- estimation runs concurrently with the simulator under Run
 func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	cfg := est.cfg
 	for _, c := range est.cols {
