@@ -48,9 +48,9 @@ func goldenDiags() []lint.Diagnostic {
 			Msg:  "//dophy:barrier function deliver is reachable from window code: a barrier cannot run inside the window it closes",
 		},
 		{
-			Pos:  token.Position{Filename: "internal/mat/mat.go", Line: 360, Column: 9},
-			Rule: "lifecycle",
-			Msg:  `s.SolveWarm called in state "new"; the //dophy:states contract of NNLSSolver allows here: Solve`,
+			Pos:  token.Position{Filename: "internal/sim/radio.go", Line: 41, Column: 9},
+			Rule: "determflow",
+			Msg:  "use of math/rand.Intn: all randomness must come from dophy/internal/rng (seeded, splittable)",
 		},
 		{
 			Pos:  token.Position{Filename: "internal/experiment/pipeline.go", Line: 96, Column: 53},
@@ -106,17 +106,20 @@ func TestSelectRules(t *testing.T) {
 	if f, err := selectRules(""); err != nil || f != nil {
 		t.Fatalf("selectRules(\"\") = %v, %v; want nil, nil", f, err)
 	}
-	f, err := selectRules("lifecycle, borrowspan")
+	f, err := selectRules("determflow, borrowspan")
 	if err != nil {
 		t.Fatalf("selectRules known rules: %v", err)
 	}
-	if len(f) != 2 || !f["lifecycle"] || !f["borrowspan"] {
-		t.Fatalf("selectRules filter = %v, want lifecycle+borrowspan", f)
+	if len(f) != 2 || !f["determflow"] || !f["borrowspan"] {
+		t.Fatalf("selectRules filter = %v, want determflow+borrowspan", f)
 	}
-	if _, err := selectRules("lifecycle,nosuchrule"); err == nil {
-		t.Fatal("selectRules accepted unknown rule nosuchrule")
-	} else if want := `unknown rule "nosuchrule"`; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("selectRules error %q, want substring %q", err, want)
+	// lifecycle is a retired rule: it must be as unknown as a made-up name.
+	for _, name := range []string{"nosuchrule", "lifecycle"} {
+		if _, err := selectRules("borrowspan," + name); err == nil {
+			t.Fatalf("selectRules accepted unknown rule %s", name)
+		} else if want := `unknown rule "` + name + `"`; !bytes.Contains([]byte(err.Error()), []byte(want)) {
+			t.Fatalf("selectRules error %q, want substring %q", err, want)
+		}
 	}
 	if _, err := selectRules(" , ,"); err == nil {
 		t.Fatal("selectRules accepted a spec naming no rules")

@@ -9,9 +9,9 @@ import (
 // timeNow is indirected for tests. This is the module's single sanctioned
 // wall-clock read inside the simulation tree: experiment T4 reports
 // sim-seconds-per-wall-second, so the wall clock is the quantity being
-// measured, not an input to any simulated outcome.
-//
-//dophy:allow nowalltime -- T4 measures wall-clock throughput; never feeds sim state
+// measured, not an input to any simulated outcome. It holds the function,
+// not a reading: determflow flags the call through it in nowNanos, which
+// carries the reviewed waiver.
 var timeNow = time.Now
 
 // simTimeAlias lets extension experiments write durations without importing

@@ -359,8 +359,6 @@ const (
 //
 // Consumers and annotators attach only before the first epoch runs — an
 // epoch they missed can never be replayed.
-//
-//dophy:states fresh: SubscribeJourneys|AttachAnnotator -> fresh, RunEpoch -> running; running: RunEpoch -> running
 type Session struct {
 	sc    Scenario
 	tp    *topo.Topology

@@ -10,8 +10,9 @@ import (
 
 // This file is the concurrency-contract prover: a declarative annotation
 // layer plus the three rules (ownercross, sendown, barrierorder) that check
-// it. Together with nogo it replaces the old hand-listed package sanction:
-// a package may spawn goroutines only from a file that declares
+// it. Together with determflow's goroutine report it replaces the old
+// hand-listed package sanction: a package may spawn goroutines only from a
+// file that declares
 //
 //	//dophy:concurrency-boundary -- <why this boundary preserves determinism>
 //
@@ -143,8 +144,8 @@ type contractDiag struct {
 }
 
 // contractInfo is the module's parsed annotation set. It is independent of
-// the call graph and cheap to build, so nogo and determflow can consult the
-// boundary map without forcing the full analysis.
+// the call graph and cheap to build, so determflow can consult the boundary
+// map without forcing the full analysis.
 type contractInfo struct {
 	boundary    map[*File]*boundaryFile
 	boundaryPkg map[*Package]bool
@@ -174,8 +175,9 @@ func (m *Module) contractInfo() *contractInfo {
 			c.collectFile(m, pkg, file)
 		}
 	}
-	// Boundary hygiene: a boundary needs a justification, and a boundary
-	// that spawns nothing protects nothing.
+	// Boundary hygiene, filed under determflow (which owns the goroutine
+	// report the pragma silences): a boundary needs a justification, and a
+	// boundary that spawns nothing protects nothing.
 	for _, pkg := range m.Packages {
 		for _, file := range pkg.Files {
 			bf := c.boundary[file]
@@ -183,11 +185,11 @@ func (m *Module) contractInfo() *contractInfo {
 				continue
 			}
 			if bf.reason == "" {
-				c.annDiags = append(c.annDiags, contractDiag{rule: "nogo", pkg: pkg, pos: bf.pos,
+				c.annDiags = append(c.annDiags, contractDiag{rule: determRuleName, pkg: pkg, pos: bf.pos,
 					msg: "concurrency-boundary pragma has no justification; append ' -- <why this boundary preserves determinism>'"})
 			}
 			if bf.goStmts == 0 {
-				c.annDiags = append(c.annDiags, contractDiag{rule: "nogo", pkg: pkg, pos: bf.pos,
+				c.annDiags = append(c.annDiags, contractDiag{rule: determRuleName, pkg: pkg, pos: bf.pos,
 					msg: "file declares a concurrency boundary but spawns no goroutines; delete the pragma"})
 			}
 		}
@@ -423,11 +425,12 @@ func (m *Module) contractDiags() []contractDiag {
 
 	// Owner-clash: a coordinator-side or immutable field must not smuggle a
 	// shard-confined type across the boundary.
+	shardConfined := namedIn(func(tn *types.TypeName) bool { return c.typeOwner[tn].dom == ownShard })
 	for _, fa := range c.fieldAnns {
 		if fa.dom == ownShard {
 			continue
 		}
-		if tn := containsShardConfined(fa.obj.Type(), c, 0); tn != nil {
+		if tn := typeReaches(fa.obj.Type(), shardConfined); tn != nil {
 			add("ownercross", fa.pkg, fa.pos,
 				"field %s is //dophy:owner %s but holds shard-confined type %s", fa.obj.Name(), fa.dom, tn.Name())
 		}
@@ -466,42 +469,6 @@ func (m *Module) contractDiags() []contractDiag {
 
 	m.conDiags = diags
 	return diags
-}
-
-// containsShardConfined walks a type structure (without descending into
-// other named types' underlyings, mirroring containsPooled's discipline)
-// looking for a //dophy:owner shard type.
-func containsShardConfined(t types.Type, c *contractInfo, depth int) *types.TypeName {
-	if depth > 8 {
-		return nil
-	}
-	switch v := t.(type) {
-	case *types.Named:
-		if ann, ok := c.typeOwner[v.Obj()]; ok && ann.dom == ownShard {
-			return v.Obj()
-		}
-		return nil
-	case *types.Pointer:
-		return containsShardConfined(v.Elem(), c, depth+1)
-	case *types.Slice:
-		return containsShardConfined(v.Elem(), c, depth+1)
-	case *types.Array:
-		return containsShardConfined(v.Elem(), c, depth+1)
-	case *types.Map:
-		if tn := containsShardConfined(v.Key(), c, depth+1); tn != nil {
-			return tn
-		}
-		return containsShardConfined(v.Elem(), c, depth+1)
-	case *types.Chan:
-		return containsShardConfined(v.Elem(), c, depth+1)
-	case *types.Struct:
-		for i := 0; i < v.NumFields(); i++ {
-			if tn := containsShardConfined(v.Field(i).Type(), c, depth+1); tn != nil {
-				return tn
-			}
-		}
-	}
-	return nil
 }
 
 // indexable reports whether an element-wise projection of t is possible.

@@ -32,10 +32,9 @@ type Rule interface {
 // AllRules returns the full rule catalogue.
 func AllRules() []Rule {
 	return []Rule{
-		ruleRand{}, ruleWallTime{}, ruleMapRange{}, ruleGoStmt{}, rulePoolEscape{}, ruleDenseBound{},
-		ruleHotPathAlloc{}, ruleDetermFlow{}, ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{},
-		ruleOwnerCross{}, ruleSendOwn{}, ruleBarrierOrder{}, ruleLifecycle{}, ruleBorrowSpan{},
-		ruleReadOnly{}, ruleEffects{},
+		ruleMapRange{}, rulePoolEscape{}, ruleDenseBound{}, ruleHotPathAlloc{}, ruleDetermFlow{},
+		ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{}, ruleOwnerCross{}, ruleSendOwn{},
+		ruleBarrierOrder{}, ruleBorrowSpan{}, ruleReadOnly{}, ruleEffects{},
 	}
 }
 

@@ -92,12 +92,6 @@ type Module struct {
 	conInfo  *contractInfo
 	conDiags []contractDiag
 	conDone  bool
-	// tsInfo/tsDiags/tsDone cache the typestate layer (typestate.go):
-	// parsed //dophy:states DFAs and the lifecycle rule's whole-module
-	// diagnostics.
-	tsInfo  *typestateInfo
-	tsDiags []contractDiag
-	tsDone  bool
 	// bwInfo/bwDiags/bwDone cache the borrow layer (borrow.go): parsed
 	// //dophy:returns / //dophy:invalidates annotations and the borrowspan
 	// rule's whole-module diagnostics.

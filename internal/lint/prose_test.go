@@ -15,7 +15,7 @@ import (
 // ("aliases ...", "valid until the next ...", "pointer stays valid") must
 // carry the annotation the borrowspan rule enforces, and a doc comment that
 // promises caller ownership must not. Prose and contract drifting apart is
-// exactly the bug class the typestate/borrow layer exists to close.
+// exactly the bug class the borrow layer exists to close.
 func TestOwnershipProseMatchesAnnotations(t *testing.T) {
 	files := []string{
 		"../mat/mat.go",

@@ -8,107 +8,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Rule norand: the only permitted randomness source is internal/rng.
-//
-// A stray math/rand call is the classic determinism leak: it draws from a
-// global, cross-goroutine-shared stream, so results depend on scheduling and
-// on every other consumer. All randomness must flow from the scenario seed
-// through rng.Source.
-// ---------------------------------------------------------------------------
-
-type ruleRand struct{}
-
-func (ruleRand) Name() string { return "norand" }
-
-func (ruleRand) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	if pkg.RelPath == "internal/rng" {
-		return
-	}
-	for _, file := range pkg.Files {
-		for _, path := range []string{"math/rand", "math/rand/v2"} {
-			names := importNames(file.AST, path)
-			specs := importSpecs(file.AST, path)
-			if len(specs) == 0 {
-				continue
-			}
-			uses := 0
-			ast.Inspect(file.AST, func(n ast.Node) bool {
-				sel, ok := isPkgSelector(n, names)
-				if !ok {
-					return true
-				}
-				if !resolvesToPackage(pkg.Info, sel) {
-					return true
-				}
-				uses++
-				report(sel.Pos(), "use of %s.%s: all randomness must come from %s/internal/rng (seeded, splittable)",
-					path, sel.Sel.Name, m.Path)
-				return true
-			})
-			if uses == 0 {
-				report(specs[0].Pos(), "import of %s is forbidden outside internal/rng; use %s/internal/rng", path, m.Path)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Rule nowalltime: simulation/estimation packages run on virtual time only.
-//
-// Wall-clock reads make outputs depend on host speed and scheduling; inside
-// the listed packages the only clock is sim.Engine.Now. cmd/ and examples/
-// may time things (they report wall-clock to humans).
-// ---------------------------------------------------------------------------
-
-type ruleWallTime struct{}
-
-func (ruleWallTime) Name() string { return "nowalltime" }
-
-// wallTimeRestricted are the module-relative package prefixes where wall
-// clocks are banned.
-var wallTimeRestricted = []string{
-	"internal/sim", "internal/collect", "internal/routing", "internal/tomo", "internal/experiment",
-}
-
-// wallTimeFuncs are the time package functions that read or schedule on the
-// wall clock.
-var wallTimeFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
-}
-
-func (ruleWallTime) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	restricted := false
-	for _, p := range wallTimeRestricted {
-		if pkg.RelPath == p || strings.HasPrefix(pkg.RelPath, p+"/") {
-			restricted = true
-			break
-		}
-	}
-	if !restricted {
-		return
-	}
-	for _, file := range pkg.Files {
-		names := importNames(file.AST, "time")
-		if len(names) == 0 {
-			continue
-		}
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			sel, ok := isPkgSelector(n, names)
-			if !ok || !wallTimeFuncs[sel.Sel.Name] {
-				return true
-			}
-			if !resolvesToPackage(pkg.Info, sel) {
-				return true
-			}
-			report(sel.Pos(), "wall-clock time.%s in %s: simulation code runs on sim.Engine virtual time only",
-				sel.Sel.Name, pkg.RelPath)
-			return true
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Rule maprange: no output-order dependence on map iteration.
 //
 // Ranging over a map is fine for commutative accumulation (building another
@@ -301,40 +200,6 @@ func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, target type
 }
 
 // ---------------------------------------------------------------------------
-// Rule nogo: goroutines live only in declared concurrency boundaries.
-//
-// A single sim.Engine run is strictly sequential by design. A file may opt
-// into spawning goroutines by declaring a //dophy:concurrency-boundary
-// pragma (contracts.go) — which simultaneously opts the whole package into
-// the ownercross/sendown/barrierorder contract rules, so "goroutines
-// allowed" always means "sharing discipline proven". A goroutine anywhere
-// else either races the simulation or makes event order
-// scheduling-dependent. The rule also polices boundary hygiene: a pragma
-// without a justification, or in a file that spawns nothing, is itself a
-// diagnostic.
-// ---------------------------------------------------------------------------
-
-type ruleGoStmt struct{}
-
-func (ruleGoStmt) Name() string { return "nogo" }
-
-func (ruleGoStmt) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	c := m.contractInfo()
-	for _, file := range pkg.Files {
-		if c.boundary[file] != nil {
-			continue // sanctioned; the contract rules take over from here
-		}
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				report(g.Pos(), "goroutine outside a //dophy:concurrency-boundary file: simulations are single-threaded by construction")
-			}
-			return true
-		})
-	}
-	m.replayContractDiags("nogo", pkg, report)
-}
-
-// ---------------------------------------------------------------------------
 // Rule poolescape: pooled objects must not be retained across packages.
 //
 // A type fed by a free list (e.g. sim.Event) is recycled: the pointer is
@@ -364,7 +229,7 @@ func (rulePoolEscape) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 				if !ok || tv.Type == nil {
 					continue
 				}
-				obj := containsPooled(tv.Type, pooled, 0)
+				obj := typeReaches(tv.Type, namedIn(func(tn *types.TypeName) bool { return pooled[tn] }))
 				if obj == nil || obj.Pkg() == pkg.Types {
 					continue
 				}
@@ -431,40 +296,57 @@ func freeListName(names []*ast.Ident) bool {
 	return false
 }
 
-// containsPooled walks a type's unnamed structure looking for a pooled
-// named type. It deliberately does not descend into named types' underlying
-// structure: holding a *sim.Engine (which owns a free list) is fine; holding
-// a *sim.Event (which is on one) is not.
-func containsPooled(t types.Type, pooled map[types.Object]bool, depth int) types.Object {
-	if depth > 8 {
-		return nil
-	}
-	switch v := t.(type) {
-	case *types.Named:
-		if pooled[v.Obj()] {
-			return v.Obj()
+// typeReaches walks a type's unnamed structure (pointer, slice, array, map
+// key and value, channel and struct-field types) and returns the first
+// named type that match accepts. It deliberately does not descend into named
+// types' underlying structure: holding a *sim.Engine (which owns a free
+// list) is fine; holding a *sim.Event (which is on one) is not. match sees
+// every type on the walk, unnamed ones included, so it can also accept a
+// composite shape such as a map keyed by a given type.
+func typeReaches(t types.Type, match func(types.Type) *types.TypeName) *types.TypeName {
+	var walk func(t types.Type, depth int) *types.TypeName
+	walk = func(t types.Type, depth int) *types.TypeName {
+		if depth > 8 {
+			return nil
 		}
-	case *types.Pointer:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Slice:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Array:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Map:
-		if obj := containsPooled(v.Key(), pooled, depth+1); obj != nil {
-			return obj
+		if tn := match(t); tn != nil {
+			return tn
 		}
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Chan:
-		return containsPooled(v.Elem(), pooled, depth+1)
-	case *types.Struct:
-		for i := 0; i < v.NumFields(); i++ {
-			if obj := containsPooled(v.Field(i).Type(), pooled, depth+1); obj != nil {
-				return obj
+		switch v := t.(type) {
+		case *types.Pointer:
+			return walk(v.Elem(), depth+1)
+		case *types.Slice:
+			return walk(v.Elem(), depth+1)
+		case *types.Array:
+			return walk(v.Elem(), depth+1)
+		case *types.Chan:
+			return walk(v.Elem(), depth+1)
+		case *types.Map:
+			if tn := walk(v.Key(), depth+1); tn != nil {
+				return tn
+			}
+			return walk(v.Elem(), depth+1)
+		case *types.Struct:
+			for i := 0; i < v.NumFields(); i++ {
+				if tn := walk(v.Field(i).Type(), depth+1); tn != nil {
+					return tn
+				}
 			}
 		}
+		return nil
 	}
-	return nil
+	return walk(t, 0)
+}
+
+// namedIn returns a matcher for typeReaches that accepts the named types
+// whose object satisfies in.
+func namedIn(in func(*types.TypeName) bool) func(types.Type) *types.TypeName {
+	return func(t types.Type) *types.TypeName {
+		if named, ok := t.(*types.Named); ok && in(named.Obj()) {
+			return named.Obj()
+		}
+		return nil
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +389,7 @@ func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 				if !ok || tv.Type == nil {
 					continue
 				}
-				if obj := linkKeyedMap(m, tv.Type, 0); obj != nil {
+				if obj := typeReaches(tv.Type, linkKeyed(m)); obj != nil {
 					report(field.Pos(), "struct field keyed by %s.Link: per-link state in %s is dense, indexed by topo.LinkTable",
 						obj.Pkg().Name(), pkg.RelPath)
 				}
@@ -517,49 +399,21 @@ func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 	}
 }
 
-// linkKeyedMap walks a type's unnamed structure looking for a map keyed by
-// the topology package's Link type. Like containsPooled it does not descend
-// into named types: a field of a named type is that type's own business.
-func linkKeyedMap(m *Module, t types.Type, depth int) types.Object {
-	if depth > 8 {
-		return nil
-	}
-	switch v := t.(type) {
-	case *types.Map:
-		if named, ok := v.Key().(*types.Named); ok {
+// linkKeyed matches a map keyed by the topology package's Link type.
+func linkKeyed(m *Module) func(types.Type) *types.TypeName {
+	return func(t types.Type) *types.TypeName {
+		mt, ok := t.(*types.Map)
+		if !ok {
+			return nil
+		}
+		if named, ok := mt.Key().(*types.Named); ok {
 			obj := named.Obj()
 			if obj.Name() == "Link" && obj.Pkg() != nil && obj.Pkg().Path() == m.Path+"/internal/topo" {
 				return obj
 			}
 		}
-		return linkKeyedMap(m, v.Elem(), depth+1)
-	case *types.Pointer:
-		return linkKeyedMap(m, v.Elem(), depth+1)
-	case *types.Slice:
-		return linkKeyedMap(m, v.Elem(), depth+1)
-	case *types.Array:
-		return linkKeyedMap(m, v.Elem(), depth+1)
-	case *types.Chan:
-		return linkKeyedMap(m, v.Elem(), depth+1)
-	case *types.Struct:
-		for i := 0; i < v.NumFields(); i++ {
-			if obj := linkKeyedMap(m, v.Field(i).Type(), depth+1); obj != nil {
-				return obj
-			}
-		}
+		return nil
 	}
-	return nil
-}
-
-// importSpecs returns the import specs for the given path in the file.
-func importSpecs(f *ast.File, path string) []*ast.ImportSpec {
-	var out []*ast.ImportSpec
-	for _, spec := range f.Imports {
-		if strings.Trim(spec.Path.Value, `"`) == path {
-			out = append(out, spec)
-		}
-	}
-	return out
 }
 
 // resolvesToPackage confirms (when type information is available) that the

@@ -11,29 +11,33 @@ import (
 // ---------------------------------------------------------------------------
 // Rule determflow: nondeterminism must not flow into sim-visible state.
 //
-// The intra-procedural rules (nowalltime, norand, nogo, maprange) catch a
-// source used directly; a source laundered through one helper function
-// escapes all of them. determflow closes that hole with taint propagation
-// over the whole-module call graph:
+// determflow is the repo's one determinism-source rule. It reports each
+// source where it is written and then follows it through the whole-module
+// call graph, so a source laundered through a helper function is caught
+// too:
 //
-//   - Sources: wall-clock reads (time.Now and friends), math/rand use
-//     outside internal/rng, goroutine spawns outside the sweep engine, and
-//     indirect calls whose callee set cannot be resolved at all (assumed
-//     nondeterministic — soundness over silence).
+//   - Sources: wall-clock reads (time.Now and friends), math/rand calls
+//     outside internal/rng, go statements outside a
+//     //dophy:concurrency-boundary file, and indirect calls whose callee
+//     set cannot be resolved at all (assumed nondeterministic — soundness
+//     over silence). Sources are read from function bodies.
 //   - Sinks: everything the simulation or estimation pipeline can observe,
 //     i.e. all module code under internal/ plus the root package — except
 //     internal/rng (the sanctioned seeded stream; deterministic by
 //     contract) and internal/lint (tooling). cmd/ and examples/ may time
-//     and parallelise things for humans.
+//     things for humans.
 //
-// Reports fire at exactly one place per leak, not along the whole chain:
-// at the source itself when it sits inside sink scope (complementing the
-// package lists of the older rules), and at the first call edge where sink
-// code reaches a tainted function outside sink scope — with the full call
-// chain down to the source in the message. A //dophy:allow determflow
-// waiver on a source or on a call edge kills propagation there, so one
-// reviewed waiver at the sanctioned spot (e.g. the T4 wall-clock shim)
-// covers every downstream consumer.
+// Reports fire at exactly one place per leak, not along the whole chain.
+// The source itself is reported where it is written: math/rand calls and
+// go statements module-wide (cmd/ and examples/ too), wall-clock reads and
+// unresolvable calls in sink scope. Propagation is reported at the first
+// call edge where sink code reaches a tainted function outside sink scope,
+// with the full call chain down to the source in the message. A
+// //dophy:allow determflow waiver on a source or on a call edge kills
+// propagation there, so one reviewed waiver at the sanctioned spot (e.g.
+// the T4 wall-clock shim) covers every downstream consumer. The
+// boundary pragma's own hygiene (a justification, and at least one go
+// statement in the file) is reported under determflow as well.
 //
 // determflow also extends maprange inter-procedurally: ranging over a map
 // while calling a module function that transitively writes ordered output
@@ -53,6 +57,14 @@ func (ruleDetermFlow) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 			report(d.pos, d.format, d.args...)
 		}
 	}
+	m.replayContractDiags(determRuleName, pkg, report)
+}
+
+// wallTimeFuncs are the time package functions that read or schedule on the
+// wall clock.
+var wallTimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
 }
 
 // taintInfo records why a function is tainted: the originating source and
@@ -93,15 +105,6 @@ func sinkScope(rel string) bool {
 	return rel == "" || rel == "internal" || strings.HasPrefix(rel, "internal/")
 }
 
-func wallTimeRestrictedPkg(rel string) bool {
-	for _, p := range wallTimeRestricted {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // determDiags computes (once per pragma index) every determflow diagnostic.
 // It consults the active Run's pragma index during propagation so a waiver
 // at a source or call edge kills the chain there — and counts as usage.
@@ -132,8 +135,24 @@ func (m *Module) determDiags() []hotDiag {
 		queue = append(queue, n)
 	}
 
-	// Pass 1: direct sources, with in-scope source-site reports.
+	// Pass 1: direct sources, with source-site reports.
 	for _, n := range nodes {
+		// Goroutine spawns reorder observable events — except inside a
+		// declared //dophy:concurrency-boundary file, whose sharing
+		// discipline the contract rules (ownercross/sendown/barrierorder)
+		// prove separately: the sweep pool merges deterministically, and the
+		// shard engine's window workers exchange state only at barriers with
+		// a shard-count-invariant merge order. Reported module-wide.
+		if n.Decl.Body != nil && m.contractInfo().boundary[n.File] == nil {
+			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+				if g, ok := x.(*ast.GoStmt); ok && !allowed(g.Pos()) {
+					mark(n, &taintInfo{desc: "go statement", pos: g.Pos()})
+					diags = append(diags, hotDiag{pkg: n.Pkg, pos: g.Pos(),
+						format: "goroutine outside a //dophy:concurrency-boundary file: simulations are single-threaded by construction"})
+				}
+				return true
+			})
+		}
 		if inRNG(n.Pkg.RelPath) {
 			continue
 		}
@@ -157,21 +176,19 @@ func (m *Module) determDiags() []hotDiag {
 						continue
 					}
 					mark(n, &taintInfo{desc: "time." + e.Ext.Name(), pos: e.Pos})
-					// nowalltime covers its restricted package list; report
-					// here only the sink-scope packages outside it, so each
-					// source is flagged exactly once.
-					if sink && !wallTimeRestrictedPkg(n.Pkg.RelPath) {
+					if sink {
 						diags = append(diags, hotDiag{pkg: n.Pkg, pos: e.Pos,
 							format: "wall-clock time.%s feeds simulation-visible state in %s; use sim.Engine virtual time",
 							args:   []any{e.Ext.Name(), n.Pkg.RelPath}})
 					}
 				case path == "math/rand" || path == "math/rand/v2":
-					// norand reports the call site itself, module-wide; here
-					// it only seeds the taint flow.
 					if allowed(e.Pos) {
 						continue
 					}
 					mark(n, &taintInfo{desc: path + "." + e.Ext.Name(), pos: e.Pos})
+					diags = append(diags, hotDiag{pkg: n.Pkg, pos: e.Pos,
+						format: "use of %s.%s: all randomness must come from %s/internal/rng (seeded, splittable)",
+						args:   []any{path, e.Ext.Name(), m.Path}})
 				}
 			case EdgeUnresolved:
 				// A call with no statically known callees at all. Interface
@@ -193,20 +210,6 @@ func (m *Module) determDiags() []hotDiag {
 				// Resolved in-module edges seed nothing here; pass 2
 				// propagates taint across them once sources are known.
 			}
-		}
-		// Goroutine spawns reorder observable events — except inside a
-		// declared //dophy:concurrency-boundary file, whose sharing
-		// discipline the contract rules (ownercross/sendown/barrierorder)
-		// prove separately: the sweep pool merges deterministically, and the
-		// shard engine's window workers exchange state only at barriers with
-		// a shard-count-invariant merge order.
-		if n.Decl.Body != nil && m.contractInfo().boundary[n.File] == nil {
-			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-				if g, ok := x.(*ast.GoStmt); ok && !allowed(g.Pos()) {
-					mark(n, &taintInfo{desc: "go statement", pos: g.Pos()})
-				}
-				return true
-			})
 		}
 	}
 

@@ -1,6 +1,6 @@
 // Command tool opts into goroutines the same way every package does now:
 // a file-scoped //dophy:concurrency-boundary pragma (cmd/ keeps only its
-// nowalltime exemption for free).
+// wall-clock exemption for free: it is outside determflow's sink scope).
 //
 //dophy:concurrency-boundary -- CLI-side fan-out; the goroutine is joined before exit
 package main

@@ -1,4 +1,5 @@
-// Package badrand violates the norand rule.
+// Package badrand draws randomness outside internal/rng, which determflow
+// reports at every math/rand call.
 package badrand
 
 import "math/rand"
@@ -9,7 +10,7 @@ func Roll() int {
 }
 
 // Fresh builds a private source, still outside internal/rng.
-func Fresh(seed int64) *rand.Rand { // want "use of math/rand.Rand"
+func Fresh(seed int64) *rand.Rand {
 	src := rand.NewSource(seed) // want "use of math/rand.NewSource"
 	return rand.New(src)        // want "use of math/rand.New"
 }

@@ -1,7 +1,7 @@
 // Package experiment mirrors the real internal/experiment: goroutines
 // are legal only in files that declare a concurrency boundary — this
 // one. other.go has no pragma, so its stray go statement still trips
-// nogo even though the package as a whole is sanctioned.
+// determflow even though the package as a whole is sanctioned.
 //
 //dophy:concurrency-boundary -- fan-out over independent closures; joined before return
 package experiment

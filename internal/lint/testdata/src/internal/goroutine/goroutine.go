@@ -1,4 +1,5 @@
-// Package goroutine violates the nogo rule.
+// Package goroutine spawns outside a concurrency boundary, which determflow
+// reports at the go statement.
 package goroutine
 
 // Spawn launches work concurrently outside the sweep engine.

@@ -116,39 +116,6 @@ func publishCopy(b *bank, c *cut, outs chan<- []float64) {
 	outs <- append([]float64(nil), b.est.estimate(c.vals)...)
 }
 
-// session mirrors experiment.Session: subscriptions attach only before the
-// first epoch runs.
-//
-//dophy:states fresh: Subscribe -> fresh, RunEpoch -> running; running: RunEpoch -> running
-type session struct {
-	n int
-}
-
-func newSession() *session { return &session{} }
-
-// Subscribe registers a consumer; legal only before the first RunEpoch.
-func (s *session) Subscribe() { s.n++ }
-
-// RunEpoch advances the pipeline one epoch.
-func (s *session) RunEpoch() { s.n++ }
-
-// lateSubscribe attaches a consumer after the pipeline started: the epoch
-// it missed can never be replayed.
-func lateSubscribe() {
-	s := newSession()
-	s.RunEpoch()
-	s.Subscribe() // want "Subscribe called in state"
-}
-
-// fullSession is the clean order.
-func fullSession() int {
-	s := newSession()
-	s.Subscribe()
-	s.RunEpoch()
-	s.RunEpoch()
-	return s.n
-}
-
 // Run wires the stages together the way experiment.Run does.
 func Run(n int) float64 {
 	b := newBank()

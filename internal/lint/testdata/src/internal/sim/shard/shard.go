@@ -1,6 +1,6 @@
 // Package shard mirrors the real internal/sim/shard: the file-scoped
 // concurrency-boundary pragma sanctions the conservative-lookahead
-// worker goroutines (nogo and the determflow goroutine taint stay
+// worker goroutines (determflow's goroutine report and taint stay
 // silent), and in exchange the whole package opts into the ownership
 // contract rules — ownercross, sendown and barrierorder. Pooled-object
 // hygiene still applies: shard-owned state may not retain another

@@ -1,12 +1,9 @@
-// Package solver mirrors internal/mat's reusable NNLS solver: a
-// //dophy:states lifecycle contract on the solve order (a warm start is
-// only legal after a full solve) and //dophy:returns borrowed(recv)
-// results that alias the solver's scratch until the next solve.
+// Package solver mirrors internal/mat's reusable NNLS solver:
+// //dophy:returns borrowed(recv) results alias the solver's scratch until
+// the next solve.
 package solver
 
-// solver owns reusable scratch; Solve must run before SolveWarm.
-//
-//dophy:states new: Solve -> solved; solved: Solve|SolveWarm -> solved
+// solver owns reusable scratch.
 type solver struct {
 	x []float64
 }
@@ -34,34 +31,6 @@ func (s *solver) SolveWarm(b []float64) []float64 {
 		s.x[i] += b[i]
 	}
 	return s.x
-}
-
-// refine warms the solver in place; its summary is the straight-line
-// sequence [SolveWarm], so callers' states are checked at the call site.
-func refine(s *solver, b []float64) {
-	s.SolveWarm(b)
-}
-
-// coldStart warms a solver that has never solved: a lifecycle violation.
-func coldStart(b []float64) float64 {
-	var s solver
-	x := s.SolveWarm(b) // want "SolveWarm called in state"
-	return x[0]
-}
-
-// summaryViolation escapes a fresh solver into refine, whose summary
-// applies SolveWarm — illegal from the initial state.
-func summaryViolation(b []float64) {
-	var s solver
-	refine(&s, b) // want "call to refine drives s"
-}
-
-// warmPath is the clean shape: full solve, copy out, then refine.
-func warmPath(b []float64) []float64 {
-	var s solver
-	out := append([]float64(nil), s.Solve(b)...)
-	refine(&s, b)
-	return out
 }
 
 // staleRead keeps the first borrow across the second solve: by the time x

@@ -278,10 +278,9 @@ func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 
 // NNLSSolver runs NNLS repeatedly over same-shaped or differently-shaped
 // systems, reusing its Gram matrix and vector scratch across Solve calls.
-// The zero value is ready to use; a warm start is only meaningful once a
-// full solve has populated the carried active set.
-//
-//dophy:states new: Solve -> solved; solved: Solve|SolveWarm|Iters -> solved
+// The zero value is ready to use and accepts either call first: Solve, or
+// SolveWarm with a nil x0, which is a cold start bitwise-equal to Solve. A
+// non-nil x0 is what carries an active set over from an earlier solve.
 type NNLSSolver struct {
 	g     Dense
 	x     []float64

@@ -30,11 +30,8 @@ type Handler func()
 
 // Event is a scheduled handler. Exported methods are read-only for callers;
 // use Engine.Cancel to revoke one. Pointers are only valid while the event
-// is pending (see the package comment on recycling) — the single-state
-// contract below documents that a held event supports only the two
-// read-only probes, never a state change.
-//
-//dophy:states live: At|Cancelled -> live
+// is pending (see the package comment on recycling); a held event supports
+// only the two read-only probes, At and Cancelled, never a state change.
 type Event struct {
 	at     Time
 	seq    uint64 // FIFO tie-break among equal timestamps

@@ -23,8 +23,6 @@ import (
 // The dirty masks are meaningful only once DiffFrom has compared the epoch
 // against its predecessor; incremental consumers consult PathDirty only
 // after that hand-off.
-//
-//dophy:states raw: DiffFrom -> diffed; diffed: DiffFrom|PathDirty -> diffed
 type Epoch struct {
 	// Delivered[i] and Expected[i] are per-origin packet counts.
 	Delivered []int64

@@ -11,8 +11,6 @@ import "dophy/internal/topo"
 //
 // A reused arena starts each epoch with Reset; accumulators are handed out
 // only after that first wipe.
-//
-//dophy:states new: Reset -> ready; ready: At|Reset -> ready
 type Arena struct {
 	obs     []Obs
 	backing []float64

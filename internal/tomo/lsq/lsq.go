@@ -55,8 +55,6 @@ func DefaultConfig() Config {
 // reusing its row/column scratch, system matrix, NNLS workspace and the
 // estimate vector itself across calls: Estimate returns a borrowed view of
 // estimator-owned scratch, rewritten by the next call.
-//
-//dophy:states new: Estimate -> estimated; estimated: Estimate|LastStats -> estimated
 type Estimator struct {
 	cfg Config
 	lt  *topo.LinkTable

@@ -53,8 +53,6 @@ func DefaultConfig() Config {
 // its path and EM scratch — and the estimate vector itself — across calls:
 // Estimate returns a borrowed view of estimator-owned scratch, rewritten by
 // the next call.
-//
-//dophy:states new: Estimate -> estimated; estimated: Estimate|LastStats -> estimated
 type Estimator struct {
 	cfg Config
 	lt  *topo.LinkTable
