@@ -13,7 +13,6 @@
 //	dophy-bench -list           # list experiment ids
 //	dophy-bench -exp S0 -shards 4
 //	                            # scale-tier experiment on the sharded engine
-//	dophy-bench -incremental    # dirty-link incremental MINC/LSQ re-estimation
 //	dophy-bench -compare BENCH_linux-amd64.json
 //	                            # rerun and exit nonzero on a perf regression
 //	                            # (>15% wall-clock, >10% allocs/op, >20%
@@ -55,8 +54,8 @@ type benchReport struct {
 	Experiments []benchExperiment `json:"experiments"`
 	TotalWallS  float64           `json:"total_wall_seconds"`
 	// TotalEstS is the estimation-stage wall time (MINC + LSQ inference)
-	// summed over all experiments — the slice of TotalWallS the incremental
-	// estimators attack. Omitted in pre-estimation report formats.
+	// summed over all experiments: the slice of TotalWallS the MINC/LSQ
+	// baselines take. Omitted in pre-estimation report formats.
 	TotalEstS   float64 `json:"total_estimation_seconds,omitempty"`
 	TotalEvents uint64  `json:"total_sim_events"`
 	AllocBytes  uint64  `json:"total_alloc_bytes"`
@@ -115,25 +114,24 @@ func readPeakRSSKB() uint64 {
 
 func main() {
 	var (
-		expFlag     = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		csvFlag     = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonFlag    = flag.Bool("json", false, "emit a machine-readable benchmark report (suppresses tables)")
-		seedFlag    = flag.Uint64("seed", 7, "base seed for all experiments")
-		listFlag    = flag.Bool("list", false, "list experiment ids and exit")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "experiments to run concurrently (1 = sequential)")
-		workers     = flag.Int("workers", 0, "scenario-sweep worker pool size (0 = NumCPU)")
-		shards      = flag.Int("shards", 1, "shard count for scale-tier experiments (S*); other tiers ignore it")
-		compare     = flag.String("compare", "", "previous -json report to diff against; exits nonzero on regression")
-		maxWall     = flag.Float64("max-wall-regress", 0.15, "per-experiment wall-clock regression tolerance for -compare")
-		maxAlloc    = flag.Float64("max-allocs-regress", 0.10, "per-experiment allocs-per-run regression tolerance for -compare")
-		maxEPS      = flag.Float64("max-eventsps-regress", 0.20, "per-experiment events/sec regression tolerance for -compare")
-		maxEst      = flag.Float64("max-est-regress", 0.25, "per-experiment estimation-stage seconds regression tolerance for -compare")
-		maxRSS      = flag.Float64("max-rss-regress", 0.30, "whole-run peak-RSS regression tolerance for -compare")
-		requireAll  = flag.Bool("require-all", false, "fail -compare when any baseline experiment was not rerun")
-		incremental = flag.Bool("incremental", false, "incremental MINC/LSQ re-estimation seeded by dirty-link tracking")
+		expFlag    = flag.String("exp", "", "comma-separated experiment ids (default: all)")
+		csvFlag    = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonFlag   = flag.Bool("json", false, "emit a machine-readable benchmark report (suppresses tables)")
+		seedFlag   = flag.Uint64("seed", 7, "base seed for all experiments")
+		listFlag   = flag.Bool("list", false, "list experiment ids and exit")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "experiments to run concurrently (1 = sequential)")
+		workers    = flag.Int("workers", 0, "scenario-sweep worker pool size (0 = NumCPU)")
+		shards     = flag.Int("shards", 1, "shard count for scale-tier experiments (S*); other tiers ignore it")
+		compare    = flag.String("compare", "", "previous -json report to diff against; exits nonzero on regression")
+		maxWall    = flag.Float64("max-wall-regress", 0.15, "per-experiment wall-clock regression tolerance for -compare")
+		maxAlloc   = flag.Float64("max-allocs-regress", 0.10, "per-experiment allocs-per-run regression tolerance for -compare")
+		maxEPS     = flag.Float64("max-eventsps-regress", 0.20, "per-experiment events/sec regression tolerance for -compare")
+		maxEst     = flag.Float64("max-est-regress", 0.25, "per-experiment estimation-stage seconds regression tolerance for -compare")
+		maxRSS     = flag.Float64("max-rss-regress", 0.30, "whole-run peak-RSS regression tolerance for -compare")
+		requireAll = flag.Bool("require-all", false, "fail -compare when any baseline experiment was not rerun")
 	)
 	flag.Parse()
-	opts := experiment.RunOptions{Workers: *workers, Shards: *shards, Incremental: *incremental}
+	opts := experiment.RunOptions{Workers: *workers, Shards: *shards}
 
 	// Scale tiers (S*) are opt-in: a bare run covers All() — the tables and
 	// figures the goldens and the seed-7 CSV pin down — while -exp may name
@@ -359,9 +357,8 @@ func compareReports(out io.Writer, old, cur *benchReport, maxWall, maxAlloc, max
 		}
 		// The estimation stage gets its own gate with its own noise floor:
 		// inference is milliseconds inside multi-second experiments, so an
-		// estimator regression that matters (the incremental path falling
-		// back to full re-solves, say) would vanish inside the wall-clock
-		// tolerance. Skipped when either report lacks the field.
+		// estimator regression that matters would vanish inside the
+		// wall-clock tolerance. Skipped when either report lacks the field.
 		if oe.EstS >= minCompareEstS && ne.EstS > 0 {
 			if rel := ne.EstS/oe.EstS - 1; rel > maxEst {
 				verdict = fmt.Sprintf("ESTIMATION REGRESSION (+%.1f%% > %.0f%%)", 100*rel, 100*maxEst)

@@ -56,7 +56,7 @@ func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, full bool
 	b.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
 	b.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
 	b.obsCol = epochobs.New(lt)
-	b.est = newEstBank(lt, dcfg.MaxAttempts, sc.Incremental)
+	b.est = newEstBank(lt, dcfg.MaxAttempts)
 	return b
 }
 

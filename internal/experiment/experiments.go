@@ -114,7 +114,7 @@ func T1(seed uint64, o RunOptions) *Table {
 	sides := []int{7, 10, 15, 20}
 	scs := make([]Scenario, len(sides))
 	for i, side := range sides {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t1-%d", side*side)
 		sc.Seed = seed + uint64(side)
 		sc.Topo = GridSpec(side)
@@ -147,7 +147,7 @@ func F1(seed uint64, o RunOptions) *Table {
 			"claim: dophy grows by well under a byte per hop",
 		},
 	}
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = "f1"
 	sc.Seed = seed
 	sc.Topo = GridSpec(12) // deep network for long paths
@@ -214,7 +214,7 @@ func F2(seed uint64, o RunOptions) *Table {
 	lens := []float64{60, 150, 300, 600, 1200}
 	scs := make([]Scenario, len(lens))
 	for i, el := range lens {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f2-%.0f", el)
 		sc.Seed = seed + uint64(el)
 		sc.EpochLen = sim.Time(el)
@@ -249,7 +249,7 @@ func F3(seed uint64, o RunOptions) *Table {
 	churns := []float64{0, 0.05, 0.15, 0.3, 0.5}
 	scs := make([]Scenario, len(churns))
 	for i, churn := range churns {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f3-%.2f", churn)
 		sc.Seed = seed // identical network across rows; only churn varies
 		sc.Routing.RandomizeParentProb = churn
@@ -290,7 +290,7 @@ func F4(seed uint64, o RunOptions) *Table {
 	losses := []float64{0.05, 0.1, 0.2, 0.3}
 	scs := make([]Scenario, len(losses))
 	for i, loss := range losses {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f4-%.2f", loss)
 		sc.Seed = seed + uint64(loss*100)
 		sc.Radio = RadioSpec{Kind: RadioUniformLoss, UniformLoss: loss}
@@ -318,7 +318,7 @@ func F5(seed uint64, o RunOptions) *Table {
 			"error value at each percentile of the per-link |error| distribution",
 		},
 	}
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = "f5"
 	sc.Seed = seed
 	sc.Epochs = 4
@@ -362,7 +362,7 @@ func T2(seed uint64, o RunOptions) *Table {
 	thresholds := []int{0, 2, 3, 4, 6}
 	scs := make([]Scenario, len(thresholds))
 	for i, thr := range thresholds {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t2-%d", thr)
 		sc.Seed = seed // identical realisation across thresholds
 		sc.Dophy.AggThreshold = thr
@@ -403,7 +403,7 @@ func T3(seed uint64, o RunOptions) *Table {
 	periods := []int{0, 1, 2, 4, 8}
 	scs := make([]Scenario, len(periods))
 	for i, ue := range periods {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t3-%d", ue)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{Kind: RadioRandomWalk, WalkStep: 0.35, WalkEvery: 5}
@@ -440,7 +440,7 @@ func F6(seed uint64, o RunOptions) *Table {
 	losses := []float64{0.1, 0.3, 0.5, 0.7}
 	scs := make([]Scenario, len(losses))
 	for i, loss := range losses {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f6-%.1f", loss)
 		sc.Seed = seed + uint64(loss*10)
 		sc.Topo = TopoSpec{Kind: TopoChain, N: 2, Spacing: 10, Range: 11}
@@ -501,7 +501,7 @@ func T4(seed uint64, o RunOptions) *Table {
 		Columns: []string{"metric", "value", "unit"},
 	}
 	// Simulation event rate: run a mid-size scenario and time it.
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = "t4"
 	sc.Seed = seed
 	sc.Topo = GridSpec(10)

@@ -32,7 +32,7 @@ func T5(seed uint64, o RunOptions) *Table {
 	periods := []int{0, 1, 2, 4}
 	scs := make([]Scenario, len(periods))
 	for i, ue := range periods {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t5-%d", ue)
 		sc.Seed = seed
 		sc.Dophy.HopModelUpdateEvery = ue
@@ -72,7 +72,7 @@ func T6(seed uint64, o RunOptions) *Table {
 	budgets := []int{0, 1, 3, 7}
 	scs := make([]Scenario, len(budgets))
 	for i, retx := range budgets {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t6-%d", retx)
 		sc.Seed = seed
 		sc.Mac.MaxRetx = retx
@@ -112,7 +112,7 @@ func F7(seed uint64, o RunOptions) *Table {
 	mtbfs := []float64{0, 2400, 1200, 600, 300}
 	scs := make([]Scenario, len(mtbfs))
 	for i, mtbf := range mtbfs {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f7-%.0f", mtbf)
 		sc.Seed = seed
 		if mtbf > 0 {
@@ -163,7 +163,7 @@ func F8(seed uint64, o RunOptions) *Table {
 	dwells := []float64{120, 60, 30, 10}
 	scs := make([]Scenario, len(dwells))
 	for i, bad := range dwells {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f8-%.0f", bad)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{
@@ -220,7 +220,7 @@ func F9(seed uint64, o RunOptions) *Table {
 	periods := []float64{5, 2, 1, 0.5}
 	scs := make([]Scenario, len(periods))
 	for i, gp := range periods {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f9-%.1f", gp)
 		sc.Seed = seed
 		sc.Collect.GenPeriod = timeT(gp)
@@ -276,7 +276,7 @@ func T7(seed uint64, o RunOptions) *Table {
 	}
 	for _, p := range Sweep(o, len(acks), func(i int) point {
 		al := acks[i]
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t7-%.1f", al)
 		sc.Seed = seed
 		sc.Mac.AckLoss = al
@@ -339,7 +339,7 @@ func T8(seed uint64, o RunOptions) *Table {
 			"truth itself is an empirical ratio, so coverage above ~90% is healthy",
 		},
 	}
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = "t8"
 	sc.Seed = seed
 	sc.Epochs = 6
@@ -423,7 +423,7 @@ func T9(seed uint64, o RunOptions) *Table {
 	}
 	scs := make([]Scenario, len(combos))
 	for i, c := range combos {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t9-%s-%v", c.env, c.adaptive)
 		sc.Seed = seed
 		sc.Routing.Hysteresis = 3
@@ -485,7 +485,7 @@ func T10(seed uint64, o RunOptions) *Table {
 	}
 	for _, p := range Sweep(o, len(sides), func(i int) point {
 		side := sides[i]
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t10-%d", side)
 		sc.Seed = seed
 		sc.Topo = GridSpec(side)
@@ -550,7 +550,7 @@ func T11(seed uint64, o RunOptions) *Table {
 			"per-day figure assumes each node sources one packet per 5s, CC2420 at 0dBm",
 		},
 	}
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = "t11"
 	sc.Seed = seed
 	sc.Epochs = 3
@@ -597,7 +597,7 @@ func F10(seed uint64, o RunOptions) *Table {
 	decays := []float64{0, 0.3, 0.6, 0.9}
 	scs := make([]Scenario, len(decays))
 	for i, decay := range decays {
-		sc := o.scenario()
+		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f10-%.1f", decay)
 		sc.Seed = seed
 		sc.Radio = RadioSpec{Kind: RadioRandomWalk, WalkStep: 0.15, WalkEvery: 10}

@@ -33,30 +33,25 @@ type epochCut struct {
 	//
 	//dophy:transfers -- ownership of the outcome moves with the cut to the estimation stage
 	out *EpochOutcome   //dophy:owner immutable -- built by cutEpoch; the estimation stage finishes and returns it
-	obs *epochobs.Epoch //dophy:owner immutable -- the estimators' input; next epoch's DiffFrom only reads it
+	obs *epochobs.Epoch //dophy:owner immutable -- the estimators' input; nothing writes it after cutEpoch
 }
 
 // estBank is the estimation stage's state: the inference estimators whose
-// scratch persists across epochs (for reuse, and in incremental mode for
-// warm starts). Only the stage that owns the bank — the caller of RunEpoch,
-// or the single estimation goroutine under runEpochs — may call estimate.
+// scratch persists across epochs for reuse. Only the stage that owns the
+// bank — the caller of RunEpoch, or the single estimation goroutine under
+// runEpochs — may call estimate.
 type estBank struct {
 	lt      *topo.LinkTable //dophy:owner immutable
 	mincEst *minc.Estimator //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
 	lsqEst  *lsq.Estimator  //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
 }
 
-// newEstBank builds the MINC/LSQ estimator pair, with incremental
-// re-estimation when the scenario asks for it.
-func newEstBank(lt *topo.LinkTable, maxAttempts int, incremental bool) *estBank {
+// newEstBank builds the MINC/LSQ estimator pair.
+func newEstBank(lt *topo.LinkTable, maxAttempts int) *estBank {
 	mcfg := minc.DefaultConfig()
 	mcfg.MaxAttempts = maxAttempts
 	lcfg := lsq.DefaultConfig()
 	lcfg.MaxAttempts = maxAttempts
-	if incremental {
-		mcfg.DirtyThreshold = minc.DefaultDirtyThreshold
-		lcfg.DirtyThreshold = lsq.DefaultDirtyThreshold
-	}
 	return &estBank{lt: lt, mincEst: minc.NewEstimator(lt, mcfg), lsqEst: lsq.NewEstimator(lt, lcfg)}
 }
 
@@ -76,14 +71,8 @@ func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 	start := nowNanos()
 	// Estimate returns borrowed estimator scratch, rewritten next epoch; the
 	// SchemeEpoch outlives the epoch, so this is the one copy-out boundary.
-	mSe := &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(c.obs)...)}
-	mSt := b.mincEst.LastStats()
-	mSe.EstMode, mSe.DirtyRows = mSt.Mode, mSt.DirtyRows
-	lSe := &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(c.obs)...)}
-	lSt := b.lsqEst.LastStats()
-	lSe.EstMode, lSe.DirtyRows = lSt.Mode, lSt.DirtyRows
-	eo.Schemes[SchemeMINC] = mSe
-	eo.Schemes[SchemeLSQ] = lSe
+	eo.Schemes[SchemeMINC] = &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(c.obs)...)}
+	eo.Schemes[SchemeLSQ] = &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(c.obs)...)}
 	eo.EstSeconds = float64(nowNanos()-start) / 1e9
 	return eo
 }

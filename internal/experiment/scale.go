@@ -24,7 +24,7 @@ func Scale() []Runner {
 // these diameters) and a generation period slow enough to bound in-flight
 // packets while still producing tens of packet events per node per epoch.
 func scaleScenario(o RunOptions, name string, seed uint64, side int) Scenario {
-	sc := o.scenario()
+	sc := DefaultScenario()
 	sc.Name = name
 	sc.Seed = seed
 	sc.Topo = GridSpec(side)

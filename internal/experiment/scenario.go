@@ -137,9 +137,6 @@ type Scenario struct {
 	// MinTruthAttempts: links need this many ground-truth attempts in an
 	// epoch to participate in accuracy scoring.
 	MinTruthAttempts int64
-	// Incremental switches MINC/LSQ from from-scratch solves to
-	// incremental re-estimation seeded by dirty-link tracking.
-	Incremental bool
 }
 
 // DefaultScenario is the baseline configuration shared by experiments.
@@ -185,12 +182,6 @@ type SchemeEpoch struct {
 	Packets         int64
 	Hops            int64
 	DecodeErrors    int64
-	// EstMode / DirtyRows describe how an incremental estimator solved the
-	// epoch ("off", "full", "warm" or "copy" with the dirty-row count, see
-	// lsq.Stats / minc.Stats). Empty for schemes without an incremental
-	// path. Diagnostic only: never rendered into tables.
-	EstMode   string
-	DirtyRows int
 }
 
 // LossAt returns the scheme's estimate for one link.
@@ -308,8 +299,8 @@ type EpochOutcome struct {
 	// analysis.
 	PerPacket []PacketSample
 	// DirtyLinks counts ground-truth links whose counts changed since the
-	// previous epoch (trace.Epoch.DirtyCount) — the drift sparsity the
-	// incremental estimators exploit. Diagnostic only: never rendered.
+	// previous epoch (trace.Epoch.DirtyCount): how much of the network
+	// drifted this epoch. Diagnostic only: never rendered.
 	DirtyLinks int
 	// EstSeconds is the wall-clock time the estimation stage (MINC + LSQ)
 	// spent on this epoch. Like T4's throughput row it measures the

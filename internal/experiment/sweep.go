@@ -17,17 +17,13 @@ import (
 )
 
 // RunOptions says how registry experiments run. Workers and Shards change
-// wall time only (the S* tables echo the shard count); Incremental switches
-// the MINC/LSQ estimators, and so their output, through
-// Scenario.Incremental. The zero value is the default: NumCPU sweep
-// workers, one shard, from-scratch estimation.
+// wall time only (the S* tables echo the shard count). The zero value is
+// the default: NumCPU sweep workers, one shard.
 type RunOptions struct {
 	// Workers caps scenario-level parallelism; < 1 means runtime.NumCPU().
 	Workers int
 	// Shards is the shard count of the scale tiers (S*); < 1 means 1.
 	Shards int
-	// Incremental seeds every scenario's Incremental field.
-	Incremental bool
 }
 
 // SweepWorkers is the effective sweep pool size.
@@ -44,14 +40,6 @@ func (o RunOptions) ShardCount() int {
 		return o.Shards
 	}
 	return 1
-}
-
-// scenario is the baseline every experiment starts its scenarios from:
-// DefaultScenario under the options' estimation mode.
-func (o RunOptions) scenario() Scenario {
-	sc := DefaultScenario()
-	sc.Incremental = o.Incremental
-	return sc
 }
 
 // Sweep evaluates fn(0..n-1) on up to o.SweepWorkers() goroutines and

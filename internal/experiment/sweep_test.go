@@ -39,11 +39,8 @@ func TestRunOptionsDefaults(t *testing.T) {
 	if got := o.ShardCount(); got != 1 {
 		t.Fatalf("RunOptions{}.ShardCount() = %d, want 1", got)
 	}
-	if o.scenario() != DefaultScenario() {
-		t.Fatal("RunOptions{} does not start experiments from DefaultScenario")
-	}
-	set := RunOptions{Workers: 3, Shards: 2, Incremental: true}
-	if set.SweepWorkers() != 3 || set.ShardCount() != 2 || !set.scenario().Incremental {
+	set := RunOptions{Workers: 3, Shards: 2}
+	if set.SweepWorkers() != 3 || set.ShardCount() != 2 {
 		t.Fatalf("explicit options not honoured: %+v", set)
 	}
 }

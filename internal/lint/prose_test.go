@@ -67,8 +67,8 @@ func TestOwnershipProseMatchesAnnotations(t *testing.T) {
 	// The patterns must keep biting: these floors track the surfaces the
 	// borrow layer annotates today, so a reworded comment that slips out of
 	// the reconciliation shows up as a count drop, not silent success.
-	if borrowed < 7 {
-		t.Errorf("borrow-prose pattern matched %d functions, want >= 7 (did a doc comment drift?)", borrowed)
+	if borrowed < 5 {
+		t.Errorf("borrow-prose pattern matched %d functions, want >= 5 (did a doc comment drift?)", borrowed)
 	}
 	if owned < 1 {
 		t.Errorf("caller-owns pattern matched %d functions, want >= 1 (did NNLS's doc drift?)", owned)

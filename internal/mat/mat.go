@@ -1,11 +1,10 @@
 // Package mat is a small dense linear-algebra kit: exactly the operations
-// the least-squares tomography baseline needs (normal equations, Cholesky
-// solve, and projected-gradient non-negative least squares), implemented
-// from scratch on float64 slices.
+// the least-squares tomography baseline needs (normal equations and
+// projected-gradient non-negative least squares), implemented from scratch
+// on float64 slices.
 package mat
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -156,114 +155,6 @@ func (m *Dense) gramInto(g *Dense) {
 	}
 }
 
-// GramUpdateRows applies a rank-k update to g = A^T A in place for a
-// change to k rows of A: every row of sub has its outer-product
-// contribution subtracted (the rows' old contents) and every row of add
-// has its contribution added (their new contents). sub and add must have
-// g.Cols columns; either may have zero rows. For the 0/1 incidence
-// matrices tomography builds, every Gram entry is an exact small integer,
-// so the updated Gram is bitwise-identical to one rebuilt from scratch.
-//
-//dophy:hotpath
-func (g *Dense) GramUpdateRows(sub, add *Dense) {
-	if g.Rows != g.Cols {
-		panic(fmt.Sprintf("mat: GramUpdateRows on non-square %dx%d", g.Rows, g.Cols))
-	}
-	if sub.Cols != g.Cols || add.Cols != g.Cols {
-		panic(fmt.Sprintf("mat: GramUpdateRows column mismatch %d/%d vs %d", sub.Cols, add.Cols, g.Cols))
-	}
-	g.gramRankUpdate(sub, -1)
-	g.gramRankUpdate(add, +1)
-	// Mirror the upper triangle, matching gramInto's final layout pass.
-	for a := 0; a < g.Cols; a++ {
-		for b := a + 1; b < g.Cols; b++ {
-			g.data[b*g.Cols+a] = g.data[a*g.Cols+b]
-		}
-	}
-}
-
-// gramRankUpdate accumulates sign * (rows^T rows) into g's upper triangle,
-// mirroring gramInto's traversal so skip-zero behaviour matches.
-func (g *Dense) gramRankUpdate(rows *Dense, sign float64) {
-	n := g.Cols
-	for i := 0; i < rows.Rows; i++ {
-		row := rows.data[i*n : (i+1)*n]
-		for a := 0; a < n; a++ {
-			ra := row[a]
-			if ra == 0 {
-				continue
-			}
-			for b := a; b < n; b++ {
-				g.data[a*n+b] += sign * (ra * row[b])
-			}
-		}
-	}
-}
-
-// ErrNotSPD reports a Cholesky failure (matrix not positive definite).
-var ErrNotSPD = errors.New("mat: matrix not symmetric positive definite")
-
-// SPDSolver solves symmetric positive-definite systems repeatedly, reusing
-// its factorisation scratch across Solve calls. The zero value is ready to
-// use.
-type SPDSolver struct {
-	l, y, x []float64
-}
-
-// Solve solves A x = b by Cholesky decomposition without modifying A. The
-// returned slice aliases the solver's scratch and is valid until the next
-// Solve call.
-//
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next Solve
-//dophy:invalidates
-//dophy:hotpath
-func (s *SPDSolver) Solve(a *Dense, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("mat: SPDSolver dimension mismatch")
-	}
-	// L lower-triangular with A = L L^T.
-	s.l = grow(s.l, n*n)
-	l := s.l
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotSPD
-				}
-				l[i*n+i] = math.Sqrt(sum)
-			} else {
-				l[i*n+j] = sum / l[j*n+j]
-			}
-		}
-	}
-	// Forward solve L y = b.
-	s.y = grow(s.y, n)
-	y := s.y
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * y[k]
-		}
-		y[i] = sum / l[i*n+i]
-	}
-	// Back solve L^T x = y.
-	s.x = grow(s.x, n)
-	x := s.x
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * x[k]
-		}
-		x[i] = sum / l[i*n+i]
-	}
-	return x, nil
-}
-
 // NNLS solves min ||A x - b||^2 subject to x >= 0 by projected gradient
 // descent with a step from the Gram matrix's row-sum bound. It converges
 // linearly and is robust on the small ill-conditioned systems tomography
@@ -278,9 +169,7 @@ func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 
 // NNLSSolver runs NNLS repeatedly over same-shaped or differently-shaped
 // systems, reusing its Gram matrix and vector scratch across Solve calls.
-// The zero value is ready to use and accepts either call first: Solve, or
-// SolveWarm with a nil x0, which is a cold start bitwise-equal to Solve. A
-// non-nil x0 is what carries an active set over from an earlier solve.
+// The zero value is ready to use.
 type NNLSSolver struct {
 	g     Dense
 	x     []float64
@@ -295,66 +184,27 @@ type NNLSSolver struct {
 	nzStart []int32
 	nz      []int32
 	nzVal   []float64
-
-	// Warm-start scratch: the active set carried across epochs and the
-	// Cholesky workspace for the Newton correction on its complement.
-	free []int
-	gff  Dense
-	bf   []float64
-	spd  SPDSolver
 }
 
-// Solve is NNLS with reusable scratch. The returned slice aliases the
-// solver's scratch and is valid until the next Solve call.
-//
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next solve
-//dophy:invalidates
-func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
-	a.GramInto(&s.g)
-	s.atb = grow(s.atb, a.Cols)
-	a.TMulVecTo(s.atb, b)
-	return s.SolveWarm(&s.g, s.atb, nil, iters, tol)
-}
-
-// Iters reports how many projected-gradient iterations the most recent
-// solve ran: the solve's iters bound when it stopped at the cap, fewer when
-// the iterate stagnated first, 0 when G is zero.
-func (s *NNLSSolver) Iters() int { return s.iters }
-
-// SolveWarm runs the projected-gradient NNLS iteration over a
-// caller-assembled system: g must be A^T A (square, symmetric, Cols x Cols)
-// and atb must be A^T b. A non-nil x0 seeds the iteration — the warm start an
-// incremental caller uses to resume from the previous epoch's solution.
-// The seed's zero pattern is treated as the carried-over active set: a
-// Newton correction solves the system exactly on the free (positive)
-// coordinates by Cholesky before the projected-gradient polish, so when
-// the active set is stable across epochs the polish stagnates almost
-// immediately. A nil x0 starts from zero with no correction, making
-// SolveWarm over a freshly assembled system bitwise-identical to Solve.
-// The returned slice aliases the solver's scratch and is valid until the
-// next solve.
+// Solve is NNLS with reusable scratch: it forms G = A^T A and A^T b, then
+// runs the projected-gradient iteration from x = 0. The returned slice
+// aliases the solver's scratch and is valid until the next Solve call.
 //
 //dophy:returns borrowed(recv) -- the result aliases s.x until the next solve
 //dophy:invalidates
 //dophy:hotpath
-func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float64) []float64 {
-	if g.Rows != g.Cols || len(atb) != g.Cols {
-		panic(fmt.Sprintf("mat: SolveWarm dimension mismatch %dx%d vs %d", g.Rows, g.Cols, len(atb)))
-	}
-	if x0 != nil && len(x0) != g.Cols {
-		panic(fmt.Sprintf("mat: SolveWarm x0 length %d, want %d", len(x0), g.Cols))
-	}
-	n := g.Cols
-	lip := s.scanGram(g)
+func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
+	a.GramInto(&s.g)
+	s.atb = grow(s.atb, a.Cols)
+	a.TMulVecTo(s.atb, b)
+	atb := s.atb
+	n := a.Cols
+	lip := s.scanGram(&s.g)
 	s.iters = 0
 	s.x = grow(s.x, n)
 	x := s.x
-	if x0 != nil {
-		copy(x, x0)
-		s.newtonCorrect(g, atb, x)
-	}
 	if lip == 0 {
-		return x // A is zero: any x is optimal, keep the seed
+		return x // A is zero: any x is optimal, return x = 0
 	}
 	step := 1 / lip
 	s.grad = grow(s.grad, n)
@@ -380,6 +230,11 @@ func (s *NNLSSolver) SolveWarm(g *Dense, atb, x0 []float64, iters int, tol float
 	s.iters = it
 	return x
 }
+
+// Iters reports how many projected-gradient iterations the most recent
+// solve ran: the solve's iters bound when it stopped at the cap, fewer when
+// the iterate stagnated first, 0 when G is zero.
+func (s *NNLSSolver) Iters() int { return s.iters }
 
 // scanGram records g's nonzeros for gramMulVec and returns the Lipschitz
 // bound of the NNLS gradient: the max row sum of |G|, which is at least
@@ -437,82 +292,6 @@ func (s *NNLSSolver) gramMulVec(grad, x []float64) {
 		vals := s.nzVal[lo:hi]
 		for i, j := range s.nz[lo:hi] {
 			grad[j] += vals[i] * xk
-		}
-	}
-}
-
-// newtonCorrect is the active-set phase of a warm start: taking x's
-// positive coordinates as the initial free set F, it solves G_FF z =
-// atb_F by Cholesky, clamps non-positive components out of F, and then
-// checks the KKT conditions on the active (zero) coordinates — any with a
-// strictly descending reduced gradient re-enters F and the block is
-// re-solved. The loop is bounded: each round is one Cholesky solve, far
-// cheaper than the thousands of projected-gradient iterations it takes a
-// coordinate to enter the support from zero. When the rounds reach a KKT
-// point — the common case when the active set moved by a handful of
-// coordinates between epochs — the caller's polish stops at its first
-// stagnation check. The correction is best-effort: on a non-SPD free
-// block or when the round budget runs out, x is left at the last
-// feasible iterate and the polish runs from there unaided.
-//
-//dophy:hotpath
-func (s *NNLSSolver) newtonCorrect(g *Dense, atb, x []float64) {
-	s.free = s.free[:0]
-	for j := range x {
-		if x[j] > 0 {
-			s.free = append(s.free, j)
-		}
-	}
-	const maxRounds = 16
-	for round := 0; round < maxRounds; round++ {
-		// Solve the free block, dropping clamped coordinates until the
-		// block's solution is strictly positive (inner clamp loop).
-		for inner := 0; inner < maxRounds && len(s.free) > 0; inner++ {
-			nf := len(s.free)
-			s.gff.Reshape(nf, nf)
-			s.bf = grow(s.bf, nf)
-			for a, ja := range s.free {
-				for b, jb := range s.free {
-					s.gff.Set(a, b, g.At(ja, jb))
-				}
-				s.bf[a] = atb[ja]
-			}
-			z, err := s.spd.Solve(&s.gff, s.bf)
-			if err != nil {
-				return
-			}
-			kept := s.free[:0]
-			clamped := false
-			for i, j := range s.free {
-				if z[i] > 0 {
-					x[j] = z[i]
-					kept = append(kept, j)
-				} else {
-					x[j] = 0
-					clamped = true
-				}
-			}
-			s.free = kept
-			if !clamped {
-				break
-			}
-		}
-		// KKT check: an active coordinate with a strictly descending
-		// reduced gradient (atb_j - (Gx)_j > 0) must join the free set.
-		s.grad = grow(s.grad, g.Rows)
-		g.MulVecTo(s.grad, x)
-		entered := false
-		for j := range x {
-			if x[j] > 0 {
-				continue
-			}
-			if w := atb[j] - s.grad[j]; w > 1e-12*(1+math.Abs(atb[j])) {
-				s.free = append(s.free, j)
-				entered = true
-			}
-		}
-		if !entered {
-			return
 		}
 	}
 }

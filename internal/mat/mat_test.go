@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dophy/internal/rng"
 )
@@ -50,99 +49,6 @@ func TestGram(t *testing.T) {
 	}
 }
 
-func TestSolveSPDKnown(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 3)
-	var s SPDSolver
-	x, err := s.Solve(a, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify A x = b.
-	b := a.MulVec(x)
-	if !almostEq(b[0], 1, 1e-12) || !almostEq(b[1], 2, 1e-12) {
-		t.Fatalf("residual: Ax = %v", b)
-	}
-}
-
-func TestSolveSPDRejectsIndefinite(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 1) // eigenvalues 3, -1
-	var s SPDSolver
-	if _, err := s.Solve(a, []float64{1, 1}); err == nil {
-		t.Fatal("indefinite matrix accepted")
-	}
-}
-
-// ridgeSolve solves min ||A x - b||^2 + ridge ||x||^2 through the normal
-// equations (A^T A + ridge I) x = A^T b.
-func ridgeSolve(a *Dense, b []float64, ridge float64) ([]float64, error) {
-	g := a.Gram()
-	for i := 0; i < g.Rows; i++ {
-		g.Add(i, i, ridge)
-	}
-	var s SPDSolver
-	return s.Solve(g, a.TMulVec(b))
-}
-
-func TestRidgeLeastSquaresRecovers(t *testing.T) {
-	// Overdetermined consistent system.
-	r := rng.New(1)
-	const rows, cols = 40, 5
-	a := NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			a.Set(i, j, r.Normal(0, 1))
-		}
-	}
-	truth := []float64{1, -2, 3, 0.5, -0.25}
-	b := a.MulVec(truth)
-	x, err := ridgeSolve(a, b, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range truth {
-		if !almostEq(x[i], truth[i], 1e-5) {
-			t.Fatalf("x = %v, want %v", x, truth)
-		}
-	}
-}
-
-func TestRidgeRequiresPositive(t *testing.T) {
-	// Without a ridge the normal equations of a zero matrix are singular.
-	a := NewDense(1, 1)
-	if _, err := ridgeSolve(a, []float64{1}, 0); err == nil {
-		t.Fatal("singular normal equations accepted")
-	}
-}
-
-func TestRidgeHandlesRankDeficient(t *testing.T) {
-	// Two identical columns: classic rank deficiency.
-	a := NewDense(3, 2)
-	for i := 0; i < 3; i++ {
-		a.Set(i, 0, float64(i+1))
-		a.Set(i, 1, float64(i+1))
-	}
-	b := []float64{2, 4, 6}
-	x, err := ridgeSolve(a, b, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ridge splits the weight between the two columns; verify the fit.
-	fit := a.MulVec(x)
-	for i := range b {
-		if !almostEq(fit[i], b[i], 1e-3) {
-			t.Fatalf("fit = %v, want %v", fit, b)
-		}
-	}
-}
-
 func TestNNLSNonNegative(t *testing.T) {
 	r := rng.New(2)
 	const rows, cols = 30, 6
@@ -178,9 +84,13 @@ func TestNNLSClampsInfeasible(t *testing.T) {
 
 func TestNNLSZeroMatrix(t *testing.T) {
 	a := NewDense(2, 2)
-	x := NNLS(a, []float64{1, 2}, 100, 1e-12)
+	var s NNLSSolver
+	x := s.Solve(a, []float64{1, 2}, 100, 1e-12)
 	if x[0] != 0 || x[1] != 0 {
 		t.Fatalf("zero matrix NNLS = %v", x)
+	}
+	if s.Iters() != 0 {
+		t.Fatalf("zero-Gram solve reports %d iterations, want 0", s.Iters())
 	}
 }
 
@@ -212,72 +122,6 @@ func TestDimensionPanics(t *testing.T) {
 	}
 }
 
-// Property: SPDSolver's residual is tiny for random SPD systems, with one
-// solver's scratch reused across differently sized systems.
-func TestQuickSPDResidual(t *testing.T) {
-	var s SPDSolver
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := r.Intn(8) + 1
-		// SPD via B^T B + I.
-		b := NewDense(n+2, n)
-		for i := 0; i < n+2; i++ {
-			for j := 0; j < n; j++ {
-				b.Set(i, j, r.Normal(0, 1))
-			}
-		}
-		a := b.Gram()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, 1)
-		}
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = r.Normal(0, 2)
-		}
-		x, err := s.Solve(a, rhs)
-		if err != nil {
-			return false
-		}
-		res := a.MulVec(x)
-		for i := range rhs {
-			if !almostEq(res[i], rhs[i], 1e-8) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSolveSPD50(b *testing.B) {
-	r := rng.New(1)
-	const n = 50
-	base := NewDense(n+5, n)
-	for i := 0; i < n+5; i++ {
-		for j := 0; j < n; j++ {
-			base.Set(i, j, r.Normal(0, 1))
-		}
-	}
-	a := base.Gram()
-	for i := 0; i < n; i++ {
-		a.Add(i, i, 1)
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i)
-	}
-	var s SPDSolver
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // randIncidence fills an rows x cols 0/1 matrix with density p.
 func randIncidence(r *rng.Source, rows, cols int, p float64) *Dense {
 	m := NewDense(rows, cols)
@@ -289,169 +133,6 @@ func randIncidence(r *rng.Source, rows, cols int, p float64) *Dense {
 		}
 	}
 	return m
-}
-
-func TestGramUpdateRowsMatchesRebuild(t *testing.T) {
-	r := rng.New(7)
-	const rows, cols = 30, 12
-	old := randIncidence(r, rows, cols, 0.3)
-	cur := NewDense(rows, cols)
-	copy(cur.data, old.data)
-
-	// Mutate 4 rows.
-	changed := []int{2, 7, 7, 19, 28}
-	sub := NewDense(0, cols)
-	add := NewDense(0, cols)
-	seen := map[int]bool{}
-	for _, i := range changed {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		sub.Rows++
-		sub.data = append(sub.data, old.data[i*cols:(i+1)*cols]...)
-		for j := 0; j < cols; j++ {
-			v := 0.0
-			if r.Bool(0.3) {
-				v = 1
-			}
-			cur.Set(i, j, v)
-		}
-		add.Rows++
-		add.data = append(add.data, cur.data[i*cols:(i+1)*cols]...)
-	}
-
-	var g Dense
-	old.GramInto(&g)
-	g.GramUpdateRows(sub, add)
-
-	var want Dense
-	cur.GramInto(&want)
-	for i := range want.data {
-		if g.data[i] != want.data[i] {
-			t.Fatalf("gram[%d] = %v, want %v (must be bitwise for 0/1 rows)", i, g.data[i], want.data[i])
-		}
-	}
-}
-
-func TestGramUpdateRowsEmptyIsNoop(t *testing.T) {
-	r := rng.New(8)
-	a := randIncidence(r, 10, 6, 0.4)
-	var g, want Dense
-	a.GramInto(&g)
-	a.GramInto(&want)
-	g.GramUpdateRows(NewDense(0, 6), NewDense(0, 6))
-	for i := range want.data {
-		if g.data[i] != want.data[i] {
-			t.Fatal("empty update changed the Gram matrix")
-		}
-	}
-}
-
-func TestSolveWarmColdMatchesSolve(t *testing.T) {
-	r := rng.New(9)
-	a := randIncidence(r, 40, 15, 0.25)
-	b := make([]float64, 40)
-	for i := range b {
-		b[i] = r.Range(0, 2)
-	}
-	var s1, s2 NNLSSolver
-	x1 := s1.Solve(a, b, 500, 1e-12)
-
-	var g Dense
-	a.GramInto(&g)
-	atb := make([]float64, 15)
-	a.TMulVecTo(atb, b)
-	x2 := s2.SolveWarm(&g, atb, nil, 500, 1e-12)
-	for j := range x1 {
-		if x1[j] != x2[j] {
-			t.Fatalf("x[%d]: Solve %v vs cold SolveWarm %v (must be bitwise)", j, x1[j], x2[j])
-		}
-	}
-}
-
-func TestSolveWarmFromSeedConverges(t *testing.T) {
-	r := rng.New(10)
-	a := randIncidence(r, 50, 12, 0.3)
-	b := make([]float64, 50)
-	for i := range b {
-		b[i] = r.Range(0.1, 1)
-	}
-	var cold NNLSSolver
-	want := append([]float64(nil), cold.Solve(a, b, 20000, 1e-14)...)
-
-	// Seed with a perturbed copy of the solution: the warm solve must come
-	// back to the same optimum.
-	seed := make([]float64, len(want))
-	for j := range seed {
-		seed[j] = want[j] + r.Range(0, 0.05)
-	}
-	var g Dense
-	a.GramInto(&g)
-	atb := make([]float64, a.Cols)
-	a.TMulVecTo(atb, b)
-	var warm NNLSSolver
-	got := warm.SolveWarm(&g, atb, seed, 20000, 1e-14)
-	for j := range want {
-		if !almostEq(got[j], want[j], 1e-6) {
-			t.Fatalf("x[%d]: warm %v vs cold %v", j, got[j], want[j])
-		}
-	}
-}
-
-func TestSolveWarmZeroGramKeepsSeed(t *testing.T) {
-	var s NNLSSolver
-	g := NewDense(3, 3)
-	got := s.SolveWarm(g, []float64{0, 0, 0}, []float64{1, 2, 3}, 10, 1e-9)
-	for j, v := range []float64{1, 2, 3} {
-		if got[j] != v {
-			t.Fatalf("zero-Gram warm solve moved the seed: %v", got)
-		}
-	}
-	if s.Iters() != 0 {
-		t.Fatalf("zero-Gram solve reports %d iterations, want 0", s.Iters())
-	}
-}
-
-// FuzzGramUpdateRows differentially checks rank-k Gram updates against a
-// full rebuild on 0/1 incidence matrices, where both must agree bitwise.
-func FuzzGramUpdateRows(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(5), uint8(2))
-	f.Add(uint64(42), uint8(1), uint8(1), uint8(1))
-	f.Add(uint64(7), uint8(30), uint8(9), uint8(30))
-	f.Fuzz(func(t *testing.T, seed uint64, nrows, ncols, nchanged uint8) {
-		rows := int(nrows)%32 + 1
-		cols := int(ncols)%16 + 1
-		k := int(nchanged) % (rows + 1)
-		r := rng.New(seed)
-		old := randIncidence(r, rows, cols, 0.35)
-		cur := NewDense(rows, cols)
-		copy(cur.data, old.data)
-		sub := NewDense(0, cols)
-		add := NewDense(0, cols)
-		for _, i := range r.Perm(rows)[:k] {
-			sub.Rows++
-			sub.data = append(sub.data, old.data[i*cols:(i+1)*cols]...)
-			for j := 0; j < cols; j++ {
-				v := 0.0
-				if r.Bool(0.35) {
-					v = 1
-				}
-				cur.Set(i, j, v)
-			}
-			add.Rows++
-			add.data = append(add.data, cur.data[i*cols:(i+1)*cols]...)
-		}
-		var g, want Dense
-		old.GramInto(&g)
-		g.GramUpdateRows(sub, add)
-		cur.GramInto(&want)
-		for i := range want.data {
-			if g.data[i] != want.data[i] {
-				t.Fatalf("gram[%d] = %v, want %v (seed=%d rows=%d cols=%d k=%d)", i, g.data[i], want.data[i], seed, rows, cols, k)
-			}
-		}
-	})
 }
 
 // randSymCounts builds an n x n symmetric matrix of small non-negative
@@ -524,11 +205,13 @@ func FuzzNNLSGradient(f *testing.F) {
 	})
 }
 
-// solveWarmDense is SolveWarm as it was before the sparse gradient kernel:
-// every projected-gradient iteration takes the dense product G x. It is the
+// solveDense is Solve as it was before the sparse gradient kernel: every
+// projected-gradient iteration takes the dense product G x. It is the
 // reference the production solver must match bitwise, and it returns the
 // number of iterations it ran.
-func solveWarmDense(s *NNLSSolver, g *Dense, atb, x0 []float64, iters int, tol float64) ([]float64, int) {
+func solveDense(a *Dense, b []float64, iters int, tol float64) ([]float64, int) {
+	g := a.Gram()
+	atb := a.TMulVec(b)
 	lip := 0.0
 	for i := 0; i < g.Rows; i++ {
 		sum := 0.0
@@ -540,10 +223,6 @@ func solveWarmDense(s *NNLSSolver, g *Dense, atb, x0 []float64, iters int, tol f
 		}
 	}
 	x := make([]float64, g.Cols)
-	if x0 != nil {
-		copy(x, x0)
-		s.newtonCorrect(g, atb, x)
-	}
 	if lip == 0 {
 		return x, 0
 	}
@@ -569,7 +248,7 @@ func solveWarmDense(s *NNLSSolver, g *Dense, atb, x0 []float64, iters int, tol f
 	return x, it
 }
 
-func TestSolveWarmMatchesDenseReference(t *testing.T) {
+func TestSolveMatchesDenseReference(t *testing.T) {
 	r := rng.New(11)
 	var s NNLSSolver // reused across cases, as lsq reuses it across epochs
 	clamped, capped := 0, 0
@@ -582,15 +261,11 @@ func TestSolveWarmMatchesDenseReference(t *testing.T) {
 			// negative, so part of the solution clamps to zero.
 			b[i] = r.Range(-0.5, 2)
 		}
-		var g Dense
-		a.GramInto(&g)
-		atb := make([]float64, cols)
-		a.TMulVecTo(atb, b)
 		iters := []int{0, 1, 50, 4000}[c%4]
 
-		want, wantIt := solveWarmDense(&NNLSSolver{}, &g, atb, nil, iters, 1e-10)
-		got := s.SolveWarm(&g, atb, nil, iters, 1e-10)
-		assertBitwise(t, "cold", c, got, want, s.Iters(), wantIt)
+		want, wantIt := solveDense(a, b, iters, 1e-10)
+		got := s.Solve(a, b, iters, 1e-10)
+		assertBitwise(t, c, got, want, s.Iters(), wantIt)
 		for _, v := range got {
 			if v == 0 {
 				clamped++
@@ -599,18 +274,6 @@ func TestSolveWarmMatchesDenseReference(t *testing.T) {
 		if iters > 0 && wantIt == iters {
 			capped++
 		}
-
-		// Seed from a perturbed copy of the cold answer, keeping its zeros
-		// as the carried active set.
-		seed := append([]float64(nil), want...)
-		for j := range seed {
-			if seed[j] > 0 {
-				seed[j] += r.Range(-0.05, 0.05)
-			}
-		}
-		want, wantIt = solveWarmDense(&NNLSSolver{}, &g, atb, seed, iters, 1e-10)
-		got = s.SolveWarm(&g, atb, seed, iters, 1e-10)
-		assertBitwise(t, "seeded", c, got, want, s.Iters(), wantIt)
 	}
 	// The cases must exercise what the kernel skips and where lsq stops.
 	if clamped == 0 || capped == 0 {
@@ -618,25 +281,24 @@ func TestSolveWarmMatchesDenseReference(t *testing.T) {
 	}
 }
 
-func assertBitwise(t *testing.T, mode string, c int, got, want []float64, gotIt, wantIt int) {
+func assertBitwise(t *testing.T, c int, got, want []float64, gotIt, wantIt int) {
 	t.Helper()
 	if gotIt != wantIt {
-		t.Fatalf("case %d %s: %d iterations, dense reference ran %d", c, mode, gotIt, wantIt)
+		t.Fatalf("case %d: %d iterations, dense reference ran %d", c, gotIt, wantIt)
 	}
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("case %d %s: x[%d] = %v, dense reference %v (must be bitwise)", c, mode, j, got[j], want[j])
+			t.Fatalf("case %d: x[%d] = %v, dense reference %v (must be bitwise)", c, j, got[j], want[j])
 		}
 	}
 }
 
-// treeGram is the normal-equations system of loss tomography on a BFS
-// collection tree over a side x side 4-neighbour grid with the sink in a
-// corner: one row per non-sink node (its path to the sink), one column per
+// treeSystem is the loss-tomography system on a BFS collection tree over a
+// side x side 4-neighbour grid with the sink in a corner: one row per non-sink node (its path to the sink), one column per
 // tree link (named by its child node). b is set so that the unconstrained
 // per-link solution alternates between +0.05 and -0.03 along the BFS order,
 // which clamps about half of the 4000-iteration NNLS iterate to zero.
-func treeGram(side int) (g *Dense, atb []float64) {
+func treeSystem(side int) (a *Dense, b []float64) {
 	n := side * side
 	parent := make([]int, n)
 	for i := range parent {
@@ -665,24 +327,21 @@ func treeGram(side int) (g *Dense, atb []float64) {
 			truth[v] = -0.03
 		}
 	}
-	a := NewDense(n-1, n-1)
-	b := make([]float64, n-1)
+	a = NewDense(n-1, n-1)
+	b = make([]float64, n-1)
 	for v := 1; v < n; v++ {
 		for u := v; u != 0; u = parent[u] {
 			a.Set(v-1, u-1, 1)
 			b[v-1] += truth[u]
 		}
 	}
-	g = a.Gram()
-	atb = make([]float64, n-1)
-	a.TMulVecTo(atb, b)
-	return g, atb
+	return a, b
 }
 
-func BenchmarkSolveWarmTreeGram(b *testing.B) {
-	g, atb := treeGram(15)
+func BenchmarkSolveTreeSystem(b *testing.B) {
+	a, rhs := treeSystem(15)
 	var s NNLSSolver
-	x := s.SolveWarm(g, atb, nil, 4000, 1e-10) // grow scratch to the high-water mark
+	x := s.Solve(a, rhs, 4000, 1e-10) // grow scratch to the high-water mark
 	zeros := 0
 	for _, v := range x {
 		if v == 0 {
@@ -692,7 +351,7 @@ func BenchmarkSolveWarmTreeGram(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SolveWarm(g, atb, nil, 4000, 1e-10)
+		s.Solve(a, rhs, 4000, 1e-10)
 	}
 	b.ReportMetric(float64(zeros)/float64(len(x)), "zero-frac")
 	b.ReportMetric(float64(s.Iters()), "iters")

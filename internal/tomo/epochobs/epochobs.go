@@ -19,79 +19,12 @@ import (
 )
 
 // Epoch is one epoch's worth of baseline-visible observations.
-//
-// The dirty masks are meaningful only once DiffFrom has compared the epoch
-// against its predecessor; incremental consumers consult PathDirty only
-// after that hand-off.
 type Epoch struct {
 	// Delivered[i] and Expected[i] are per-origin packet counts.
 	Delivered []int64
 	Expected  []int64
 	// Tree[i] is node i's dominant parent, or -1 if never observed.
 	Tree []topo.NodeID
-	// StatsDirty[i] marks origins whose (Delivered, Expected) pair changed
-	// relative to the previous epoch; ParentDirty[i] marks nodes whose
-	// dominant parent changed. Both are nil when no previous epoch is
-	// known, which consumers must read as "everything dirty". Filled by
-	// DiffFrom, so hand-built epochs stay conservatively dirty.
-	StatsDirty  []bool
-	ParentDirty []bool
-}
-
-// DiffFrom fills the dirty masks by comparing e against the previous
-// epoch's observations. A nil or shape-mismatched prev clears the masks
-// back to the conservative all-dirty state.
-func (e *Epoch) DiffFrom(prev *Epoch) {
-	if prev == nil || len(prev.Delivered) != len(e.Delivered) || len(prev.Tree) != len(e.Tree) {
-		e.StatsDirty, e.ParentDirty = nil, nil
-		return
-	}
-	if len(e.StatsDirty) != len(e.Delivered) {
-		e.StatsDirty = make([]bool, len(e.Delivered))
-	}
-	if len(e.ParentDirty) != len(e.Tree) {
-		e.ParentDirty = make([]bool, len(e.Tree))
-	}
-	for i := range e.Delivered {
-		e.StatsDirty[i] = e.Delivered[i] != prev.Delivered[i] || e.Expected[i] != prev.Expected[i]
-	}
-	for i := range e.Tree {
-		e.ParentDirty[i] = e.Tree[i] != prev.Tree[i]
-	}
-}
-
-// PathDirty reports whether origin's row of the tomography system could
-// differ from the previous epoch: its delivery statistics changed, or the
-// dominant parent of any node on its current path changed. Checking the
-// current path suffices — old and new paths share a prefix up to the first
-// node whose parent changed, so a rerouted path always carries at least
-// one ParentDirty node. Without dirty masks everything is dirty.
-//
-//dophy:readonly recv -- the epoch is the estimators' shared input; queries must not mutate it
-func (e *Epoch) PathDirty(origin topo.NodeID) bool {
-	if e.StatsDirty == nil || e.ParentDirty == nil {
-		return true
-	}
-	if e.StatsDirty[origin] {
-		return true
-	}
-	cur := origin
-	for steps := 0; cur != topo.Sink; steps++ {
-		if steps >= len(e.Tree) {
-			return true // looping walk: never treat as clean
-		}
-		if e.ParentDirty[cur] {
-			return true
-		}
-		p := e.Tree[cur]
-		if p < 0 {
-			// Parentless now and (by ParentDirty) parentless before: the
-			// row was absent in both epochs, so nothing changed.
-			return false
-		}
-		cur = p
-	}
-	return false
 }
 
 // PathToSink walks the dominant tree from origin; ok is false when the walk
@@ -152,7 +85,6 @@ type Collector struct {
 	maxSeq    []int64 // highest sequence seen this epoch (0 = none)
 	lastSeq   []int64 // highest sequence seen in any previous epoch
 	votes     []int64 // per-link parent votes, indexed by lt
-	last      *Epoch  // previous EndEpoch result, diffed for the dirty masks
 }
 
 // New builds a collector over the given link table.
@@ -219,7 +151,5 @@ func (c *Collector) EndEpoch() *Epoch {
 		c.maxSeq[i] = 0
 	}
 	clear(c.votes)
-	e.DiffFrom(c.last)
-	c.last = e
 	return e
 }

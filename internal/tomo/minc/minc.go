@@ -30,19 +30,7 @@ type Config struct {
 	MinExpected int64 // skip origins with fewer expected packets
 	MaxIters    int
 	Tol         float64 // max per-link change to declare convergence
-	// DirtyThreshold enables incremental re-estimation when positive: an
-	// epoch whose dirty-row fraction is at or below the threshold seeds
-	// the EM sweep from the previous epoch's converged drops (so it
-	// converges in a handful of iterations) instead of the global
-	// aggregate; above it, or when the link set changed, the estimator
-	// falls back to the bitwise-exact from-scratch EM. Zero (the default)
-	// keeps the historical always-from-scratch behaviour.
-	DirtyThreshold float64
 }
-
-// DefaultDirtyThreshold is the dirty-row fraction above which incremental
-// mode falls back to the from-scratch EM.
-const DefaultDirtyThreshold = 0.25
 
 // DefaultConfig returns standard EM settings.
 func DefaultConfig() Config {
@@ -71,35 +59,18 @@ type Estimator struct {
 	drop       []float64
 	deaths     []float64
 	traversals []float64
-	accel1     []float64 // previous EM iterate, for Aitken extrapolation
-	accel2     []float64 // iterate before that
 
-	rowOrigin []int32   // origin node per source row, for cross-epoch matching
-	out       []float64 // the returned estimate: borrowed scratch, rewritten per call
-
-	// Incremental state (maintained only when cfg.DirtyThreshold > 0):
-	// the previous epoch's rows, converged drops and output, so a
-	// mostly-clean epoch can warm-start the EM from where it converged.
-	haveState     bool
-	prevCols      []topo.LinkIdx
-	prevRowOrigin []int32
-	dropPrev      []float64
-	outPrev       []float64
-	stats         Stats
+	out   []float64 // the returned estimate: borrowed scratch, rewritten per call
+	stats Stats
 }
 
-// Stats describes which path the last Estimate call took.
+// Stats describes the last Estimate call's system and solve.
 type Stats struct {
-	// Mode is "off" (DirtyThreshold disabled), "full" (from-scratch EM),
-	// "warm" (EM seeded from the previous epoch's converged drops) or
-	// "copy" (zero dirty rows: previous output returned verbatim).
-	Mode      string
-	DirtyRows int
-	Rows      int
-	Iters     int // EM sweeps run (0 in copy mode)
+	Rows  int // sources in the system
+	Iters int // EM sweeps run
 }
 
-// LastStats reports how the most recent Estimate call was solved.
+// LastStats reports the size and sweep count of the most recent Estimate call.
 func (est *Estimator) LastStats() Stats { return est.stats }
 
 // NewEstimator validates the configuration and binds it to a link table.
@@ -149,7 +120,6 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	est.srcStart = est.srcStart[:0]
 	est.deliv = est.deliv[:0]
 	est.lost = est.lost[:0]
-	est.rowOrigin = est.rowOrigin[:0]
 
 	for origin := range e.Delivered {
 		id := topo.NodeID(origin)
@@ -183,7 +153,6 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 		est.srcStart = append(est.srcStart, int32(mark))
 		est.deliv = append(est.deliv, d)
 		est.lost = append(est.lost, float64(n)-d)
-		est.rowOrigin = append(est.rowOrigin, int32(origin))
 	}
 	est.srcStart = append(est.srcStart, int32(len(est.pathBuf)))
 
@@ -194,105 +163,32 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	}
 	nsrc := len(est.deliv)
 	nlinks := len(est.cols)
-	est.stats = Stats{Mode: "off", Rows: nsrc}
+	est.stats = Stats{Rows: nsrc}
 	if nsrc == 0 || nlinks == 0 {
-		// Nothing to cache or diff against: force a full EM next epoch.
-		est.haveState = false
 		return out
-	}
-
-	dirtyRows := 0
-	warm := false
-	if cfg.DirtyThreshold > 0 && est.haveState && sameCols(est.cols, est.prevCols) {
-		// Merge-walk current and previous rows (both in ascending origin
-		// order): a matched row is dirty when its statistics or path
-		// changed, unmatched rows on either side are dirty by definition.
-		i, j := 0, 0
-		for i < nsrc || j < len(est.prevRowOrigin) {
-			switch {
-			case j >= len(est.prevRowOrigin) || (i < nsrc && est.rowOrigin[i] < est.prevRowOrigin[j]):
-				dirtyRows++
-				i++
-			case i >= nsrc || est.rowOrigin[i] > est.prevRowOrigin[j]:
-				dirtyRows++
-				j++
-			default:
-				if e.PathDirty(topo.NodeID(est.rowOrigin[i])) {
-					dirtyRows++
-				}
-				i++
-				j++
-			}
-		}
-		if dirtyRows == 0 {
-			// Identical inputs: the cached output is bitwise what a
-			// re-run would produce. All cached state stays valid.
-			copy(out, est.outPrev)
-			est.stats = Stats{Mode: "copy", Rows: nsrc}
-			return out
-		}
-		denom := nsrc
-		if len(est.prevRowOrigin) > denom {
-			denom = len(est.prevRowOrigin)
-		}
-		warm = float64(dirtyRows) <= cfg.DirtyThreshold*float64(denom)
 	}
 
 	est.drop = resize(est.drop, nlinks)
 	est.deaths = resize(est.deaths, nlinks)
 	est.traversals = resize(est.traversals, nlinks)
 	drop, deaths, traversals := est.drop, est.deaths, est.traversals
-	if warm {
-		// Seed from the previous epoch's converged drops: with few dirty
-		// rows the fixed point barely moves, so the sweep converges in a
-		// handful of iterations instead of starting from the aggregate.
-		copy(drop, est.dropPrev)
-		// Boundary links decay geometrically toward zero and never stop;
-		// chained warm epochs would carry them into denormal range, where
-		// every arithmetic op slows by an order of magnitude. Zero is the
-		// value they are converging to: flush them there.
-		for i, d := range drop {
-			if d < 1e-250 {
-				drop[i] = 0
-			}
-		}
-	} else {
-		// Initialise drops uniformly from the aggregate loss rate.
-		var totalExp, totalLost float64
-		for s := 0; s < nsrc; s++ {
-			totalExp += est.deliv[s] + est.lost[s]
-			totalLost += est.lost[s]
-		}
-		init := totalLost / math.Max(totalExp, 1) / 2
-		if init <= 0 {
-			init = 1e-4
-		}
-		for i := range drop {
-			drop[i] = init
-		}
+	// Initialise drops uniformly from the aggregate loss rate.
+	var totalExp, totalLost float64
+	for s := 0; s < nsrc; s++ {
+		totalExp += est.deliv[s] + est.lost[s]
+		totalLost += est.lost[s]
+	}
+	init := totalLost / math.Max(totalExp, 1) / 2
+	if init <= 0 {
+		init = 1e-4
+	}
+	for i := range drop {
+		drop[i] = init
 	}
 
-	// In warm mode the sweep is Aitken-accelerated: EM converges linearly,
-	// so per-coordinate errors decay geometrically and three consecutive
-	// iterates determine the limit. Every aitkenPeriod sweeps the iterate
-	// jumps to that extrapolated limit; the unchanged maxDelta < Tol check
-	// still decides convergence, so the result is a genuine fixed point to
-	// the same tolerance — the extrapolation only skips the slow tail. The
-	// from-scratch path stays untouched (and bitwise-historical).
-	const aitkenPeriod = 8
-	var accel1, accel2 []float64
-	if warm {
-		est.accel1 = resize(est.accel1, nlinks)
-		est.accel2 = resize(est.accel2, nlinks)
-		accel1, accel2 = est.accel1, est.accel2
-	}
 	itersRun := 0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		itersRun++
-		if warm {
-			copy(accel2, accel1)
-			copy(accel1, drop)
-		}
 		for i := range deaths {
 			deaths[i] = 0
 			traversals[i] = 0
@@ -346,60 +242,10 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 		if maxDelta < cfg.Tol {
 			break
 		}
-		if warm && iter >= 2 && iter%aitkenPeriod == 0 {
-			// drop = x_{k+1}, accel1 = x_k, accel2 = x_{k-1}: when a
-			// coordinate's successive differences shrink geometrically
-			// (0 < r < 1), jump it to the limit of the geometric series.
-			for i := range drop {
-				d1 := accel1[i] - accel2[i]
-				d2 := drop[i] - accel1[i]
-				if d1 == 0 {
-					continue
-				}
-				r := d2 / d1
-				if r <= 0 || r >= 0.9999 {
-					continue
-				}
-				ex := drop[i] + d2*r/(1-r)
-				if ex < 0 {
-					ex = 0
-				}
-				if ex > 1-1e-9 {
-					ex = 1 - 1e-9
-				}
-				drop[i] = ex
-			}
-		}
 	}
 	for j, li := range est.cols {
 		out[li] = geomle.LossFromDrop(drop[j], cfg.MaxAttempts)
 	}
 	est.stats.Iters = itersRun
-	if cfg.DirtyThreshold > 0 {
-		if warm {
-			est.stats = Stats{Mode: "warm", DirtyRows: dirtyRows, Rows: nsrc, Iters: itersRun}
-		} else {
-			est.stats = Stats{Mode: "full", DirtyRows: dirtyRows, Rows: nsrc, Iters: itersRun}
-		}
-		// Snapshot this epoch's rows and fixed point for the next diff.
-		est.prevCols = append(est.prevCols[:0], est.cols...)
-		est.prevRowOrigin = append(est.prevRowOrigin[:0], est.rowOrigin...)
-		est.dropPrev = append(est.dropPrev[:0], drop...)
-		est.outPrev = append(est.outPrev[:0], out...)
-		est.haveState = true
-	}
 	return out
-}
-
-// sameCols reports whether two compact slot orders are identical.
-func sameCols(a, b []topo.LinkIdx) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

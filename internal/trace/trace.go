@@ -173,17 +173,6 @@ func (e *Epoch) ActiveLinkCount(minAttempts int64) int {
 	return n
 }
 
-// LinkDirty reports whether link i's counts changed relative to the
-// previous cut. Without a previous cut every link reports dirty.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
-func (e *Epoch) LinkDirty(i topo.LinkIdx) bool {
-	if e.dirty == nil {
-		return true
-	}
-	return e.dirty[uint(i)>>6]&(1<<(uint(i)&63)) != 0
-}
-
 // DirtyCount returns how many links changed since the previous cut.
 //
 //dophy:readonly recv -- epochs are immutable snapshots once cut
@@ -196,22 +185,6 @@ func (e *Epoch) DirtyCount() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// DirtyLinks returns the indices of the links whose counts changed since
-// the previous cut, in canonical table order. It allocates; incremental
-// consumers on hot paths should query LinkDirty against the bitmap
-// instead.
-//
-//dophy:readonly recv -- epochs are immutable snapshots once cut
-func (e *Epoch) DirtyLinks() []topo.LinkIdx {
-	out := make([]topo.LinkIdx, 0, e.DirtyCount())
-	for i := topo.LinkIdx(0); int(i) < len(e.Counts); i++ {
-		if e.LinkDirty(i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // DeliveryRatio returns delivered/generated for the epoch (1 if nothing was

@@ -149,58 +149,42 @@ func TestBeaconVsDataAttempts(t *testing.T) {
 func TestDirtyLinksAcrossCuts(t *testing.T) {
 	lt := testTable(t)
 	r := NewRecorder(lt)
-	i12 := lt.Index(l12)
-	i21 := lt.Index(l21)
 
-	// First cut: no previous window, so exactly the touched links are dirty
+	// First cut: no previous window, so exactly the touched link is dirty
 	// (untouched links are zero in both windows).
 	r.Attempt(l12, true)
-	e1 := r.Cut()
-	if !e1.LinkDirty(i12) || e1.LinkDirty(i21) {
-		t.Fatalf("first cut dirty = %v", e1.DirtyLinks())
-	}
-	if got := e1.DirtyLinks(); len(got) != 1 || got[0] != i12 {
-		t.Fatalf("DirtyLinks = %v, want [%d]", got, i12)
-	}
-	if e1.DirtyCount() != 1 {
-		t.Fatalf("DirtyCount = %d", e1.DirtyCount())
+	if got := r.Cut().DirtyCount(); got != 1 {
+		t.Fatalf("first cut DirtyCount = %d, want 1", got)
 	}
 
 	// Second epoch repeats the first exactly: nothing is dirty.
 	r.Attempt(l12, true)
-	e2 := r.Cut()
-	if e2.DirtyCount() != 0 {
-		t.Fatalf("identical epoch dirty = %v", e2.DirtyLinks())
+	if got := r.Cut().DirtyCount(); got != 0 {
+		t.Fatalf("identical epoch DirtyCount = %d, want 0", got)
 	}
 
 	// Third epoch changes l12's outcome mix and touches l21.
 	r.Attempt(l12, false)
 	r.Attempt(l21, true)
-	e3 := r.Cut()
-	if !e3.LinkDirty(i12) || !e3.LinkDirty(i21) || e3.DirtyCount() != 2 {
-		t.Fatalf("third cut dirty = %v", e3.DirtyLinks())
+	if got := r.Cut().DirtyCount(); got != 2 {
+		t.Fatalf("third cut DirtyCount = %d, want 2", got)
 	}
 
 	// Fourth epoch is silent: the previously-active links went quiet, which
 	// is itself a change.
-	e4 := r.Cut()
-	if !e4.LinkDirty(i12) || !e4.LinkDirty(i21) {
-		t.Fatalf("quiet epoch dirty = %v", e4.DirtyLinks())
+	if got := r.Cut().DirtyCount(); got != 2 {
+		t.Fatalf("quiet epoch DirtyCount = %d, want 2", got)
 	}
-	e5 := r.Cut()
-	if e5.DirtyCount() != 0 {
-		t.Fatalf("steady quiet epoch dirty = %v", e5.DirtyLinks())
+	if got := r.Cut().DirtyCount(); got != 0 {
+		t.Fatalf("steady quiet epoch DirtyCount = %d, want 0", got)
 	}
 }
 
 func TestDirtyNilBitmapConservative(t *testing.T) {
 	lt := testTable(t)
 	e := &Epoch{Table: lt, Counts: make([]LinkCounts, lt.Len())}
-	if !e.LinkDirty(0) || e.DirtyCount() != len(e.Counts) {
+	if e.DirtyCount() != len(e.Counts) {
 		t.Fatal("hand-built epoch without a bitmap must report all links dirty")
-	}
-	if got := e.DirtyLinks(); len(got) != len(e.Counts) {
-		t.Fatalf("DirtyLinks = %d entries, want %d", len(got), len(e.Counts))
 	}
 }
 
@@ -209,18 +193,20 @@ func TestCutMergedDirtyUnion(t *testing.T) {
 	ra, rb := NewRecorder(lt), NewRecorder(lt)
 	ra.Attempt(l12, true)
 	rb.Attempt(l21, false)
-	e := CutMerged([]*Recorder{ra, rb})
-	if !e.LinkDirty(lt.Index(l12)) || !e.LinkDirty(lt.Index(l21)) {
-		t.Fatalf("merged dirty = %v", e.DirtyLinks())
-	}
-	if e.DirtyCount() != 2 {
-		t.Fatalf("merged DirtyCount = %d", e.DirtyCount())
+	if got := CutMerged([]*Recorder{ra, rb}).DirtyCount(); got != 2 {
+		t.Fatalf("merged DirtyCount = %d, want 2", got)
 	}
 	// A second identical round is clean in both shards, hence clean merged.
 	ra.Attempt(l12, true)
 	rb.Attempt(l21, false)
-	if e := CutMerged([]*Recorder{ra, rb}); e.DirtyCount() != 0 {
-		t.Fatalf("identical merged round dirty = %v", e.DirtyLinks())
+	if got := CutMerged([]*Recorder{ra, rb}).DirtyCount(); got != 0 {
+		t.Fatalf("identical merged round DirtyCount = %d, want 0", got)
+	}
+	// A change in one shard alone dirties the merged link.
+	ra.Attempt(l12, false)
+	rb.Attempt(l21, false)
+	if got := CutMerged([]*Recorder{ra, rb}).DirtyCount(); got != 1 {
+		t.Fatalf("one-shard change merged DirtyCount = %d, want 1", got)
 	}
 }
 
