@@ -350,13 +350,15 @@ func namedIn(in func(*types.TypeName) bool) func(types.Type) *types.TypeName {
 }
 
 // ---------------------------------------------------------------------------
-// Rule densebound: estimation-pipeline state is indexed by topo.LinkTable.
+// Rule densebound: per-link state is indexed by topo.LinkTable.
 //
-// The estimation pipeline keeps per-link state in flat vectors indexed by
-// the topology's immutable link table; a map[topo.Link] struct field in
-// these packages reintroduces the per-epoch hashing and allocation churn the
-// dense refactor removed (DESIGN.md "Dense link indexing"). Deliberate
-// boundary shapes can carry a //dophy:allow densebound waiver.
+// The estimation pipeline and the simulator's per-hop layers (radio link
+// models, routing neighbour tables) keep per-link and per-neighbour state in
+// flat vectors indexed by the topology's immutable link table; a
+// map[topo.Link] or map[topo.NodeID] struct field in these packages
+// reintroduces the hashing and allocation churn the dense refactors removed
+// (DESIGN.md "Dense link indexing"). Deliberate boundary shapes can carry a
+// //dophy:allow densebound waiver.
 // ---------------------------------------------------------------------------
 
 type ruleDenseBound struct{}
@@ -365,7 +367,7 @@ func (ruleDenseBound) Name() string { return "densebound" }
 
 // denseBoundRestricted are the module-relative package prefixes whose
 // per-link state must be dense.
-var denseBoundRestricted = []string{"internal/tomo", "internal/trace", "internal/experiment"}
+var denseBoundRestricted = []string{"internal/tomo", "internal/trace", "internal/experiment", "internal/radio", "internal/routing"}
 
 func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	restricted := false
@@ -390,8 +392,8 @@ func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 					continue
 				}
 				if obj := typeReaches(tv.Type, linkKeyed(m)); obj != nil {
-					report(field.Pos(), "struct field keyed by %s.Link: per-link state in %s is dense, indexed by topo.LinkTable",
-						obj.Pkg().Name(), pkg.RelPath)
+					report(field.Pos(), "struct field keyed by %s.%s: per-link state in %s is dense, indexed by topo.LinkTable",
+						obj.Pkg().Name(), obj.Name(), pkg.RelPath)
 				}
 			}
 			return true
@@ -399,7 +401,9 @@ func (ruleDenseBound) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 	}
 }
 
-// linkKeyed matches a map keyed by the topology package's Link type.
+// linkKeyed matches a map keyed by the topology package's Link or NodeID
+// type: a node's neighbours are its out-links, so a NodeID-keyed neighbour
+// map is per-link state too.
 func linkKeyed(m *Module) func(types.Type) *types.TypeName {
 	return func(t types.Type) *types.TypeName {
 		mt, ok := t.(*types.Map)
@@ -408,7 +412,7 @@ func linkKeyed(m *Module) func(types.Type) *types.TypeName {
 		}
 		if named, ok := mt.Key().(*types.Named); ok {
 			obj := named.Obj()
-			if obj.Name() == "Link" && obj.Pkg() != nil && obj.Pkg().Path() == m.Path+"/internal/topo" {
+			if (obj.Name() == "Link" || obj.Name() == "NodeID") && obj.Pkg() != nil && obj.Pkg().Path() == m.Path+"/internal/topo" {
 				return obj
 			}
 		}

@@ -18,9 +18,9 @@ import (
 // from the seed.
 type NodeFailures struct {
 	inner Model
-	mtbf  sim.Time // mean time between failures (up dwell)
-	mttr  sim.Time // mean time to repair (down dwell)
-	nodes []*failState
+	mtbf  sim.Time    // mean time between failures (up dwell)
+	mttr  sim.Time    // mean time to repair (down dwell)
+	nodes []failState // by NodeID
 }
 
 type failState struct {
@@ -37,17 +37,17 @@ func NewNodeFailures(inner Model, n int, mtbf, mttr sim.Time, seed uint64) *Node
 	if n < 1 {
 		panic("radio: need at least one node")
 	}
-	m := &NodeFailures{inner: inner, mtbf: mtbf, mttr: mttr, nodes: make([]*failState, n)}
-	for i := range m.nodes {
+	nodes := make([]failState, n)
+	for i := range nodes {
 		r := rng.New(linkSeed(seed, topo.Link{From: topo.NodeID(i), To: topo.NodeID(i)}))
-		m.nodes[i] = &failState{r: r, nextFlip: sim.Time(r.Exp(1 / float64(mtbf)))}
+		nodes[i] = failState{r: r, nextFlip: sim.Time(r.Exp(1 / float64(mtbf)))}
 	}
-	return m
+	return &NodeFailures{inner: inner, mtbf: mtbf, mttr: mttr, nodes: nodes}
 }
 
 // advance brings node i's state up to time now.
 func (m *NodeFailures) advance(i topo.NodeID, now sim.Time) *failState {
-	st := m.nodes[i]
+	st := &m.nodes[i]
 	for st.nextFlip <= now {
 		st.down = !st.down
 		mean := m.mtbf
@@ -59,16 +59,18 @@ func (m *NodeFailures) advance(i topo.NodeID, now sim.Time) *failState {
 	return st
 }
 
-// Down reports whether node id is failed at time now. The sink reports
-// false always.
+// Down reports whether node id is failed at time now. The sink, and any id
+// outside the network, reports false always.
 func (m *NodeFailures) Down(id topo.NodeID, now sim.Time) bool {
-	if id == topo.Sink || int(id) >= len(m.nodes) {
+	if id == topo.Sink || id < 0 || int(id) >= len(m.nodes) {
 		return false
 	}
 	return m.advance(id, now).down
 }
 
 // PRR implements Model: zero while either endpoint is down.
+//
+//dophy:hotpath
 func (m *NodeFailures) PRR(l topo.Link, now sim.Time) float64 {
 	if m.Down(l.From, now) || m.Down(l.To, now) {
 		return 0

@@ -18,10 +18,13 @@
 //
 // All per-link randomness derives deterministically from the model seed and
 // the link endpoints, so a scenario replays identically regardless of query
-// order differences between schemes.
+// order differences between schemes. Per-link state lives in slices indexed
+// by the topology's topo.LinkTable; a link the topology does not have reads
+// PRR 0.
 package radio
 
 import (
+	"fmt"
 	"math"
 
 	"dophy/internal/rng"
@@ -76,7 +79,8 @@ func logit(p float64) float64 { return math.Log(p / (1 - p)) }
 func expit(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // linkSeed mixes the model seed with the link endpoints so every link gets
-// its own deterministic stream independent of map iteration order.
+// its own deterministic stream, independent of the order links are built
+// or queried in.
 func linkSeed(seed uint64, l topo.Link) uint64 {
 	x := seed ^ (uint64(l.From)+1)*0x9e3779b97f4a7c15 ^ (uint64(l.To)+1)*0xc2b2ae3d27d4eb4f
 	x ^= x >> 33
@@ -86,11 +90,14 @@ func linkSeed(seed uint64, l topo.Link) uint64 {
 }
 
 // basePRRs assigns every directed link an initial PRR from distance plus
-// shadowing. Both directions share the shadowing draw scaled by an
-// asymmetry perturbation, reflecting measured WSN link asymmetry.
-func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) map[topo.Link]float64 {
-	out := make(map[topo.Link]float64)
-	for _, l := range t.Links() {
+// shadowing, indexed by t's link table. Both directions share the shadowing
+// draw scaled by an asymmetry perturbation, reflecting measured WSN link
+// asymmetry.
+func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) []float64 {
+	lt := t.LinkTable()
+	out := make([]float64, lt.Len())
+	for i := topo.LinkIdx(0); i < lt.Count(); i++ {
+		l := lt.Link(i)
 		if l.From > l.To {
 			continue // handle each undirected pair once
 		}
@@ -101,39 +108,54 @@ func basePRRs(t *topo.Topology, bp BaseParams, r *rng.Source) map[topo.Link]floa
 			shadow = r.Normal(0, bp.ShadowStd)
 		}
 		asym := r.Normal(0, bp.ShadowStd/4)
-		fwd := clamp(expit(logit(base)+shadow+asym), bp.MinPRR, 0.999)
-		rev := clamp(expit(logit(base)+shadow-asym), bp.MinPRR, 0.999)
-		out[l] = fwd
-		out[topo.Link{From: l.To, To: l.From}] = rev
+		out[i] = clamp(expit(logit(base)+shadow+asym), bp.MinPRR, 0.999)
+		out[lt.Index(topo.Link{From: l.To, To: l.From})] = clamp(expit(logit(base)+shadow-asym), bp.MinPRR, 0.999)
 	}
 	return out
 }
 
 // Static is a Model whose link qualities never change.
 type Static struct {
-	prr map[topo.Link]float64
+	lt  *topo.LinkTable
+	prr []float64 // by link-table index
 }
 
 // NewStatic builds a static model over the topology.
 func NewStatic(t *topo.Topology, bp BaseParams, seed uint64) *Static {
-	return &Static{prr: basePRRs(t, bp, rng.New(seed))}
+	prr := basePRRs(t, bp, rng.New(seed))
+	return &Static{lt: t.LinkTable(), prr: prr}
 }
 
 // NewStaticUniformLoss builds a static model where every link has the same
 // loss ratio — handy for analytic validation tests.
 func NewStaticUniformLoss(t *topo.Topology, loss float64) *Static {
-	prr := make(map[topo.Link]float64)
-	for _, l := range t.Links() {
-		prr[l] = clamp(1-loss, 0, 1)
+	prr := make([]float64, t.LinkTable().Len())
+	for i := range prr {
+		prr[i] = clamp(1-loss, 0, 1)
 	}
-	return &Static{prr: prr}
+	return &Static{lt: t.LinkTable(), prr: prr}
 }
 
 // PRR implements Model.
-func (s *Static) PRR(l topo.Link, _ sim.Time) float64 { return s.prr[l] }
+//
+//dophy:hotpath
+func (s *Static) PRR(l topo.Link, _ sim.Time) float64 {
+	i := s.lt.Index(l)
+	if i == topo.NoLink {
+		return 0
+	}
+	return s.prr[i]
+}
 
 // SetPRR overrides one link's quality (used by tests and fault injection).
-func (s *Static) SetPRR(l topo.Link, p float64) { s.prr[l] = clamp(p, 0, 1) }
+// It panics when l is not a link of the model's topology.
+func (s *Static) SetPRR(l topo.Link, p float64) {
+	i := s.lt.Index(l)
+	if i == topo.NoLink {
+		panic(fmt.Sprintf("radio: SetPRR on %d->%d, which is not a link of the topology", l.From, l.To))
+	}
+	s.prr[i] = clamp(p, 0, 1)
+}
 
 // RandomWalk drifts each link's PRR in logit space with reflecting bounds.
 // Queries are lazy: state advances by whole steps of Interval since the last
@@ -141,7 +163,8 @@ func (s *Static) SetPRR(l topo.Link, p float64) { s.prr[l] = clamp(p, 0, 1) }
 type RandomWalk struct {
 	Interval sim.Time // walk step period (seconds)
 	StepStd  float64  // per-step logit-space std deviation
-	links    map[topo.Link]*walkState
+	lt       *topo.LinkTable
+	links    []walkState // by link-table index
 }
 
 type walkState struct {
@@ -150,36 +173,42 @@ type walkState struct {
 	r        *rng.Source
 }
 
+// walkLo and walkHi are the walk's reflecting bounds, logit(0.02) and
+// logit(0.995), which keep links plausible.
+var walkLo, walkHi = logit(0.02), logit(0.995)
+
 // NewRandomWalk builds a drifting model. Larger StepStd means faster link
 // dynamics and therefore more routing churn.
 func NewRandomWalk(t *topo.Topology, bp BaseParams, interval sim.Time, stepStd float64, seed uint64) *RandomWalk {
 	if interval <= 0 {
 		panic("radio: random walk interval must be positive")
 	}
+	lt := t.LinkTable()
 	base := basePRRs(t, bp, rng.New(seed))
-	m := &RandomWalk{Interval: interval, StepStd: stepStd, links: make(map[topo.Link]*walkState)}
-	for l, p := range base {
-		m.links[l] = &walkState{logitPRR: logit(p), r: rng.New(linkSeed(seed, l))}
+	links := make([]walkState, len(base))
+	for i, p := range base {
+		links[i] = walkState{logitPRR: logit(p), r: rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))}
 	}
-	return m
+	return &RandomWalk{Interval: interval, StepStd: stepStd, lt: lt, links: links}
 }
 
 // PRR implements Model, advancing the walk lazily.
+//
+//dophy:hotpath
 func (m *RandomWalk) PRR(l topo.Link, now sim.Time) float64 {
-	st, ok := m.links[l]
-	if !ok {
+	i := m.lt.Index(l)
+	if i == topo.NoLink {
 		return 0
 	}
+	st := &m.links[i]
 	step := int64(now / m.Interval)
 	for st.lastStep < step {
 		st.logitPRR += st.r.Normal(0, m.StepStd)
-		// Reflect at logit(0.02) and logit(0.995) to keep links plausible.
-		lo, hi := logit(0.02), logit(0.995)
-		if st.logitPRR < lo {
-			st.logitPRR = 2*lo - st.logitPRR
+		if st.logitPRR < walkLo {
+			st.logitPRR = 2*walkLo - st.logitPRR
 		}
-		if st.logitPRR > hi {
-			st.logitPRR = 2*hi - st.logitPRR
+		if st.logitPRR > walkHi {
+			st.logitPRR = 2*walkHi - st.logitPRR
 		}
 		st.lastStep++
 	}
@@ -193,7 +222,8 @@ type GilbertElliott struct {
 	MeanGood  sim.Time // mean dwell in good state
 	MeanBad   sim.Time // mean dwell in bad state
 	BadFactor float64  // multiplier applied to base PRR in bad state
-	links     map[topo.Link]*geState
+	lt        *topo.LinkTable
+	links     []geState // by link-table index
 }
 
 type geState struct {
@@ -208,21 +238,25 @@ func NewGilbertElliott(t *topo.Topology, bp BaseParams, meanGood, meanBad sim.Ti
 	if meanGood <= 0 || meanBad <= 0 {
 		panic("radio: Gilbert-Elliott dwell times must be positive")
 	}
+	lt := t.LinkTable()
 	base := basePRRs(t, bp, rng.New(seed))
-	m := &GilbertElliott{MeanGood: meanGood, MeanBad: meanBad, BadFactor: badFactor, links: make(map[topo.Link]*geState)}
-	for l, p := range base {
-		r := rng.New(linkSeed(seed, l))
-		m.links[l] = &geState{base: p, r: r, nextFlip: sim.Time(r.Exp(1 / float64(meanGood)))}
+	links := make([]geState, len(base))
+	for i, p := range base {
+		r := rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))
+		links[i] = geState{base: p, r: r, nextFlip: sim.Time(r.Exp(1 / float64(meanGood)))}
 	}
-	return m
+	return &GilbertElliott{MeanGood: meanGood, MeanBad: meanBad, BadFactor: badFactor, lt: lt, links: links}
 }
 
 // PRR implements Model, advancing the Markov chain lazily.
+//
+//dophy:hotpath
 func (m *GilbertElliott) PRR(l topo.Link, now sim.Time) float64 {
-	st, ok := m.links[l]
-	if !ok {
+	i := m.lt.Index(l)
+	if i == topo.NoLink {
 		return 0
 	}
+	st := &m.links[i]
 	for st.nextFlip <= now {
 		st.bad = !st.bad
 		mean := m.MeanGood

@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +85,9 @@ func TestStaticUniformLoss(t *testing.T) {
 	}
 }
 
+// TestStaticSetPRR checks the clamp on real links at both ends, and that a
+// write to a link the topology does not have panics naming the link
+// instead of being dropped.
 func TestStaticSetPRR(t *testing.T) {
 	tp := testTopo(t)
 	m := NewStatic(tp, DefaultBase(), 1)
@@ -95,15 +100,108 @@ func TestStaticSetPRR(t *testing.T) {
 	if got := m.PRR(l, 0); got != 1 {
 		t.Fatalf("SetPRR clamp failed: %v", got)
 	}
+	m.SetPRR(l, -0.5)
+	if got := m.PRR(l, 0); got != 0 {
+		t.Fatalf("SetPRR low clamp failed: %v", got)
+	}
+	for _, ghost := range nonLinks(t, tp) {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("SetPRR on non-link %v did not panic", ghost)
+				}
+				want := fmt.Sprintf("%d->%d", ghost.From, ghost.To)
+				if msg, _ := r.(string); !strings.Contains(msg, want) {
+					t.Fatalf("SetPRR panic %q does not name the link %s", r, want)
+				}
+			}()
+			m.SetPRR(ghost, 0.5)
+		}()
+		if got := m.PRR(ghost, 0); got != 0 {
+			t.Fatalf("non-link %v reads PRR %v after a rejected SetPRR", ghost, got)
+		}
+	}
 }
 
+// TestUnknownLinkZero checks every model, including the failure overlay,
+// reads PRR 0 on links the topology does not have: self-links, node pairs
+// out of range of each other, and ids outside the network.
 func TestUnknownLinkZero(t *testing.T) {
 	tp := testTopo(t)
-	rw := NewRandomWalk(tp, DefaultBase(), 1, 0.1, 1)
-	ge := NewGilbertElliott(tp, DefaultBase(), 10, 5, 0.3, 1)
-	ghost := topo.Link{From: 1000, To: 1001}
-	if rw.PRR(ghost, 0) != 0 || ge.PRR(ghost, 0) != 0 {
-		t.Fatal("unknown link should have PRR 0")
+	models := allModels(tp, 1)
+	models["failures"] = NewNodeFailures(NewStaticUniformLoss(tp, 0), tp.N(), 50, 20, 1)
+	for name, m := range models {
+		for _, ghost := range nonLinks(t, tp) {
+			for _, now := range []sim.Time{0, 100} {
+				if got := m.PRR(ghost, now); got != 0 {
+					t.Fatalf("%s: non-link %v at %v has PRR %v, want 0", name, ghost, now, got)
+				}
+			}
+		}
+	}
+}
+
+// nonLinks returns links testTopo does not have: a self-link, a pair of
+// nodes out of range of each other, and ids outside the network.
+func nonLinks(t *testing.T, tp *topo.Topology) []topo.Link {
+	t.Helper()
+	if tp.Adjacent(0, 15) {
+		t.Fatal("test expects nodes 0 and 15 out of range")
+	}
+	return []topo.Link{{From: 0, To: 0}, {From: 0, To: 15}, {From: 1000, To: 1001}, {From: -1, To: 2}}
+}
+
+// allModels builds one model of each kind over tp from one seed.
+func allModels(tp *topo.Topology, seed uint64) map[string]Model {
+	return map[string]Model{
+		"static": NewStatic(tp, DefaultBase(), seed),
+		"walk":   NewRandomWalk(tp, DefaultBase(), 1, 0.2, seed),
+		"ge":     NewGilbertElliott(tp, DefaultBase(), 10, 5, 0.3, seed),
+	}
+}
+
+// TestPRRQueryOrderIndependent pins the package's replay claim: a link's
+// PRR sequence depends only on the seed and the query times, not on the
+// order links are queried in. Two identical models are queried at the same
+// times, one in canonical link order and one in a freshly shuffled order
+// each time, and every answer must agree bitwise.
+func TestPRRQueryOrderIndependent(t *testing.T) {
+	tp := testTopo(t)
+	links := tp.Links()
+	for _, kind := range []string{"walk", "ge"} {
+		a, b := allModels(tp, 21)[kind], allModels(tp, 21)[kind]
+		shuf := rng.New(99)
+		got := make([]float64, len(links))
+		for now := sim.Time(0); now < 400; now += 3.7 {
+			for _, k := range shuf.Perm(len(links)) {
+				got[k] = b.PRR(links[k], now)
+			}
+			for k, l := range links {
+				if want := a.PRR(l, now); math.Float64bits(want) != math.Float64bits(got[k]) {
+					t.Fatalf("%s: %v at %v: canonical order %v, shuffled order %v", kind, l, now, want, got[k])
+				}
+			}
+		}
+	}
+}
+
+// TestPRRNoAlloc pins the hot-path contract at run time: a PRR query on an
+// existing link, including one that advances lazy state, allocates nothing.
+func TestPRRNoAlloc(t *testing.T) {
+	tp := testTopo(t)
+	links := tp.Links()
+	for name, m := range allModels(tp, 5) {
+		now := sim.Time(0)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			m.PRR(links[i%len(links)], now)
+			i++
+			now += 0.5
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: PRR allocates %v per call", name, allocs)
+		}
 	}
 }
 
@@ -154,7 +252,7 @@ func TestGilbertElliottTwoLevels(t *testing.T) {
 	tp := testTopo(t)
 	m := NewGilbertElliott(tp, DefaultBase(), 10, 10, 0.25, 11)
 	l := tp.Links()[0]
-	base := m.links[l].base
+	base := m.links[m.lt.Index(l)].base
 	seenGood, seenBad := false, false
 	for now := sim.Time(0); now < 500; now += 0.5 {
 		p := m.PRR(l, now)
@@ -178,7 +276,7 @@ func TestGilbertElliottDwellFractions(t *testing.T) {
 	goodTime := 0.0
 	total := 0.0
 	l := tp.Links()[1]
-	base := m.links[l].base
+	base := m.links[m.lt.Index(l)].base
 	const dt = 0.25
 	for now := sim.Time(0); now < 20000; now += dt {
 		if math.Abs(m.PRR(l, now)-base) < 1e-12 {
@@ -234,12 +332,20 @@ func TestQuickPRRInRange(t *testing.T) {
 	}
 }
 
-func BenchmarkRandomWalkPRR(b *testing.B) {
+// benchPRR is a sink for BenchmarkPRR's results.
+var benchPRR float64
+
+func BenchmarkPRR(b *testing.B) {
 	tp := topo.Grid(10, 10, 0, 15, rng.New(1))
-	m := NewRandomWalk(tp, DefaultBase(), 1, 0.2, 1)
 	links := tp.Links()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PRR(links[i%len(links)], sim.Time(i)/10)
+	models := allModels(tp, 1)
+	for _, name := range []string{"static", "walk", "ge"} {
+		m := models[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchPRR = m.PRR(links[i%len(links)], sim.Time(i)/10)
+			}
+		})
 	}
 }

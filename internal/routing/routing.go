@@ -76,12 +76,12 @@ func DefaultConfig() Config {
 // neighborInfo is what a node knows about one neighbour.
 type neighborInfo struct {
 	advertisedETX float64 // path ETX from the neighbour's last beacon
-	heard         bool    // at least one beacon received
 	linkETX       float64 // EWMA out-bound ETX estimate
+	lastSeq       int64   // last beacon sequence received
+	expected      int     // beacons expected since window start
+	received      int     // beacons received since window start
+	heard         bool    // at least one beacon received
 	hasLinkETX    bool
-	lastSeq       int64 // last beacon sequence received
-	expected      int   // beacons expected since window start
-	received      int   // beacons received since window start
 }
 
 // nodeState is the per-node protocol state.
@@ -90,7 +90,10 @@ type nodeState struct {
 	parent    topo.NodeID
 	pathETX   float64 // own advertised metric
 	beaconSeq int64
-	neighbors map[topo.NodeID]*neighborInfo
+	// neighbors is aligned with tp.Neighbors(id): neighbors[k] describes
+	// the k-th neighbour in ascending NodeID order, the slot
+	// LinkTable.NeighborIndex returns for the link id->neighbour.
+	neighbors []neighborInfo
 	// Trickle state (AdaptiveBeacon only).
 	interval   sim.Time
 	lastAdvETX float64 // advertised metric at the last beacon
@@ -123,6 +126,7 @@ type Protocol struct {
 	cfg     Config
 	eng     *sim.Engine
 	tp      *topo.Topology
+	lt      *topo.LinkTable
 	model   radio.Model
 	r       *rng.Source
 	perNode []*rng.Source
@@ -176,25 +180,31 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Mode
 			panic("routing: adaptive beacon needs 0 < BeaconMin <= BeaconMax")
 		}
 	}
-	p := &Protocol{cfg: cfg, eng: eng, tp: tp, model: model, r: r, rec: rec,
+	p := &Protocol{cfg: cfg, eng: eng, tp: tp, lt: tp.LinkTable(), model: model, r: r, rec: rec,
 		perNode: hooks.PerNode, owned: hooks.Owned, fab: hooks.Fabric,
 		pendingBeacon: make([]bool, tp.N())}
+	// One backing array holds every owned node's neighbour slots.
+	total := 0
+	for i := 0; i < tp.N(); i++ {
+		if p.owns(topo.NodeID(i)) {
+			total += len(tp.Neighbors(topo.NodeID(i)))
+		}
+	}
+	slots := make([]neighborInfo, total)
 	p.nodes = make([]*nodeState, tp.N())
 	for i := range p.nodes {
 		if !p.owns(topo.NodeID(i)) {
 			continue
 		}
-		ns := &nodeState{
+		deg := len(tp.Neighbors(topo.NodeID(i)))
+		p.nodes[i] = &nodeState{
 			id:         topo.NodeID(i),
 			parent:     NoParent,
 			pathETX:    math.Inf(1),
 			lastAdvETX: math.Inf(1),
-			neighbors:  make(map[topo.NodeID]*neighborInfo),
+			neighbors:  slots[:deg:deg],
 		}
-		for _, nb := range tp.Neighbors(topo.NodeID(i)) {
-			ns.neighbors[nb] = &neighborInfo{}
-		}
-		p.nodes[i] = ns
+		slots = slots[deg:]
 	}
 	if p.owns(topo.Sink) {
 		p.nodes[topo.Sink].pathETX = 0
@@ -304,10 +314,11 @@ func (p *Protocol) beacon(id topo.NodeID) {
 //dophy:hotpath
 func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX float64) {
 	ns := p.nodes[at]
-	info := ns.neighbors[from]
-	if info == nil {
+	k := p.lt.NeighborIndex(topo.Link{From: at, To: from})
+	if k < 0 {
 		return // not a neighbour per topology (cannot happen via beacon())
 	}
+	info := &ns.neighbors[k]
 	info.advertisedETX = advertisedETX
 	info.heard = true
 	if info.lastSeq == 0 {
@@ -335,6 +346,9 @@ func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 	}
 }
 
+// updateLinkETX blends one ETX sample into info's link estimate.
+//
+//dophy:hotpath
 func (p *Protocol) updateLinkETX(info *neighborInfo, sample, alpha float64) {
 	if !info.hasLinkETX {
 		info.linkETX = sample
@@ -349,10 +363,11 @@ func (p *Protocol) updateLinkETX(info *neighborInfo, sample, alpha float64) {
 //dophy:hotpath
 func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 	ns := p.nodes[from]
-	info := ns.neighbors[to]
-	if info == nil {
+	k := p.lt.NeighborIndex(topo.Link{From: from, To: to})
+	if k < 0 {
 		return
 	}
+	info := &ns.neighbors[k]
 	sample := float64(res.Attempts)
 	if !res.Delivered {
 		sample = p.cfg.MaxETXSample
@@ -415,9 +430,11 @@ func (p *Protocol) ReceiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 	p.receiveBeacon(at, from, seq, advertisedETX)
 }
 
-// metric returns the routing metric of candidate nb as seen from ns, and
-// whether nb is admissible.
-func (p *Protocol) metric(ns *nodeState, nb topo.NodeID, info *neighborInfo) (float64, bool) {
+// metric returns the routing metric of the neighbour info describes, and
+// whether that neighbour is admissible.
+//
+//dophy:hotpath
+func metric(info *neighborInfo) (float64, bool) {
 	if !info.heard {
 		return 0, false
 	}
@@ -432,15 +449,26 @@ func (p *Protocol) metric(ns *nodeState, nb topo.NodeID, info *neighborInfo) (fl
 	return info.advertisedETX + link, true
 }
 
-// selectParent re-evaluates ns's parent with hysteresis.
+// selectParent re-evaluates ns's parent with hysteresis. Among equal
+// metrics the lowest NodeID wins, so the choice does not depend on the
+// order the neighbour slots are walked in.
+//
+//dophy:hotpath
 func (p *Protocol) selectParent(id topo.NodeID) {
 	ns := p.nodes[id]
+	nbs := p.tp.Neighbors(id)
 	bestID := NoParent
 	best := math.Inf(1)
-	for nb, info := range ns.neighbors {
-		m, ok := p.metric(ns, nb, info)
+	cur := ns.parent
+	curM, curOK := 0.0, false
+	for k := range ns.neighbors {
+		m, ok := metric(&ns.neighbors[k])
 		if !ok {
 			continue
+		}
+		nb := nbs[k]
+		if nb == cur {
+			curM, curOK = m, true
 		}
 		// Gradient constraint: never choose a parent whose own advertised
 		// metric is not strictly below ours would deadlock bootstrap (our
@@ -456,16 +484,10 @@ func (p *Protocol) selectParent(id topo.NodeID) {
 	if bestID == NoParent {
 		return
 	}
-	cur := ns.parent
-	if cur != NoParent {
-		curInfo := ns.neighbors[cur]
-		if curM, ok := p.metric(ns, cur, curInfo); ok {
-			// Keep the current parent unless the best is clearly better.
-			if bestID != cur && best > curM-p.cfg.Hysteresis {
-				bestID = cur
-				best = curM
-			}
-		}
+	// Keep the current parent unless the best is clearly better.
+	if curOK && bestID != cur && best > curM-p.cfg.Hysteresis {
+		bestID = cur
+		best = curM
 	}
 	p.adoptParent(ns, bestID, best)
 }
@@ -477,9 +499,8 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	metrics := p.metricBuf[:0]
 	// The topology's neighbour lists are sorted by node id, so candidates
 	// come out in deterministic ascending order with no post-sort.
-	for _, nb := range p.tp.Neighbors(id) {
-		info := ns.neighbors[nb]
-		if m, ok := p.metric(ns, nb, info); ok && m < p.cfg.MaxETXSample*4 {
+	for k, nb := range p.tp.Neighbors(id) {
+		if m, ok := metric(&ns.neighbors[k]); ok && m < p.cfg.MaxETXSample*4 {
 			cands = append(cands, nb)
 			metrics = append(metrics, m)
 		}
@@ -492,7 +513,10 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	p.adoptParent(ns, cands[k], metrics[k])
 }
 
-func (p *Protocol) adoptParent(ns *nodeState, parent topo.NodeID, metric float64) {
+// adoptParent makes parent ns's forwarding parent, advertising pathETX.
+//
+//dophy:hotpath
+func (p *Protocol) adoptParent(ns *nodeState, parent topo.NodeID, pathETX float64) {
 	if ns.parent != parent {
 		if ns.parent != NoParent && p.rec != nil {
 			p.rec.ParentChanges++
@@ -500,7 +524,7 @@ func (p *Protocol) adoptParent(ns *nodeState, parent topo.NodeID, metric float64
 		ns.parent = parent
 		p.trickleReset(ns)
 	}
-	ns.pathETX = metric
+	ns.pathETX = pathETX
 }
 
 // Parent returns id's current forwarding parent.

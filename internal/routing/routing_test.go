@@ -20,7 +20,12 @@ func chainTopo(n int) *topo.Topology {
 
 func bootstrapped(t *testing.T, n int, loss float64, seed uint64) (*Protocol, *sim.Engine, *topo.Topology) {
 	t.Helper()
-	tp := chainTopo(n)
+	return bootstrap(t, chainTopo(n), loss, seed)
+}
+
+// bootstrap runs routing on tp under uniform loss until it has converged.
+func bootstrap(tb testing.TB, tp *topo.Topology, loss float64, seed uint64) (*Protocol, *sim.Engine, *topo.Topology) {
+	tb.Helper()
 	eng := sim.New()
 	model := radio.NewStaticUniformLoss(tp, loss)
 	rec := trace.NewRecorder(tp.LinkTable())
@@ -71,12 +76,12 @@ func TestPathETXMonotoneTowardSink(t *testing.T) {
 func TestDataFeedbackImprovesEstimates(t *testing.T) {
 	p, _, _ := bootstrapped(t, 3, 0, 4)
 	ns := p.nodes[1]
-	before := ns.neighbors[0].linkETX
+	before := ns.neighbors[p.lt.NeighborIndex(topo.Link{From: 1, To: 0})].linkETX
 	// Report consistently expensive exchanges toward node 0.
 	for i := 0; i < 50; i++ {
 		p.OnDataResult(1, 0, mac.Result{Attempts: 8, Delivered: true, FirstDelivered: 8, AckedAttempt: 8})
 	}
-	after := ns.neighbors[0].linkETX
+	after := ns.neighbors[p.lt.NeighborIndex(topo.Link{From: 1, To: 0})].linkETX
 	if after <= before+1 {
 		t.Fatalf("link ETX did not respond to data feedback: %v -> %v", before, after)
 	}
@@ -88,7 +93,7 @@ func TestFailedDataGivesPenalty(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.OnDataResult(2, 1, mac.Result{Attempts: 8, Delivered: false})
 	}
-	got := ns.neighbors[1].linkETX
+	got := ns.neighbors[p.lt.NeighborIndex(topo.Link{From: 2, To: 1})].linkETX
 	if got < DefaultConfig().MaxETXSample-1 {
 		t.Fatalf("penalty sample not applied: link ETX = %v", got)
 	}
@@ -305,4 +310,115 @@ func TestAdaptiveBeaconValidation(t *testing.T) {
 		}
 	}()
 	New(cfg, sim.New(), tp, model, rng.New(1), nil)
+}
+
+// referenceSelect is the map-keyed parent choice the dense selectParent
+// replaced, kept as an oracle: it ranges over a map, so its iteration order
+// is random, and relies on the lowest-NodeID tie rule alone. It returns the
+// parent and metric selectParent must leave behind.
+func referenceSelect(nbs map[topo.NodeID]*neighborInfo, cur topo.NodeID, curETX, hysteresis float64) (topo.NodeID, float64) {
+	refMetric := func(info *neighborInfo) (float64, bool) {
+		if !info.heard || math.IsInf(info.advertisedETX, 1) {
+			return 0, false
+		}
+		if !info.hasLinkETX {
+			return info.advertisedETX + 1, true
+		}
+		return info.advertisedETX + info.linkETX, true
+	}
+	bestID := NoParent
+	best := math.Inf(1)
+	for nb, info := range nbs {
+		m, ok := refMetric(info)
+		if !ok {
+			continue
+		}
+		if m < best || (m == best && (bestID == NoParent || nb < bestID)) {
+			best, bestID = m, nb
+		}
+	}
+	if bestID == NoParent {
+		return cur, curETX
+	}
+	if cur != NoParent {
+		if curM, ok := refMetric(nbs[cur]); ok && bestID != cur && best > curM-hysteresis {
+			return cur, curM
+		}
+	}
+	return bestID, best
+}
+
+// TestSelectParentMatchesReference drives the dense selectParent and the
+// map-keyed reference over many random neighbour states — ties forced by a
+// coarse value grid, unheard and unrouted (+Inf) neighbours, and a current
+// parent both inside and outside the hysteresis band — and requires the
+// same parent and path metric every time.
+func TestSelectParentMatchesReference(t *testing.T) {
+	tp := topo.Grid(5, 10, 0, 15, rng.New(3))
+	p := New(DefaultConfig(), sim.New(), tp, radio.NewStaticUniformLoss(tp, 0), rng.New(1), nil)
+	r := rng.New(17)
+	adv := []float64{0, 1, 1.5, 2, 2.5, math.Inf(1)}
+	link := []float64{1, 1.5, 2, 3}
+	for trial := 0; trial < 5000; trial++ {
+		id := topo.NodeID(1 + r.Intn(tp.N()-1))
+		ns := p.nodes[id]
+		nbs := tp.Neighbors(id)
+		ref := make(map[topo.NodeID]*neighborInfo, len(nbs))
+		for k, nb := range nbs {
+			info := neighborInfo{heard: r.Bool(0.85), hasLinkETX: r.Bool(0.7)}
+			info.advertisedETX = adv[r.Intn(len(adv))]
+			info.linkETX = link[r.Intn(len(link))]
+			if r.Bool(0.2) {
+				info.advertisedETX = r.Range(0, 4)
+				info.linkETX = r.Range(1, 4)
+			}
+			ns.neighbors[k] = info
+			ref[nb] = &info
+		}
+		ns.parent = NoParent
+		if r.Bool(0.8) {
+			ns.parent = nbs[r.Intn(len(nbs))]
+		}
+		ns.pathETX = r.Range(0, 8)
+		wantParent, wantETX := referenceSelect(ref, ns.parent, ns.pathETX, p.cfg.Hysteresis)
+		p.selectParent(id)
+		if ns.parent != wantParent || math.Float64bits(ns.pathETX) != math.Float64bits(wantETX) {
+			t.Fatalf("trial %d node %d: dense picked %d (metric %v), reference %d (metric %v)",
+				trial, id, ns.parent, ns.pathETX, wantParent, wantETX)
+		}
+	}
+}
+
+// TestOnDataResultNoAlloc pins the hot-path contract at run time: feeding
+// an ARQ outcome back, delivered or not, re-selects the parent without
+// allocating.
+func TestOnDataResultNoAlloc(t *testing.T) {
+	p, _, tp := bootstrap(t, topo.Grid(4, 10, 0, 15, rng.New(8)), 0.1, 9)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		from := topo.NodeID(1 + i%(tp.N()-1))
+		to := tp.Neighbors(from)[i%len(tp.Neighbors(from))]
+		p.OnDataResult(from, to, mac.Result{Attempts: 1 + i%4, Delivered: i%5 != 0})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("OnDataResult allocates %v per call", allocs)
+	}
+}
+
+func BenchmarkOnDataResult(b *testing.B) {
+	p, _, tp := bootstrap(b, topo.Grid(10, 10, 0, 15, rng.New(8)), 0.1, 9)
+	type hop struct{ from, to topo.NodeID }
+	var hops []hop
+	for _, l := range tp.Links() {
+		if l.From != topo.Sink {
+			hops = append(hops, hop{l.From, l.To})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := hops[i%len(hops)]
+		p.OnDataResult(h.from, h.to, mac.Result{Attempts: 1 + i%3, Delivered: i%7 != 0})
+	}
 }

@@ -17,9 +17,10 @@ const NoLink LinkIdx = -1
 // Links are numbered 0..Len()-1 in canonical order — ascending From, then
 // ascending To — which is exactly the order Links() returns, so any slice
 // indexed by the table is already sorted for deterministic iteration. The
-// estimation pipeline keys its per-link state ([]LinkCounts, []float64,
-// []geomle.Obs, ...) by table index instead of map[Link] hashing; maps
-// survive only at export boundaries.
+// estimation pipeline ([]LinkCounts, []float64, []geomle.Obs, ...), the
+// radio link models and routing's neighbour tables key their per-link state
+// by table index (or, for neighbours, by NeighborIndex) instead of
+// map[Link] hashing; maps survive only at export boundaries.
 //
 // The table is built once per Topology and is immutable, so it is safe to
 // share across goroutines.
