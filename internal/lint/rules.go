@@ -202,11 +202,11 @@ func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, target type
 // ---------------------------------------------------------------------------
 // Rule poolescape: pooled objects must not be retained across packages.
 //
-// A type fed by a free list (e.g. sim.Event) is recycled: the pointer is
+// A type fed by a free list (e.g. collect.hopCont) is recycled: the pointer is
 // only valid while the object is live, and the owning package may hand the
 // same memory to an unrelated caller later. Storing such a pointer in a
-// struct field outside the owning package is a use-after-recycle (or
-// cancel-the-wrong-event) bug waiting to happen.
+// struct field outside the owning package is a use-after-recycle bug
+// waiting to happen.
 // ---------------------------------------------------------------------------
 
 type rulePoolEscape struct{}
@@ -233,7 +233,7 @@ func (rulePoolEscape) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 				if obj == nil || obj.Pkg() == pkg.Types {
 					continue
 				}
-				report(field.Pos(), "struct field retains pooled %s.%s: pooled objects are recycled by their owning package and must not outlive their handler/Cancel window",
+				report(field.Pos(), "struct field retains pooled %s.%s: pooled objects are recycled by their owning package and must not outlive the handler that releases them",
 					obj.Pkg().Name(), obj.Name())
 			}
 			return true
@@ -299,10 +299,10 @@ func freeListName(names []*ast.Ident) bool {
 // typeReaches walks a type's unnamed structure (pointer, slice, array, map
 // key and value, channel and struct-field types) and returns the first
 // named type that match accepts. It deliberately does not descend into named
-// types' underlying structure: holding a *sim.Engine (which owns a free
-// list) is fine; holding a *sim.Event (which is on one) is not. match sees
-// every type on the walk, unnamed ones included, so it can also accept a
-// composite shape such as a map keyed by a given type.
+// types' underlying structure: holding a *collect.Network (which owns a free
+// list) is fine; holding a *collect.hopCont (which is on one) is not. match
+// sees every type on the walk, unnamed ones included, so it can also accept
+// a composite shape such as a map keyed by a given type.
 func typeReaches(t types.Type, match func(types.Type) *types.TypeName) *types.TypeName {
 	var walk func(t types.Type, depth int) *types.TypeName
 	walk = func(t types.Type, depth int) *types.TypeName {

@@ -1,4 +1,4 @@
-// Package pool owns a free-listed (pooled) type, mirroring sim.Event.
+// Package pool owns a free-listed (pooled) type, mirroring collect.hopCont.
 package pool
 
 // Obj is recycled through Pool's free list.

@@ -135,10 +135,10 @@ type Protocol struct {
 	rec     *trace.Recorder
 	nodes   []*nodeState
 	started bool
-	// pendingBeacon marks nodes with an extra beacon queued by scheduleNow.
-	// Deliberately a flag and not the *sim.Event itself: events are pooled
-	// and recycle the moment they fire, so retaining one here would be a
-	// use-after-recycle hazard (dophy-lint rule poolescape).
+	// pendingBeacon marks nodes with an extra beacon queued by scheduleNow,
+	// keeping at most one in flight per node. The engine hands out no event
+	// handle, so this flag is the only record that one is queued; the
+	// handler clears it when the beacon fires.
 	pendingBeacon []bool
 	// beaconFns holds one prebuilt beacon handler per node, so periodic
 	// rescheduling does not allocate a fresh closure every beacon.

@@ -10,7 +10,4 @@ const InvariantsEnabled = false
 // default build's hot paths compile to exactly the pre-hook code.
 type engineInvariants struct{}
 
-func (engineInvariants) onReuse(*Engine, *Event)   {}
-func (engineInvariants) onRecycle(*Engine, *Event) {}
-func (engineInvariants) onCancel(*Engine, *Event)  {}
-func (engineInvariants) checkHeap(*Engine)         {}
+func (engineInvariants) checkHeap(*Engine) {}

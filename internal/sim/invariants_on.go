@@ -8,76 +8,27 @@ import "fmt"
 // invariant checks.
 const InvariantsEnabled = true
 
-// engineInvariants tracks free-list membership and audits the event heap.
-// Violations panic: every one is an engine or ownership bug, and the
-// dophy_invariants build exists to fail loudly in tests, not to recover.
+// engineInvariants audits the event heap. A violation panics: it is an
+// engine bug, and the dophy_invariants build exists to fail loudly in
+// tests, not to recover.
 type engineInvariants struct {
-	inFree    map[*Event]bool
 	mutations uint64
 }
 
-// onReuse fires when Schedule pulls an event off the free list.
-func (iv *engineInvariants) onReuse(e *Engine, ev *Event) {
-	if !iv.inFree[ev] {
-		panic("sim: invariant violated: reused event was not on the free list")
-	}
-	delete(iv.inFree, ev)
-}
-
-// onRecycle fires when a dead event returns to the free list; a second
-// recycle of the same pointer is a double free.
-func (iv *engineInvariants) onRecycle(e *Engine, ev *Event) {
-	if iv.inFree == nil {
-		//dophy:allow hotpathalloc -- one-time lazy init per engine; amortised to zero over a run
-		iv.inFree = make(map[*Event]bool)
-	}
-	if iv.inFree[ev] {
-		panic("sim: invariant violated: event recycled twice (double free)")
-	}
-	if ev.index >= 0 {
-		panic("sim: invariant violated: recycling an event still on the heap")
-	}
-	iv.inFree[ev] = true
-}
-
-// onCancel fires after Cancel's idempotency guards accept the event.
-func (iv *engineInvariants) onCancel(e *Engine, ev *Event) {
-	if iv.inFree[ev] {
-		panic("sim: invariant violated: Cancel reached an event on the free list")
-	}
-	if ev.index < 0 || ev.index >= len(e.queue) || e.queue[ev.index] != ev {
-		panic("sim: invariant violated: cancelled event's heap index is stale")
-	}
-}
-
-// checkHeap audits the queue after each push/pop/remove: the first levels
-// (where pops happen) on every mutation, the whole heap plus the free list
-// every 64th, keeping the tagged build usable on million-event runs.
+// checkHeap audits the queue's order after each push or pop: the first
+// levels (where pops happen) on every mutation, the whole heap every 64th,
+// keeping the tagged build usable on million-event runs.
 func (iv *engineInvariants) checkHeap(e *Engine) {
 	iv.mutations++
 	limit := len(e.queue)
-	full := iv.mutations%64 == 0
-	if !full && limit > 16 {
+	if iv.mutations%64 != 0 && limit > 16 {
 		limit = 16
 	}
 	for i := 1; i < limit; i++ {
 		parent := (i - 1) / 2
-		if e.queue.Less(i, parent) {
+		if e.queue[i].before(&e.queue[parent]) {
 			panic(fmt.Sprintf("sim: invariant violated: heap order broken at index %d (at=%v seq=%d above at=%v seq=%d)",
 				i, e.queue[parent].at, e.queue[parent].seq, e.queue[i].at, e.queue[i].seq))
-		}
-		if e.queue[i].index != i {
-			panic(fmt.Sprintf("sim: invariant violated: heap index desync at %d (recorded %d)", i, e.queue[i].index))
-		}
-	}
-	if full {
-		for i, ev := range e.queue {
-			if ev.index != i {
-				panic(fmt.Sprintf("sim: invariant violated: heap index desync at %d (recorded %d)", i, ev.index))
-			}
-			if iv.inFree[ev] {
-				panic(fmt.Sprintf("sim: invariant violated: queued event at index %d is also on the free list", i))
-			}
 		}
 	}
 }
