@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -78,7 +79,9 @@ func main() {
 	}
 	info := sim.Topology()
 	if *jsonOut {
-		runJSON(sim, *epochs, *links)
+		if err := runJSON(os.Stdout, sim, *epochs, *links); err != nil {
+			fatalErr(err)
+		}
 		return
 	}
 	fmt.Printf("topology: %d nodes, %d directed links, avg degree %.1f, avg hops %.1f (max %d)\n\n",
@@ -127,13 +130,17 @@ func main() {
 	}
 }
 
-// epochJSON is the stable machine-readable per-epoch shape.
+// epochJSON is the stable machine-readable per-epoch shape. A value that
+// does not exist for the epoch is omitted rather than faked: mae and a
+// baseline's MAE when nothing could be scored, delivery_ratio when the
+// epoch generated no packets.
 type epochJSON struct {
 	Epoch          int                 `json:"epoch"`
-	MAE            float64             `json:"mae"`
+	MAE            *float64            `json:"mae,omitempty"`
 	Coverage       float64             `json:"coverage"`
 	BytesPerPacket float64             `json:"bytes_per_packet"`
-	DeliveryRatio  float64             `json:"delivery_ratio"`
+	DeliveryRatio  *float64            `json:"delivery_ratio,omitempty"`
+	Generated      int64               `json:"generated"`
 	ParentChanges  float64             `json:"parent_changes_per_node"`
 	DecodeErrors   int64               `json:"decode_errors"`
 	BaselineMAE    map[string]float64  `json:"baseline_mae,omitempty"`
@@ -147,32 +154,33 @@ type linkJSON struct {
 	True    *float64 `json:"true,omitempty"`
 }
 
-// runJSON emits one JSON object per epoch on stdout.
-func runJSON(sim *dophy.Simulation, epochs int, withLinks bool) {
-	enc := json.NewEncoder(os.Stdout)
+// runJSON runs epochs epochs and writes one JSON object per epoch to w.
+func runJSON(w io.Writer, sim *dophy.Simulation, epochs int, withLinks bool) error {
+	enc := json.NewEncoder(w)
 	for e := 0; e < epochs; e++ {
 		rep := sim.RunEpoch()
-		mae := rep.MAE
-		if math.IsNaN(mae) {
-			mae = -1 // JSON has no NaN; -1 marks "nothing scored this epoch"
-		}
 		out := epochJSON{
 			Epoch:          rep.Epoch,
-			MAE:            mae,
 			Coverage:       rep.Coverage,
 			BytesPerPacket: rep.BytesPerPacket,
-			DeliveryRatio:  rep.DeliveryRatio,
+			Generated:      rep.Generated,
 			ParentChanges:  rep.ParentChangesPerNode,
 			DecodeErrors:   rep.DecodeErrors,
 		}
-		if len(rep.BaselineMAE) > 0 {
-			out.BaselineMAE = make(map[string]float64, len(rep.BaselineMAE))
-			for k, v := range rep.BaselineMAE {
-				if math.IsNaN(v) {
-					v = -1
-				}
-				out.BaselineMAE[k] = v
+		if !math.IsNaN(rep.MAE) {
+			out.MAE = &rep.MAE
+		}
+		if rep.Generated > 0 {
+			out.DeliveryRatio = &rep.DeliveryRatio
+		}
+		for k, v := range rep.BaselineMAE {
+			if math.IsNaN(v) {
+				continue
 			}
+			if out.BaselineMAE == nil {
+				out.BaselineMAE = make(map[string]float64, len(rep.BaselineMAE))
+			}
+			out.BaselineMAE[k] = v
 		}
 		if withLinks {
 			out.Links = make(map[string]linkJSON, len(rep.Estimates))
@@ -186,9 +194,10 @@ func runJSON(sim *dophy.Simulation, epochs int, withLinks bool) {
 			}
 		}
 		if err := enc.Encode(out); err != nil {
-			fatalErr(err)
+			return err
 		}
 	}
+	return nil
 }
 
 func fatalErr(err error) {

@@ -126,8 +126,12 @@ type Report struct {
 	BytesPerPacket float64
 	// DisseminationBytes is the model-update flood cost this epoch.
 	DisseminationBytes float64
-	// DeliveryRatio is the network's end-to-end delivery ratio.
+	// DeliveryRatio is the network's end-to-end delivery ratio: delivered
+	// over Generated, and 1 when Generated is 0.
 	DeliveryRatio float64
+	// Generated counts the packets the network generated this epoch; 0
+	// means DeliveryRatio has no packets behind it.
+	Generated int64
 	// ParentChangesPerNode measures routing dynamics during the epoch.
 	ParentChangesPerNode float64
 	// DecodeErrors counts annotation decode failures (must be 0).
@@ -280,6 +284,7 @@ func (s *Simulation) RunEpoch() *Report {
 		Estimates:            make(map[Link]LinkEstimate, len(se.Loss)),
 		TrueLoss:             make(map[Link]float64),
 		DeliveryRatio:        eo.Truth.DeliveryRatio(),
+		Generated:            eo.Truth.Generated,
 		DecodeErrors:         se.DecodeErrors,
 		BytesPerPacket:       se.BitsPerPacket() / 8,
 		DisseminationBytes:   float64(se.ExtraBits) / 8,

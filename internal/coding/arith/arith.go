@@ -10,6 +10,7 @@ package arith
 
 import (
 	"errors"
+	"math/bits"
 
 	"dophy/internal/coding/bitio"
 )
@@ -63,11 +64,33 @@ func (e *Encoder) Reset(w *bitio.Writer) {
 	e.w = w
 }
 
+// emit writes bit followed by the pending run of its complement, 64 bits
+// per WriteBits (one call for any run a real stream produces).
 func (e *Encoder) emit(bit int) {
 	e.w.WriteBit(bit)
-	for ; e.pending > 0; e.pending-- {
-		e.w.WriteBit(1 - bit)
+	var run uint64
+	if bit == 0 {
+		run = ^uint64(0)
 	}
+	for e.pending > 0 {
+		k := e.pending
+		if k > 64 {
+			k = 64
+		}
+		e.w.WriteBits(run, k)
+		e.pending -= k
+	}
+}
+
+// scale returns span*c/total. Power-of-two totals (the count model's 4096,
+// uniform hop models of degree 4 or 8) shift instead of dividing; for
+// unsigned operands the two are the same integer, so the stream is
+// bit-identical either way.
+func scale(span uint64, c, total uint32) uint64 {
+	if total&(total-1) == 0 {
+		return span * uint64(c) >> uint(bits.TrailingZeros32(total))
+	}
+	return span * uint64(c) / uint64(total)
 }
 
 // Encode codes one symbol under m and updates m.
@@ -82,8 +105,8 @@ func (e *Encoder) Encode(m Model, sym int) {
 		panic("arith: invalid model interval")
 	}
 	span := e.high - e.low + 1
-	e.high = e.low + span*uint64(hi)/uint64(total) - 1
-	e.low = e.low + span*uint64(lo)/uint64(total)
+	e.high = e.low + scale(span, hi, total) - 1
+	e.low = e.low + scale(span, lo, total)
 	for {
 		switch {
 		case e.high < topBit:
@@ -140,10 +163,7 @@ func NewDecoder(r *bitio.Reader) *Decoder {
 // Reset re-primes the decoder from the start of r — the allocation-free
 // equivalent of NewDecoder for reusable scratch decoders.
 func (d *Decoder) Reset(r *bitio.Reader) {
-	d.low, d.high, d.value, d.r = 0, mask, 0, r
-	for i := 0; i < codeBits; i++ {
-		d.value = d.value<<1 | uint64(r.ReadBit())
-	}
+	d.low, d.high, d.value, d.r = 0, mask, r.ReadBits(codeBits), r
 }
 
 // ErrCorrupt reports an undecodable stream (model/stream mismatch).
@@ -163,8 +183,8 @@ func (d *Decoder) Decode(m Model) (int, error) {
 		return 0, ErrCorrupt
 	}
 	sym, lo, hi, _ := m.Find(uint32(cum))
-	d.high = d.low + span*uint64(hi)/uint64(total) - 1
-	d.low = d.low + span*uint64(lo)/uint64(total)
+	d.high = d.low + scale(span, hi, total) - 1
+	d.low = d.low + scale(span, lo, total)
 	for {
 		switch {
 		case d.high < topBit:

@@ -39,15 +39,27 @@ func (w *Writer) WriteBit(b int) {
 }
 
 // WriteBits appends the low n bits of v, most significant first. n must be
-// in [0, 64].
+// in [0, 64]. Each step moves as many bits as fit in the partial byte, so a
+// call costs at most one step per output byte touched.
 //
 //dophy:hotpath
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic("bitio: WriteBits width out of range")
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(int(v >> uint(i) & 1))
+	w.bits += n
+	for n > 0 {
+		k := 8 - w.nCur
+		if k > n {
+			k = n
+		}
+		n -= k
+		w.cur = w.cur<<uint(k) | byte(v>>uint(n))&(0xFF>>uint(8-k))
+		w.nCur += k
+		if w.nCur == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.nCur = 0, 0
+		}
 	}
 }
 
@@ -136,6 +148,8 @@ func (r *Reader) ReadBit() int {
 }
 
 // ReadBits returns the next n bits as the low bits of a uint64, MSB-first.
+// Like WriteBits it moves up to a byte's remainder per step; bits past the
+// end read as zero and count towards Overrun.
 //
 //dophy:hotpath
 func (r *Reader) ReadBits(n int) uint64 {
@@ -143,8 +157,21 @@ func (r *Reader) ReadBits(n int) uint64 {
 		panic("bitio: ReadBits width out of range")
 	}
 	var v uint64
-	for i := 0; i < n; i++ {
-		v = v<<1 | uint64(r.ReadBit())
+	for n > 0 {
+		off := r.pos & 7
+		k := 8 - off
+		if k > n {
+			k = n
+		}
+		var chunk uint64
+		if byteIdx := r.pos >> 3; byteIdx < len(r.buf) {
+			chunk = uint64(r.buf[byteIdx]>>uint(8-off-k)) & (0xFF >> uint(8-k))
+		} else {
+			r.over += k
+		}
+		v = v<<uint(k) | chunk
+		r.pos += k
+		n -= k
 	}
 	return v
 }

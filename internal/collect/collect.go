@@ -60,7 +60,16 @@ func (d DropReason) String() string {
 }
 
 // PacketJourney is the full ground-truth record of one data packet.
+//
+// A journey belongs to the Network from generate until finish hands it to
+// the subscribers. A consumer that is done with a finished journey may give
+// it back with Network.Recycle, after which generate reuses the record for a
+// later packet; without Recycle every packet gets a fresh record.
 type PacketJourney struct {
+	// life is the journey's audited lifecycle state under dophy_invariants
+	// (in flight, finished, recycled); zero-size otherwise. It comes first
+	// so the empty type adds no trailing padding.
+	life      journeyLife
 	Origin    topo.NodeID
 	Seq       int64
 	Generated sim.Time
@@ -71,6 +80,10 @@ type PacketJourney struct {
 }
 
 // Sink consumers receive every completed journey (delivered or dropped).
+// A JourneyFunc runs on the simulation goroutine, and another consumer (the
+// experiment harness's sink stage) may be reading the same journey
+// concurrently: fn must not write j, and must not retain j after it
+// returns, because the record may be recycled for a later packet.
 type JourneyFunc func(*PacketJourney)
 
 // Annotator hooks the forwarding path itself: the distributed view, where
@@ -135,6 +148,12 @@ type ShardHooks struct {
 	Fabric  Fabric        // cross-node packet transport
 }
 
+// maxPooledHops is the largest Hops capacity Recycle keeps, four times the
+// 16 a fresh journey starts with. Paths on the facade's grids (TTL 64) fit;
+// on the 50×50 scale tier most paths are longer, and pooling their
+// 128–512-slot buffers raised the sharded benchmark's peak RSS by half.
+const maxPooledHops = 64
+
 // Network wires the layers together for one simulated deployment.
 type Network struct {
 	// inv carries the build-tag-gated journey/queue audits; a zero-size
@@ -161,6 +180,9 @@ type Network struct {
 	// single prebuilt handler, so the per-hop forwarding path performs no
 	// closure allocation in steady state.
 	contFree []*hopCont
+	// journeyFree holds finished journeys handed back by Recycle; generate
+	// reuses them before allocating.
+	journeyFree []*PacketJourney
 	// Per-node forwarding queues (QueueCap > 0 only).
 	busy   []bool
 	queues [][]*PacketJourney
@@ -228,8 +250,26 @@ func (n *Network) rng(id topo.NodeID) jitterSource {
 	return n.r
 }
 
-// Subscribe registers fn to receive every completed journey.
+// Subscribe registers fn to receive every completed journey. Subscribers
+// run in registration order on the simulation goroutine; see JourneyFunc
+// for what fn may do with the journey.
 func (n *Network) Subscribe(fn JourneyFunc) { n.subs = append(n.subs, fn) }
+
+// Recycle hands a finished journey back for reuse by a later generate,
+// unless its Hops buffer has grown past maxPooledHops. The caller must own
+// j outright: every subscriber has returned, nothing reads it any more, and
+// it is recycled once. Under dophy_invariants recycling a journey that is
+// still in flight, or recycling one twice, panics.
+func (n *Network) Recycle(j *PacketJourney) {
+	n.inv.onRecycle(j)
+	if cap(j.Hops) > maxPooledHops {
+		// A pooled record keeps its buffer for good, and reuse is LIFO, so
+		// every long path would ratchet the pool towards TTL-sized buffers.
+		// Leave these to the GC.
+		return
+	}
+	n.journeyFree = append(n.journeyFree, j)
+}
 
 // AttachAnnotator registers a hop-by-hop annotator. Call before Start.
 func (n *Network) AttachAnnotator(a Annotator) { n.annotators = append(n.annotators, a) }
@@ -263,11 +303,21 @@ func (n *Network) jitteredPeriod(id topo.NodeID) sim.Time {
 //dophy:hotpath
 func (n *Network) generate(id topo.NodeID) {
 	n.nextSeq[id]++
-	// Pre-size Hops past the typical path depth with retries: the append in
-	// transmit regrows for every journey that outgrows the capacity, and at
-	// cap 8 roughly a third of the journeys on a grid topology did.
-	//dophy:allow hotpathalloc -- the journey record is the pipeline's product: one allocation per generated packet, owned by the sink
-	j := &PacketJourney{Origin: id, Seq: n.nextSeq[id], Generated: n.eng.Now(), Hops: make([]Hop, 0, 16)}
+	var j *PacketJourney
+	if k := len(n.journeyFree); k > 0 {
+		j = n.journeyFree[k-1]
+		n.journeyFree[k-1] = nil
+		n.journeyFree = n.journeyFree[:k-1]
+		n.inv.onReuse(j)
+		// Every field is reset; Hops keeps its capacity.
+		*j = PacketJourney{Origin: id, Seq: n.nextSeq[id], Generated: n.eng.Now(), Hops: j.Hops[:0]}
+	} else {
+		// Pre-size Hops past the typical path depth with retries: the append
+		// in transmit regrows for every journey that outgrows the capacity,
+		// and at cap 8 roughly a third of the journeys on a grid topology did.
+		//dophy:allow hotpathalloc -- journey-pool miss path: one record per packet until recycled journeys come back
+		j = &PacketJourney{Origin: id, Seq: n.nextSeq[id], Generated: n.eng.Now(), Hops: make([]Hop, 0, 16)}
+	}
 	if n.rec != nil {
 		n.rec.Generated++
 	}

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"reflect"
 	"testing"
 
 	"dophy/internal/mac"
@@ -348,4 +349,90 @@ func TestNegativeQueueCapPanics(t *testing.T) {
 		}
 	}()
 	New(cfg, sim.New(), tp, arq, &fixedRouter{[]topo.NodeID{-1, 0}}, rng.New(2), nil)
+}
+
+// copyJourney deep-copies a journey, so the copy survives the record being
+// recycled.
+func copyJourney(j *PacketJourney) PacketJourney {
+	c := *j
+	c.Hops = append([]Hop(nil), j.Hops...)
+	return c
+}
+
+// TestRecycledJourneyStreamMatchesFresh runs the same lossy network twice,
+// once allocating every journey and once recycling finished journeys in a
+// shuffled order after a random delay, and requires a deep-copying
+// subscriber to see the same stream.
+func TestRecycledJourneyStreamMatchesFresh(t *testing.T) {
+	run := func(recycle bool) (stream []PacketJourney, reused int) {
+		nw, eng, _ := chainNetwork(t, 6, 0.3, nil)
+		r := rng.New(9)
+		var held []*PacketJourney
+		seen := map[*PacketJourney]bool{}
+		nw.Subscribe(func(j *PacketJourney) {
+			stream = append(stream, copyJourney(j))
+			if seen[j] {
+				reused++
+			}
+			seen[j] = true
+		})
+		if recycle {
+			nw.Subscribe(func(j *PacketJourney) { held = append(held, j) })
+			// A recycler outside the subscriber, so every subscriber has
+			// returned before a journey goes back.
+			var tick func()
+			tick = func() {
+				r.Shuffle(len(held), func(a, b int) { held[a], held[b] = held[b], held[a] })
+				n := r.Intn(len(held) + 1)
+				for _, j := range held[:n] {
+					nw.Recycle(j)
+				}
+				held = append(held[:0], held[n:]...)
+				eng.After(0.7, tick)
+			}
+			eng.After(0.7, tick)
+		}
+		nw.Start()
+		eng.Run(400)
+		return stream, reused
+	}
+	fresh, _ := run(false)
+	recycled, reused := run(true)
+	if len(fresh) < 100 {
+		t.Fatalf("only %d journeys; the comparison needs a real stream", len(fresh))
+	}
+	if reused == 0 {
+		t.Fatal("no journey record was reused; recycling never happened")
+	}
+	if !reflect.DeepEqual(fresh, recycled) {
+		for i := range fresh {
+			if i >= len(recycled) || !reflect.DeepEqual(fresh[i], recycled[i]) {
+				t.Fatalf("journey %d differs with recycling", i)
+			}
+		}
+		t.Fatalf("stream lengths differ: %d fresh, %d recycled", len(fresh), len(recycled))
+	}
+}
+
+// TestRecycleDropsLongHopBuffers: a record whose Hops grew past
+// maxPooledHops is left to the GC rather than pooled, and one within the
+// bound is pooled.
+func TestRecycleDropsLongHopBuffers(t *testing.T) {
+	nw, eng, _ := chainNetwork(t, 3, 0, nil)
+	var got []*PacketJourney
+	nw.Subscribe(func(j *PacketJourney) { got = append(got, j) })
+	nw.Start()
+	eng.Run(30)
+	if len(got) < 2 {
+		t.Fatalf("%d journeys", len(got))
+	}
+	got[0].Hops = make([]Hop, 0, maxPooledHops+1)
+	nw.Recycle(got[0])
+	if len(nw.journeyFree) != 0 {
+		t.Fatal("a long-hop record was pooled")
+	}
+	nw.Recycle(got[1])
+	if len(nw.journeyFree) != 1 || nw.journeyFree[0] != got[1] {
+		t.Fatal("a short-hop record was not pooled")
+	}
 }

@@ -14,9 +14,47 @@ import (
 // delivered packet must end at the sink. These are the preconditions every
 // tomography scheme decodes under; a violation here means estimator error
 // is being measured against corrupt ground truth.
+//
+// It also audits the journey lifecycle behind Network.Recycle: a journey is
+// in flight from generate to finish, finished until recycled, and recycled
+// until generate reuses it. Finishing a journey twice, recycling one that
+// is in flight or already recycled, or reusing one that was never recycled
+// panics: each would let two packets share one record.
 type netInvariants struct{}
 
+// journeyLife is a journey's lifecycle state; the zero value is in flight,
+// which is what generate's reset of a reused record leaves behind.
+type journeyLife struct{ state uint8 }
+
+const (
+	lifeInFlight uint8 = iota
+	lifeFinished
+	lifeRecycled
+)
+
+var lifeNames = [...]string{"in flight", "finished", "recycled"}
+
+func (netInvariants) onRecycle(j *PacketJourney) {
+	if j.life.state != lifeFinished {
+		panic(fmt.Sprintf("collect: invariant violated: recycling journey %d/%d while %s",
+			j.Origin, j.Seq, lifeNames[j.life.state]))
+	}
+	j.life.state = lifeRecycled
+}
+
+func (netInvariants) onReuse(j *PacketJourney) {
+	if j.life.state != lifeRecycled {
+		panic(fmt.Sprintf("collect: invariant violated: reusing journey %d/%d while %s",
+			j.Origin, j.Seq, lifeNames[j.life.state]))
+	}
+}
+
 func (netInvariants) onFinish(n *Network, j *PacketJourney) {
+	if j.life.state != lifeInFlight {
+		panic(fmt.Sprintf("collect: invariant violated: finishing journey %d/%d while %s",
+			j.Origin, j.Seq, lifeNames[j.life.state]))
+	}
+	j.life.state = lifeFinished
 	at := j.Origin
 	for i, h := range j.Hops {
 		if h.Link.From != at {

@@ -36,7 +36,8 @@ type packetAnno struct {
 // collect.Network.AttachAnnotator. Use either the Annotator or OnJourney on
 // a given engine, never both (estimates would double-count).
 type Annotator struct {
-	d      *Dophy
+	d *Dophy
+	//dophy:allow poolescape -- keyed by in-flight journeys only: OnDeliver and OnDrop delete the entry before collect hands the journey to its consumers
 	flight map[*collect.PacketJourney]*packetAnno
 }
 

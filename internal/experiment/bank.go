@@ -13,10 +13,15 @@ import (
 // realisation: dophy, its no-aggregation ablation, the raw/compact/huffman
 // path records, and the epochobs collector feeding the MINC/LSQ estimation
 // stage. Session and ShardedSession each own one and drive it the same way:
-// feed every completed journey in order, harvest at each epoch end, then
-// estimate the harvested cut. A Dophy-only bank (ShardSpec.FullSchemes
-// false) builds, feeds and harvests dophy alone.
+// start the sink stage, add every completed journey to it in order, join it
+// and harvest at each epoch end, then estimate the harvested cut. A
+// Dophy-only bank (ShardSpec.FullSchemes false) builds, feeds and harvests
+// dophy alone.
 type schemeBank struct {
+	// sink feeds the bank on its own goroutine during an epoch (see
+	// pipeline.go); the schemes below are the sink goroutine's from the
+	// stage's start until its join.
+	sink  *sinkStage
 	full  bool
 	dophy *core.Dophy
 	// The remaining schemes are nil in a Dophy-only bank.
@@ -32,14 +37,15 @@ type schemeBank struct {
 
 // newSchemeBank derives the Dophy configuration from the scenario's retry
 // budget and builds the schemes: all of them when full, dophy alone
-// otherwise.
-func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, full bool) *schemeBank {
+// otherwise. pool takes each journey back once the bank is done with it.
+func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, full bool, pool journeyPool) *schemeBank {
 	dcfg := sc.Dophy
 	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
 	if dcfg.AggThreshold >= dcfg.MaxAttempts {
 		dcfg.AggThreshold = 0 // aggregation meaningless for tiny budgets
 	}
 	b := &schemeBank{full: full, dophy: core.New(tp, dcfg)}
+	b.sink = newSinkStage(b, pool)
 	if !full {
 		return b
 	}
@@ -61,7 +67,8 @@ func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, full bool
 }
 
 // feed applies one completed journey to every scheme in the bank and
-// samples delivered packets' Dophy annotation cost.
+// samples delivered packets' Dophy annotation cost. It runs on the sink
+// goroutine.
 func (b *schemeBank) feed(j *collect.PacketJourney) {
 	bits := b.dophy.OnJourney(j)
 	if b.full {

@@ -530,7 +530,7 @@ func T4(seed uint64, o RunOptions) *Table {
 
 // nowNanos is a tiny wall-clock shim (the only wall-clock use in the repo).
 //
-//dophy:allow determflow effects -- timeNow is the stamping shim for report metadata; it only ever holds time.Now (or a test stub), neither of which reads simulation state or writes package state
+//dophy:allow determflow effects hotpathalloc -- timeNow is the stamping shim for report metadata; it only ever holds time.Now (or a test stub), neither of which reads simulation state, writes package state or allocates
 func nowNanos() int64 { return timeNow().UnixNano() }
 
 // Runner is one experiment entry in the registry.

@@ -375,9 +375,9 @@ func NewSession(sc Scenario) *Session {
 	arq := mac.New(sc.Mac, model, root.Split(), rec)
 	proto := routing.New(sc.Routing, eng, tp, model, root.Split(), rec)
 	nw := collect.New(sc.Collect, eng, tp, arq, proto, root.Split(), rec)
-	s := &Session{sc: sc, tp: tp, eng: eng, rec: rec, nw: nw, proto: proto,
-		bank: newSchemeBank(sc, tp, lt, true)}
-	nw.Subscribe(s.bank.feed)
+	s := &Session{sc: sc, tp: tp, eng: eng, rec: rec, nw: nw, proto: proto}
+	s.bank = newSchemeBank(sc, tp, lt, true, s)
+	nw.Subscribe(s.bank.sink.add)
 
 	proto.Start()
 	eng.Run(sc.Warmup)
@@ -389,8 +389,14 @@ func NewSession(sc Scenario) *Session {
 // Topology exposes the built topology.
 func (s *Session) Topology() *topo.Topology { return s.tp }
 
+// recycle hands a journey the sink stage is done with back to collect.
+func (s *Session) recycle(j *collect.PacketJourney) { s.nw.Recycle(j) }
+
 // SubscribeJourneys registers an extra consumer of every completed journey
-// (e.g. the trace exporter). Call before the first RunEpoch.
+// (e.g. the trace exporter). Call before the first RunEpoch. fn runs on the
+// simulation goroutine while the sink stage may be reading the same journey
+// concurrently, and the journey is recycled for a later packet once the
+// sink is done with it: fn must not write j or retain it after returning.
 func (s *Session) SubscribeJourneys(fn collect.JourneyFunc) { s.nw.Subscribe(fn) }
 
 // AttachAnnotator registers a hop-by-hop annotator (the distributed
@@ -403,14 +409,17 @@ func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }
 // Events exposes the simulator's processed-event count so far.
 func (s *Session) Events() uint64 { return s.eng.Processed() }
 
-// cutEpoch advances the simulation one epoch and harvests everything the
-// sink observes: ground truth, annotation-scheme epoch reports and the
-// observation epoch the inference estimators consume. It is the first
-// stage of RunEpoch; the returned cut is immutable and ready to hand to
-// the estimation stage (estBank.estimate), on this goroutine or another.
+// cutEpoch advances the simulation one epoch, with the sink stage feeding
+// the scheme bank alongside, and harvests everything the sink observes:
+// ground truth, annotation-scheme epoch reports and the observation epoch
+// the inference estimators consume. It is the first stage of RunEpoch; the
+// returned cut is immutable and ready to hand to the estimation stage
+// (estBank.estimate), on this goroutine or another.
 func (s *Session) cutEpoch() *epochCut {
 	s.epoch++
+	s.bank.sink.start()
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
+	s.bank.sink.join()
 	truth := s.rec.Cut()
 	drops := s.nw.QueueDrops - s.lastQueueDrops
 	s.lastQueueDrops += drops

@@ -80,6 +80,7 @@ type shardFabric struct {
 type hopCarrier struct {
 	f  *shardFabric
 	to topo.NodeID
+	//dophy:allow poolescape -- an in-flight journey: collect recycles only finished ones, and run clears j before the carrier is reused
 	j  *collect.PacketJourney
 	fn sim.Handler
 }
@@ -158,8 +159,9 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 // draw order depends on how nodes interleave across shards. Journeys
 // completed inside a window are parked in per-shard buffers and flushed at
 // the window barrier in (Completed, Origin, Seq) order — a key shard
-// numbering never enters — then fed sequentially to the estimators on the
-// coordinator. Windows partition virtual time, so the concatenation of
+// numbering never enters — then handed to the scheme bank's sink stage,
+// whose single goroutine feeds them in that order while the workers run the
+// next window. Windows partition virtual time, so the concatenation of
 // per-window flushes is itself globally sorted and identical at any K.
 type ShardedSession struct {
 	sc        Scenario        //dophy:owner immutable
@@ -172,15 +174,18 @@ type ShardedSession struct {
 	cutLinks  int             //dophy:owner immutable
 	// Per-shard stacks: window code reaches them only through a typed
 	// ShardID index, so shards provably never alias each other's state.
-	recs   []*trace.Recorder          //dophy:owner shard
-	protos []*routing.Protocol        //dophy:owner shard
-	nws    []*collect.Network         //dophy:owner shard
-	fabs   []*shardFabric             //dophy:owner shard
-	bufs   [][]*collect.PacketJourney //dophy:owner shard -- journeys completed since the last flush, per shard
-	fmerge []*collect.PacketJourney   //dophy:owner engine -- flush merge scratch
+	recs   []*trace.Recorder   //dophy:owner shard
+	protos []*routing.Protocol //dophy:owner shard
+	nws    []*collect.Network  //dophy:owner shard
+	fabs   []*shardFabric      //dophy:owner shard
+	//dophy:allow poolescape -- finished journeys wait here only until the next flush hands them to the sink stage, which recycles them
+	bufs [][]*collect.PacketJourney //dophy:owner shard -- journeys completed since the last flush, per shard
+	//dophy:allow poolescape -- flush scratch: cleared before flush returns
+	fmerge []*collect.PacketJourney //dophy:owner engine -- flush merge scratch
 
-	// The scheme bank runs on the coordinator only, fed sequentially at
-	// window barriers.
+	// The scheme bank's sink stage is driven from the coordinator: each
+	// barrier's sorted journeys go to it, and its goroutine feeds them while
+	// the workers run the next window.
 	bank *schemeBank //dophy:owner engine
 
 	epoch          int   //dophy:owner engine
@@ -265,16 +270,17 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
 	}
 
-	s.bank = newSchemeBank(sc, tp, lt, sp.FullSchemes)
-	// Feeding the schemes at every barrier (rather than at epoch ends)
-	// bounds journey buffering to one window's worth of completions.
+	s.bank = newSchemeBank(sc, tp, lt, sp.FullSchemes, s)
+	// Handing journeys to the sink at every barrier (rather than at epoch
+	// ends) bounds journey buffering to one window's worth of completions.
 	s.eng.OnBarrier(s.flush)
 
 	for _, p := range s.protos {
 		p.Start()
 	}
+	// The warmup produces no journeys (generation starts below), so the
+	// barrier flushes during it hand nothing to the sink stage.
 	s.eng.Run(sc.Warmup)
-	s.flush()               // warmup produces no journeys, but keep the accounting exact
 	trace.CutMerged(s.recs) // discard warmup ground truth
 	for _, nw := range s.nws {
 		nw.Start()
@@ -295,9 +301,9 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 
 // flush drains every shard's completed-journey buffer in (Completed,
 // Origin, Seq) order — a pure function of simulation behaviour, so the
-// global feed sequence is identical at every shard count — and feeds the
-// scheme bank. Runs on the coordinator: at window barriers for K > 1, after
-// Run returns for K == 1.
+// global feed sequence is identical at every shard count — and hands it to
+// the scheme bank's sink stage. Runs on the coordinator: at window barriers
+// for K > 1, after Run returns for K == 1.
 //
 //dophy:barrier
 func (s *ShardedSession) flush() {
@@ -314,10 +320,19 @@ func (s *ShardedSession) flush() {
 		sortJourneys(m)
 	}
 	for i, j := range m {
-		s.bank.feed(j)
+		s.bank.sink.add(j)
 		m[i] = nil
 	}
 	s.fmerge = m[:0]
+}
+
+// recycle returns a journey the sink has fed to the pool of the shard that
+// generated it. The sink stage calls it from flush and cutEpoch, so it runs
+// with the workers parked.
+//
+//dophy:barrier
+func (s *ShardedSession) recycle(j *collect.PacketJourney) {
+	s.nws[s.owner[j.Origin]].Recycle(j)
 }
 
 func sortJourneys(m []*collect.PacketJourney) {
@@ -403,8 +418,10 @@ func (s *ShardedSession) queueDrops() int64 {
 //dophy:barrier
 func (s *ShardedSession) cutEpoch() *epochCut {
 	s.epoch++
+	s.bank.sink.start()
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
 	s.flush() // single-shard runs have no barriers; drain the epoch's tail
+	s.bank.sink.join()
 	truth := trace.CutMerged(s.recs)
 	drops := s.queueDrops() - s.lastQueueDrops
 	s.lastQueueDrops += drops
