@@ -19,7 +19,7 @@ func TestFilterToFiles(t *testing.T) {
 	mk := func(rel string, line int) lint.Diagnostic {
 		return lint.Diagnostic{
 			Pos:  token.Position{Filename: filepath.Join(root, filepath.FromSlash(rel)), Line: line},
-			Rule: "readonly",
+			Rule: "determflow",
 			Msg:  rel,
 		}
 	}
@@ -27,7 +27,7 @@ func TestFilterToFiles(t *testing.T) {
 		mk("internal/a/a.go", 1),
 		mk("internal/b/b.go", 2),
 		mk("internal/a/a.go", 3),
-		{Pos: token.Position{Filename: filepath.Join(t.TempDir(), "c.go"), Line: 4}, Rule: "effects", Msg: "outside root"},
+		{Pos: token.Position{Filename: filepath.Join(t.TempDir(), "c.go"), Line: 4}, Rule: "hotpathalloc", Msg: "outside root"},
 	}
 	got := filterToFiles(diags, root, map[string]bool{"internal/a/a.go": true})
 	if len(got) != 2 {
@@ -46,7 +46,7 @@ func TestFilterToFiles(t *testing.T) {
 func TestFilterToFilesEmptySet(t *testing.T) {
 	root := t.TempDir()
 	diags := []lint.Diagnostic{
-		{Pos: token.Position{Filename: filepath.Join(root, "a.go"), Line: 1}, Rule: "readonly"},
+		{Pos: token.Position{Filename: filepath.Join(root, "a.go"), Line: 1}, Rule: "determflow"},
 	}
 	if got := filterToFiles(diags, root, map[string]bool{}); len(got) != 0 {
 		t.Fatalf("empty changed set kept %d diagnostics, want 0", len(got))

@@ -33,7 +33,7 @@ func main() {
 		epochLen  = flag.Float64("epoch-seconds", 300, "epoch length in simulated seconds")
 		genPeriod = flag.Float64("gen-period", 5, "per-node data generation period (s)")
 		maxRetx   = flag.Int("max-retx", 7, "MAC retransmission budget")
-		agg       = flag.Int("agg", 3, "symbol aggregation threshold (0 = off)")
+		agg       = flag.Int("agg", 3, "symbol aggregation threshold (0 means the default, 3)")
 		update    = flag.Int("update-every", 1, "model update period in epochs")
 		churn     = flag.Float64("churn", 0, "forced parent churn probability per beacon")
 		dynamics  = flag.String("dynamics", "static", "link dynamics: static | drift | bursty")
@@ -77,36 +77,44 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dophy-sim:", err)
 		os.Exit(1)
 	}
-	info := sim.Topology()
 	if *jsonOut {
 		if err := runJSON(os.Stdout, sim, *epochs, *links); err != nil {
 			fatalErr(err)
 		}
 		return
 	}
-	fmt.Printf("topology: %d nodes, %d directed links, avg degree %.1f, avg hops %.1f (max %d)\n\n",
+	runText(os.Stdout, sim, *epochs, *links, *baselines)
+}
+
+// runText runs epochs epochs and writes the human-readable report to w: the
+// topology summary, one row per epoch (plus the baselines' MAE when
+// baselines is set) and, when links is set, the final epoch's per-link
+// table in ascending (From, To) order.
+func runText(w io.Writer, sim *dophy.Simulation, epochs int, links, baselines bool) {
+	info := sim.Topology()
+	fmt.Fprintf(w, "topology: %d nodes, %d directed links, avg degree %.1f, avg hops %.1f (max %d)\n\n",
 		info.Nodes, info.Links, info.AvgDegree, info.AvgHops, info.MaxHops)
 
-	fmt.Printf("%-6s  %-9s  %-9s  %-9s  %-10s  %-10s\n",
+	fmt.Fprintf(w, "%-6s  %-9s  %-9s  %-9s  %-10s  %-10s\n",
 		"epoch", "MAE", "coverage", "bytes/pkt", "delivery", "churn/node")
 	var last *dophy.Report
-	for e := 0; e < *epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		rep := sim.RunEpoch()
 		last = rep
-		fmt.Printf("%-6d  %-9.4f  %-9.2f  %-9.2f  %-10.4f  %-10.2f\n",
+		fmt.Fprintf(w, "%-6d  %-9.4f  %-9.2f  %-9.2f  %-10.4f  %-10.2f\n",
 			rep.Epoch, rep.MAE, rep.Coverage, rep.BytesPerPacket, rep.DeliveryRatio, rep.ParentChangesPerNode)
 		if rep.DecodeErrors > 0 {
 			fmt.Fprintf(os.Stderr, "dophy-sim: %d decode errors!\n", rep.DecodeErrors)
 		}
-		if *baselines {
+		if baselines {
 			for _, name := range []string{"minc", "lsq"} {
-				fmt.Printf("        baseline %-5s MAE %.4f\n", name, rep.BaselineMAE[name])
+				fmt.Fprintf(w, "        baseline %-5s MAE %.4f\n", name, rep.BaselineMAE[name])
 			}
 		}
 	}
 
-	if *links && last != nil {
-		fmt.Println("\nper-link estimates (final epoch):")
+	if links && last != nil {
+		fmt.Fprintln(w, "\nper-link estimates (final epoch):")
 		var ls []dophy.Link
 		for l := range last.Estimates {
 			ls = append(ls, l)
@@ -117,7 +125,7 @@ func main() {
 			}
 			return ls[i].To < ls[j].To
 		})
-		fmt.Printf("%-10s  %-9s  %-9s  %-8s  %s\n", "link", "est-loss", "true", "stderr", "samples")
+		fmt.Fprintf(w, "%-10s  %-9s  %-9s  %-8s  %s\n", "link", "est-loss", "true", "stderr", "samples")
 		for _, l := range ls {
 			est := last.Estimates[l]
 			truth, ok := last.TrueLoss[l]
@@ -125,7 +133,7 @@ func main() {
 			if ok {
 				truthStr = fmt.Sprintf("%.4f", truth)
 			}
-			fmt.Printf("%-10s  %-9.4f  %-9s  %-8.4f  %d\n", l, est.Loss, truthStr, est.StdErr, est.Samples)
+			fmt.Fprintf(w, "%-10s  %-9.4f  %-9s  %-8.4f  %d\n", l, est.Loss, truthStr, est.StdErr, est.Samples)
 		}
 	}
 }

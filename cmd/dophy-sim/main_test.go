@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dophy"
@@ -64,5 +66,36 @@ func TestJSONReportsRealEpoch(t *testing.T) {
 	}
 	if g := m["generated"].(float64); g <= 0 {
 		t.Errorf("generated = %v", g)
+	}
+}
+
+// TestTextLinksTableOrder: the -links table lists every estimated link of
+// the final epoch once, in ascending (From, To) order. Report.Estimates is
+// a map, so the order exists only because runText sorts the keys.
+func TestTextLinksTableOrder(t *testing.T) {
+	sim, err := dophy.NewSimulation(dophy.Options{GridSide: 4, EpochSeconds: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	runText(&buf, sim, 1, true, false)
+	_, table, ok := strings.Cut(buf.String(), "per-link estimates (final epoch):\n")
+	if !ok {
+		t.Fatalf("no per-link table in:\n%s", buf.String())
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")[1:] // drop the header
+	if len(rows) < 10 {
+		t.Fatalf("only %d link rows:\n%s", len(rows), table)
+	}
+	var prev dophy.Link
+	for i, row := range rows {
+		var l dophy.Link
+		if _, err := fmt.Sscanf(row, "%d->%d", &l.From, &l.To); err != nil {
+			t.Fatalf("row %d %q: %v", i, row, err)
+		}
+		if i > 0 && (l.From < prev.From || l.From == prev.From && l.To <= prev.To) {
+			t.Fatalf("row %d: link %v after %v; want ascending (From, To)", i, l, prev)
+		}
+		prev = l
 	}
 }

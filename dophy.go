@@ -77,10 +77,11 @@ type Options struct {
 	GenPeriodSeconds float64
 	// EpochSeconds is the estimation epoch length (default 300).
 	EpochSeconds float64
-	// AggThreshold is Dophy optimisation 1 (default 3; 0 disables).
+	// AggThreshold is Dophy optimisation 1's aggregation threshold
+	// (default 3). Like every zero field, 0 means the default.
 	AggThreshold int
-	// UpdateEvery is Dophy optimisation 2's period in epochs (default 1;
-	// 0 disables model updates).
+	// UpdateEvery is Dophy optimisation 2's model-update period in epochs
+	// (default 1). Like every zero field, 0 means the default.
 	UpdateEvery int
 	// ParentChurn forces extra routing dynamics: probability per beacon of
 	// re-picking a random admissible parent (default 0).
@@ -157,21 +158,59 @@ type Simulation struct {
 	compare  bool
 }
 
+// validate rejects every non-finite float option and every negative
+// numeric option, so a malformed Options is an error rather than a panic
+// deep in the stack or a silent fall-back to a default.
+func (opt Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"UniformLoss", opt.UniformLoss},
+		{"GenPeriodSeconds", opt.GenPeriodSeconds},
+		{"EpochSeconds", opt.EpochSeconds},
+		{"ParentChurn", opt.ParentChurn},
+		{"FailureMTBF", opt.FailureMTBF},
+		{"FailureMTTR", opt.FailureMTTR},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("dophy: %s %v is not finite", f.name, f.v)
+		}
+		if f.v < 0 {
+			return fmt.Errorf("dophy: %s %v is negative", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"GridSide", opt.GridSide},
+		{"Nodes", opt.Nodes},
+		{"MaxRetx", opt.MaxRetx},
+		{"AggThreshold", opt.AggThreshold},
+		{"UpdateEvery", opt.UpdateEvery},
+		{"QueueCap", opt.QueueCap},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dophy: %s %d is negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // NewSimulation validates options, builds the network and runs the routing
 // warmup so the first epoch starts with an operational collection tree.
 func NewSimulation(opt Options) (*Simulation, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if opt.GridSide != 0 && opt.Nodes != 0 {
 		return nil, errors.New("dophy: GridSide and Nodes are mutually exclusive")
 	}
-	if opt.GridSide < 0 || opt.Nodes < 0 || opt.MaxRetx < 0 {
-		return nil, errors.New("dophy: negative option")
+	if opt.UniformLoss >= 1 {
+		return nil, fmt.Errorf("dophy: UniformLoss %v outside [0,1)", opt.UniformLoss)
 	}
-	if opt.UniformLoss < 0 || opt.UniformLoss >= 1 {
-		if opt.UniformLoss != 0 {
-			return nil, fmt.Errorf("dophy: UniformLoss %v outside [0,1)", opt.UniformLoss)
-		}
-	}
-	if opt.ParentChurn < 0 || opt.ParentChurn > 1 {
+	if opt.ParentChurn > 1 {
 		return nil, fmt.Errorf("dophy: ParentChurn %v outside [0,1]", opt.ParentChurn)
 	}
 
@@ -213,13 +252,7 @@ func NewSimulation(opt Options) (*Simulation, error) {
 	if opt.Dynamics != DynamicsStatic && opt.UniformLoss > 0 {
 		return nil, errors.New("dophy: UniformLoss requires DynamicsStatic")
 	}
-	if opt.QueueCap < 0 {
-		return nil, errors.New("dophy: QueueCap must be >= 0")
-	}
 	sc.Collect.QueueCap = opt.QueueCap
-	if opt.FailureMTBF < 0 || opt.FailureMTTR < 0 {
-		return nil, errors.New("dophy: failure times must be >= 0")
-	}
 	if opt.FailureMTBF > 0 {
 		sc.Radio.FailMTBF = sim.Time(opt.FailureMTBF)
 		mttr := opt.FailureMTTR

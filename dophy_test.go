@@ -1,6 +1,7 @@
 package dophy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -195,5 +196,66 @@ func TestNegativeOptionValidation(t *testing.T) {
 		if _, err := NewSimulation(opt); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestMalformedOptionsRejected: every non-finite float option and every
+// negative numeric option is an error, never a panic deep in the stack or
+// a silent fall-back to the default.
+func TestMalformedOptionsRejected(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"FailureMTBF +Inf", Options{FailureMTBF: inf}},
+		{"FailureMTTR +Inf", Options{FailureMTBF: 100, FailureMTTR: inf}},
+		{"UpdateEvery -3", Options{UpdateEvery: -3}},
+		{"ParentChurn NaN", Options{ParentChurn: nan}},
+		{"UniformLoss NaN", Options{UniformLoss: nan}},
+		{"FailureMTBF NaN", Options{FailureMTBF: nan}},
+		{"FailureMTTR NaN", Options{FailureMTBF: 100, FailureMTTR: nan}},
+		{"GenPeriodSeconds NaN", Options{GenPeriodSeconds: nan}},
+		{"GenPeriodSeconds +Inf", Options{GenPeriodSeconds: inf}},
+		{"GenPeriodSeconds -1", Options{GenPeriodSeconds: -1}},
+		{"EpochSeconds NaN", Options{EpochSeconds: nan}},
+		{"EpochSeconds +Inf", Options{EpochSeconds: inf}},
+		{"EpochSeconds -1", Options{EpochSeconds: -1}},
+		{"AggThreshold -1", Options{AggThreshold: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			tc.opt.GridSide = 3
+			if _, err := NewSimulation(tc.opt); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
+// TestZeroMeansDefault: AggThreshold and UpdateEvery have no off switch.
+// Like every zero Options field, 0 selects the default (3 and 1).
+func TestZeroMeansDefault(t *testing.T) {
+	run := func(opt Options) string {
+		opt.GridSide, opt.Seed, opt.EpochSeconds = 4, 11, 200
+		sim, err := NewSimulation(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		for e := 0; e < 2; e++ {
+			out += fmt.Sprintf("%v\n", *sim.RunEpoch())
+		}
+		return out
+	}
+	if zero, def := run(Options{AggThreshold: 0}), run(Options{AggThreshold: 3}); zero != def {
+		t.Errorf("AggThreshold 0 differs from the default 3:\n%s\nvs\n%s", zero, def)
+	}
+	if zero, def := run(Options{UpdateEvery: 0}), run(Options{UpdateEvery: 1}); zero != def {
+		t.Errorf("UpdateEvery 0 differs from the default 1:\n%s\nvs\n%s", zero, def)
 	}
 }

@@ -489,7 +489,6 @@ func (d *Dophy) EndEpoch() *EpochReport {
 			if obs.Total() == 0 {
 				continue
 			}
-			//dophy:allow valrange -- Config.validate panics unless ObsDecay is in [0,1]
 			obs.Decay(d.cfg.ObsDecay)
 			if obs.Total() < 0.5 {
 				obs.Clear()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dophy/internal/rng"
@@ -152,6 +153,55 @@ func TestTopoSpecBuilders(t *testing.T) {
 		if tp.N() != wantN[i] {
 			t.Fatalf("spec %d built %d nodes, want %d", i, tp.N(), wantN[i])
 		}
+	}
+}
+
+// TestScoreConcurrentCallers: dophy-bench runs experiments on parallel
+// goroutines, and each scores its own runs, so scoring must share nothing
+// between callers. Concurrent MeanAccuracy calls must agree with a
+// sequential one; under -race, any shared scratch is a data race.
+func TestScoreConcurrentCallers(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Topo = GridSpec(4)
+	sc.Epochs = 2
+	sc.EpochLen = 150
+	res := Run(sc)
+	schemes := []string{SchemeDophy, SchemeMINC, SchemeLSQ}
+	want := make([]string, len(schemes))
+	for i, s := range schemes {
+		want[i] = fmt.Sprint(res.MeanAccuracy(s))
+	}
+	got := make([]string, len(schemes))
+	var wg sync.WaitGroup
+	for i, s := range schemes {
+		wg.Add(1)
+		go func(i int, s string) {
+			defer wg.Done()
+			got[i] = fmt.Sprint(res.MeanAccuracy(s))
+		}(i, s)
+	}
+	wg.Wait()
+	for i, s := range schemes {
+		if got[i] != want[i] {
+			t.Errorf("%s scored concurrently = %s, sequentially = %s", s, got[i], want[i])
+		}
+	}
+}
+
+// TestRadioSpecRejectsOutOfRangeLoss: a uniform loss outside [0, 1] is a
+// malformed scenario. Build must panic rather than let the radio model
+// clamp it into a silent 0% or 100% loss.
+func TestRadioSpecRejectsOutOfRangeLoss(t *testing.T) {
+	tp := GridSpec(3).Build(rng.New(1))
+	for _, loss := range []float64{-0.1, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("UniformLoss %v: Build did not panic", loss)
+				}
+			}()
+			RadioSpec{Kind: RadioUniformLoss, UniformLoss: loss}.Build(tp, 1)
+		}()
 	}
 }
 

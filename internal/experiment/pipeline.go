@@ -75,17 +75,17 @@ type sinkBatch struct {
 // goroutine sees nothing but its channel ends and the feeder. Between join
 // and the next start the feeder is the caller's again (harvest reads it).
 type sinkStage struct {
-	to   journeyFeeder //dophy:owner immutable -- the pointer; the feeder belongs to the sink goroutine between start and join
-	pool journeyPool   //dophy:owner immutable
+	to   journeyFeeder // belongs to the sink goroutine between start and join
+	pool journeyPool
 
-	cur  *sinkBatch      //dophy:owner engine -- the batch being filled; nil outside start..join
-	idle []*sinkBatch    //dophy:owner engine -- every batch, between join and the next start
-	full chan *sinkBatch //dophy:owner engine -- simulation to sink; room for every batch, so a send never blocks
-	done chan *sinkBatch //dophy:owner engine -- sink to simulation: fed batches, still holding their journeys
+	cur  *sinkBatch      // the batch being filled; nil outside start..join
+	idle []*sinkBatch    // every batch, between join and the next start
+	full chan *sinkBatch // simulation to sink; room for every batch, so a send never blocks
+	done chan *sinkBatch // sink to simulation: fed batches, still holding their journeys
 
 	// waitNs is the simulation side's wall time blocked on the sink: waiting
 	// for a free batch (back-pressure) and the join at the epoch's end.
-	waitNs int64 //dophy:owner engine
+	waitNs int64
 }
 
 func newSinkStage(to journeyFeeder, pool journeyPool) *sinkStage {
@@ -120,7 +120,7 @@ func (st *sinkStage) add(j *collect.PacketJourney) {
 	bt := st.cur
 	bt.js = append(bt.js, j)
 	if len(bt.js) == sinkBatchLen {
-		//dophy:transfers -- the batch and its journeys belong to the sink goroutine until it sends the batch back
+		// the batch and its journeys belong to the sink goroutine until it sends the batch back
 		st.full <- bt
 		st.cur = st.take()
 	}
@@ -140,7 +140,7 @@ func (st *sinkStage) take() *sinkBatch {
 func (st *sinkStage) reclaim(bt *sinkBatch) {
 	for i, j := range bt.js {
 		bt.js[i] = nil
-		st.pool.recycle(j) //dophy:transfers -- j goes back to its network's free list
+		st.pool.recycle(j) // j goes back to its network's free list
 	}
 	bt.js = bt.js[:0]
 }
@@ -151,7 +151,7 @@ func (st *sinkStage) reclaim(bt *sinkBatch) {
 func (st *sinkStage) join() {
 	bt := st.cur
 	st.cur = nil
-	//dophy:transfers -- the partial (possibly empty) batch goes to the sink like any other
+	// the partial (possibly empty) batch goes to the sink like any other
 	st.full <- bt
 	close(st.full)
 	t0 := nowNanos()
@@ -166,21 +166,19 @@ func (st *sinkStage) join() {
 // spawnSink starts an epoch's sink goroutine; like spawnEst it makes the
 // hand-off a single annotated statement.
 func spawnSink(to journeyFeeder, full <-chan *sinkBatch, done chan<- *sinkBatch) {
-	//dophy:transfers -- the feeder and both channel ends belong to the sink goroutine until done closes
+	// the feeder and both channel ends belong to the sink goroutine until done closes
 	go sinkLoop(to, full, done)
 }
 
 // sinkLoop feeds batches in arrival order and hands each back once fed. It
 // closes done when full closes, which is join's signal that the epoch's
 // sink work is complete.
-//
-//dophy:window
 func sinkLoop(to journeyFeeder, full <-chan *sinkBatch, done chan<- *sinkBatch) {
 	for bt := range full {
 		for _, j := range bt.js {
 			to.feed(j)
 		}
-		//dophy:transfers -- the fed batch returns to the simulation side, which recycles its journeys
+		// the fed batch returns to the simulation side, which recycles its journeys
 		done <- bt
 	}
 	close(done)
@@ -194,9 +192,9 @@ type epochCut struct {
 	// The outcome travels with the cut: once the cut is sent, the estimation
 	// stage owns it and finishes it (the one sanctioned write through a cut).
 	//
-	//dophy:transfers -- ownership of the outcome moves with the cut to the estimation stage
-	out *EpochOutcome   //dophy:owner immutable -- built by cutEpoch; the estimation stage finishes and returns it
-	obs *epochobs.Epoch //dophy:owner immutable -- the estimators' input; nothing writes it after cutEpoch
+	// ownership of the outcome moves with the cut to the estimation stage
+	out *EpochOutcome   // built by cutEpoch; the estimation stage finishes and returns it
+	obs *epochobs.Epoch // the estimators' input; nothing writes it after cutEpoch
 }
 
 // estBank is the estimation stage's state: the inference estimators whose
@@ -204,9 +202,9 @@ type epochCut struct {
 // bank — the caller of RunEpoch, or the single estimation goroutine under
 // runEpochs — may call estimate.
 type estBank struct {
-	lt      *topo.LinkTable //dophy:owner immutable
-	mincEst *minc.Estimator //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
-	lsqEst  *lsq.Estimator  //dophy:owner immutable -- the pointer; the estimator's own scratch mutates only under estimate
+	lt      *topo.LinkTable
+	mincEst *minc.Estimator // its scratch mutates only under estimate
+	lsqEst  *lsq.Estimator  // its scratch mutates only under estimate
 }
 
 // newEstBank builds the MINC/LSQ estimator pair.
@@ -222,10 +220,6 @@ func newEstBank(lt *topo.LinkTable, maxAttempts int) *estBank {
 // EpochOutcome. Called once per cut, in epoch order. A nil bank (a
 // Dophy-only schemeBank) has no inference stage and returns the outcome
 // as harvested.
-//
-//dophy:window
-//dophy:readonly c -- the cut is shared with the simulation side's run totals; only the transferred outcome may be written
-//dophy:effects noglobals -- estimation must not touch package state: the pipeline runs it concurrently with the simulator
 func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 	eo := c.out
 	if b == nil {
@@ -245,15 +239,13 @@ func (b *estBank) estimate(c *epochCut) *EpochOutcome {
 // nothing it passed — the bank and both channel ends belong to the
 // estimation goroutine until outs is closed.
 func spawnEst(b *estBank, cuts <-chan *epochCut, outs chan<- *EpochOutcome) {
-	//dophy:transfers -- the bank and channels belong to the estimation goroutine until outs closes
+	// the bank and channels belong to the estimation goroutine until outs closes
 	go estLoop(b, cuts, outs)
 }
 
 // estLoop drains cuts in order, estimating each and forwarding the
 // finished outcome. It closes outs when cuts closes, which is the
 // pipeline's termination signal.
-//
-//dophy:window
 func estLoop(b *estBank, cuts <-chan *epochCut, outs chan<- *EpochOutcome) {
 	for c := range cuts {
 		outs <- b.estimate(c)
@@ -292,7 +284,7 @@ func runEpochs(sc Scenario, e epochEngine, est *estBank) *RunResult {
 		// receive side only collects finished outcomes.
 		totalPackets += c.out.Truth.Delivered
 		totalChanges += c.out.Truth.ParentChanges
-		//dophy:transfers -- the cut belongs to the estimation goroutine once sent
+		// the cut belongs to the estimation goroutine once sent
 		cuts <- c
 		if ep >= 1 {
 			add(<-outs)

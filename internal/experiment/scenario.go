@@ -91,8 +91,6 @@ type RadioSpec struct {
 }
 
 // Build instantiates the radio model.
-//
-//dophy:readonly t -- every model shares the one topology; construction must not rewrite it
 func (rs RadioSpec) Build(t *topo.Topology, seed uint64) radio.Model {
 	bp := radio.DefaultBase()
 	var m radio.Model
@@ -185,9 +183,6 @@ type SchemeEpoch struct {
 }
 
 // LossAt returns the scheme's estimate for one link.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) LossAt(l topo.Link) (float64, bool) {
 	if s.Table == nil {
 		return 0, false
@@ -200,9 +195,6 @@ func (s *SchemeEpoch) LossAt(l topo.Link) (float64, bool) {
 }
 
 // NumEstimated counts links the scheme estimated this epoch.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) NumEstimated() int {
 	n := 0
 	for _, v := range s.Loss {
@@ -214,9 +206,6 @@ func (s *SchemeEpoch) NumEstimated() int {
 }
 
 // BitsPerPacket is the mean in-packet cost.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) BitsPerPacket() float64 {
 	if s.Packets == 0 {
 		return 0
@@ -225,9 +214,6 @@ func (s *SchemeEpoch) BitsPerPacket() float64 {
 }
 
 // BitsPerHop is the mean per-hop annotation cost.
-//
-//dophy:readonly recv -- scheme epochs are results; readers must not rewrite them
-//dophy:effects noglobals
 func (s *SchemeEpoch) BitsPerHop() float64 {
 	if s.Hops == 0 {
 		return 0
@@ -247,9 +233,6 @@ type Accuracy struct {
 }
 
 // Score computes Accuracy for a scheme epoch against the trace epoch.
-//
-//dophy:readonly se truth -- scoring compares two finished artefacts; it owns neither
-//dophy:effects noglobals
 func Score(se *SchemeEpoch, truth *trace.Epoch, minAttempts int64) Accuracy {
 	active := truth.ActiveLinkCount(minAttempts)
 	// Table order is ascending (From, To), so the float summations below

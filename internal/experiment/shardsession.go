@@ -60,8 +60,6 @@ type ShardStats struct {
 // source shard. It implements routing.Fabric and collect.Fabric. Each
 // shard gets its own instance so the hop-carrier pool below is
 // single-writer.
-//
-//dophy:owner shard
 type shardFabric struct {
 	s    *ShardedSession
 	src  topo.ShardID
@@ -71,12 +69,8 @@ type shardFabric struct {
 // hopCarrier is a pooled continuation for same-shard packet arrivals — the
 // sharded counterpart of collect's hopCont. Cross-shard arrivals allocate a
 // closure instead: they are the cut fraction, and pooling across shards
-// would make the free lists multi-writer. The pool hand-off in run is a
-// //dophy:transfers point: once a carrier is back on the free list the
-// sendown rule forbids touching it, which is what makes the pooled
-// recycling provably safe inside the concurrency boundary.
-//
-//dophy:owner shard
+// would make the free lists multi-writer. Once a carrier is back on the
+// free list the next carrier() owns it, so run must not touch it again.
 type hopCarrier struct {
 	f  *shardFabric
 	to topo.NodeID
@@ -86,16 +80,15 @@ type hopCarrier struct {
 }
 
 // run is the carrier's continuation: it reads its payload into locals,
-// returns itself to the pool, and only then delivers — the canonical
-// hand-off shape the sendown rule enforces (no field of c may be touched
-// after the pool append).
+// returns itself to the pool, and only then delivers: Arrive may take the
+// same carrier from the pool, so no field of c may be touched after the
+// pool append.
 //
 //dophy:hotpath
-//dophy:window
 func (c *hopCarrier) run() {
 	f, to, j := c.f, c.to, c.j
 	c.j = nil
-	//dophy:transfers -- c is back on the free list; the next carrier() owns it
+	// c is back on the free list; the next carrier() owns it
 	f.free = append(f.free, c)
 	f.s.nws[f.src].Arrive(to, j)
 }
@@ -122,25 +115,23 @@ func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarr
 // the current window.
 //
 //dophy:hotpath
-//dophy:window
 func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
 	s := f.s
 	dst := s.owner[to]
 	if dst == f.src {
-		//dophy:transfers -- the pooled carrier now owns j until it lands
+		// the pooled carrier now owns j until it lands
 		s.eng.Sub(f.src).Schedule(at, f.carrier(to, j).fn)
 		return
 	}
 	nw := s.nws[dst]
 	//dophy:allow hotpathalloc -- cross-shard forward: the closure carries the journey over the barrier; cut traffic only
-	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) //dophy:transfers -- j rides the outbox to shard dst; this shard may not touch it again
+	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) // j rides the outbox to shard dst; this shard may not touch it again
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
 // after the configured beacon latency.
 //
 //dophy:hotpath
-//dophy:window
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
 	s := f.s
 	dst := s.owner[to]
@@ -164,32 +155,32 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 // next window. Windows partition virtual time, so the concatenation of
 // per-window flushes is itself globally sorted and identical at any K.
 type ShardedSession struct {
-	sc        Scenario        //dophy:owner immutable
-	sp        ShardSpec       //dophy:owner immutable
-	lookahead sim.Time        //dophy:owner immutable
-	tp        *topo.Topology  //dophy:owner immutable
-	lt        *topo.LinkTable //dophy:owner immutable
-	eng       *shard.Engine   //dophy:owner immutable -- the coordinator handle; windowing happens inside it
-	owner     []topo.ShardID  //dophy:owner immutable -- topo.Partition's node->shard map
-	cutLinks  int             //dophy:owner immutable
-	// Per-shard stacks: window code reaches them only through a typed
-	// ShardID index, so shards provably never alias each other's state.
-	recs   []*trace.Recorder   //dophy:owner shard
-	protos []*routing.Protocol //dophy:owner shard
-	nws    []*collect.Network  //dophy:owner shard
-	fabs   []*shardFabric      //dophy:owner shard
+	sc        Scenario
+	sp        ShardSpec
+	lookahead sim.Time
+	tp        *topo.Topology
+	lt        *topo.LinkTable
+	eng       *shard.Engine  // the coordinator handle; windowing happens inside it
+	owner     []topo.ShardID // topo.Partition's node->shard map
+	cutLinks  int
+	// Per-shard stacks: code running inside a window reaches them only
+	// through its own shard's ShardID index.
+	recs   []*trace.Recorder
+	protos []*routing.Protocol
+	nws    []*collect.Network
+	fabs   []*shardFabric
 	//dophy:allow poolescape -- finished journeys wait here only until the next flush hands them to the sink stage, which recycles them
-	bufs [][]*collect.PacketJourney //dophy:owner shard -- journeys completed since the last flush, per shard
+	bufs [][]*collect.PacketJourney // journeys completed since the last flush, per shard
 	//dophy:allow poolescape -- flush scratch: cleared before flush returns
-	fmerge []*collect.PacketJourney //dophy:owner engine -- flush merge scratch
+	fmerge []*collect.PacketJourney // flush merge scratch
 
 	// The scheme bank's sink stage is driven from the coordinator: each
 	// barrier's sorted journeys go to it, and its goroutine feeds them while
 	// the workers run the next window.
-	bank *schemeBank //dophy:owner engine
+	bank *schemeBank
 
-	epoch          int   //dophy:owner engine
-	lastQueueDrops int64 //dophy:owner engine
+	epoch          int
+	lastQueueDrops int64
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
@@ -289,13 +280,10 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 }
 
 // bufferJourney parks a journey completed by shard k until the next flush.
-// It runs as collect's completion subscriber inside k's window, which the
-// annotation declares — subscriber dispatch is a function value the call
-// graph cannot see through.
-//
-//dophy:window
+// It runs as collect's completion subscriber inside k's window, so it may
+// touch only shard k's state.
 func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney) {
-	//dophy:transfers -- j is parked for the coordinator; the shard is done with it
+	// j is parked for the coordinator; the shard is done with it
 	s.bufs[k] = append(s.bufs[k], j)
 }
 
@@ -304,8 +292,6 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 // global feed sequence is identical at every shard count — and hands it to
 // the scheme bank's sink stage. Runs on the coordinator: at window barriers
 // for K > 1, after Run returns for K == 1.
-//
-//dophy:barrier
 func (s *ShardedSession) flush() {
 	m := s.fmerge[:0]
 	for k := range s.bufs {
@@ -329,8 +315,6 @@ func (s *ShardedSession) flush() {
 // recycle returns a journey the sink has fed to the pool of the shard that
 // generated it. The sink stage calls it from flush and cutEpoch, so it runs
 // with the workers parked.
-//
-//dophy:barrier
 func (s *ShardedSession) recycle(j *collect.PacketJourney) {
 	s.nws[s.owner[j.Origin]].Recycle(j)
 }
@@ -364,8 +348,6 @@ func (s *ShardedSession) Topology() *topo.Topology { return s.tp }
 
 // BeaconsSent sums the control-plane cost over all shards. Like every
 // cross-shard reader below, it must only run with the workers parked.
-//
-//dophy:barrier
 func (s *ShardedSession) BeaconsSent() int64 {
 	var total int64
 	for _, p := range s.protos {
@@ -378,8 +360,6 @@ func (s *ShardedSession) BeaconsSent() int64 {
 func (s *ShardedSession) Events() uint64 { return s.eng.Processed() }
 
 // Routed counts nodes (excluding the sink) that currently have a parent.
-//
-//dophy:barrier
 func (s *ShardedSession) Routed() int {
 	n := 0
 	for _, p := range s.protos {
@@ -401,8 +381,6 @@ func (s *ShardedSession) Stats() ShardStats {
 }
 
 // queueDrops sums congestion losses over all shards.
-//
-//dophy:barrier
 func (s *ShardedSession) queueDrops() int64 {
 	var total int64
 	for _, nw := range s.nws {
@@ -414,8 +392,6 @@ func (s *ShardedSession) queueDrops() int64 {
 // cutEpoch advances the simulation one epoch and harvests the scheme bank,
 // the first stage of RunEpoch (see Session.cutEpoch). It drains per-shard
 // recorders, so it runs strictly between Run windows.
-//
-//dophy:barrier
 func (s *ShardedSession) cutEpoch() *epochCut {
 	s.epoch++
 	s.bank.sink.start()

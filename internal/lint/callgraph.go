@@ -85,13 +85,7 @@ type FuncNode struct {
 	// Hot is set when the declaration carries a //dophy:hotpath annotation.
 	Hot    bool
 	HotPos token.Pos
-	// Window and Barrier capture the //dophy:window / //dophy:barrier
-	// concurrency-contract annotations (contracts.go).
-	Window     bool
-	WindowPos  token.Pos
-	Barrier    bool
-	BarrierPos token.Pos
-	Calls      []Edge
+	Calls  []Edge
 	// callers is the reverse adjacency, filled after all edges exist.
 	callers []callerRef
 }
@@ -161,14 +155,6 @@ func (m *Module) CallGraph() *CallGraph {
 						if isHotPragma(c.Text) {
 							node.Hot = true
 							node.HotPos = c.Pos()
-						}
-						if _, ok := directiveArg(c.Text, WindowPragma); ok {
-							node.Window = true
-							node.WindowPos = c.Pos()
-						}
-						if _, ok := directiveArg(c.Text, BarrierPragma); ok {
-							node.Barrier = true
-							node.BarrierPos = c.Pos()
 						}
 					}
 				}

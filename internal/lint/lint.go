@@ -32,9 +32,7 @@ type Rule interface {
 // AllRules returns the full rule catalogue.
 func AllRules() []Rule {
 	return []Rule{
-		ruleMapRange{}, rulePoolEscape{}, ruleDenseBound{}, ruleHotPathAlloc{}, ruleDetermFlow{},
-		ruleIdxDomain{}, ruleValRange{}, ruleExhaustive{}, ruleOwnerCross{}, ruleSendOwn{},
-		ruleBarrierOrder{}, ruleBorrowSpan{}, ruleReadOnly{}, ruleEffects{},
+		rulePoolEscape{}, ruleDenseBound{}, ruleHotPathAlloc{}, ruleDetermFlow{},
 	}
 }
 

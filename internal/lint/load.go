@@ -5,7 +5,7 @@
 // The engine loads every package in the module (respecting //go:build
 // constraints for a configurable tag set), type-checks them against each
 // other with a module-local importer, and applies one Rule per
-// determinism/ownership invariant. See rules.go for the rule catalogue and
+// determinism/ownership invariant. See AllRules for the rule catalogue and
 // DESIGN.md ("Determinism & invariants") for the contract being enforced.
 //
 // Diagnostics can be waived in place with a pragma comment on the offending
@@ -77,36 +77,9 @@ type Module struct {
 	pidx       *pragmaIndex
 	taintFor   *pragmaIndex
 	taintDiags []hotDiag
-	// dfSums/dfDiags/dfDone cache the abstract-interpretation layer shared
-	// by the idxdomain and valrange rules (dataflow.go): function return
-	// summaries and the whole-module diagnostic set, both pragma-independent.
-	dfSums  map[*types.Func]absVal
-	dfDiags []dfDiag
-	dfDone  bool
-	// enums caches the per-named-type member sets the exhaustive rule
-	// derives from package scopes (domain_rules.go).
-	enums map[*types.Named][]enumMember
-	// conInfo/conDiags/conDone cache the concurrency-contract layer
-	// (contracts.go): parsed annotations and the whole-module diagnostics of
-	// the ownercross/sendown/barrierorder rules, both pragma-independent.
-	conInfo  *contractInfo
-	conDiags []contractDiag
-	conDone  bool
-	// bwInfo/bwDiags/bwDone cache the borrow layer (borrow.go): parsed
-	// //dophy:returns / //dophy:invalidates annotations and the borrowspan
-	// rule's whole-module diagnostics.
-	bwInfo  *borrowInfo
-	bwDiags []contractDiag
-	bwDone  bool
-	// effInfo/effSums/effFacts/effDiags/effDone cache the write-effect layer
-	// (effects.go): parsed //dophy:readonly / //dophy:effects annotations,
-	// per-function write-effect summaries and per-node violation facts, and
-	// the readonly/effects rules' whole-module diagnostics.
-	effInfo  *effectsInfo
-	effSums  map[*FuncNode]*effectSummary
-	effFacts map[*FuncNode]*effFacts
-	effDiags []contractDiag
-	effDone  bool
+	// bounds caches the parsed //dophy:concurrency-boundary pragmas that
+	// determflow reads (taint.go).
+	bounds map[*File]*boundaryFile
 }
 
 // LoadConfig parameterises module loading.

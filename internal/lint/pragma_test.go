@@ -15,10 +15,10 @@ const pragmaSrc = `package p
 //dophy:allow hotpathalloc determflow -- both flagged for the same reason
 var a int
 
-//dophy:allow maprange
+//dophy:allow densebound
 var b int
 
-//dophy:allowx maprange -- not a pragma
+//dophy:allowx densebound -- not a pragma
 var c int
 
 //dophy:allow -- nameless
@@ -46,7 +46,7 @@ func fixtureIndex(t *testing.T) *pragmaIndex {
 		all:   ps,
 		byLoc: map[allowKey]*pragma{},
 		unknown: map[string]bool{
-			"hotpathalloc": true, "determflow": true, "maprange": true,
+			"hotpathalloc": true, "determflow": true, "densebound": true,
 			pragmaRuleName: true,
 		},
 	}
@@ -74,8 +74,8 @@ func TestParsePragmas(t *testing.T) {
 		t.Errorf("multi-rule pragma reason = %q", multi.reason)
 	}
 	noReason := ps[1]
-	if len(noReason.rules) != 1 || noReason.rules[0] != "maprange" {
-		t.Errorf("reasonless pragma parsed rules %v, want [maprange]", noReason.rules)
+	if len(noReason.rules) != 1 || noReason.rules[0] != "densebound" {
+		t.Errorf("reasonless pragma parsed rules %v, want [densebound]", noReason.rules)
 	}
 	if noReason.reason != "" {
 		t.Errorf("pragma without -- should have empty reason, got %q", noReason.reason)
@@ -107,7 +107,7 @@ func TestPragmaWaiverPlacement(t *testing.T) {
 	if idx.allowedLine("hotpathalloc", file, pragmaLine+2) {
 		t.Errorf("waiver leaked two lines below the pragma")
 	}
-	if idx.allowedLine("maprange", file, pragmaLine) {
+	if idx.allowedLine("densebound", file, pragmaLine) {
 		t.Errorf("rule not named by the pragma was waived")
 	}
 }
@@ -158,7 +158,7 @@ func TestStalePragmaDiags(t *testing.T) {
 	if byMsg["stale waiver: //dophy:allow hotpathalloc suppresses nothing here; delete it"] {
 		t.Errorf("used rule reported stale")
 	}
-	for _, r := range []string{"determflow", "maprange"} {
+	for _, r := range []string{"determflow", "densebound"} {
 		if !byMsg["stale waiver: //dophy:allow "+r+" suppresses nothing here; delete it"] {
 			t.Errorf("unused rule %s not reported stale; got %v", r, stale)
 		}

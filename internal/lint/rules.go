@@ -8,198 +8,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Rule maprange: no output-order dependence on map iteration.
-//
-// Ranging over a map is fine for commutative accumulation (building another
-// map, summing). It is a determinism bug as soon as the body emits anything
-// ordered: printing, writing to an io.Writer, or appending to a result
-// slice. The one exempt shape is the sorted-keys idiom — a loop that only
-// collects the keys into a slice that a later sort.* / slices.* call orders.
-// ---------------------------------------------------------------------------
-
-type ruleMapRange struct{}
-
-func (ruleMapRange) Name() string { return "maprange" }
-
-// printLike are the fmt functions that produce ordered output.
-var printLike = map[string]bool{
-	"Print": true, "Printf": true, "Println": true,
-	"Fprint": true, "Fprintf": true, "Fprintln": true,
-	"Sprint": true, "Sprintf": true, "Sprintln": true,
-}
-
-// writerMethods are method names treated as io.Writer-style ordered sinks.
-var writerMethods = map[string]bool{
-	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
-}
-
-func (ruleMapRange) Check(m *Module, pkg *Package, report func(pos token.Pos, format string, args ...any)) {
-	for _, file := range pkg.Files {
-		fmtNames := importNames(file.AST, "fmt")
-		ioNames := importNames(file.AST, "io")
-		sortNames := append(importNames(file.AST, "sort"), importNames(file.AST, "slices")...)
-		var stack []ast.Node
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			if rs, ok := n.(*ast.RangeStmt); ok {
-				checkMapRange(pkg, rs, enclosingFuncBody(stack), fmtNames, ioNames, sortNames, report)
-			}
-			return true
-		})
-	}
-}
-
-// enclosingFuncBody returns the body of the innermost function on the stack.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
-}
-
-func checkMapRange(pkg *Package, rs *ast.RangeStmt, fnBody *ast.BlockStmt,
-	fmtNames, ioNames, sortNames []string, report func(pos token.Pos, format string, args ...any)) {
-	tv, ok := pkg.Info.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	var keyObj types.Object
-	if id, ok := rs.Key.(*ast.Ident); ok && id.Name != "_" {
-		keyObj = objectOf(pkg.Info, id)
-	}
-
-	// Taint scan of the loop body.
-	var keyTargets []types.Object // slices receiving only the range key
-	tainted := false
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if tainted {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := isPkgSelector(v.Fun, fmtNames); ok && printLike[sel.Sel.Name] && resolvesToPackage(pkg.Info, sel) {
-				tainted = true
-				report(rs.Pos(), "map iteration order leaks into output: fmt.%s inside range over map; iterate sorted keys instead", sel.Sel.Name)
-				return false
-			}
-			if sel, ok := isPkgSelector(v.Fun, ioNames); ok && sel.Sel.Name == "WriteString" && resolvesToPackage(pkg.Info, sel) {
-				tainted = true
-				report(rs.Pos(), "map iteration order leaks into output: io.WriteString inside range over map; iterate sorted keys instead")
-				return false
-			}
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && writerMethods[sel.Sel.Name] {
-				if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-					tainted = true
-					report(rs.Pos(), "map iteration order leaks into output: %s call inside range over map; iterate sorted keys instead", sel.Sel.Name)
-					return false
-				}
-			}
-		case *ast.AssignStmt:
-			if v.Tok != token.ASSIGN {
-				return true
-			}
-			for i, lhs := range v.Lhs {
-				if i >= len(v.Rhs) {
-					break
-				}
-				target, appended, ok := appendSelf(pkg, lhs, v.Rhs[i])
-				if !ok || target == nil {
-					continue
-				}
-				// Only accumulation into slices that outlive the loop counts.
-				if target.Pos() >= rs.Pos() && target.Pos() < rs.End() {
-					continue
-				}
-				if keyObj != nil && len(appended) == 1 {
-					if id, ok := appended[0].(*ast.Ident); ok && objectOf(pkg.Info, id) == keyObj {
-						keyTargets = append(keyTargets, target)
-						continue
-					}
-				}
-				tainted = true
-				report(rs.Pos(), "appending map-ordered values to %q inside range over map; iterate sorted keys instead", target.Name())
-				return false
-			}
-		}
-		return true
-	})
-	if tainted {
-		return
-	}
-	// Sorted-keys idiom: the collected key slices must actually be sorted
-	// after the loop.
-	for _, target := range keyTargets {
-		if !sortedAfter(pkg, fnBody, rs.End(), target, sortNames) {
-			report(rs.Pos(), "map keys collected into %q but never sorted afterwards; sort before consuming", target.Name())
-		}
-	}
-}
-
-// appendSelf matches the accumulation form `x = append(x, args...)` and
-// returns x's object plus the appended argument expressions.
-func appendSelf(pkg *Package, lhs ast.Expr, rhs ast.Expr) (types.Object, []ast.Expr, bool) {
-	lid, ok := lhs.(*ast.Ident)
-	if !ok {
-		return nil, nil, false
-	}
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || len(call.Args) < 2 {
-		return nil, nil, false
-	}
-	fn, ok := call.Fun.(*ast.Ident)
-	if !ok || fn.Name != "append" {
-		return nil, nil, false
-	}
-	arg0, ok := call.Args[0].(*ast.Ident)
-	if !ok || arg0.Name != lid.Name {
-		return nil, nil, false
-	}
-	return objectOf(pkg.Info, lid), call.Args[1:], true
-}
-
-// sortedAfter reports whether a sort./slices. call mentioning target appears
-// after pos within the function body.
-func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, target types.Object, sortNames []string) bool {
-	if fnBody == nil || len(sortNames) == 0 {
-		return false
-	}
-	found := false
-	ast.Inspect(fnBody, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos {
-			return true
-		}
-		if _, ok := isPkgSelector(call.Fun, sortNames); !ok {
-			return true
-		}
-		ast.Inspect(call, func(inner ast.Node) bool {
-			if id, ok := inner.(*ast.Ident); ok && objectOf(pkg.Info, id) == target {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// ---------------------------------------------------------------------------
 // Rule poolescape: pooled objects must not be retained across packages.
 //
 // A type fed by a free list (e.g. collect.hopCont) is recycled: the pointer is
@@ -418,20 +226,4 @@ func linkKeyed(m *Module) func(types.Type) *types.TypeName {
 		}
 		return nil
 	}
-}
-
-// resolvesToPackage confirms (when type information is available) that the
-// selector's base identifier really is a package name and not a shadowing
-// local variable. With no resolution recorded it errs on the side of
-// reporting.
-func resolvesToPackage(info *types.Info, sel *ast.SelectorExpr) bool {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if obj := info.Uses[id]; obj != nil {
-		_, isPkg := obj.(*types.PkgName)
-		return isPkg
-	}
-	return true
 }

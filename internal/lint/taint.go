@@ -39,10 +39,10 @@ import (
 // boundary pragma's own hygiene (a justification, and at least one go
 // statement in the file) is reported under determflow as well.
 //
-// determflow also extends maprange inter-procedurally: ranging over a map
-// while calling a module function that transitively writes ordered output
-// (fmt.Print/Fprint family or io.Writer-style methods) leaks iteration
-// order just as surely as printing inline.
+// determflow also follows map iteration order inter-procedurally: ranging
+// over a map while calling a module function that transitively writes
+// ordered output (fmt.Print/Fprint family or io.Writer-style methods)
+// leaks iteration order into that output.
 // ---------------------------------------------------------------------------
 
 const determRuleName = "determflow"
@@ -57,7 +57,79 @@ func (ruleDetermFlow) Check(m *Module, pkg *Package, report func(pos token.Pos, 
 			report(d.pos, d.format, d.args...)
 		}
 	}
-	m.replayContractDiags(determRuleName, pkg, report)
+	// Boundary hygiene: a boundary needs a justification, and a boundary
+	// that spawns nothing protects nothing.
+	for _, file := range pkg.Files {
+		bf := m.boundaries()[file]
+		if bf == nil {
+			continue
+		}
+		if bf.reason == "" {
+			report(bf.pos, "concurrency-boundary pragma has no justification; append ' -- <why this boundary preserves determinism>'")
+		}
+		if bf.goStmts == 0 {
+			report(bf.pos, "file declares a concurrency boundary but spawns no goroutines; delete the pragma")
+		}
+	}
+}
+
+// BoundaryPragma sanctions the go statements of the file that carries it:
+//
+//	//dophy:concurrency-boundary -- <why this boundary preserves determinism>
+//
+// The pragma is file-scoped, so a go statement elsewhere in the same
+// package is still a determflow source.
+const BoundaryPragma = "//dophy:concurrency-boundary"
+
+// boundaryFile is one file carrying a //dophy:concurrency-boundary pragma.
+type boundaryFile struct {
+	pos     token.Pos
+	reason  string
+	goStmts int // go statements in the file; zero means the pragma is stale
+}
+
+// boundaries parses (once) every concurrency-boundary pragma in the module.
+func (m *Module) boundaries() map[*File]*boundaryFile {
+	if m.bounds != nil {
+		return m.bounds
+	}
+	m.bounds = map[*File]*boundaryFile{}
+	for _, pkg := range m.Packages {
+		for _, file := range pkg.Files {
+			for _, cg := range file.AST.Comments {
+				for _, cm := range cg.List {
+					arg, ok := directiveArg(cm.Text, BoundaryPragma)
+					if !ok || m.bounds[file] != nil {
+						continue
+					}
+					_, reason, _ := strings.Cut(arg, "--")
+					bf := &boundaryFile{pos: cm.Pos(), reason: strings.TrimSpace(reason)}
+					ast.Inspect(file.AST, func(n ast.Node) bool {
+						if _, isGo := n.(*ast.GoStmt); isGo {
+							bf.goStmts++
+						}
+						return true
+					})
+					m.bounds[file] = bf
+				}
+			}
+		}
+	}
+	return m.bounds
+}
+
+// directiveArg matches text against a //dophy: directive prefix and returns
+// the trimmed remainder. The prefix must be followed by whitespace or
+// nothing, so near-misses like //dophy:concurrency-boundaryx do not match.
+func directiveArg(text, prefix string) (string, bool) {
+	rest, ok := strings.CutPrefix(text, prefix)
+	if !ok {
+		return "", false
+	}
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return "", false
+	}
+	return strings.TrimSpace(rest), true
 }
 
 // wallTimeFuncs are the time package functions that read or schedule on the
@@ -138,12 +210,11 @@ func (m *Module) determDiags() []hotDiag {
 	// Pass 1: direct sources, with source-site reports.
 	for _, n := range nodes {
 		// Goroutine spawns reorder observable events — except inside a
-		// declared //dophy:concurrency-boundary file, whose sharing
-		// discipline the contract rules (ownercross/sendown/barrierorder)
-		// prove separately: the sweep pool merges deterministically, and the
-		// shard engine's window workers exchange state only at barriers with
-		// a shard-count-invariant merge order. Reported module-wide.
-		if n.Decl.Body != nil && m.contractInfo().boundary[n.File] == nil {
+		// declared //dophy:concurrency-boundary file, whose determinism
+		// argument the pragma states and the race detector,
+		// TestShardedByteDeterminism and the goldens check at run time.
+		// Reported module-wide.
+		if n.Decl.Body != nil && m.boundaries()[n.File] == nil {
 			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 				if g, ok := x.(*ast.GoStmt); ok && !allowed(g.Pos()) {
 					mark(n, &taintInfo{desc: "go statement", pos: g.Pos()})
@@ -348,6 +419,11 @@ var orderedFmt = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 }
 
+// writerMethods are method names treated as io.Writer-style ordered sinks.
+var writerMethods = map[string]bool{
+	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+}
+
 // directOrderedOutput reports whether n's own body emits ordered output.
 func directOrderedOutput(n *FuncNode) bool {
 	if n.Decl.Body == nil {
@@ -376,4 +452,20 @@ func directOrderedOutput(n *FuncNode) bool {
 		return true
 	})
 	return found
+}
+
+// resolvesToPackage confirms (when type information is available) that the
+// selector's base identifier really is a package name and not a shadowing
+// local variable. With no resolution recorded it errs on the side of
+// reporting.
+func resolvesToPackage(info *types.Info, sel *ast.SelectorExpr) bool {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if obj := info.Uses[id]; obj != nil {
+		_, isPkg := obj.(*types.PkgName)
+		return isPkg
+	}
+	return true
 }

@@ -1,5 +1,5 @@
 // Package flow exercises determflow's pseudo-sources and its
-// inter-procedural extension of the map-order rule.
+// inter-procedural map-order check.
 package flow
 
 import "fmt"
@@ -13,8 +13,7 @@ func Sample() int64 {
 	return clock() // want "indirect call has no statically known callee"
 }
 
-// Dump leaks map iteration order through a helper, which the older
-// intra-procedural maprange rule cannot see.
+// Dump leaks map iteration order through a helper that prints.
 func Dump(m map[string]int) {
 	for k := range m {
 		show(k) // want "map iteration order leaks through call to internal/flow.show"

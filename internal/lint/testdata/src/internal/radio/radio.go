@@ -1,6 +1,5 @@
-// Package radio is a stand-in for the real radio models; the uniform-loss
-// constructor carries a valrange contract on its loss argument, and the
-// link models fall under the densebound rule.
+// Package radio is a stand-in for the real radio models, whose link models
+// fall under the densebound rule.
 package radio
 
 import "fixture/internal/topo"
@@ -14,10 +13,4 @@ type Static struct {
 type Dense struct {
 	lt  *topo.LinkTable
 	prr []float64
-}
-
-// NewStaticUniformLoss builds a model where every link drops with
-// probability loss; loss must lie in [0, 1].
-func NewStaticUniformLoss(nodes int, loss float64) float64 {
-	return loss * float64(nodes)
 }

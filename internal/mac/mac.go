@@ -113,7 +113,6 @@ func (a *ARQ) Send(l topo.Link, now sim.Time) Result {
 			res.Delivered = true
 			res.FirstDelivered = attempt
 		}
-		//dophy:allow valrange -- New panics unless AckLoss is in [0,1)
 		acked := !r.Bool(a.cfg.AckLoss)
 		if a.cfg.AckOverReverseLink {
 			rev := topo.Link{From: l.To, To: l.From}

@@ -228,4 +228,11 @@ func TestAckOverReverseLink(t *testing.T) {
 	if res.Attempts != 1 || res.AckedAttempt != 1 {
 		t.Fatalf("healthy ACK channel result: %+v", res)
 	}
+	// The reverse link replaces the fixed-rate model: AckLoss is ignored.
+	b := New(Config{MaxRetx: 3, AckLoss: 0.9, AckOverReverseLink: true}, m, rng.New(5), nil)
+	for i := 0; i < 50; i++ {
+		if res := b.Send(link, 0); res.Attempts != 1 || res.AckedAttempt != 1 {
+			t.Fatalf("AckLoss leaked into the reverse-link ACK model: %+v", res)
+		}
+	}
 }

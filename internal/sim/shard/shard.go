@@ -25,10 +25,8 @@
 // touching any shard state (both directions establish happens-before), and
 // with one shard the engine degenerates to a plain inline Run with zero
 // goroutines and zero barriers. The boundary pragma below declares exactly
-// this to dophy-lint, which proves the sharing discipline via the
-// //dophy:owner annotations on Engine's fields and the
-// ownercross/sendown/barrierorder contract rules; everything outside it
-// stays sequential.
+// this to dophy-lint; everything outside it stays sequential. The race
+// detector and TestShardedByteDeterminism check the sharing discipline.
 //
 //dophy:concurrency-boundary -- conservative-lookahead worker per shard; all cross-shard traffic flows through the outbox merge at window barriers
 package shard
@@ -81,19 +79,19 @@ func (a msg) before(b msg) bool {
 
 // Engine coordinates the per-shard sub-engines.
 type Engine struct {
-	cfg       Config          //dophy:owner immutable -- sizing, fixed at New
-	subs      []*sim.Engine   //dophy:owner shard -- each shard runs its own engine inside windows
-	outbox    [][]msg         //dophy:owner shard -- indexed by source shard; written only by that shard's worker inside a window
-	seqs      []uint64        //dophy:owner shard -- per-origin message counters; touched only by the origin's owner shard
-	merged    []msg           //dophy:owner engine -- barrier merge scratch
-	windowEnd sim.Time        //dophy:owner window -- horizon of the window in flight; set before workers start
-	windows   uint64          //dophy:owner engine
-	exchanged uint64          //dophy:owner engine
-	barrier   func()          //dophy:owner engine
-	started   bool            //dophy:owner engine
-	closed    bool            //dophy:owner engine
-	start     []chan sim.Time //dophy:owner immutable -- channel fabric, fixed at New
-	done      chan struct{}   //dophy:owner immutable
+	cfg       Config        // sizing, fixed at New
+	subs      []*sim.Engine // each shard runs its own engine inside windows
+	outbox    [][]msg       // indexed by source shard; written only by that shard's worker inside a window
+	seqs      []uint64      // per-origin message counters; touched only by the origin's owner shard
+	merged    []msg         // barrier merge scratch
+	windowEnd sim.Time      // horizon of the window in flight; set before workers start
+	windows   uint64
+	exchanged uint64
+	barrier   func()
+	started   bool
+	closed    bool
+	start     []chan sim.Time // channel fabric, fixed at New
+	done      chan struct{}
 }
 
 // New returns an engine with cfg.Shards empty sub-engines, clocks at zero.
@@ -126,8 +124,6 @@ func (e *Engine) Shards() int { return e.cfg.Shards }
 
 // Sub returns shard s's engine. Handlers owned by shard s must schedule
 // local work exclusively through it.
-//
-//dophy:window
 func (e *Engine) Sub(s topo.ShardID) *sim.Engine { return e.subs[s] }
 
 // Windows returns the number of parallel windows executed so far.
@@ -138,8 +134,6 @@ func (e *Engine) Exchanged() uint64 { return e.exchanged }
 
 // Processed sums the events executed by all shards. It reads every shard's
 // event counter, so it may only run with the workers parked.
-//
-//dophy:barrier
 func (e *Engine) Processed() uint64 {
 	var total uint64
 	for _, s := range e.subs {
@@ -158,7 +152,6 @@ func (e *Engine) Processed() uint64 {
 // barrier merge exist only for genuinely cross-shard traffic.
 //
 //dophy:hotpath
-//dophy:window
 func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst topo.ShardID, fn sim.Handler) {
 	if src == dst {
 		e.subs[src].Schedule(at, fn)
@@ -170,7 +163,7 @@ func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst top
 	}
 	seq := e.seqs[origin]
 	e.seqs[origin] = seq + 1
-	//dophy:transfers -- fn crosses the shard boundary at the next barrier merge
+	// fn crosses the shard boundary at the next barrier merge
 	e.outbox[src] = append(e.outbox[src], msg{at: at, origin: origin, seq: seq, dst: dst, fn: fn})
 }
 
@@ -185,8 +178,6 @@ func (e *Engine) OnBarrier(fn func()) { e.barrier = fn }
 // Run executes events until every shard's clock reaches until (exclusive of
 // events at exactly until, which stay queued for the next call). With one
 // shard it degenerates to the sub-engine's plain sequential Run.
-//
-//dophy:barrier
 func (e *Engine) Run(until sim.Time) sim.Time {
 	if e.cfg.Shards == 1 {
 		return e.subs[0].Run(until)
@@ -234,7 +225,7 @@ func (e *Engine) ensureWorkers() {
 }
 
 // worker is shard i's goroutine body. It only ever touches shard i's
-// engine, projected through the typed index — the shape ownercross proves.
+// engine, projected through the typed index.
 func (e *Engine) worker(i topo.ShardID) {
 	for end := range e.start[i] {
 		e.subs[i].RunBefore(end)
@@ -246,8 +237,6 @@ func (e *Engine) worker(i topo.ShardID) {
 // shards in parallel. The start sends publish windowEnd and all prior
 // barrier state to the workers; the done receives publish every shard's
 // heap and outbox back to the coordinator.
-//
-//dophy:barrier
 func (e *Engine) runWindow(end sim.Time) {
 	e.windowEnd = end
 	e.windows++
@@ -263,8 +252,6 @@ func (e *Engine) runWindow(end sim.Time) {
 // deliver merges every shard's outbox in msg.before order — a key
 // independent of the shard count — and schedules the messages on their
 // destination shards.
-//
-//dophy:barrier
 func (e *Engine) deliver() {
 	m := e.merged[:0]
 	for s := range e.outbox {

@@ -41,9 +41,7 @@ func (s *slot) before(t *slot) bool {
 // Engine owns the virtual clock and event queue. It is strictly
 // single-consumer — every Schedule and Run mutates the heap — so under the
 // sharded coordinator each instance is confined to the shard that drives
-// it, which the annotation makes checkable.
-//
-//dophy:owner shard
+// it.
 type Engine struct {
 	// inv carries the build-tag-gated runtime invariant checks; in the
 	// default build it is a zero-size no-op (see invariants_off.go). Kept

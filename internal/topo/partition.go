@@ -6,8 +6,8 @@ import (
 )
 
 // ShardID identifies a shard of a spatial partition. Like LinkIdx it is a
-// defined type so the lint value-flow rules can keep shard indices, node
-// ids and link indices in separate domains.
+// defined type, so shard indices, node ids and link indices do not mix
+// without an explicit conversion.
 type ShardID int32
 
 // Partition assigns every node to one of k spatial shards and returns the
