@@ -537,13 +537,6 @@ func windowTotal(w []uint64) uint64 {
 	return t
 }
 
-// ExpectedBitsPerCount returns the asymptotic bits/symbol of the current
-// model against an empirical distribution — the quantity optimisation 2
-// drives toward the entropy.
-func (d *Dophy) ExpectedBitsPerCount(empirical []uint64) float64 {
-	return model.CrossEntropy(empirical, d.countModel.Freqs())
-}
-
 // CountSymbols returns the alphabet size after aggregation.
 func (d *Dophy) CountSymbols() int { return d.agg.NumSymbols() }
 

@@ -4,6 +4,8 @@ import (
 	"dophy/internal/collect"
 	"dophy/internal/core"
 	"dophy/internal/tomo/epochobs"
+	"dophy/internal/tomo/lsq"
+	"dophy/internal/tomo/minc"
 	"dophy/internal/tomo/pathrecord"
 	"dophy/internal/topo"
 	"dophy/internal/trace"
@@ -11,10 +13,10 @@ import (
 
 // schemeBank is every tomography scheme scored against one packet
 // realisation: dophy, its no-aggregation ablation, the raw/compact/huffman
-// path records, and the epochobs collector feeding the MINC/LSQ estimation
-// stage. Session and ShardedSession each own one and drive it the same way:
-// start the sink stage, add every completed journey to it in order, join it
-// and harvest at each epoch end, then estimate the harvested cut. A
+// path records, and the epochobs collector feeding the MINC/LSQ estimators.
+// Session and ShardedSession each own one and drive it the same way: start
+// the sink stage, add every completed journey to it in order, join it and
+// harvest at each epoch end, then estimate the harvested observations. A
 // Dophy-only bank (ShardSpec.FullSchemes false) builds, feeds and harvests
 // dophy alone.
 type schemeBank struct {
@@ -83,10 +85,10 @@ func (b *schemeBank) feed(j *collect.PacketJourney) {
 	}
 }
 
-// harvest closes the epoch in every scheme and returns the cut that carries
-// the epoch's outcome to the estimation stage, which adds MINC and LSQ.
-// queueDrops is the epoch's congestion-loss count.
-func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) *epochCut {
+// harvest closes the epoch in every scheme and returns the epoch's outcome
+// with the observations estBank.estimate turns into MINC and LSQ (nil in a
+// Dophy-only bank). queueDrops is the epoch's congestion-loss count.
+func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) (*EpochOutcome, *epochobs.Epoch) {
 	eo := &EpochOutcome{
 		Epoch:      epoch,
 		Truth:      truth,
@@ -106,7 +108,40 @@ func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) *e
 	}
 	eo.PerPacket = b.perPacket
 	b.perPacket = nil
-	return &epochCut{out: eo, obs: obs}
+	return eo, obs
+}
+
+// estBank holds the inference estimators, whose scratch persists across
+// epochs for reuse.
+type estBank struct {
+	lt      *topo.LinkTable
+	mincEst *minc.Estimator
+	lsqEst  *lsq.Estimator
+}
+
+// newEstBank builds the MINC/LSQ estimator pair.
+func newEstBank(lt *topo.LinkTable, maxAttempts int) *estBank {
+	mcfg := minc.DefaultConfig()
+	mcfg.MaxAttempts = maxAttempts
+	lcfg := lsq.DefaultConfig()
+	lcfg.MaxAttempts = maxAttempts
+	return &estBank{lt: lt, mincEst: minc.NewEstimator(lt, mcfg), lsqEst: lsq.NewEstimator(lt, lcfg)}
+}
+
+// estimate runs the inference estimators over one epoch's observations and
+// completes its outcome. A nil bank (a Dophy-only schemeBank) has no
+// inference estimators and returns the outcome as harvested.
+func (b *estBank) estimate(eo *EpochOutcome, obs *epochobs.Epoch) *EpochOutcome {
+	if b == nil {
+		return eo
+	}
+	start := nowNanos()
+	// Estimate returns borrowed estimator scratch, rewritten next epoch; the
+	// SchemeEpoch outlives the epoch, so this is the one copy-out boundary.
+	eo.Schemes[SchemeMINC] = &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(obs)...)}
+	eo.Schemes[SchemeLSQ] = &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(obs)...)}
+	eo.EstSeconds = float64(nowNanos()-start) / 1e9
+	return eo
 }
 
 func fromDophy(name string, rep *core.EpochReport) *SchemeEpoch {

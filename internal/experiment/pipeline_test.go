@@ -26,12 +26,9 @@ func normalize(r *RunResult) {
 	}
 }
 
-// stepSession is the sequential reference for Run: a fresh session stepped
-// through RunEpoch, with the run totals folded the way runEpochs folds them.
-func stepSession(sc Scenario, s interface {
-	epochEngine
-	RunEpoch() *EpochOutcome
-}) *RunResult {
+// stepSession is the reference for Run: a fresh session stepped through
+// RunEpoch, with the run totals folded independently of runEpochs.
+func stepSession(sc Scenario, s epochEngine) *RunResult {
 	res := &RunResult{Scenario: sc, Topology: s.Topology()}
 	var packets, changes int64
 	for e := 0; e < sc.Epochs; e++ {
@@ -50,11 +47,10 @@ func stepSession(sc Scenario, s interface {
 	return res
 }
 
-// TestRunMatchesRunEpoch pins the pipeline's contract: Run overlaps
-// simulation with estimation, which changes wall time only. Every epoch
-// outcome — truth, schemes, estimates, report bits — must be identical to
-// stepping a session through RunEpoch with the from-scratch estimators,
-// whose scratch is reused across epochs.
+// TestRunMatchesRunEpoch pins Run to stepping a session through RunEpoch:
+// every epoch outcome — truth, schemes, estimates, report bits — and the run
+// totals folded from each outcome's truth must be identical, with the
+// estimators' scratch reused across epochs.
 func TestRunMatchesRunEpoch(t *testing.T) {
 	t.Run("fromscratch", func(t *testing.T) {
 		sc := smallScenario(17)
@@ -90,8 +86,8 @@ func TestRunShardedMatchesRunEpoch(t *testing.T) {
 	}
 }
 
-// TestRunZeroEpochs checks both engines' loops return an empty run (and
-// shut their estimation goroutine down) when there is nothing to step.
+// TestRunZeroEpochs checks both engines' loops return an empty run when
+// there is nothing to step.
 func TestRunZeroEpochs(t *testing.T) {
 	sc := smallScenario(23)
 	sc.Epochs = 0

@@ -59,7 +59,7 @@ func runScaleTier(id, title string, sc Scenario, o RunOptions) *Table {
 	}
 	s := NewShardedSession(sc, DefaultShardSpec(o.ShardCount()))
 	defer s.Close()
-	res := runEpochs(sc, s, s.bank.est)
+	res := runEpochs(sc, s)
 	eo := res.Epochs[len(res.Epochs)-1]
 	st := s.Stats()
 	dophy := eo.Schemes[SchemeDophy]

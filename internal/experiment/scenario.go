@@ -213,14 +213,6 @@ func (s *SchemeEpoch) BitsPerPacket() float64 {
 	return float64(s.AnnotationBits+s.HeaderBits) / float64(s.Packets)
 }
 
-// BitsPerHop is the mean per-hop annotation cost.
-func (s *SchemeEpoch) BitsPerHop() float64 {
-	if s.Hops == 0 {
-		return 0
-	}
-	return float64(s.AnnotationBits) / float64(s.Hops)
-}
-
 // Accuracy scores one scheme against epoch ground truth, on the links the
 // scheme reported that also carried enough traffic.
 type Accuracy struct {
@@ -392,13 +384,10 @@ func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }
 // Events exposes the simulator's processed-event count so far.
 func (s *Session) Events() uint64 { return s.eng.Processed() }
 
-// cutEpoch advances the simulation one epoch, with the sink stage feeding
-// the scheme bank alongside, and harvests everything the sink observes:
-// ground truth, annotation-scheme epoch reports and the observation epoch
-// the inference estimators consume. It is the first stage of RunEpoch; the
-// returned cut is immutable and ready to hand to the estimation stage
-// (estBank.estimate), on this goroutine or another.
-func (s *Session) cutEpoch() *epochCut {
+// RunEpoch advances the simulation one epoch, with the sink stage feeding
+// the scheme bank alongside, harvests every scheme and runs the inference
+// estimators over the harvested observations.
+func (s *Session) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.bank.sink.start()
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
@@ -406,20 +395,43 @@ func (s *Session) cutEpoch() *epochCut {
 	truth := s.rec.Cut()
 	drops := s.nw.QueueDrops - s.lastQueueDrops
 	s.lastQueueDrops += drops
-	return s.bank.harvest(s.epoch, truth, drops)
+	return s.bank.est.estimate(s.bank.harvest(s.epoch, truth, drops))
 }
 
-// RunEpoch advances the simulation one epoch and harvests every scheme.
-func (s *Session) RunEpoch() *EpochOutcome {
-	return s.bank.est.estimate(s.cutEpoch())
-}
-
-// Run executes the scenario with every scheme attached, overlapping each
-// epoch's estimation with the next epoch's simulation (see runEpochs). The
-// outcomes equal stepping a NewSession through RunEpoch.
+// Run executes the scenario with every scheme attached: a NewSession
+// stepped through RunEpoch sc.Epochs times.
 func Run(sc Scenario) *RunResult {
-	s := NewSession(sc)
-	return runEpochs(sc, s, s.bank.est)
+	return runEpochs(sc, NewSession(sc))
+}
+
+// epochEngine is a deployment runEpochs can step: Session or ShardedSession.
+type epochEngine interface {
+	RunEpoch() *EpochOutcome
+	Topology() *topo.Topology
+	BeaconsSent() int64
+	Events() uint64
+}
+
+// runEpochs steps e through sc.Epochs epochs and folds the run totals from
+// each outcome's ground truth.
+func runEpochs(sc Scenario, e epochEngine) *RunResult {
+	res := &RunResult{Scenario: sc, Topology: e.Topology()}
+	var totalPackets, totalChanges int64
+	for ep := 0; ep < sc.Epochs; ep++ {
+		eo := e.RunEpoch()
+		res.Epochs = append(res.Epochs, eo)
+		res.EstSeconds += eo.EstSeconds
+		totalPackets += eo.Truth.Delivered
+		totalChanges += eo.Truth.ParentChanges
+	}
+	if sc.Epochs > 0 {
+		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
+		res.ParentChangesPerNodePerEpoch =
+			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(res.Topology.N()-1))
+	}
+	res.BeaconsSent = e.BeaconsSent()
+	res.Events = e.Events()
+	return res
 }
 
 // MeanAccuracy averages a scheme's per-epoch accuracy across a run,

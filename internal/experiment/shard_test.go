@@ -129,8 +129,10 @@ func TestShardedRejectsUnshardable(t *testing.T) {
 		sc.Collect.QueueCap = 4
 		NewShardedSession(sc, DefaultShardSpec(2))
 	})
-	expectPanic("zero-beacon-latency", func() {
-		NewShardedSession(DefaultScenario(), ShardSpec{Shards: 2})
+	expectPanic("zero-data-floor", func() {
+		sc := DefaultScenario()
+		sc.Collect.HopDelay, sc.Collect.TxTime = 0, 0
+		NewShardedSession(sc, DefaultShardSpec(2))
 	})
 }
 

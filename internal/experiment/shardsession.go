@@ -18,17 +18,15 @@ import (
 // A sharded run is not the same simulation as experiment.Run: beacons and
 // data hops travel with explicit latency (the fabric) instead of being
 // applied synchronously, so cross-shard messages always arrive at least one
-// lookahead window in the future. What IS guaranteed is that the run is
-// byte-identical at every shard count, including Shards == 1 — that case
-// executes the very same event sequence on a single engine with zero
-// goroutines and serves as the sequential reference.
+// lookahead window in the future. The window is the scenario's data-plane
+// latency floor, HopDelay+TxTime, which is also every beacon's latency.
+// What IS guaranteed is that the run is byte-identical at every shard
+// count, including Shards == 1 — that case executes the very same event
+// sequence on a single engine with zero goroutines and serves as the
+// sequential reference.
 type ShardSpec struct {
 	// Shards is the number of spatial partitions (= worker cores).
 	Shards int
-	// BeaconLatency is the propagation delay of a beacon from transmitter
-	// to receiver. Must be positive: together with the data-plane floor
-	// HopDelay+TxTime it bounds the conservative lookahead window.
-	BeaconLatency sim.Time
 	// FullSchemes attaches the complete estimator set (dophy, dophy-noagg,
 	// raw/compact/huffman path records, MINC, LSQ) exactly as
 	// experiment.Run does. When false only dophy runs — the configuration
@@ -37,13 +35,9 @@ type ShardSpec struct {
 	FullSchemes bool
 }
 
-// DefaultShardSpec returns a spec with the beacon latency matched to the
-// default collect config's data-plane latency floor (HopDelay+TxTime), so
-// both cross-shard latency bounds coincide and the lookahead window — and
-// with it the barrier interval — is as large as the scenario permits.
+// DefaultShardSpec returns a Dophy-only spec over the given shard count.
 func DefaultShardSpec(shards int) ShardSpec {
-	c := DefaultScenario().Collect
-	return ShardSpec{Shards: shards, BeaconLatency: c.HopDelay + c.TxTime}
+	return ShardSpec{Shards: shards}
 }
 
 // ShardStats reports how the partitioned run executed.
@@ -129,13 +123,13 @@ func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
-// after the configured beacon latency.
+// one lookahead window (the data-plane latency floor) after it was sent.
 //
 //dophy:hotpath
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
 	s := f.s
 	dst := s.owner[to]
-	at := s.eng.Sub(f.src).Now() + s.sp.BeaconLatency
+	at := s.eng.Sub(f.src).Now() + s.lookahead
 	p := s.protos[dst]
 	//dophy:allow hotpathalloc -- beacon receipt: low-rate control plane; the closure carries the payload to the receiver's shard
 	s.eng.Send(f.src, at, from, dst, func() { p.ReceiveBeacon(to, from, seq, advertisedETX) })
@@ -191,9 +185,6 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	if sp.Shards < 1 {
 		panic(fmt.Sprintf("experiment: %d shards", sp.Shards))
 	}
-	if !(sp.BeaconLatency > 0) {
-		panic(fmt.Sprintf("experiment: beacon latency %v must be positive", sp.BeaconLatency))
-	}
 	if sc.Mac.AckOverReverseLink {
 		// The ACK draw queries the reverse link's radio state, which the
 		// receiver's shard owns — it cannot run under the sender's window.
@@ -212,13 +203,11 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		// abstraction (QueueCap 0) is shard-invariant.
 		panic("experiment: bounded forwarding queues (QueueCap > 0) are incompatible with sharded runs")
 	}
-	dataFloor := sc.Collect.HopDelay + sc.Collect.TxTime
-	if !(dataFloor > 0) {
-		panic(fmt.Sprintf("experiment: HopDelay+TxTime %v must be positive for sharded runs", dataFloor))
-	}
-	lookahead := sp.BeaconLatency
-	if dataFloor < lookahead {
-		lookahead = dataFloor
+	// Beacons and data hops both travel at least HopDelay+TxTime, so that
+	// floor is the conservative lookahead window.
+	lookahead := sc.Collect.HopDelay + sc.Collect.TxTime
+	if !(lookahead > 0) {
+		panic(fmt.Sprintf("experiment: HopDelay+TxTime %v must be positive for sharded runs", lookahead))
 	}
 
 	root := rng.New(sc.Seed)
@@ -313,7 +302,7 @@ func (s *ShardedSession) flush() {
 }
 
 // recycle returns a journey the sink has fed to the pool of the shard that
-// generated it. The sink stage calls it from flush and cutEpoch, so it runs
+// generated it. The sink stage calls it from flush and RunEpoch, so it runs
 // with the workers parked.
 func (s *ShardedSession) recycle(j *collect.PacketJourney) {
 	s.nws[s.owner[j.Origin]].Recycle(j)
@@ -389,10 +378,10 @@ func (s *ShardedSession) queueDrops() int64 {
 	return total
 }
 
-// cutEpoch advances the simulation one epoch and harvests the scheme bank,
-// the first stage of RunEpoch (see Session.cutEpoch). It drains per-shard
+// RunEpoch advances the simulation one epoch, harvests every attached
+// scheme and estimates, mirroring Session.RunEpoch. It drains per-shard
 // recorders, so it runs strictly between Run windows.
-func (s *ShardedSession) cutEpoch() *epochCut {
+func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.bank.sink.start()
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
@@ -401,13 +390,7 @@ func (s *ShardedSession) cutEpoch() *epochCut {
 	truth := trace.CutMerged(s.recs)
 	drops := s.queueDrops() - s.lastQueueDrops
 	s.lastQueueDrops += drops
-	return s.bank.harvest(s.epoch, truth, drops)
-}
-
-// RunEpoch advances the simulation one epoch and harvests every attached
-// scheme, mirroring Session.RunEpoch.
-func (s *ShardedSession) RunEpoch() *EpochOutcome {
-	return s.bank.est.estimate(s.cutEpoch())
+	return s.bank.est.estimate(s.bank.harvest(s.epoch, truth, drops))
 }
 
 // Close stops the shard workers. The session must not be run afterwards.
@@ -420,5 +403,5 @@ func (s *ShardedSession) Close() { s.eng.Close() }
 func RunSharded(sc Scenario, sp ShardSpec) *RunResult {
 	s := NewShardedSession(sc, sp)
 	defer s.Close()
-	return runEpochs(sc, s, s.bank.est)
+	return runEpochs(sc, s)
 }

@@ -125,7 +125,7 @@ func TestRunEpochLeavesNoGoroutine(t *testing.T) {
 		waitGoroutines(t, base, "after Session.RunEpoch")
 	}
 
-	ss := NewShardedSession(shardTestScenario(), ShardSpec{Shards: 2, BeaconLatency: 0.015, FullSchemes: true})
+	ss := NewShardedSession(shardTestScenario(), ShardSpec{Shards: 2, FullSchemes: true})
 	defer ss.Close()
 	// The shard workers are the engine's own; the baseline includes them.
 	base = runtime.NumGoroutine()
@@ -133,6 +133,18 @@ func TestRunEpochLeavesNoGoroutine(t *testing.T) {
 		ss.RunEpoch()
 		waitGoroutines(t, base, "after ShardedSession.RunEpoch")
 	}
+}
+
+// TestRunLeavesNoGoroutine checks that Run, and RunSharded at two shards,
+// return with every goroutine they started gone: each epoch's sink
+// goroutine joined and the shard workers closed.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	sc := smallScenario(23)
+	base := runtime.NumGoroutine()
+	Run(sc)
+	waitGoroutines(t, base, "after Run")
+	RunSharded(sc, ShardSpec{Shards: 2, FullSchemes: true})
+	waitGoroutines(t, base, "after RunSharded")
 }
 
 // TestSessionRecyclesJourneys checks that the session closes the loop:

@@ -1,10 +1,9 @@
 // This file is the parallel sweep engine. Every table/figure runner is a
 // sweep over independent scenario points, and each point is a run that
-// shares no state with any other (its simulation is single-threaded; its
-// estimation stage is the pipeline's one goroutine), so points fan out
-// across a bounded worker pool and results land in input order, which
-// keeps every table byte-identical to a sequential execution for the same
-// seed.
+// shares no state with any other (its simulation is single-threaded beside
+// one sink goroutine per epoch), so points fan out across a bounded worker
+// pool and results land in input order, which keeps every table
+// byte-identical to a sequential execution for the same seed.
 //
 //dophy:concurrency-boundary -- scenario-level fan-out over independent runs; results land in input order and workers share only an atomic index
 package experiment
@@ -149,9 +148,4 @@ func (r *Replicates) Metric(fn func(*RunResult) float64) (mean, ci95 float64) {
 // MeanAccuracyCI aggregates a scheme's run-level MAE across replicates.
 func (r *Replicates) MeanAccuracyCI(scheme string) (mean, ci95 float64) {
 	return r.Metric(func(res *RunResult) float64 { return res.MeanAccuracy(scheme).MAE })
-}
-
-// MeanBitsPerPacketCI aggregates a scheme's in-packet cost across replicates.
-func (r *Replicates) MeanBitsPerPacketCI(scheme string) (mean, ci95 float64) {
-	return r.Metric(func(res *RunResult) float64 { return res.MeanBitsPerPacket(scheme) })
 }
