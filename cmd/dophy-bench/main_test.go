@@ -1,174 +1,52 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
-func report(ids ...string) *benchReport {
-	rep := &benchReport{Seed: 7, Parallel: 1, GoVersion: "go-test"}
-	for _, id := range ids {
-		rep.Experiments = append(rep.Experiments, benchExperiment{
-			ID: id, WallS: 1.0, Runs: 10, Mallocs: 1000,
+// TestRunRejectsBadCounts pins run's usage contract for the pool and shard
+// sizes: a count no pool can have exits 2 with a message naming the flag,
+// before any experiment runs, instead of falling back to a default.
+func TestRunRejectsBadCounts(t *testing.T) {
+	cases := []struct {
+		args      []string
+		errSubstr string
+	}{
+		{[]string{"-parallel", "0"}, "-parallel"},
+		{[]string{"-parallel", "-2"}, "-parallel"},
+		{[]string{"-workers", "-3"}, "-workers"},
+		{[]string{"-shards", "0"}, "-shards"},
+		{[]string{"-shards", "-1"}, "-shards"},
+		{[]string{"-exp", "T99"}, `unknown experiment "T99"`},
+		{[]string{"-nosuchflag"}, "-nosuchflag"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != 2 {
+				t.Fatalf("exit = %d, want 2 (stderr %q)", got, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.errSubstr) {
+				t.Errorf("stderr %q lacks %q", stderr.String(), tc.errSubstr)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("usage error wrote to stdout: %q", stdout.String())
+			}
 		})
 	}
-	return rep
 }
 
-func TestCompareReportsFullCoverage(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1", "T2"), report("T1", "T2")
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, true) {
-		t.Fatalf("identical reports must pass -require-all:\n%s", buf.String())
+// TestRunAcceptsBoundaryCounts checks the smallest legal values still run:
+// -workers 0 means NumCPU, and one experiment at one shard prints its table.
+func TestRunAcceptsBoundaryCounts(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "T11", "-parallel", "1", "-workers", "0", "-shards", "1", "-csv"}
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit = %d, want 0 (stderr %q)", got, stderr.String())
 	}
-	if strings.Contains(buf.String(), "not run") {
-		t.Fatalf("full coverage must not report missing experiments:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsListsNotRun(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1", "T2", "T4"), report("T1")
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("partial rerun without -require-all must pass:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "baseline experiments not run: T2, T4") {
-		t.Fatalf("missing coverage summary:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsRequireAllFails(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1", "T2"), report("T2")
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, true) {
-		t.Fatalf("-require-all must fail on a partial rerun:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "FAIL (-require-all)") {
-		t.Fatalf("missing -require-all verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsWallRegression(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	cur.Experiments[0].WallS = 2.0
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("doubled wall-clock must fail:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "WALL REGRESSION") {
-		t.Fatalf("missing wall verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsAllocRegression(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	cur.Experiments[0].Mallocs = 2000
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("doubled allocs/run must fail:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "ALLOC REGRESSION") {
-		t.Fatalf("missing alloc verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEventsPerSecRegression(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("S0"), report("S0")
-	old.Experiments[0].EventsPS = 1e6
-	cur.Experiments[0].EventsPS = 0.7e6 // -30% against a 20% tolerance
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("30%% events/sec drop must fail a 20%% gate:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "EVENTS/SEC REGRESSION") {
-		t.Fatalf("missing events/sec verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEventsPerSecTolerance(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("S0"), report("S0")
-	old.Experiments[0].EventsPS = 1e6
-	cur.Experiments[0].EventsPS = 0.9e6 // -10%: inside the tunable gate
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("10%% events/sec drop must pass a 20%% gate:\n%s", buf.String())
-	}
-	// Tighten the tolerance and the same drop must fail.
-	buf.Reset()
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.05, 0.25, 0.30, false) {
-		t.Fatalf("10%% events/sec drop must fail a 5%% gate:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEventsPerSecSkipsOldBaselines(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	cur.Experiments[0].EventsPS = 1e6 // baseline has no event metering
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("baselines without events/sec must not gate:\n%s", buf.String())
-	}
-	if strings.Contains(buf.String(), "EVENTS/SEC REGRESSION") {
-		t.Fatalf("unexpected events/sec verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEstimationRegression(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	old.Experiments[0].EstS = 0.2
-	cur.Experiments[0].EstS = 0.4 // +100% against a 25% tolerance
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("doubled estimation time must fail a 25%% gate:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "ESTIMATION REGRESSION") {
-		t.Fatalf("missing estimation verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEstimationTolerance(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	old.Experiments[0].EstS = 0.2
-	cur.Experiments[0].EstS = 0.23 // +15%: inside the default gate
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("15%% estimation growth must pass a 25%% gate:\n%s", buf.String())
-	}
-	// Tighten the tolerance and the same growth must fail.
-	buf.Reset()
-	if compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.10, 0.30, false) {
-		t.Fatalf("15%% estimation growth must fail a 10%% gate:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEstimationSkipsOldBaselines(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	cur.Experiments[0].EstS = 1.0 // baseline predates estimation metering
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("baselines without estimation_seconds must not gate:\n%s", buf.String())
-	}
-	if strings.Contains(buf.String(), "ESTIMATION REGRESSION") {
-		t.Fatalf("unexpected estimation verdict:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEstimationNoiseFloor(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	old.Experiments[0].EstS = 0.01 // under minCompareEstS
-	cur.Experiments[0].EstS = 0.04 // 4x, but both within noise
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("sub-noise-floor experiments must not gate on estimation:\n%s", buf.String())
-	}
-}
-
-func TestCompareReportsEventsPerSecNoiseFloor(t *testing.T) {
-	var buf strings.Builder
-	old, cur := report("T1"), report("T1")
-	old.Experiments[0].WallS = 0.05 // under minCompareWallS
-	old.Experiments[0].EventsPS = 1e6
-	cur.Experiments[0].EventsPS = 0.1e6
-	if !compareReports(&buf, old, cur, 0.15, 0.10, 0.20, 0.25, 0.30, false) {
-		t.Fatalf("sub-noise-floor experiments must not gate on events/sec:\n%s", buf.String())
+	if !strings.HasPrefix(stdout.String(), "# T11: ") {
+		t.Errorf("stdout does not start with T11's CSV header: %q", stdout.String())
 	}
 }

@@ -135,12 +135,10 @@ func (b *estBank) estimate(eo *EpochOutcome, obs *epochobs.Epoch) *EpochOutcome 
 	if b == nil {
 		return eo
 	}
-	start := nowNanos()
 	// Estimate returns borrowed estimator scratch, rewritten next epoch; the
 	// SchemeEpoch outlives the epoch, so this is the one copy-out boundary.
 	eo.Schemes[SchemeMINC] = &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(obs)...)}
 	eo.Schemes[SchemeLSQ] = &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(obs)...)}
-	eo.EstSeconds = float64(nowNanos()-start) / 1e9
 	return eo
 }
 

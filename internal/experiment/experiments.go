@@ -17,31 +17,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// SimEvents / Runs / EstSeconds meter the work behind the table (summed
-	// over its scenario runs). They never appear in Format/CSV output —
-	// cmd/dophy-bench -json reads them for throughput reporting. EstSeconds
-	// isolates the estimation-stage wall time (MINC + LSQ inference) from
-	// the simulation, so estimator regressions are visible even when the
-	// simulation dominates the end-to-end time.
-	SimEvents  uint64
-	Runs       int
-	EstSeconds float64
-}
-
-// recordRuns folds run-level metering into the table.
-func (t *Table) recordRuns(results ...*RunResult) {
-	for _, r := range results {
-		t.SimEvents += r.Events
-		t.EstSeconds += r.EstSeconds
-		t.Runs++
-	}
-}
-
-// recordSession folds a session-driven experiment's metering into the table.
-func (t *Table) recordSession(events uint64, estSeconds float64) {
-	t.SimEvents += events
-	t.EstSeconds += estSeconds
-	t.Runs++
 }
 
 // Format renders the table as aligned text.
@@ -131,7 +106,6 @@ func T1(seed uint64, o RunOptions) *Table {
 			row = append(row, f2(res.MeanBitsPerPacket(s)/8))
 		}
 		t.Rows = append(t.Rows, row)
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -154,7 +128,6 @@ func F1(seed uint64, o RunOptions) *Table {
 	sc.Epochs = 2
 	sc.EpochLen = 250
 	res := Run(sc)
-	t.recordRuns(res)
 	// Bucket Dophy's per-packet bits by hop count.
 	byHops := map[int][]float64{}
 	for _, eo := range res.Epochs {
@@ -227,7 +200,6 @@ func F2(seed uint64, o RunOptions) *Table {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
 		}
 		t.Rows = append(t.Rows, row)
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -271,7 +243,6 @@ func F3(seed uint64, o RunOptions) *Table {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
 		}
 		t.Rows = append(t.Rows, row)
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -303,7 +274,6 @@ func F4(seed uint64, o RunOptions) *Table {
 			row = append(row, f(res.MeanAccuracy(s).MAE))
 		}
 		t.Rows = append(t.Rows, row)
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -323,7 +293,6 @@ func F5(seed uint64, o RunOptions) *Table {
 	sc.Seed = seed
 	sc.Epochs = 4
 	res := Run(sc)
-	t.recordRuns(res)
 	errsBy := map[string][]float64{}
 	for _, eo := range res.Epochs {
 		for _, s := range accuracySchemes {
@@ -383,7 +352,6 @@ func T2(seed uint64, o RunOptions) *Table {
 			f(acc.MAE),
 			f2(acc.Coverage),
 		})
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -422,7 +390,6 @@ func T3(seed uint64, o RunOptions) *Table {
 			f2(total),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 		})
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -452,7 +419,6 @@ func F6(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		loss := losses[i]
-		t.recordRuns(res)
 		truth := res.Epochs[0].Truth
 		measuredDeliv := truth.DeliveryRatio()
 		m := scs[i].Mac.MaxRetx + 1
@@ -510,7 +476,6 @@ func T4(seed uint64, o RunOptions) *Table {
 	start := nowNanos()
 	res := Run(sc)
 	elapsed := float64(nowNanos()-start) / 1e9
-	t.recordRuns(res)
 	var pkts int64
 	for _, eo := range res.Epochs {
 		pkts += eo.Truth.Delivered

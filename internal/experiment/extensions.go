@@ -51,7 +51,6 @@ func T5(seed uint64, o RunOptions) *Table {
 			f2(total),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 		})
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -92,7 +91,6 @@ func T6(seed uint64, o RunOptions) *Table {
 			f(res.MeanAccuracy(SchemeMINC).MAE),
 			f(res.MeanAccuracy(SchemeLSQ).MAE),
 		})
-		t.recordRuns(res)
 	}
 	return t
 }
@@ -125,7 +123,6 @@ func F7(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		mtbf := mtbfs[i]
-		t.recordRuns(res)
 		var delivery, churn float64
 		for _, eo := range res.Epochs {
 			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
@@ -178,7 +175,6 @@ func F8(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		bad := dwells[i]
-		t.recordRuns(res)
 		// p90 of Dophy's absolute per-link error across epochs.
 		var errs []float64
 		for _, eo := range res.Epochs {
@@ -232,7 +228,6 @@ func F9(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		gp := periods[i]
-		t.recordRuns(res)
 		var delivery, qdrops, generated float64
 		for _, eo := range res.Epochs {
 			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
@@ -269,12 +264,7 @@ func T7(seed uint64, o RunOptions) *Table {
 		},
 	}
 	acks := []float64{0, 0.1, 0.2, 0.4}
-	type point struct {
-		row    []string
-		events uint64
-		estS   float64
-	}
-	for _, p := range Sweep(o, len(acks), func(i int) point {
+	t.Rows = Sweep(o, len(acks), func(i int) []string {
 		al := acks[i]
 		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t7-%.1f", al)
@@ -296,10 +286,8 @@ func T7(seed uint64, o RunOptions) *Table {
 			send.OnJourney(j)
 		})
 		var recvMAE, sendMAE []float64
-		var estS float64
 		for e := 0; e < sc.Epochs; e++ {
 			eo := sess.RunEpoch()
-			estS += eo.EstSeconds
 			rRep := recv.EndEpoch()
 			sRep := send.EndEpoch()
 			rAcc := Score(&SchemeEpoch{Name: "recv", Table: rRep.Table, Loss: rRep.Loss}, eo.Truth, sc.MinTruthAttempts)
@@ -311,19 +299,12 @@ func T7(seed uint64, o RunOptions) *Table {
 				sendMAE = append(sendMAE, sAcc.MAE)
 			}
 		}
-		return point{
-			row: []string{
-				f2(al),
-				f(stats.Mean(recvMAE)),
-				f(stats.Mean(sendMAE)),
-			},
-			events: sess.Events(),
-			estS:   estS,
+		return []string{
+			f2(al),
+			f(stats.Mean(recvMAE)),
+			f(stats.Mean(sendMAE)),
 		}
-	}) {
-		t.Rows = append(t.Rows, p.row)
-		t.recordSession(p.events, p.estS)
-	}
+	})
 	return t
 }
 
@@ -345,7 +326,6 @@ func T8(seed uint64, o RunOptions) *Table {
 	sc.Epochs = 6
 	sc.EpochLen = 300
 	res := Run(sc)
-	t.recordRuns(res)
 	type bucket struct{ links, covered int }
 	buckets := map[string]*bucket{}
 	bucketOf := func(n int64) string {
@@ -443,7 +423,6 @@ func T9(seed uint64, o RunOptions) *Table {
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
-		t.recordRuns(res)
 		label := "fixed-10s"
 		if combos[i].adaptive {
 			label = "trickle"
@@ -478,12 +457,7 @@ func T10(seed uint64, o RunOptions) *Table {
 		},
 	}
 	sides := []int{5, 7, 10}
-	type point struct {
-		row    []string
-		events uint64
-		estS   float64
-	}
-	for _, p := range Sweep(o, len(sides), func(i int) point {
+	t.Rows = Sweep(o, len(sides), func(i int) []string {
 		side := sides[i]
 		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("t10-%d", side)
@@ -501,10 +475,8 @@ func T10(seed uint64, o RunOptions) *Table {
 		sess.AttachAnnotator(dist.NewAnnotator())
 		identical := true
 		var annotBits, stateBits, packets int64
-		var estS float64
 		for e := 0; e < sc.Epochs; e++ {
 			eo := sess.RunEpoch()
-			estS += eo.EstSeconds
 			dRep := dist.EndEpoch()
 			cSe := eo.Schemes[SchemeDophy]
 			if dRep.Overhead.AnnotationBits != cSe.AnnotationBits ||
@@ -519,22 +491,15 @@ func T10(seed uint64, o RunOptions) *Table {
 		if packets > 0 {
 			bytesPerPkt = float64(annotBits) / 8 / float64(packets)
 		}
-		return point{
-			row: []string{
-				fmt.Sprintf("%dx%d", side, side),
-				f2(bytesPerPkt),
-				fmt.Sprintf("%d", 12),
-				f1(float64(annotBits) / 8 / 1024 / float64(sc.Epochs)),
-				f1(float64(stateBits) / 8 / 1024 / float64(sc.Epochs)),
-				fmt.Sprintf("%v", identical),
-			},
-			events: sess.Events(),
-			estS:   estS,
+		return []string{
+			fmt.Sprintf("%dx%d", side, side),
+			f2(bytesPerPkt),
+			fmt.Sprintf("%d", 12),
+			f1(float64(annotBits) / 8 / 1024 / float64(sc.Epochs)),
+			f1(float64(stateBits) / 8 / 1024 / float64(sc.Epochs)),
+			fmt.Sprintf("%v", identical),
 		}
-	}) {
-		t.Rows = append(t.Rows, p.row)
-		t.recordSession(p.events, p.estS)
-	}
+	})
 	return t
 }
 
@@ -555,7 +520,6 @@ func T11(seed uint64, o RunOptions) *Table {
 	sc.Seed = seed
 	sc.Epochs = 3
 	res := Run(sc)
-	t.recordRuns(res)
 	p := energy.DefaultParams()
 	for _, scheme := range overheadSchemes {
 		var txBits, extraBits, packets int64
@@ -608,7 +572,6 @@ func F10(seed uint64, o RunOptions) *Table {
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
-		t.recordRuns(res)
 		acc := res.MeanAccuracy(SchemeDophy)
 		t.Rows = append(t.Rows, []string{
 			f2(decays[i]),

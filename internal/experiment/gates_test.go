@@ -1,0 +1,118 @@
+package experiment
+
+import (
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+)
+
+// allocBudgets are the committed allocation counts of one seed-7 call of
+// each experiment at one sweep worker: the F5, F6 and T11 tables, the three
+// cheapest that still run the full scheme bank, MINC/LSQ and the sink
+// stage. Re-measure them with
+//
+//	go test -run '^TestExperimentAllocBudget$' -v ./internal/experiment
+//
+// and commit the logged counts when a change moves them on purpose.
+var allocBudgets = []struct {
+	id      string
+	run     func(uint64, RunOptions) *Table
+	mallocs uint64
+	bytes   uint64
+}{
+	{"F5", F5, 2500, 1_442_000},
+	{"F6", F6, 2220, 1_774_000},
+	{"T11", T11, 2150, 1_219_000},
+}
+
+// Tolerances over the committed counts. Both counts move by at most about
+// 1.3% between plain, -race and dophy_invariants builds, so the same budget
+// holds in every CI test step.
+const (
+	mallocSlack = 0.10
+	bytesSlack  = 0.30
+)
+
+// TestExperimentAllocBudget fails when an experiment allocates more than
+// its committed budget: mallocs by more than 10%, or bytes allocated by
+// more than 30%. It is the runtime counterpart of dophy-lint's hotpathalloc
+// rule, and catches a per-journey or per-hop allocation anywhere between
+// the simulator and the estimators.
+func TestExperimentAllocBudget(t *testing.T) {
+	for _, b := range allocBudgets {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.run(7, RunOptions{Workers: 1})
+		runtime.ReadMemStats(&after)
+		mallocs := after.Mallocs - before.Mallocs
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: mallocs %d (budget %d), bytes %d (budget %d)", b.id, mallocs, b.mallocs, bytes, b.bytes)
+		if limit := float64(b.mallocs) * (1 + mallocSlack); float64(mallocs) > limit {
+			t.Errorf("%s: %d mallocs, over the budget of %d by more than %.0f%%", b.id, mallocs, b.mallocs, 100*mallocSlack)
+		}
+		if limit := float64(b.bytes) * (1 + bytesSlack); float64(bytes) > limit {
+			t.Errorf("%s: %d bytes allocated, over the budget of %d by more than %.0f%%", b.id, bytes, b.bytes, 100*bytesSlack)
+		}
+	}
+}
+
+// s0Run is one S0 run's cost at a shard count.
+type s0Run struct {
+	events  uint64
+	wall    time.Duration
+	mallocs uint64
+}
+
+func runS0(b *testing.B, shards int) s0Run {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	tab := S0(7, RunOptions{Shards: shards})
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	for _, row := range tab.Rows {
+		if row[0] == "events" {
+			events, err := strconv.ParseUint(row[1], 10, 64)
+			if err != nil {
+				b.Fatalf("shards=%d: events row %q: %v", shards, row[1], err)
+			}
+			return s0Run{events: events, wall: wall, mallocs: after.Mallocs - before.Mallocs}
+		}
+	}
+	b.Fatalf("shards=%d: S0 table has no events row", shards)
+	return s0Run{}
+}
+
+// BenchmarkS0ShardScaling runs the S0 scale tier unsharded and then 2-way
+// sharded in one process, and fails unless the sharded run
+//   - executes exactly the unsharded run's events,
+//   - keeps at least 67% of its events/sec (wall time at most 1/0.67 of
+//     the unsharded run's; the event counts are equal, so this is the same
+//     bound), which absorbs shared-runner noise and a saturated runner's
+//     lack of speedup but not a barrier or scheduling regression, and
+//   - allocates at most 3× the unsharded run's mallocs.
+//
+// Run it once with
+//
+//	go test -bench='^BenchmarkS0ShardScaling$' -benchtime=1x -run '^$' ./internal/experiment
+func BenchmarkS0ShardScaling(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		one, two := runS0(b, 1), runS0(b, 2)
+		b.ReportMetric(one.wall.Seconds(), "k1-s")
+		b.ReportMetric(two.wall.Seconds(), "k2-s")
+		b.ReportMetric(float64(one.mallocs), "k1-mallocs")
+		b.ReportMetric(float64(two.mallocs), "k2-mallocs")
+		if one.events != two.events {
+			b.Fatalf("events: %d unsharded, %d at 2 shards", one.events, two.events)
+		}
+		if float64(two.wall) > float64(one.wall)/0.67 {
+			b.Fatalf("2 shards took %v against %v unsharded: events/sec fell by more than 33%%", two.wall, one.wall)
+		}
+		if two.mallocs > 3*one.mallocs {
+			b.Fatalf("2 shards made %d mallocs against %d unsharded: more than 3×", two.mallocs, one.mallocs)
+		}
+	}
+}

@@ -72,21 +72,21 @@ func runScaleTier(id, title string, sc Scenario, o RunOptions) *Table {
 	row("windows", fmt.Sprintf("%d", st.Windows))
 	row("exchanged", fmt.Sprintf("%d", st.Exchanged))
 	// Wall-clock (and so events/sec) is deliberately absent: simulation code
-	// never reads wall time. dophy-bench times each experiment and derives
-	// sim_events_per_second in its -json report from the events count here.
+	// never reads wall time. dophy-bench prints each experiment's wall time
+	// under its table; events/sec is this row over that time.
 	row("events", fmt.Sprintf("%d", res.Events))
 	row("routed-nodes", fmt.Sprintf("%d", s.Routed()))
 	row("delivered", fmt.Sprintf("%d", eo.Truth.Delivered))
 	row("generated", fmt.Sprintf("%d", eo.Truth.Generated))
 	row("beacons", fmt.Sprintf("%d", res.BeaconsSent))
 	row("dophy-bits-per-packet", f2(dophy.BitsPerPacket()))
-	t.recordRuns(res)
 	return t
 }
 
 // S0 is the CI-sized scale tier: large enough that a 2-shard run executes
-// thousands of windows, small enough to finish in seconds. The CI bench
-// smoke runs it at -shards 1 and -shards 2 and gates on events/sec.
+// thousands of windows, small enough to finish in seconds.
+// BenchmarkS0ShardScaling runs it at 1 and 2 shards and gates on
+// events/sec.
 func S0(seed uint64, o RunOptions) *Table {
 	sc := scaleScenario(o, "s0-scale-smoke", seed, 50)
 	sc.Warmup = 180

@@ -277,11 +277,6 @@ type EpochOutcome struct {
 	// previous epoch (trace.Epoch.DirtyCount): how much of the network
 	// drifted this epoch. Diagnostic only: never rendered.
 	DirtyLinks int
-	// EstSeconds is the wall-clock time the estimation stage (MINC + LSQ)
-	// spent on this epoch. Like T4's throughput row it measures the
-	// implementation, so it never feeds simulation state and is excluded
-	// from golden comparisons.
-	EstSeconds float64
 }
 
 // PacketSample is one delivered packet's (path length, annotation bits).
@@ -298,9 +293,6 @@ type RunResult struct {
 	// Events is the simulator event count for the whole run (warmup
 	// included) — the denominator for events/sec throughput reporting.
 	Events uint64
-	// EstSeconds is the total estimation-stage wall time across epochs
-	// (see EpochOutcome.EstSeconds).
-	EstSeconds float64
 	// MeanPacketsPerEpoch is the mean delivered packets per epoch.
 	MeanPacketsPerEpoch float64
 	// ParentChangesPerNodePerEpoch measures routing dynamics.
@@ -420,7 +412,6 @@ func runEpochs(sc Scenario, e epochEngine) *RunResult {
 	for ep := 0; ep < sc.Epochs; ep++ {
 		eo := e.RunEpoch()
 		res.Epochs = append(res.Epochs, eo)
-		res.EstSeconds += eo.EstSeconds
 		totalPackets += eo.Truth.Delivered
 		totalChanges += eo.Truth.ParentChanges
 	}

@@ -137,8 +137,8 @@ func TestShardedRejectsUnshardable(t *testing.T) {
 }
 
 // TestScaleTierSmoke runs the S0 registry tier at two shards and checks the
-// run actually converged and moved traffic — the same configuration CI's
-// bench smoke exercises.
+// run actually converged and moved traffic — the same configuration
+// BenchmarkS0ShardScaling times.
 func TestScaleTierSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale tier smoke is seconds of work")
@@ -167,8 +167,10 @@ func TestScaleTierSmoke(t *testing.T) {
 	if windows < 1000 {
 		t.Errorf("windows = %d, want >= 1000 (lookahead windows did not engage)", windows)
 	}
-	if tab.SimEvents == 0 || tab.Runs != 1 {
-		t.Errorf("metering not recorded: events=%d runs=%d", tab.SimEvents, tab.Runs)
+	var events int
+	fmt.Sscanf(vals["events"], "%d", &events)
+	if events == 0 {
+		t.Errorf("events = %s, want > 0", vals["events"])
 	}
 }
 

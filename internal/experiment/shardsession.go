@@ -27,11 +27,13 @@ import (
 type ShardSpec struct {
 	// Shards is the number of spatial partitions (= worker cores).
 	Shards int
-	// FullSchemes attaches the complete estimator set (dophy, dophy-noagg,
-	// raw/compact/huffman path records, MINC, LSQ) exactly as
-	// experiment.Run does. When false only dophy runs — the configuration
-	// the large scale tiers use, where the sequential sink-side decode of
-	// seven schemes would dwarf the parallel simulation itself.
+	// FullSchemes attaches the complete scheme set (dophy, dophy-noagg,
+	// raw/compact/huffman path records, and the epochobs counts MINC and
+	// LSQ estimate from) exactly as experiment.Run does. When false only
+	// dophy runs: the configuration the large scale tiers use. The sink
+	// stage is one goroutine that decodes each journey once per annotation
+	// scheme (five in a full bank), and MINC/LSQ solve over every link at
+	// each epoch end, so a full bank would cap a K-way run at one core.
 	FullSchemes bool
 }
 

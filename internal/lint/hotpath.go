@@ -22,9 +22,10 @@ import (
 // callees cannot be proven are reported too — soundness over silence — and
 // are waived where the dispatch point's handlers are themselves annotated.
 //
-// The runtime bench gate (dophy-bench -compare) catches allocation
-// regressions after the fact; this rule catches them at review time, with
-// the full call chain from the annotated root in the diagnostic.
+// The runtime allocation tests (TestExperimentAllocBudget and the
+// per-package NoAlloc tests) catch allocation regressions after the fact;
+// this rule catches them at review time, with the full call chain from the
+// annotated root in the diagnostic.
 // ---------------------------------------------------------------------------
 
 type ruleHotPathAlloc struct{}
