@@ -37,6 +37,7 @@ func BenchmarkT1NetworkSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(1)
+		sc.Schemes = experiment.Codecs
 		res := experiment.Run(sc)
 		if res.MeanBitsPerPacket(experiment.SchemeDophy) <= 0 {
 			b.Fatal("no overhead measured")
@@ -51,6 +52,7 @@ func BenchmarkF1PathLength(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(2)
 		sc.Topo = experiment.TopoSpec{Kind: experiment.TopoChain, N: 15, Spacing: 10, Range: 11}
+		sc.Schemes = experiment.Codecs
 		res := experiment.Run(sc)
 		if len(res.Epochs[0].PerPacket) == 0 {
 			b.Fatal("no packets")
@@ -65,6 +67,7 @@ func BenchmarkF2TrafficVolume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(3)
 		sc.Collect.GenPeriod = 2
+		sc.Schemes = experiment.Baselines
 		res := experiment.Run(sc)
 		if res.MeanAccuracy(experiment.SchemeDophy).Links == 0 {
 			b.Fatal("nothing estimated")
@@ -79,6 +82,7 @@ func BenchmarkF3RoutingDynamics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(4)
 		sc.Routing.RandomizeParentProb = 0.3
+		sc.Schemes = experiment.Baselines
 		res := experiment.Run(sc)
 		if res.ParentChangesPerNodePerEpoch <= 0 {
 			b.Fatal("no churn")
@@ -92,6 +96,7 @@ func BenchmarkF4LossLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(5)
 		sc.Radio = experiment.RadioSpec{Kind: experiment.RadioUniformLoss, UniformLoss: 0.2}
+		sc.Schemes = experiment.Baselines
 		experiment.Run(sc)
 	}
 }
@@ -101,6 +106,7 @@ func BenchmarkF4LossLevels(b *testing.B) {
 func BenchmarkF5ErrorCDF(b *testing.B) {
 	b.ReportAllocs()
 	sc := benchScenario(6)
+	sc.Schemes = experiment.Baselines
 	res := experiment.Run(sc)
 	eo := res.Epochs[0]
 	b.ResetTimer()
@@ -194,6 +200,7 @@ func BenchmarkT6RetryBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(13)
 		sc.Mac.MaxRetx = 1
+		sc.Schemes = experiment.Baselines
 		experiment.Run(sc)
 	}
 }
@@ -205,6 +212,7 @@ func BenchmarkF7NodeFailures(b *testing.B) {
 		sc := benchScenario(14)
 		sc.Radio.FailMTBF = 120
 		sc.Radio.FailMTTR = 30
+		sc.Schemes = experiment.Baselines
 		experiment.Run(sc)
 	}
 }
@@ -217,6 +225,7 @@ func BenchmarkF8BurstyLosses(b *testing.B) {
 		sc.Radio = experiment.RadioSpec{
 			Kind: experiment.RadioGilbertElliott, MeanGood: 60, MeanBad: 15, BadFactor: 0.3,
 		}
+		sc.Schemes = experiment.Baselines
 		experiment.Run(sc)
 	}
 }

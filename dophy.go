@@ -278,6 +278,9 @@ func NewSimulation(opt Options) (*Simulation, error) {
 		sc.Dophy.UpdateEvery = 1
 	}
 	sc.Routing.RandomizeParentProb = opt.ParentChurn
+	if opt.CompareBaselines {
+		sc.Schemes = experiment.Baselines
+	}
 
 	s := &Simulation{scenario: sc, compare: opt.CompareBaselines}
 	// Random placements occasionally come out partitioned; deterministically

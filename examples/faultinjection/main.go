@@ -32,6 +32,7 @@ func main() {
 		}
 		sc.EpochLen = 400
 		sc.Epochs = 3
+		sc.Schemes = experiment.Baselines
 		res := experiment.Run(sc)
 		var delivery, churn float64
 		for _, eo := range res.Epochs {

@@ -27,6 +27,7 @@ func main() {
 		sc.Topo = experiment.GridSpec(side)
 		sc.Epochs = 2
 		sc.EpochLen = 200
+		sc.Schemes = experiment.Codecs
 		res := experiment.Run(sc)
 		fmt.Printf("%-7d %-9.1f %-8.2f %-9.2f %-9.2f %-8.2f\n",
 			side*side,

@@ -11,22 +11,24 @@ import (
 	"dophy/internal/trace"
 )
 
-// schemeBank is every tomography scheme scored against one packet
-// realisation: dophy, its no-aggregation ablation, the raw/compact/huffman
-// path records, and the epochobs collector feeding the MINC/LSQ estimators.
-// Session and ShardedSession each own one and drive it the same way: start
-// the sink stage, add every completed journey to it in order, join it and
-// harvest at each epoch end, then estimate the harvested observations. A
-// Dophy-only bank (ShardSpec.FullSchemes false) builds, feeds and harvests
-// dophy alone.
+// schemeBank holds the tomography schemes scored against one packet
+// realisation: dophy always, plus the groups Scenario.Schemes selects —
+// Codecs (its no-aggregation ablation and the raw/compact/huffman path
+// records) and Baselines (the epochobs collector feeding the MINC/LSQ
+// estimators). Session and ShardedSession each own one and drive it the
+// same way: start the sink stage, add every completed journey to it in
+// order, join it and harvest at each epoch end, then estimate the harvested
+// observations. A group that is not selected is not built, fed, harvested
+// or estimated.
 type schemeBank struct {
 	// sink feeds the bank on its own goroutine during an epoch (see
 	// pipeline.go); the schemes below are the sink goroutine's from the
 	// stage's start until its join.
-	sink  *sinkStage
-	full  bool
-	dophy *core.Dophy
-	// The remaining schemes are nil in a Dophy-only bank.
+	sink    *sinkStage
+	schemes SchemeSet
+	dophy   *core.Dophy
+	// dophyNA and the path records are nil unless schemes has Codecs;
+	// obsCol and est are nil unless it has Baselines.
 	dophyNA *core.Dophy
 	raw     *pathrecord.Recorder
 	compact *pathrecord.Recorder
@@ -38,46 +40,48 @@ type schemeBank struct {
 }
 
 // newSchemeBank derives the Dophy configuration from the scenario's retry
-// budget and builds the schemes: all of them when full, dophy alone
-// otherwise. pool takes each journey back once the bank is done with it.
-func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, full bool, pool journeyPool) *schemeBank {
+// budget and builds dophy plus the groups sc.Schemes selects. pool takes
+// each journey back once the bank is done with it.
+func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, pool journeyPool) *schemeBank {
 	dcfg := sc.Dophy
 	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
 	if dcfg.AggThreshold >= dcfg.MaxAttempts {
 		dcfg.AggThreshold = 0 // aggregation meaningless for tiny budgets
 	}
-	b := &schemeBank{full: full, dophy: core.New(tp, dcfg)}
+	b := &schemeBank{schemes: sc.Schemes, dophy: core.New(tp, dcfg)}
 	b.sink = newSinkStage(b, pool)
-	if !full {
-		return b
+	if b.schemes&Codecs != 0 {
+		naCfg := dcfg
+		naCfg.AggThreshold = 0
+		b.dophyNA = core.New(tp, naCfg)
+		prCfg := func(v pathrecord.Variant) pathrecord.Config {
+			c := pathrecord.DefaultConfig(v)
+			c.MaxAttempts = dcfg.MaxAttempts
+			c.MinSamples = dcfg.MinSamples
+			return c
+		}
+		b.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
+		b.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
+		b.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
 	}
-	naCfg := dcfg
-	naCfg.AggThreshold = 0
-	b.dophyNA = core.New(tp, naCfg)
-	prCfg := func(v pathrecord.Variant) pathrecord.Config {
-		c := pathrecord.DefaultConfig(v)
-		c.MaxAttempts = dcfg.MaxAttempts
-		c.MinSamples = dcfg.MinSamples
-		return c
+	if b.schemes&Baselines != 0 {
+		b.obsCol = epochobs.New(lt)
+		b.est = newEstBank(lt, dcfg.MaxAttempts)
 	}
-	b.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
-	b.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
-	b.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
-	b.obsCol = epochobs.New(lt)
-	b.est = newEstBank(lt, dcfg.MaxAttempts)
 	return b
 }
 
-// feed applies one completed journey to every scheme in the bank and
-// samples delivered packets' Dophy annotation cost. It runs on the sink
-// goroutine.
+// feed applies one completed journey to every built scheme and samples
+// delivered packets' Dophy annotation cost. It runs on the sink goroutine.
 func (b *schemeBank) feed(j *collect.PacketJourney) {
 	bits := b.dophy.OnJourney(j)
-	if b.full {
+	if b.schemes&Codecs != 0 {
 		b.dophyNA.OnJourney(j)
 		b.raw.OnJourney(j)
 		b.compact.OnJourney(j)
 		b.huff.OnJourney(j)
+	}
+	if b.schemes&Baselines != 0 {
 		b.obsCol.OnJourney(j)
 	}
 	if j.Delivered {
@@ -85,25 +89,28 @@ func (b *schemeBank) feed(j *collect.PacketJourney) {
 	}
 }
 
-// harvest closes the epoch in every scheme and returns the epoch's outcome
-// with the observations estBank.estimate turns into MINC and LSQ (nil in a
-// Dophy-only bank). queueDrops is the epoch's congestion-loss count.
+// harvest closes the epoch in every built scheme and returns the epoch's
+// outcome with the observations estBank.estimate turns into MINC and LSQ
+// (nil unless Baselines is built). queueDrops is the epoch's
+// congestion-loss count.
 func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) (*EpochOutcome, *epochobs.Epoch) {
 	eo := &EpochOutcome{
 		Epoch:      epoch,
 		Truth:      truth,
 		DirtyLinks: truth.DirtyCount(),
 		QueueDrops: queueDrops,
-		// Seven schemes land in a full bank's map every epoch: size it once.
+		// At most seven schemes land in the map: size it once for all.
 		Schemes: make(map[string]*SchemeEpoch, 8),
 	}
 	eo.Schemes[SchemeDophy] = fromDophy(SchemeDophy, b.dophy.EndEpoch())
-	var obs *epochobs.Epoch
-	if b.full {
+	if b.schemes&Codecs != 0 {
 		eo.Schemes[SchemeDophyNA] = fromDophy(SchemeDophyNA, b.dophyNA.EndEpoch())
 		eo.Schemes[SchemeRaw] = fromPathRecord(SchemeRaw, b.raw.EndEpoch())
 		eo.Schemes[SchemeCompact] = fromPathRecord(SchemeCompact, b.compact.EndEpoch())
 		eo.Schemes[SchemeHuffman] = fromPathRecord(SchemeHuffman, b.huff.EndEpoch())
+	}
+	var obs *epochobs.Epoch
+	if b.schemes&Baselines != 0 {
 		obs = b.obsCol.EndEpoch()
 	}
 	eo.PerPacket = b.perPacket
@@ -129,8 +136,8 @@ func newEstBank(lt *topo.LinkTable, maxAttempts int) *estBank {
 }
 
 // estimate runs the inference estimators over one epoch's observations and
-// completes its outcome. A nil bank (a Dophy-only schemeBank) has no
-// inference estimators and returns the outcome as harvested.
+// completes its outcome. A nil bank (Baselines not selected) returns the
+// outcome as harvested.
 func (b *estBank) estimate(eo *EpochOutcome, obs *epochobs.Epoch) *EpochOutcome {
 	if b == nil {
 		return eo

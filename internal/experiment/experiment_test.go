@@ -24,7 +24,9 @@ func smallScenario(seed uint64) Scenario {
 }
 
 func TestRunProducesAllSchemes(t *testing.T) {
-	res := Run(smallScenario(1))
+	sc := smallScenario(1)
+	sc.Schemes = Codecs | Baselines
+	res := Run(sc)
 	if len(res.Epochs) != 2 {
 		t.Fatalf("epochs = %d", len(res.Epochs))
 	}
@@ -55,7 +57,9 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestNoDecodeErrors(t *testing.T) {
-	res := Run(smallScenario(5))
+	sc := smallScenario(5)
+	sc.Schemes = Codecs
+	res := Run(sc)
 	for _, s := range []string{SchemeDophy, SchemeDophyNA, SchemeRaw, SchemeCompact, SchemeHuffman} {
 		if n := res.DecodeErrorTotal(s); n != 0 {
 			t.Fatalf("%s decode errors: %d", s, n)
@@ -70,6 +74,7 @@ func TestHeadlineClaims(t *testing.T) {
 	sc := DefaultScenario()
 	sc.Seed = 11
 	sc.Epochs = 2
+	sc.Schemes = Codecs | Baselines
 	res := Run(sc)
 	dophy := res.MeanAccuracy(SchemeDophy).MAE
 	minc := res.MeanAccuracy(SchemeMINC).MAE
@@ -87,7 +92,9 @@ func TestHeadlineClaims(t *testing.T) {
 }
 
 func TestAggregationSavesBits(t *testing.T) {
-	res := Run(smallScenario(7))
+	sc := smallScenario(7)
+	sc.Schemes = Codecs
+	res := Run(sc)
 	agg := res.MeanBitsPerPacket(SchemeDophy)
 	noagg := res.MeanBitsPerPacket(SchemeDophyNA)
 	if agg >= noagg {
@@ -165,6 +172,7 @@ func TestScoreConcurrentCallers(t *testing.T) {
 	sc.Topo = GridSpec(4)
 	sc.Epochs = 2
 	sc.EpochLen = 150
+	sc.Schemes = Baselines
 	res := Run(sc)
 	schemes := []string{SchemeDophy, SchemeMINC, SchemeLSQ}
 	want := make([]string, len(schemes))

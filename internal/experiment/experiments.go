@@ -69,10 +69,10 @@ func f(v float64) string  { return fmt.Sprintf("%.4f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// overheadSchemes is the T1/F1 comparison set, best-first.
+// overheadSchemes is the T1/T11 comparison set, best-first.
 var overheadSchemes = []string{SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeCompact, SchemeRaw}
 
-// accuracySchemes is the F2-F5 comparison set.
+// accuracySchemes is the F2-F5, T6 and F7-F9 comparison set.
 var accuracySchemes = []string{SchemeDophy, SchemeMINC, SchemeLSQ}
 
 // T1 measures encoding overhead (bytes/packet) versus network size.
@@ -95,6 +95,7 @@ func T1(seed uint64, o RunOptions) *Table {
 		sc.Topo = GridSpec(side)
 		sc.Epochs = 2
 		sc.EpochLen = 200
+		sc.Schemes = Codecs
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -127,6 +128,7 @@ func F1(seed uint64, o RunOptions) *Table {
 	sc.Topo = GridSpec(12) // deep network for long paths
 	sc.Epochs = 2
 	sc.EpochLen = 250
+	sc.Schemes = Codecs
 	res := Run(sc)
 	// Bucket Dophy's per-packet bits by hop count.
 	byHops := map[int][]float64{}
@@ -163,10 +165,9 @@ func F1(seed uint64, o RunOptions) *Table {
 func meanBitsPerHop(res *RunResult, scheme string) float64 {
 	var bits, hops int64
 	for _, eo := range res.Epochs {
-		if se, ok := eo.Schemes[scheme]; ok {
-			bits += se.AnnotationBits
-			hops += se.Hops
-		}
+		se := eo.scheme(scheme)
+		bits += se.AnnotationBits
+		hops += se.Hops
 	}
 	if hops == 0 {
 		return 0
@@ -192,6 +193,7 @@ func F2(seed uint64, o RunOptions) *Table {
 		sc.Seed = seed + uint64(el)
 		sc.EpochLen = sim.Time(el)
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -235,6 +237,7 @@ func F3(seed uint64, o RunOptions) *Table {
 		sc.Routing.AlphaBeacon = 0.1
 		sc.EpochLen = 600
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -266,6 +269,7 @@ func F4(seed uint64, o RunOptions) *Table {
 		sc.Seed = seed + uint64(loss*100)
 		sc.Radio = RadioSpec{Kind: RadioUniformLoss, UniformLoss: loss}
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -292,11 +296,12 @@ func F5(seed uint64, o RunOptions) *Table {
 	sc.Name = "f5"
 	sc.Seed = seed
 	sc.Epochs = 4
+	sc.Schemes = Baselines
 	res := Run(sc)
 	errsBy := map[string][]float64{}
 	for _, eo := range res.Epochs {
 		for _, s := range accuracySchemes {
-			acc := Score(eo.Schemes[s], eo.Truth, sc.MinTruthAttempts)
+			acc := Score(eo.scheme(s), eo.Truth, sc.MinTruthAttempts)
 			errsBy[s] = append(errsBy[s], acc.Errors...)
 		}
 	}

@@ -77,6 +77,7 @@ func T6(seed uint64, o RunOptions) *Table {
 		sc.Mac.MaxRetx = retx
 		sc.EpochLen = 400
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -119,6 +120,7 @@ func F7(seed uint64, o RunOptions) *Table {
 		}
 		sc.EpochLen = 400
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -171,6 +173,7 @@ func F8(seed uint64, o RunOptions) *Table {
 		}
 		sc.EpochLen = 400
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -224,6 +227,7 @@ func F9(seed uint64, o RunOptions) *Table {
 		sc.Collect.QueueCap = 4
 		sc.EpochLen = 300
 		sc.Epochs = 3
+		sc.Schemes = Baselines
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
@@ -519,12 +523,13 @@ func T11(seed uint64, o RunOptions) *Table {
 	sc.Name = "t11"
 	sc.Seed = seed
 	sc.Epochs = 3
+	sc.Schemes = Codecs
 	res := Run(sc)
 	p := energy.DefaultParams()
 	for _, scheme := range overheadSchemes {
 		var txBits, extraBits, packets int64
 		for _, eo := range res.Epochs {
-			se := eo.Schemes[scheme]
+			se := eo.scheme(scheme)
 			txBits += se.TransmittedBits
 			extraBits += se.ExtraBits
 			packets += se.Packets

@@ -8,9 +8,10 @@ import (
 )
 
 // allocBudgets are the committed allocation counts of one seed-7 call of
-// each experiment at one sweep worker: the F5, F6 and T11 tables, the three
-// cheapest that still run the full scheme bank, MINC/LSQ and the sink
-// stage. Re-measure them with
+// each experiment at one sweep worker: the F5, F6 and T11 tables, cheap
+// runs that between them build every scheme (T11 the four codecs beside
+// dophy, F5 MINC and LSQ, F6 dophy alone) and run the sink stage.
+// Re-measure them with
 //
 //	go test -run '^TestExperimentAllocBudget$' -v ./internal/experiment
 //
@@ -21,9 +22,9 @@ var allocBudgets = []struct {
 	mallocs uint64
 	bytes   uint64
 }{
-	{"F5", F5, 2500, 1_442_000},
-	{"F6", F6, 2220, 1_774_000},
-	{"T11", T11, 2150, 1_219_000},
+	{"F5", F5, 1890, 1_217_000},
+	{"F6", F6, 1450, 1_739_000},
+	{"T11", T11, 2035, 1_131_000},
 }
 
 // Tolerances over the committed counts. Both counts move by at most about

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -53,6 +56,7 @@ func TestRunMatchesRunEpoch(t *testing.T) {
 	t.Run("fromscratch", func(t *testing.T) {
 		sc := smallScenario(17)
 		sc.Epochs = 4
+		sc.Schemes = Codecs | Baselines
 		ref := stepSession(sc, NewSession(sc))
 		got := Run(sc)
 		maskNaN(ref)
@@ -64,14 +68,14 @@ func TestRunMatchesRunEpoch(t *testing.T) {
 }
 
 // TestRunShardedMatchesRunEpoch is the same contract for the sharded
-// engine: RunSharded with every scheme attached equals stepping a
+// engine: RunSharded with every scheme named equals stepping a
 // ShardedSession through RunEpoch, unsharded and 2-way sharded.
 func TestRunShardedMatchesRunEpoch(t *testing.T) {
 	sc := smallScenario(29)
 	sc.Epochs = 3
+	sc.Schemes = Codecs | Baselines
 	for _, k := range []int{1, 2} {
 		sp := DefaultShardSpec(k)
-		sp.FullSchemes = true
 		s := NewShardedSession(sc, sp)
 		ref := stepSession(sc, s)
 		s.Close()
@@ -97,9 +101,10 @@ func TestRunZeroEpochs(t *testing.T) {
 	}
 }
 
-// TestSchemeSetsMatchAcrossEngines ties the two engines' scheme banks
-// together: a full sharded bank harvests exactly the schemes Session does,
-// and a Dophy-only bank harvests dophy alone.
+// TestSchemeSetsMatchAcrossEngines ties both engines' scheme banks to
+// Scenario.Schemes: Session and a one-shard ShardedSession each harvest
+// dophy plus exactly the schemes of the selected groups, for every set of
+// groups.
 func TestSchemeSetsMatchAcrossEngines(t *testing.T) {
 	names := func(eo *EpochOutcome) []string {
 		var out []string
@@ -109,21 +114,55 @@ func TestSchemeSetsMatchAcrossEngines(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	sc := smallScenario(31)
-	want := []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeLSQ, SchemeMINC, SchemeRaw}
-	if got := names(NewSession(sc).RunEpoch()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Session schemes = %v, want %v", got, want)
+	for _, tc := range []struct {
+		name    string
+		schemes SchemeSet
+		want    []string
+	}{
+		{"empty", 0, []string{SchemeDophy}},
+		{"codecs", Codecs, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeRaw}},
+		{"baselines", Baselines, []string{SchemeDophy, SchemeLSQ, SchemeMINC}},
+		{"all", Codecs | Baselines, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeLSQ, SchemeMINC, SchemeRaw}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := smallScenario(31)
+			sc.Schemes = tc.schemes
+			if got := names(NewSession(sc).RunEpoch()); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Session schemes = %v, want %v", got, tc.want)
+			}
+			ss := NewShardedSession(sc, DefaultShardSpec(1))
+			defer ss.Close()
+			if got := names(ss.RunEpoch()); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("ShardedSession schemes = %v, want %v", got, tc.want)
+			}
+		})
 	}
-	sp := DefaultShardSpec(1)
-	sp.FullSchemes = true
-	full := NewShardedSession(sc, sp)
-	defer full.Close()
-	if got := names(full.RunEpoch()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("full ShardedSession schemes = %v, want %v", got, want)
-	}
-	lean := NewShardedSession(sc, DefaultShardSpec(1))
-	defer lean.Close()
-	if got := names(lean.RunEpoch()); !reflect.DeepEqual(got, []string{SchemeDophy}) {
-		t.Fatalf("Dophy-only ShardedSession schemes = %v, want [%s]", got, SchemeDophy)
-	}
+}
+
+// expectPanicNaming runs fn and fails unless it panics with a message that
+// contains name.
+func expectPanicNaming(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one naming %q", name)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, strconv.Quote(name)) {
+			t.Fatalf("panic %q does not name %q", msg, name)
+		}
+	}()
+	fn()
+}
+
+// TestReadingUnbuiltSchemePanics: a run that did not build a scheme has no
+// output for it, and the RunResult accessors must say so instead of
+// reporting NaN or zero as if the scheme had estimated nothing.
+func TestReadingUnbuiltSchemePanics(t *testing.T) {
+	res := Run(smallScenario(37))
+	expectPanicNaming(t, SchemeMINC, func() { res.MeanAccuracy(SchemeMINC) })
+	expectPanicNaming(t, SchemeRaw, func() { res.MeanBitsPerPacket(SchemeRaw) })
+	expectPanicNaming(t, SchemeHuffman, func() { res.TotalBitsPerPacket(SchemeHuffman) })
+	expectPanicNaming(t, SchemeDophyNA, func() { res.DecodeErrorTotal(SchemeDophyNA) })
 }

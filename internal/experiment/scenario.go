@@ -135,7 +135,22 @@ type Scenario struct {
 	// MinTruthAttempts: links need this many ground-truth attempts in an
 	// epoch to participate in accuracy scoring.
 	MinTruthAttempts int64
+	// Schemes selects the scheme groups the caller scores beside dophy,
+	// which is always built. The zero value builds dophy alone.
+	Schemes SchemeSet
 }
+
+// SchemeSet is a set of scheme groups, combined with |.
+type SchemeSet uint8
+
+const (
+	// Codecs builds the in-packet encodings T1 and T11 compare with dophy:
+	// dophy-noagg and the huffman, compact and raw path records.
+	Codecs SchemeSet = 1 << iota
+	// Baselines builds the inference baselines F2-F9 compare with dophy:
+	// the epochobs collector and the MINC and LSQ estimators it feeds.
+	Baselines
+)
 
 // DefaultScenario is the baseline configuration shared by experiments.
 func DefaultScenario() Scenario {
@@ -265,8 +280,10 @@ func Score(se *SchemeEpoch, truth *trace.Epoch, minAttempts int64) Accuracy {
 
 // EpochOutcome bundles everything observed in one epoch.
 type EpochOutcome struct {
-	Epoch   int
-	Truth   *trace.Epoch
+	Epoch int
+	Truth *trace.Epoch
+	// Schemes holds, by name, dophy and every scheme in the groups
+	// Scenario.Schemes selects: no more, no fewer.
 	Schemes map[string]*SchemeEpoch
 	// QueueDrops counts congestion losses this epoch (QueueCap scenarios).
 	QueueDrops int64
@@ -312,8 +329,9 @@ const (
 	SchemeLSQ     = "lsq"
 )
 
-// Session is an assembled deployment with all schemes attached; epochs are
-// stepped on demand. experiment.Run and the public dophy facade share it.
+// Session is an assembled deployment with the scenario's schemes attached;
+// epochs are stepped on demand. experiment.Run and the public dophy facade
+// share it.
 //
 // Consumers and annotators attach only before the first epoch runs — an
 // epoch they missed can never be replayed.
@@ -330,8 +348,8 @@ type Session struct {
 	lastQueueDrops int64
 }
 
-// NewSession builds the network, attaches every scheme, runs the routing
-// warmup and starts data generation.
+// NewSession builds the network, attaches dophy and the scheme groups
+// sc.Schemes selects, runs the routing warmup and starts data generation.
 func NewSession(sc Scenario) *Session {
 	root := rng.New(sc.Seed)
 	tp := sc.Topo.Build(root.Split())
@@ -343,7 +361,7 @@ func NewSession(sc Scenario) *Session {
 	proto := routing.New(sc.Routing, eng, tp, model, root.Split(), rec)
 	nw := collect.New(sc.Collect, eng, tp, arq, proto, root.Split(), rec)
 	s := &Session{sc: sc, tp: tp, eng: eng, rec: rec, nw: nw, proto: proto}
-	s.bank = newSchemeBank(sc, tp, lt, true, s)
+	s.bank = newSchemeBank(sc, tp, lt, s)
 	nw.Subscribe(s.bank.sink.add)
 
 	proto.Start()
@@ -377,8 +395,8 @@ func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }
 func (s *Session) Events() uint64 { return s.eng.Processed() }
 
 // RunEpoch advances the simulation one epoch, with the sink stage feeding
-// the scheme bank alongside, harvests every scheme and runs the inference
-// estimators over the harvested observations.
+// the scheme bank alongside, harvests every built scheme and runs the
+// built inference estimators over the harvested observations.
 func (s *Session) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.bank.sink.start()
@@ -390,7 +408,7 @@ func (s *Session) RunEpoch() *EpochOutcome {
 	return s.bank.est.estimate(s.bank.harvest(s.epoch, truth, drops))
 }
 
-// Run executes the scenario with every scheme attached: a NewSession
+// Run executes the scenario with the schemes it selects: a NewSession
 // stepped through RunEpoch sc.Epochs times.
 func Run(sc Scenario) *RunResult {
 	return runEpochs(sc, NewSession(sc))
@@ -425,17 +443,26 @@ func runEpochs(sc Scenario, e epochEngine) *RunResult {
 	return res
 }
 
+// scheme returns the epoch's output for a scheme the run built. harvest
+// adds every built scheme to every epoch, so a missing name was not built,
+// and reading it panics instead of passing for a scheme that produced
+// nothing.
+func (eo *EpochOutcome) scheme(name string) *SchemeEpoch {
+	se, ok := eo.Schemes[name]
+	if !ok {
+		panic(fmt.Sprintf("experiment: scheme %q was not built: select its group in Scenario.Schemes", name))
+	}
+	return se
+}
+
 // MeanAccuracy averages a scheme's per-epoch accuracy across a run,
-// skipping epochs where the scheme produced nothing.
+// skipping epochs where the scheme estimated nothing. It panics if the run
+// did not build the scheme.
 func (r *RunResult) MeanAccuracy(scheme string) Accuracy {
 	var maes, rmses, covs, maxes []float64
 	links := 0
 	for _, eo := range r.Epochs {
-		se, ok := eo.Schemes[scheme]
-		if !ok {
-			continue
-		}
-		acc := Score(se, eo.Truth, r.Scenario.MinTruthAttempts)
+		acc := Score(eo.scheme(scheme), eo.Truth, r.Scenario.MinTruthAttempts)
 		if math.IsNaN(acc.MAE) {
 			continue
 		}
@@ -457,14 +484,14 @@ func (r *RunResult) MeanAccuracy(scheme string) Accuracy {
 	}
 }
 
-// MeanBitsPerPacket averages a scheme's in-packet cost across epochs.
+// MeanBitsPerPacket averages a scheme's in-packet cost across epochs. It
+// panics if the run did not build the scheme.
 func (r *RunResult) MeanBitsPerPacket(scheme string) float64 {
 	var totalBits, totalPkts int64
 	for _, eo := range r.Epochs {
-		if se, ok := eo.Schemes[scheme]; ok {
-			totalBits += se.AnnotationBits + se.HeaderBits
-			totalPkts += se.Packets
-		}
+		se := eo.scheme(scheme)
+		totalBits += se.AnnotationBits + se.HeaderBits
+		totalPkts += se.Packets
 	}
 	if totalPkts == 0 {
 		return 0
@@ -473,14 +500,14 @@ func (r *RunResult) MeanBitsPerPacket(scheme string) float64 {
 }
 
 // TotalBitsPerPacket includes dissemination (ExtraBits) amortised over
-// packets — the figure optimisation 2 trades off.
+// packets — the figure optimisation 2 trades off. It panics if the run did
+// not build the scheme.
 func (r *RunResult) TotalBitsPerPacket(scheme string) float64 {
 	var totalBits, totalPkts int64
 	for _, eo := range r.Epochs {
-		if se, ok := eo.Schemes[scheme]; ok {
-			totalBits += se.AnnotationBits + se.HeaderBits + se.ExtraBits
-			totalPkts += se.Packets
-		}
+		se := eo.scheme(scheme)
+		totalBits += se.AnnotationBits + se.HeaderBits + se.ExtraBits
+		totalPkts += se.Packets
 	}
 	if totalPkts == 0 {
 		return 0
@@ -488,13 +515,12 @@ func (r *RunResult) TotalBitsPerPacket(scheme string) float64 {
 	return float64(totalBits) / float64(totalPkts)
 }
 
-// DecodeErrorTotal sums decode errors across epochs for a scheme.
+// DecodeErrorTotal sums decode errors across epochs for a scheme. It
+// panics if the run did not build the scheme.
 func (r *RunResult) DecodeErrorTotal(scheme string) int64 {
 	var n int64
 	for _, eo := range r.Epochs {
-		if se, ok := eo.Schemes[scheme]; ok {
-			n += se.DecodeErrors
-		}
+		n += eo.scheme(scheme).DecodeErrors
 	}
 	return n
 }

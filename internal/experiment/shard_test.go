@@ -74,6 +74,7 @@ func shardTestScenario() Scenario {
 	sc.Warmup = 60
 	sc.EpochLen = 120
 	sc.Epochs = 2
+	sc.Schemes = Codecs | Baselines
 	return sc
 }
 
@@ -85,9 +86,7 @@ func TestShardedByteDeterminism(t *testing.T) {
 	sc := shardTestScenario()
 	var ref string
 	for _, k := range []int{1, 2, 4, 8} {
-		sp := DefaultShardSpec(k)
-		sp.FullSchemes = true
-		got := renderRun(RunSharded(sc, sp))
+		got := renderRun(RunSharded(sc, DefaultShardSpec(k)))
 		if k == 1 {
 			ref = got
 			if len(ref) < 10000 {

@@ -27,17 +27,10 @@ import (
 type ShardSpec struct {
 	// Shards is the number of spatial partitions (= worker cores).
 	Shards int
-	// FullSchemes attaches the complete scheme set (dophy, dophy-noagg,
-	// raw/compact/huffman path records, and the epochobs counts MINC and
-	// LSQ estimate from) exactly as experiment.Run does. When false only
-	// dophy runs: the configuration the large scale tiers use. The sink
-	// stage is one goroutine that decodes each journey once per annotation
-	// scheme (five in a full bank), and MINC/LSQ solve over every link at
-	// each epoch end, so a full bank would cap a K-way run at one core.
-	FullSchemes bool
 }
 
-// DefaultShardSpec returns a Dophy-only spec over the given shard count.
+// DefaultShardSpec returns a spec over the given shard count. Which
+// schemes the run builds is the scenario's (Scenario.Schemes), as for Run.
 func DefaultShardSpec(shards int) ShardSpec {
 	return ShardSpec{Shards: shards}
 }
@@ -138,8 +131,8 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 }
 
 // ShardedSession is the partitioned counterpart of Session: one complete
-// deployment split across sp.Shards engines, with every scheme fed the
-// exact same journey sequence regardless of the shard count.
+// deployment split across sp.Shards engines, with every built scheme fed
+// the exact same journey sequence regardless of the shard count.
 //
 // Per-shard instances of the mac/routing/collect stack own disjoint node
 // sets; all their RNG draws come from per-node streams (rng.Derive), so no
@@ -180,9 +173,8 @@ type ShardedSession struct {
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
-// mac/routing/collect stack per shard, attaches the scheme bank (dophy
-// alone unless sp.FullSchemes), runs the routing warmup and starts data
-// generation.
+// mac/routing/collect stack per shard, attaches dophy and the scheme groups
+// sc.Schemes selects, runs the routing warmup and starts data generation.
 func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	if sp.Shards < 1 {
 		panic(fmt.Sprintf("experiment: %d shards", sp.Shards))
@@ -252,7 +244,7 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
 	}
 
-	s.bank = newSchemeBank(sc, tp, lt, sp.FullSchemes, s)
+	s.bank = newSchemeBank(sc, tp, lt, s)
 	// Handing journeys to the sink at every barrier (rather than at epoch
 	// ends) bounds journey buffering to one window's worth of completions.
 	s.eng.OnBarrier(s.flush)
@@ -380,8 +372,8 @@ func (s *ShardedSession) queueDrops() int64 {
 	return total
 }
 
-// RunEpoch advances the simulation one epoch, harvests every attached
-// scheme and estimates, mirroring Session.RunEpoch. It drains per-shard
+// RunEpoch advances the simulation one epoch, harvests every built scheme
+// and estimates, mirroring Session.RunEpoch. It drains per-shard
 // recorders, so it runs strictly between Run windows.
 func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	s.epoch++
@@ -399,7 +391,8 @@ func (s *ShardedSession) RunEpoch() *EpochOutcome {
 func (s *ShardedSession) Close() { s.eng.Close() }
 
 // RunSharded executes the scenario under the sharded engine through the
-// same epoch loop as Run. The result is byte-identical for every value of
+// same epoch loop as Run, building the same schemes: dophy and the groups
+// sc.Schemes selects. The result is byte-identical for every value of
 // sp.Shards (see ShardSpec); it is NOT comparable to Run's, which applies
 // beacons and hand-offs with zero latency.
 func RunSharded(sc Scenario, sp ShardSpec) *RunResult {

@@ -118,6 +118,7 @@ func TestSinkStageOrderAndRecycling(t *testing.T) {
 // sink goroutine before returning.
 func TestRunEpochLeavesNoGoroutine(t *testing.T) {
 	sc := smallScenario(23)
+	sc.Schemes = Codecs | Baselines
 	base := runtime.NumGoroutine()
 	s := NewSession(sc)
 	for e := 0; e < 3; e++ {
@@ -125,7 +126,7 @@ func TestRunEpochLeavesNoGoroutine(t *testing.T) {
 		waitGoroutines(t, base, "after Session.RunEpoch")
 	}
 
-	ss := NewShardedSession(shardTestScenario(), ShardSpec{Shards: 2, FullSchemes: true})
+	ss := NewShardedSession(shardTestScenario(), DefaultShardSpec(2))
 	defer ss.Close()
 	// The shard workers are the engine's own; the baseline includes them.
 	base = runtime.NumGoroutine()
@@ -140,10 +141,11 @@ func TestRunEpochLeavesNoGoroutine(t *testing.T) {
 // goroutine joined and the shard workers closed.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	sc := smallScenario(23)
+	sc.Schemes = Codecs | Baselines
 	base := runtime.NumGoroutine()
 	Run(sc)
 	waitGoroutines(t, base, "after Run")
-	RunSharded(sc, ShardSpec{Shards: 2, FullSchemes: true})
+	RunSharded(sc, DefaultShardSpec(2))
 	waitGoroutines(t, base, "after RunSharded")
 }
 
@@ -179,6 +181,7 @@ func BenchmarkSessionRunEpoch(b *testing.B) {
 	sc.Routing.RandomizeParentProb = 0.3
 	sc.Collect.GenPeriod = 1
 	sc.EpochLen = 60
+	sc.Schemes = Baselines // as the facade builds under CompareBaselines
 	s := NewSession(sc)
 	s.RunEpoch() // warm the pools
 	b.ReportAllocs()
