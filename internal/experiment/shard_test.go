@@ -100,6 +100,49 @@ func TestShardedByteDeterminism(t *testing.T) {
 	}
 }
 
+// TestFabricCarriersReturnHome pins the fabric's carrier pool at two
+// shards. After every epoch no carrier is still parked away from home,
+// every idle carrier sits on its home shard's free list, and the set of
+// carriers ever seen idle stops growing once the pools are warm. A pool
+// that kept carriers on the shard they last ran on would drain toward the
+// sink's shard, which data hops flow into, and fail all but the first
+// check. Warm pools still gain the odd carrier when the number in flight
+// sets a new peak (85 after epoch 3, 92 after epoch 12), so growth is
+// bounded by a quarter; the draining pool grows by about a thousand
+// carriers an epoch.
+func TestFabricCarriersReturnHome(t *testing.T) {
+	sc := shardTestScenario()
+	sc.Schemes = 0
+	sc.EpochLen = 60
+	s := NewShardedSession(sc, DefaultShardSpec(2))
+	defer s.Close()
+	const epochs, warm = 12, 3
+	seen := map[*carrier]bool{}
+	pooled := make([]int, 0, epochs)
+	for e := 1; e <= epochs; e++ {
+		s.RunEpoch()
+		for k, f := range s.fabs {
+			if len(f.away) != 0 {
+				t.Fatalf("epoch %d: shard %d still parks %d carriers of other shards", e, k, len(f.away))
+			}
+			for _, c := range f.free {
+				if c.home != f {
+					t.Fatalf("epoch %d: shard %d's free list holds a carrier homed on shard %d", e, k, c.home.src)
+				}
+				seen[c] = true
+			}
+		}
+		pooled = append(pooled, len(seen))
+	}
+	if s.Stats().Exchanged == 0 {
+		t.Fatal("no cross-shard message: the scenario does not exercise the away lists")
+	}
+	t.Logf("carriers seen after each epoch: %v", pooled)
+	if 4*pooled[epochs-1] > 5*pooled[warm-1] {
+		t.Fatalf("pooled carriers grew by more than a quarter after epoch %d: %v", warm, pooled)
+	}
+}
+
 // TestShardedRejectsUnshardable locks in the validation: radio/mac modes
 // whose state has no single owning shard must refuse to run sharded.
 func TestShardedRejectsUnshardable(t *testing.T) {

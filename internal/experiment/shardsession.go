@@ -46,54 +46,79 @@ type ShardStats struct {
 }
 
 // shardFabric carries beacons and data packets between nodes for one
-// source shard. It implements routing.Fabric and collect.Fabric. Each
-// shard gets its own instance so the hop-carrier pool below is
-// single-writer.
+// source shard. It implements routing.Fabric and collect.Fabric. Every
+// delivery rides a pooled carrier (see carrier) taken from the sending
+// shard's free list, so neither a beacon nor a data hop allocates once the
+// pools are warm. Each shard gets its own instance so both lists below have
+// one writer at a time: the shard's worker inside a window, the coordinator
+// at the barrier.
 type shardFabric struct {
-	s    *ShardedSession
-	src  topo.ShardID
-	free []*hopCarrier
+	s   *ShardedSession
+	src topo.ShardID
+	// free holds idle carriers homed on this shard. Only carriers whose
+	// home is this fabric are ever on it.
+	free []*carrier
+	// away holds carriers homed on other shards that have run on this one;
+	// flush returns them home.
+	away []*carrier
 }
 
-// hopCarrier is a pooled continuation for same-shard packet arrivals — the
-// sharded counterpart of collect's hopCont. Cross-shard arrivals allocate a
-// closure instead: they are the cut fraction, and pooling across shards
-// would make the free lists multi-writer. Once a carrier is back on the
-// free list the next carrier() owns it, so run must not touch it again.
-type hopCarrier struct {
-	f  *shardFabric
-	to topo.NodeID
+// carrier is a pooled, pre-bound delivery: a beacon receipt (j == nil) or a
+// packet arrival on shard dst, the sharded counterpart of collect's hopCont.
+// fn is bound to run once, when the carrier is made, so scheduling it
+// allocates nothing. A carrier always returns to its home fabric's free
+// list: directly when it ran there, through the running shard's away list
+// and flush when it ran on another shard. Returning it to the running
+// shard instead would drain the pools toward the sink's shard, since data
+// hops flow toward the sink.
+type carrier struct {
+	home     *shardFabric
+	dst      topo.ShardID
+	to, from topo.NodeID
+	seq      int64
+	adv      float64
 	//dophy:allow poolescape -- an in-flight journey: collect recycles only finished ones, and run clears j before the carrier is reused
 	j  *collect.PacketJourney
 	fn sim.Handler
 }
 
-// run is the carrier's continuation: it reads its payload into locals,
-// returns itself to the pool, and only then delivers: Arrive may take the
-// same carrier from the pool, so no field of c may be touched after the
-// pool append.
+// run is the carrier's continuation on shard dst: it reads its payload into
+// locals, parks itself for reuse, and only then delivers. The delivery may
+// take the same carrier from the pool, so no field of c may be touched
+// after it is parked.
 //
 //dophy:hotpath
-func (c *hopCarrier) run() {
-	f, to, j := c.f, c.to, c.j
+func (c *carrier) run() {
+	home, dst, to, from, seq, adv, j := c.home, c.dst, c.to, c.from, c.seq, c.adv, c.j
 	c.j = nil
-	// c is back on the free list; the next carrier() owns it
-	f.free = append(f.free, c)
-	f.s.nws[f.src].Arrive(to, j)
+	s := home.s
+	// c is parked; the next carrier() on its home shard owns it
+	if dst == home.src {
+		home.free = append(home.free, c)
+	} else {
+		here := s.fabs[dst]
+		here.away = append(here.away, c)
+	}
+	if j == nil {
+		s.protos[dst].ReceiveBeacon(to, from, seq, adv)
+		return
+	}
+	s.nws[dst].Arrive(to, j)
 }
 
+// carrier takes an idle carrier from this shard's pool, or makes one.
+//
 //dophy:hotpath
-func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarrier {
+func (f *shardFabric) carrier(dst topo.ShardID, to, from topo.NodeID) *carrier {
 	if n := len(f.free); n > 0 {
 		c := f.free[n-1]
 		f.free[n-1] = nil
 		f.free = f.free[:n-1]
-		c.to, c.j = to, j
+		c.dst, c.to, c.from = dst, to, from
 		return c
 	}
 	//dophy:allow hotpathalloc -- carrier-pool miss path: allocates only until the pool warms up
-	c := &hopCarrier{f: f, to: to}
-	c.j = j
+	c := &carrier{home: f, dst: dst, to: to, from: from}
 	c.fn = c.run
 	return c
 }
@@ -107,14 +132,9 @@ func (f *shardFabric) carrier(to topo.NodeID, j *collect.PacketJourney) *hopCarr
 func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
 	s := f.s
 	dst := s.owner[to]
-	if dst == f.src {
-		// the pooled carrier now owns j until it lands
-		s.eng.Sub(f.src).Schedule(at, f.carrier(to, j).fn)
-		return
-	}
-	nw := s.nws[dst]
-	//dophy:allow hotpathalloc -- cross-shard forward: the closure carries the journey over the barrier; cut traffic only
-	s.eng.Send(f.src, at, from, dst, func() { nw.Arrive(to, j) }) // j rides the outbox to shard dst; this shard may not touch it again
+	c := f.carrier(dst, to, from)
+	c.j = j // the carrier owns j until it lands; this shard may not touch it again
+	s.eng.Send(f.src, at, from, dst, c.fn)
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
@@ -124,10 +144,9 @@ func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
 	s := f.s
 	dst := s.owner[to]
-	at := s.eng.Sub(f.src).Now() + s.lookahead
-	p := s.protos[dst]
-	//dophy:allow hotpathalloc -- beacon receipt: low-rate control plane; the closure carries the payload to the receiver's shard
-	s.eng.Send(f.src, at, from, dst, func() { p.ReceiveBeacon(to, from, seq, advertisedETX) })
+	c := f.carrier(dst, to, from)
+	c.seq, c.adv = seq, advertisedETX
+	s.eng.Send(f.src, s.eng.Sub(f.src).Now()+s.lookahead, from, dst, c.fn)
 }
 
 // ShardedSession is the partitioned counterpart of Session: one complete
@@ -270,12 +289,20 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 	s.bufs[k] = append(s.bufs[k], j)
 }
 
-// flush drains every shard's completed-journey buffer in (Completed,
-// Origin, Seq) order — a pure function of simulation behaviour, so the
-// global feed sequence is identical at every shard count — and hands it to
-// the scheme bank's sink stage. Runs on the coordinator: at window barriers
-// for K > 1, after Run returns for K == 1.
+// flush returns every carrier parked away from home to its home pool, then
+// drains every shard's completed-journey buffer in (Completed, Origin, Seq)
+// order — a pure function of simulation behaviour, so the global feed
+// sequence is identical at every shard count — and hands it to the scheme
+// bank's sink stage. Runs on the coordinator: at window barriers for K > 1,
+// after Run returns for K == 1.
 func (s *ShardedSession) flush() {
+	for _, f := range s.fabs {
+		for i, c := range f.away {
+			c.home.free = append(c.home.free, c)
+			f.away[i] = nil
+		}
+		f.away = f.away[:0]
+	}
 	m := s.fmerge[:0]
 	for k := range s.bufs {
 		b := s.bufs[k]

@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,13 +207,13 @@ func FuzzMergeKeyTotalOrder(f *testing.F) {
 			for s := range out {
 				m = append(m, out[s]...)
 			}
-			sort.Slice(m, func(i, j int) bool { return m[i].before(m[j]) })
+			slices.SortFunc(m, compareMsgs)
 			return m
 		}
 
 		want := merge(1)
 		for i := 1; i < len(want); i++ {
-			if !want[i-1].before(want[i]) || want[i].before(want[i-1]) {
+			if compareMsgs(want[i-1], want[i]) >= 0 || compareMsgs(want[i], want[i-1]) <= 0 {
 				t.Fatalf("merge order not strict at %d: %+v vs %+v", i, want[i-1], want[i])
 			}
 		}
