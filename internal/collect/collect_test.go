@@ -436,3 +436,47 @@ func TestRecycleDropsLongHopBuffers(t *testing.T) {
 		t.Fatal("a short-hop record was not pooled")
 	}
 }
+
+// TestForwardPathAllocFree runs a lossy chain at steady state, recycling
+// every finished journey, and requires the forwarding path to allocate
+// nothing once the journey and continuation pools and the event queue are
+// warm: with unbounded queues, and with bounded ones at relays kept busy
+// enough to queue and drop packets.
+func TestForwardPathAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"queuecap=0", DefaultConfig()},
+		{"queuecap=4", Config{GenPeriod: 0.3, GenJitter: 0.25, TxTime: 0.05, HopDelay: 0.01, TTL: 16, QueueCap: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := topo.Chain(6, 10, 10.5)
+			eng := sim.New()
+			rec := trace.NewRecorder(tp.LinkTable())
+			arq := mac.New(mac.DefaultConfig(), radio.NewStaticUniformLoss(tp, 0.2), rng.New(41), rec)
+			parents := []topo.NodeID{-1, 0, 1, 2, 3, 4}
+			nw := New(tc.cfg, eng, tp, arq, &fixedRouter{parents}, rng.New(42), rec)
+			var done []*PacketJourney
+			nw.Subscribe(func(j *PacketJourney) { done = append(done, j) })
+			step := func() {
+				eng.Run(eng.Now() + 10)
+				for i, j := range done {
+					nw.Recycle(j)
+					done[i] = nil
+				}
+				done = done[:0]
+			}
+			nw.Start()
+			for i := 0; i < 50; i++ {
+				step()
+			}
+			if tc.cfg.QueueCap > 0 && nw.QueueDrops == 0 {
+				t.Fatal("no queue drops: the relays were never busy enough to exercise the bounded queue")
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Fatalf("forwarding allocates %.1f objects per 10 s once warm, want 0", allocs)
+			}
+		})
+	}
+}

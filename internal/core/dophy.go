@@ -399,12 +399,10 @@ func (d *Dophy) decodeWith(origin topo.NodeID, data []byte, nHops int, countMode
 	counts := d.countBuf[:0]
 	for cur != topo.Sink {
 		if len(links) > nHops {
-			//dophy:allow hotpathalloc -- cold corruption guard: runs only when a decode fails, never on the healthy path
 			return nil, nil, fmt.Errorf("core: decode overran %d hops", nHops)
 		}
 		hm := hopModels[cur]
 		if hm == nil {
-			//dophy:allow hotpathalloc -- cold corruption guard: runs only when a decode fails, never on the healthy path
 			return nil, nil, fmt.Errorf("core: node %d has no neighbours", cur)
 		}
 		idx, err := dec.Decode(hm)

@@ -37,7 +37,9 @@ type packetAnno struct {
 // a given engine, never both (estimates would double-count).
 type Annotator struct {
 	d *Dophy
-	//dophy:allow poolescape -- keyed by in-flight journeys only: OnDeliver and OnDrop delete the entry before collect hands the journey to its consumers
+	// flight is keyed by in-flight journeys only: OnDeliver and OnDrop
+	// delete the entry before collect hands the journey to its consumers,
+	// which may recycle it.
 	flight map[*collect.PacketJourney]*packetAnno
 }
 
@@ -52,7 +54,8 @@ func (a *Annotator) InFlight() int { return len(a.flight) }
 // OnGenerate implements collect.Annotator: capture the model version this
 // packet will encode against.
 func (a *Annotator) OnGenerate(j *collect.PacketJourney) {
-	//dophy:allow hotpathalloc -- per-packet in-flight annotation state is the modeled artifact; it lives exactly as long as its packet
+	// One allocation per packet: the in-flight annotation state is the
+	// modeled artifact and lives exactly as long as its packet.
 	a.flight[j] = &packetAnno{
 		countModel: a.d.countModel,
 		hopModels:  a.d.hopModels,

@@ -10,8 +10,9 @@ import (
 // wall-clock read inside the simulation tree: experiment T4 reports
 // sim-seconds-per-wall-second, so the wall clock is the quantity being
 // measured, not an input to any simulated outcome. It holds the function,
-// not a reading: determflow flags the call through it in nowNanos, which
-// carries the reviewed waiver.
+// not a reading; nowNanos is the one call through it. A wall-clock read
+// that reached a simulated outcome would make the goldens and
+// TestShardedByteDeterminism fail from run to run.
 var timeNow = time.Now
 
 // simTimeAlias lets extension experiments write durations without importing

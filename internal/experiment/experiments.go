@@ -499,8 +499,8 @@ func T4(seed uint64, o RunOptions) *Table {
 }
 
 // nowNanos is a tiny wall-clock shim (the only wall-clock use in the repo).
-//
-//dophy:allow determflow hotpathalloc -- timeNow is the stamping shim for report metadata; it only ever holds time.Now (or a test stub), neither of which reads simulation state, writes package state or allocates
+// timeNow only ever holds time.Now or a test stub, neither of which reads
+// simulation state, writes package state or allocates.
 func nowNanos() int64 { return timeNow().UnixNano() }
 
 // Runner is one experiment entry in the registry.

@@ -11,9 +11,11 @@ import (
 // each experiment at one sweep worker and one shard: the F5, F6 and T11
 // tables, cheap runs that between them build every scheme (T11 the four
 // codecs beside dophy, F5 MINC and LSQ, F6 dophy alone) and run the sink
-// stage, and the S0 scale tier, the one run of the sharded engine, whose
-// fabric delivers every beacon and data hop on a pooled carrier (an
-// allocation per beacon would put it at 1.17 million mallocs).
+// stage; F9, the one experiment with bounded forwarding queues (a queue
+// pop that re-slices instead of copying down put it at 293,000 mallocs);
+// and the S0 scale tier, the one run of the sharded engine, whose fabric
+// delivers every beacon and data hop on a pooled carrier (an allocation
+// per beacon would put it at 1.17 million mallocs).
 // Re-measure them with
 //
 //	go test -run '^TestExperimentAllocBudget$' -v ./internal/experiment
@@ -28,6 +30,7 @@ var allocBudgets = []struct {
 	{"F5", F5, 1890, 1_217_000},
 	{"F6", F6, 1450, 1_739_000},
 	{"T11", T11, 2035, 1_131_000},
+	{"F9", F9, 8070, 5_180_000},
 	{"S0", S0, s0Mallocs, 48_100_000},
 }
 
@@ -45,9 +48,8 @@ const (
 
 // TestExperimentAllocBudget fails when an experiment allocates more than
 // its committed budget: mallocs by more than 10%, or bytes allocated by
-// more than 30%. It is the runtime counterpart of dophy-lint's hotpathalloc
-// rule, and catches a per-journey or per-hop allocation anywhere between
-// the simulator and the estimators.
+// more than 30%. It catches a per-journey, per-hop or per-queued-packet
+// allocation anywhere between the simulator and the estimators.
 func TestExperimentAllocBudget(t *testing.T) {
 	for _, b := range allocBudgets {
 		var before, after runtime.MemStats

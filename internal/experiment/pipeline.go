@@ -13,8 +13,6 @@
 // harvests, so no sink goroutine outlives an epoch. One consumer, FIFO
 // channels: the bank sees every journey in completion order, as if fed
 // inline.
-//
-//dophy:concurrency-boundary -- single-producer single-consumer FIFO hand-off of journey batches to one sink goroutine per epoch, joined before harvest; every batch crosses exactly once and nothing reaches the bank from two goroutines
 package experiment
 
 import "dophy/internal/collect"
@@ -45,7 +43,6 @@ type journeyPool interface {
 // then to the simulation side again, which recycles its journeys before
 // refilling it.
 type sinkBatch struct {
-	//dophy:allow poolescape -- the stage is the journeys' recycler: a batch holds them only from add until reclaim hands them back to collect
 	js []*collect.PacketJourney
 }
 
@@ -95,8 +92,6 @@ func (st *sinkStage) start() {
 // add queues one completed journey for the sink; it is collect's journey
 // subscriber (Session) or the barrier flush's consumer (ShardedSession) and
 // must run between start and join. A full batch goes to the sink at once.
-//
-//dophy:hotpath
 func (st *sinkStage) add(j *collect.PacketJourney) {
 	bt := st.cur
 	bt.js = append(bt.js, j)

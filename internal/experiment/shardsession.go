@@ -77,7 +77,8 @@ type carrier struct {
 	to, from topo.NodeID
 	seq      int64
 	adv      float64
-	//dophy:allow poolescape -- an in-flight journey: collect recycles only finished ones, and run clears j before the carrier is reused
+	// j is an in-flight journey: collect recycles only finished ones, and
+	// run clears j before the carrier is reused.
 	j  *collect.PacketJourney
 	fn sim.Handler
 }
@@ -86,8 +87,6 @@ type carrier struct {
 // locals, parks itself for reuse, and only then delivers. The delivery may
 // take the same carrier from the pool, so no field of c may be touched
 // after it is parked.
-//
-//dophy:hotpath
 func (c *carrier) run() {
 	home, dst, to, from, seq, adv, j := c.home, c.dst, c.to, c.from, c.seq, c.adv, c.j
 	c.j = nil
@@ -107,8 +106,6 @@ func (c *carrier) run() {
 }
 
 // carrier takes an idle carrier from this shard's pool, or makes one.
-//
-//dophy:hotpath
 func (f *shardFabric) carrier(dst topo.ShardID, to, from topo.NodeID) *carrier {
 	if n := len(f.free); n > 0 {
 		c := f.free[n-1]
@@ -117,7 +114,7 @@ func (f *shardFabric) carrier(dst topo.ShardID, to, from topo.NodeID) *carrier {
 		c.dst, c.to, c.from = dst, to, from
 		return c
 	}
-	//dophy:allow hotpathalloc -- carrier-pool miss path: allocates only until the pool warms up
+	// Pool miss: allocates only until the pool warms up.
 	c := &carrier{home: f, dst: dst, to: to, from: from}
 	c.fn = c.run
 	return c
@@ -127,8 +124,6 @@ func (f *shardFabric) carrier(dst topo.ShardID, to, from topo.NodeID) *carrier {
 // transmit guarantees at is at least HopDelay+TxTime in the future, which
 // the session's lookahead never exceeds, so cross-shard sends always clear
 // the current window.
-//
-//dophy:hotpath
 func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
 	s := f.s
 	dst := s.owner[to]
@@ -139,8 +134,6 @@ func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
 // one lookahead window (the data-plane latency floor) after it was sent.
-//
-//dophy:hotpath
 func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
 	s := f.s
 	dst := s.owner[to]
@@ -177,10 +170,10 @@ type ShardedSession struct {
 	protos []*routing.Protocol
 	nws    []*collect.Network
 	fabs   []*shardFabric
-	//dophy:allow poolescape -- finished journeys wait here only until the next flush hands them to the sink stage, which recycles them
-	bufs [][]*collect.PacketJourney // journeys completed since the last flush, per shard
-	//dophy:allow poolescape -- flush scratch: cleared before flush returns
-	fmerge []*collect.PacketJourney // flush merge scratch
+	// bufs holds the journeys completed since the last flush, per shard,
+	// until the flush hands them to the sink stage, which recycles them.
+	bufs   [][]*collect.PacketJourney
+	fmerge []*collect.PacketJourney // flush merge scratch, cleared before flush returns
 
 	// The scheme bank's sink stage is driven from the coordinator: each
 	// barrier's sorted journeys go to it, and its goroutine feeds them while

@@ -3,9 +3,8 @@
 // shares no state with any other (its simulation is single-threaded beside
 // one sink goroutine per epoch), so points fan out across a bounded worker
 // pool and results land in input order, which keeps every table
-// byte-identical to a sequential execution for the same seed.
-//
-//dophy:concurrency-boundary -- scenario-level fan-out over independent runs; results land in input order and workers share only an atomic index
+// byte-identical to a sequential execution for the same seed. Workers share
+// only an atomic index.
 package experiment
 
 import (

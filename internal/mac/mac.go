@@ -87,7 +87,6 @@ func (a *ARQ) MaxAttempts() int { return a.cfg.MaxRetx + 1 }
 // different nodes interleave across shards. Call before the first Send.
 func (a *ARQ) UsePerNodeRNG(streams []*rng.Source) { a.perNode = streams }
 
-//dophy:hotpath
 func (a *ARQ) rng(sender topo.NodeID) *rng.Source {
 	if a.perNode != nil {
 		return a.perNode[sender]

@@ -32,7 +32,6 @@ func (m *Dense) Reshape(rows, cols int) {
 	}
 	n := rows * cols
 	if cap(m.data) < n {
-		//dophy:allow hotpathalloc -- scratch grows to the problem's high-water mark, then is reused
 		m.data = make([]float64, n)
 	} else {
 		m.data = m.data[:n]
@@ -45,7 +44,6 @@ func (m *Dense) Reshape(rows, cols int) {
 // backing array when it is large enough.
 func grow[T float64 | int32](s []T, n int) []T {
 	if cap(s) < n {
-		//dophy:allow hotpathalloc -- scratch grows to the problem's high-water mark, then is reused
 		return make([]T, n)
 	}
 	s = s[:n]
@@ -188,8 +186,6 @@ type NNLSSolver struct {
 // Solve is NNLS with reusable scratch: it forms G = A^T A and A^T b, then
 // runs the projected-gradient iteration from x = 0. The returned slice
 // aliases the solver's scratch and is valid until the next Solve call.
-//
-//dophy:hotpath
 func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
 	a.GramInto(&s.g)
 	s.atb = grow(s.atb, a.Cols)
@@ -277,8 +273,6 @@ func (s *NNLSSolver) scanGram(g *Dense) float64 {
 // terms in the dense row sum's order, and every skipped term is an exact
 // ±0 whose addition would leave the partial sum unchanged (a sum started
 // from +0 never becomes -0, and s + ±0 == s otherwise).
-//
-//dophy:hotpath
 func (s *NNLSSolver) gramMulVec(grad, x []float64) {
 	clear(grad)
 	for k, xk := range x {

@@ -69,8 +69,6 @@ func (m *NodeFailures) Down(id topo.NodeID, now sim.Time) bool {
 }
 
 // PRR implements Model: zero while either endpoint is down.
-//
-//dophy:hotpath
 func (m *NodeFailures) PRR(l topo.Link, now sim.Time) float64 {
 	if m.Down(l.From, now) || m.Down(l.To, now) {
 		return 0

@@ -137,8 +137,6 @@ func NewStaticUniformLoss(t *topo.Topology, loss float64) *Static {
 }
 
 // PRR implements Model.
-//
-//dophy:hotpath
 func (s *Static) PRR(l topo.Link, _ sim.Time) float64 {
 	i := s.lt.Index(l)
 	if i == topo.NoLink {
@@ -193,8 +191,6 @@ func NewRandomWalk(t *topo.Topology, bp BaseParams, interval sim.Time, stepStd f
 }
 
 // PRR implements Model, advancing the walk lazily.
-//
-//dophy:hotpath
 func (m *RandomWalk) PRR(l topo.Link, now sim.Time) float64 {
 	i := m.lt.Index(l)
 	if i == topo.NoLink {
@@ -249,8 +245,6 @@ func NewGilbertElliott(t *topo.Topology, bp BaseParams, meanGood, meanBad sim.Ti
 }
 
 // PRR implements Model, advancing the Markov chain lazily.
-//
-//dophy:hotpath
 func (m *GilbertElliott) PRR(l topo.Link, now sim.Time) float64 {
 	i := m.lt.Index(l)
 	if i == topo.NoLink {

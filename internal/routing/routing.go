@@ -217,8 +217,6 @@ func (p *Protocol) owns(id topo.NodeID) bool { return p.owned == nil || p.owned[
 
 // rng returns the stream id's draws come from: the node's own stream in
 // sharded mode, the shared protocol stream otherwise.
-//
-//dophy:hotpath
 func (p *Protocol) rng(id topo.NodeID) *rng.Source {
 	if p.perNode != nil {
 		return p.perNode[id]
@@ -284,8 +282,6 @@ func (p *Protocol) trickleReset(ns *nodeState) {
 }
 
 // beacon transmits one beacon from id and reschedules.
-//
-//dophy:hotpath
 func (p *Protocol) beacon(id topo.NodeID) {
 	ns := p.nodes[id]
 	p.beaconOnce(id)
@@ -309,8 +305,6 @@ func (p *Protocol) beacon(id topo.NodeID) {
 }
 
 // receiveBeacon processes a beacon from neighbour 'from' at node 'at'.
-//
-//dophy:hotpath
 func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX float64) {
 	ns := p.nodes[at]
 	k := p.lt.NeighborIndex(topo.Link{From: at, To: from})
@@ -346,8 +340,6 @@ func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 }
 
 // updateLinkETX blends one ETX sample into info's link estimate.
-//
-//dophy:hotpath
 func (p *Protocol) updateLinkETX(info *neighborInfo, sample, alpha float64) {
 	if !info.hasLinkETX {
 		info.linkETX = sample
@@ -358,8 +350,6 @@ func (p *Protocol) updateLinkETX(info *neighborInfo, sample, alpha float64) {
 }
 
 // OnDataResult feeds an ARQ outcome back into the sender's link estimator.
-//
-//dophy:hotpath
 func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 	ns := p.nodes[from]
 	k := p.lt.NeighborIndex(topo.Link{From: from, To: to})
@@ -385,8 +375,6 @@ func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 
 // scheduleNow queues an immediate extra beacon for id (at most one pending
 // at a time) so route changes propagate without waiting a full interval.
-//
-//dophy:hotpath
 func (p *Protocol) scheduleNow(id topo.NodeID) {
 	if !p.cfg.AdaptiveBeacon || !p.started {
 		return
@@ -396,8 +384,6 @@ func (p *Protocol) scheduleNow(id topo.NodeID) {
 }
 
 // beaconOnce transmits a beacon without touching the periodic schedule.
-//
-//dophy:hotpath
 func (p *Protocol) beaconOnce(id topo.NodeID) {
 	ns := p.nodes[id]
 	ns.beaconSeq++
@@ -423,16 +409,12 @@ func (p *Protocol) beaconOnce(id topo.NodeID) {
 
 // ReceiveBeacon applies a beacon that arrived over the fabric at node 'at'.
 // It must run on the engine owning 'at', at the beacon's arrival time.
-//
-//dophy:hotpath
 func (p *Protocol) ReceiveBeacon(at, from topo.NodeID, seq int64, advertisedETX float64) {
 	p.receiveBeacon(at, from, seq, advertisedETX)
 }
 
 // metric returns the routing metric of the neighbour info describes, and
 // whether that neighbour is admissible.
-//
-//dophy:hotpath
 func metric(info *neighborInfo) (float64, bool) {
 	if !info.heard {
 		return 0, false
@@ -451,8 +433,6 @@ func metric(info *neighborInfo) (float64, bool) {
 // selectParent re-evaluates ns's parent with hysteresis. Among equal
 // metrics the lowest NodeID wins, so the choice does not depend on the
 // order the neighbour slots are walked in.
-//
-//dophy:hotpath
 func (p *Protocol) selectParent(id topo.NodeID) {
 	ns := p.nodes[id]
 	nbs := p.tp.Neighbors(id)
@@ -513,8 +493,6 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 }
 
 // adoptParent makes parent ns's forwarding parent, advertising pathETX.
-//
-//dophy:hotpath
 func (p *Protocol) adoptParent(ns *nodeState, parent topo.NodeID, pathETX float64) {
 	if ns.parent != parent {
 		if ns.parent != NoParent && p.rec != nil {

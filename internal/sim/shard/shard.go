@@ -23,12 +23,11 @@
 // Concurrency is confined to this package: the coordinator hands a window
 // horizon to each worker over a channel and waits for all of them before
 // touching any shard state (both directions establish happens-before), and
-// with one shard the engine degenerates to a plain inline Run with zero
-// goroutines and zero barriers. The boundary pragma below declares exactly
-// this to dophy-lint; everything outside it stays sequential. The race
-// detector and TestShardedByteDeterminism check the sharing discipline.
-//
-//dophy:concurrency-boundary -- conservative-lookahead worker per shard; all cross-shard traffic flows through the outbox merge at window barriers
+// with one shard the engine degenerates to a plain inline RunBefore with
+// zero goroutines and zero barriers. All cross-shard traffic flows through
+// the outbox merge at window barriers. The race detector,
+// TestShardedByteDeterminism and TestFabricCarriersReturnHome check the
+// sharing discipline.
 package shard
 
 import (
@@ -151,8 +150,6 @@ func (e *Engine) Processed() uint64 {
 //
 // Same-shard sends short-circuit to a direct Schedule; the outbox and the
 // barrier merge exist only for genuinely cross-shard traffic.
-//
-//dophy:hotpath
 func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst topo.ShardID, fn sim.Handler) {
 	if src == dst {
 		e.subs[src].Schedule(at, fn)
@@ -178,10 +175,10 @@ func (e *Engine) OnBarrier(fn func()) { e.barrier = fn }
 
 // Run executes events until every shard's clock reaches until (exclusive of
 // events at exactly until, which stay queued for the next call). With one
-// shard it degenerates to the sub-engine's plain sequential Run.
+// shard it degenerates to the sub-engine's plain sequential RunBefore.
 func (e *Engine) Run(until sim.Time) sim.Time {
 	if e.cfg.Shards == 1 {
-		return e.subs[0].Run(until)
+		return e.subs[0].RunBefore(until)
 	}
 	e.ensureWorkers()
 	for {

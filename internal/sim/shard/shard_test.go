@@ -142,19 +142,33 @@ func TestIdleGapsSkipWindows(t *testing.T) {
 	}
 }
 
-func TestSingleShardIsPlainRun(t *testing.T) {
-	e := New(Config{Shards: 1, Nodes: 1})
-	defer e.Close()
-	var at []sim.Time
-	e.Sub(0).Schedule(1, func() { at = append(at, e.Sub(0).Now()) })
-	// Plain Run semantics: an event at exactly the horizon executes.
-	e.Sub(0).Schedule(5, func() { at = append(at, e.Sub(0).Now()) })
-	e.Run(5)
-	if len(at) != 2 || at[0] != 1 || at[1] != 5 {
-		t.Fatalf("events ran at %v, want [1 5]", at)
-	}
-	if e.Windows() != 0 {
-		t.Fatalf("single-shard run counted %d windows, want 0", e.Windows())
+// TestRunHorizonIsExclusive pins Run's horizon at every shard count: an
+// event at exactly until stays queued and runs on the next call, so a
+// journey that finishes on an epoch cut lands in the same epoch at K=1 as
+// at K=2. One shard runs no windows.
+func TestRunHorizonIsExclusive(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			e := New(Config{Shards: k, Lookahead: 0.5, Nodes: k})
+			defer e.Close()
+			var at []sim.Time
+			last := topo.ShardID(k - 1)
+			e.Sub(0).Schedule(1, func() { at = append(at, e.Sub(0).Now()) })
+			e.Sub(last).Schedule(5, func() { at = append(at, e.Sub(last).Now()) })
+			if now := e.Run(5); now != 5 {
+				t.Fatalf("Run(5) returned %v, want 5", now)
+			}
+			if !slices.Equal(at, []sim.Time{1}) {
+				t.Fatalf("after Run(5) events ran at %v, want [1]: the event at 5 must stay queued", at)
+			}
+			e.Run(6)
+			if !slices.Equal(at, []sim.Time{1, 5}) {
+				t.Fatalf("after Run(6) events ran at %v, want [1 5]", at)
+			}
+			if k == 1 && e.Windows() != 0 {
+				t.Fatalf("single-shard run counted %d windows, want 0", e.Windows())
+			}
+		})
 	}
 }
 

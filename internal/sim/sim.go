@@ -70,8 +70,6 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule runs fn at absolute time at. Scheduling in the past (before Now)
 // panics: it is always a logic bug upstream, never a recoverable condition.
-//
-//dophy:hotpath
 func (e *Engine) Schedule(at Time, fn Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -137,8 +135,6 @@ func (e *Engine) pop() slot {
 }
 
 // After runs fn after delay d from the current time.
-//
-//dophy:hotpath
 func (e *Engine) After(d Time, fn Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -156,8 +152,6 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // event lies beyond until (events at exactly until run; use math.Inf(1) for
 // "no limit"). When it stops at the horizon it advances the clock to until,
 // never backwards. It returns the time at which it stopped.
-//
-//dophy:hotpath
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
@@ -173,7 +167,6 @@ func (e *Engine) Run(until Time) Time {
 		e.inv.checkHeap(e)
 		e.now = next.at
 		e.processed++
-		//dophy:allow hotpathalloc -- event dispatch: handlers are closures vetted at their creation sites, which live in annotated hot paths
 		next.fn()
 	}
 	return e.now
@@ -187,8 +180,6 @@ func (e *Engine) RunAll() Time {
 // NextAt returns the scheduled time of the earliest pending event, or +Inf
 // when the queue is empty. The shard barrier uses this to compute safe
 // lookahead horizons without popping.
-//
-//dophy:hotpath
 func (e *Engine) NextAt() Time {
 	if len(e.queue) == 0 {
 		return Time(math.Inf(1))
@@ -202,8 +193,6 @@ func (e *Engine) NextAt() Time {
 // a window [start, horizon) owns only the events inside it, while arrivals
 // injected at the barrier land at or after horizon. It returns the time at
 // which it stopped (horizon, unless Stop was called).
-//
-//dophy:hotpath
 func (e *Engine) RunBefore(horizon Time) Time {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
@@ -214,7 +203,6 @@ func (e *Engine) RunBefore(horizon Time) Time {
 		e.inv.checkHeap(e)
 		e.now = next.at
 		e.processed++
-		//dophy:allow hotpathalloc -- event dispatch: handlers are closures vetted at their creation sites, which live in annotated hot paths
 		next.fn()
 	}
 	if !e.stopped && e.now < horizon {

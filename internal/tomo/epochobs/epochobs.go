@@ -99,8 +99,6 @@ func New(lt *topo.LinkTable) *Collector {
 
 // OnJourney ingests one completed journey. Only delivered packets reach the
 // sink; drops contribute through the sequence gaps they leave.
-//
-//dophy:hotpath
 func (c *Collector) OnJourney(j *collect.PacketJourney) {
 	if !j.Delivered {
 		return

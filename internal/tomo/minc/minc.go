@@ -89,7 +89,6 @@ func NewEstimator(lt *topo.LinkTable, cfg Config) *Estimator {
 // backing array when it is large enough.
 func resize(s []float64, n int) []float64 {
 	if cap(s) < n {
-		//dophy:allow hotpathalloc -- scratch grows to the epoch's high-water mark, then is reused
 		return make([]float64, n)
 	}
 	s = s[:n]
@@ -101,8 +100,6 @@ func resize(s []float64, n int) []float64 {
 // the link table; NaN marks links not on any usable path. The returned
 // slice aliases the estimator's scratch and is valid until the next
 // Estimate call; retaining it across epochs requires copying it out.
-//
-//dophy:hotpath
 func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	cfg := est.cfg
 	for _, c := range est.cols {

@@ -199,8 +199,6 @@ func bitsFor(n int) int {
 
 // OnJourney accounts and records one delivered packet, returning its
 // annotation size in bits (0 when ignored).
-//
-//dophy:hotpath
 func (r *Recorder) OnJourney(j *collect.PacketJourney) int {
 	if !j.Delivered || len(j.Hops) == 0 {
 		return 0

@@ -83,8 +83,6 @@ func (t *LinkTable) Link(i LinkIdx) Link { return t.links[i] }
 
 // Index returns l's table index, or NoLink when l is not a link of the
 // topology (including out-of-range node ids and self-links).
-//
-//dophy:hotpath
 func (t *LinkTable) Index(l Link) LinkIdx {
 	if l.From < 0 || l.To < 0 || int(l.From) >= t.n || int(l.To) >= t.n {
 		return NoLink

@@ -60,8 +60,6 @@ func NewRecorder(lt *topo.LinkTable) *Recorder {
 }
 
 // Attempt records one data-packet transmission on l and its outcome.
-//
-//dophy:hotpath
 func (r *Recorder) Attempt(l topo.Link, received bool) {
 	c := r.at(l)
 	c.Attempts++
@@ -74,8 +72,6 @@ func (r *Recorder) Attempt(l topo.Link, received bool) {
 // Beacon records one beacon transmission on l and its outcome. Beacons
 // sharpen the empirical loss ground truth without marking the link as
 // data-active.
-//
-//dophy:hotpath
 func (r *Recorder) Beacon(l topo.Link, received bool) {
 	c := r.at(l)
 	c.Attempts++
