@@ -379,7 +379,7 @@ type hopCont struct {
 	n      *Network
 	at     topo.NodeID
 	parent topo.NodeID
-	j      *PacketJourney // nil for release-only continuations (drop path)
+	j      *PacketJourney // nil for release-only continuations (QueueCap > 0 only)
 	fn     sim.Handler
 }
 
@@ -432,7 +432,7 @@ func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 	n.proto.OnDataResult(at, parent, res)
 	delay := n.cfg.HopDelay + n.cfg.TxTime*sim.Time(res.Attempts)
 	if !res.Delivered {
-		n.eng.After(delay, n.cont(at, 0, nil).fn)
+		n.releaseAfter(at, delay)
 		n.finish(j, DropRetries)
 		return
 	}
@@ -447,11 +447,21 @@ func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 		// at the same absolute time the local continuation would have run.
 		// Sink deliveries stay on the local continuation so the journey
 		// finishes on the forwarder's shard either way.
-		n.eng.After(delay, n.cont(at, 0, nil).fn)
+		n.releaseAfter(at, delay)
 		n.fab.DeliverData(at, parent, n.eng.Now()+delay, j)
 		return
 	}
 	n.eng.After(delay, n.cont(at, parent, j).fn)
+}
+
+// releaseAfter releases node at when its current hop's delay has passed,
+// on the paths where the packet does not ride the hop continuation. Without
+// bounded queues release has nothing to do, so no event is scheduled and a
+// hop costs one event on either engine.
+func (n *Network) releaseAfter(at topo.NodeID, delay sim.Time) {
+	if n.cfg.QueueCap > 0 {
+		n.eng.After(delay, n.cont(at, 0, nil).fn)
+	}
 }
 
 // finish completes a journey and notifies subscribers.

@@ -480,3 +480,91 @@ func TestForwardPathAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// loopFabric is a single-instance fabric: it lands every packet back on
+// the sending network's own engine at its arrival time, as the sharded
+// engine does for a next hop on the sender's shard.
+type loopFabric struct {
+	eng *sim.Engine
+	nw  *Network
+}
+
+func (f *loopFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *PacketJourney) {
+	f.eng.Schedule(at, func() { f.nw.Arrive(to, j) })
+}
+
+// hopCounter is an annotator that counts the hops transmit appends, and
+// those whose receiver is not the sink.
+type hopCounter struct{ hops, relayed uint64 }
+
+func (c *hopCounter) OnGenerate(*PacketJourney) {}
+func (c *hopCounter) OnHop(_ *PacketJourney, h Hop) {
+	c.hops++
+	if h.Link.To != topo.Sink {
+		c.relayed++
+	}
+}
+func (c *hopCounter) OnDeliver(*PacketJourney) {}
+func (c *hopCounter) OnDrop(*PacketJourney)    {}
+
+// TestHopEventCount pins the events a packet costs on a lossy chain, on the
+// plain engine and through a fabric. Without bounded queues a generation
+// is one event and a hop is one event, its continuation or its fabric
+// arrival; a retries drop schedules nothing. With bounded queues release
+// frees the sender and starts its next queued packet, so every retries
+// drop, and every hop handed to the fabric, adds a release event.
+func TestHopEventCount(t *testing.T) {
+	const n = 6
+	for _, tc := range []struct {
+		name     string
+		queueCap int
+		fabric   bool
+	}{
+		{"plain/queuecap=0", 0, false},
+		{"fabric/queuecap=0", 0, true},
+		{"plain/queuecap=4", 4, false},
+		{"fabric/queuecap=4", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := topo.Chain(n, 10, 10.5)
+			eng := sim.New()
+			rec := trace.NewRecorder(tp.LinkTable())
+			arq := mac.New(mac.Config{MaxRetx: 1}, radio.NewStaticUniformLoss(tp, 0.4), rng.New(51), rec)
+			cfg := Config{GenPeriod: 0.5, GenJitter: 0.25, TxTime: 0.05, HopDelay: 0.01, TTL: 16, QueueCap: tc.queueCap}
+			var hooks ShardHooks
+			fab := &loopFabric{eng: eng}
+			if tc.fabric {
+				hooks.Fabric = fab
+			}
+			nw := NewSharded(cfg, eng, tp, arq, &fixedRouter{[]topo.NodeID{-1, 0, 1, 2, 3, 4}}, rng.New(52), rec, hooks)
+			fab.nw = nw
+			var hc hopCounter
+			nw.AttachAnnotator(&hc)
+			var retryDrops uint64
+			nw.Subscribe(func(j *PacketJourney) {
+				if j.Drop == DropRetries {
+					retryDrops++
+				}
+			})
+			nw.Start()
+			eng.Run(200)
+			if retryDrops == 0 || hc.hops == 0 {
+				t.Fatalf("%d retries drops over %d hops: the chain must exercise both paths", retryDrops, hc.hops)
+			}
+			want := uint64(rec.Generated) + hc.hops
+			if tc.queueCap > 0 {
+				want += retryDrops
+				if tc.fabric {
+					want += hc.relayed
+				}
+			}
+			// Every event scheduled so far has run or is pending, and each
+			// generating node always has its next generation pending.
+			got := eng.Processed() + uint64(eng.Pending()) - (n - 1)
+			if got != want {
+				t.Fatalf("%d events for %d generations, %d hops (%d relayed) and %d retries drops, want %d",
+					got, rec.Generated, hc.hops, hc.relayed, retryDrops, want)
+			}
+		})
+	}
+}

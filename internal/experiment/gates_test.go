@@ -15,7 +15,9 @@ import (
 // pop that re-slices instead of copying down put it at 293,000 mallocs);
 // and the S0 scale tier, the one run of the sharded engine, whose fabric
 // delivers every beacon and data hop on a pooled carrier (an allocation
-// per beacon would put it at 1.17 million mallocs).
+// per beacon would put it at 1.17 million mallocs) and whose barriers hand
+// journeys to the sink stage every window (holding them for one flush at
+// the epoch's end put it at 65,700 mallocs).
 // Re-measure them with
 //
 //	go test -run '^TestExperimentAllocBudget$' -v ./internal/experiment
@@ -31,12 +33,12 @@ var allocBudgets = []struct {
 	{"F6", F6, 1450, 1_739_000},
 	{"T11", T11, 2035, 1_131_000},
 	{"F9", F9, 8070, 5_180_000},
-	{"S0", S0, s0Mallocs, 48_100_000},
+	{"S0", S0, s0Mallocs, 40_110_000},
 }
 
 // s0Mallocs is S0's committed mallocs at one shard, shared by its
 // allocBudgets row and BenchmarkS0ShardScaling.
-const s0Mallocs = 65_720
+const s0Mallocs = 55_380
 
 // Tolerances over the committed counts. Both counts move by at most about
 // 1.3% between plain, -race and dophy_invariants builds, so the same budget
@@ -72,6 +74,7 @@ func TestExperimentAllocBudget(t *testing.T) {
 // s0Run is one S0 run's cost at a shard count.
 type s0Run struct {
 	events  uint64
+	windows uint64
 	wall    time.Duration
 	mallocs uint64
 }
@@ -84,32 +87,36 @@ func runS0(b *testing.B, shards int) s0Run {
 	tab := S0(7, RunOptions{Shards: shards})
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	for _, row := range tab.Rows {
-		if row[0] == "events" {
-			events, err := strconv.ParseUint(row[1], 10, 64)
-			if err != nil {
-				b.Fatalf("shards=%d: events row %q: %v", shards, row[1], err)
+	stat := func(metric string) uint64 {
+		for _, row := range tab.Rows {
+			if row[0] == metric {
+				v, err := strconv.ParseUint(row[1], 10, 64)
+				if err != nil {
+					b.Fatalf("shards=%d: %s row %q: %v", shards, metric, row[1], err)
+				}
+				return v
 			}
-			return s0Run{events: events, wall: wall, mallocs: after.Mallocs - before.Mallocs}
 		}
+		b.Fatalf("shards=%d: S0 table has no %s row", shards, metric)
+		return 0
 	}
-	b.Fatalf("shards=%d: S0 table has no events row", shards)
-	return s0Run{}
+	return s0Run{events: stat("events"), windows: stat("windows"), wall: wall, mallocs: after.Mallocs - before.Mallocs}
 }
 
 // BenchmarkS0ShardScaling runs the S0 scale tier unsharded and then 2-way
 // sharded in one process. It fails unless the unsharded run stays within
 // S0's committed mallocs budget (s0Mallocs, 10% slack), which an
 // allocation per beacon exceeds at every shard count, and the sharded run
-//   - executes exactly the unsharded run's events,
+//   - executes exactly the unsharded run's events and lookahead windows
+//     (one shard runs the same windows as two),
 //   - keeps at least 67% of its events/sec (wall time at most 1/0.67 of
 //     the unsharded run's; the event counts are equal, so this is the same
 //     bound), which absorbs shared-runner noise and a saturated runner's
 //     lack of speedup but not a barrier or scheduling regression, and
 //   - allocates at most 1.5× the unsharded run's mallocs: the fabric's
 //     carriers are pooled, so a second shard costs no allocation per
-//     message (measured 0.85×: at one shard a whole epoch's journeys wait
-//     for the flush after Run, so K=1 allocates more journeys).
+//     message (measured 1.01×: both shard counts flush journeys to the
+//     sink stage at every window barrier).
 //
 // Run it once with
 //
@@ -126,6 +133,9 @@ func BenchmarkS0ShardScaling(b *testing.B) {
 		}
 		if one.events != two.events {
 			b.Fatalf("events: %d unsharded, %d at 2 shards", one.events, two.events)
+		}
+		if one.windows != two.windows {
+			b.Fatalf("windows: %d unsharded, %d at 2 shards", one.windows, two.windows)
 		}
 		if float64(two.wall) > float64(one.wall)/0.67 {
 			b.Fatalf("2 shards took %v against %v unsharded: events/sec fell by more than 33%%", two.wall, one.wall)

@@ -78,10 +78,11 @@ func shardTestScenario() Scenario {
 	return sc
 }
 
-// TestShardedByteDeterminism is the tentpole's correctness gate: the full
-// epoch reports of a sharded run must be byte-identical at 1, 2, 4 and 8
-// shards. K=1 executes on a single engine with zero goroutines, so this
-// pins every parallel execution to the sequential reference.
+// TestShardedByteDeterminism is the sharded engine's correctness gate: the
+// full epoch reports of a sharded run must be byte-identical at 1, 2, 4 and
+// 8 shards. K=1 runs the same lookahead windows on a single engine with no
+// worker goroutine, so this pins every parallel execution to the
+// sequential reference.
 func TestShardedByteDeterminism(t *testing.T) {
 	sc := shardTestScenario()
 	var ref string

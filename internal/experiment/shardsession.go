@@ -22,8 +22,8 @@ import (
 // latency floor, HopDelay+TxTime, which is also every beacon's latency.
 // What IS guaranteed is that the run is byte-identical at every shard
 // count, including Shards == 1 — that case executes the very same event
-// sequence on a single engine with zero goroutines and serves as the
-// sequential reference.
+// sequence and lookahead windows on a single engine with no worker
+// goroutine and serves as the sequential reference.
 type ShardSpec struct {
 	// Shards is the number of spatial partitions (= worker cores).
 	Shards int
@@ -286,8 +286,8 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 // drains every shard's completed-journey buffer in (Completed, Origin, Seq)
 // order — a pure function of simulation behaviour, so the global feed
 // sequence is identical at every shard count — and hands it to the scheme
-// bank's sink stage. Runs on the coordinator: at window barriers for K > 1,
-// after Run returns for K == 1.
+// bank's sink stage. Runs on the coordinator at every window barrier, at
+// every shard count.
 func (s *ShardedSession) flush() {
 	for _, f := range s.fabs {
 		for i, c := range f.away {
@@ -399,7 +399,6 @@ func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.bank.sink.start()
 	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
-	s.flush() // single-shard runs have no barriers; drain the epoch's tail
 	s.bank.sink.join()
 	truth := trace.CutMerged(s.recs)
 	drops := s.queueDrops() - s.lastQueueDrops

@@ -22,12 +22,12 @@
 //
 // Concurrency is confined to this package: the coordinator hands a window
 // horizon to each worker over a channel and waits for all of them before
-// touching any shard state (both directions establish happens-before), and
-// with one shard the engine degenerates to a plain inline RunBefore with
-// zero goroutines and zero barriers. All cross-shard traffic flows through
-// the outbox merge at window barriers. The race detector,
-// TestShardedByteDeterminism and TestFabricCarriersReturnHome check the
-// sharing discipline.
+// touching any shard state (both directions establish happens-before).
+// Shard 0 always runs on the caller's goroutine, so one shard runs the same
+// windows and barriers as K >= 2 with no worker goroutine. All cross-shard
+// traffic flows through the outbox merge at window barriers. The race
+// detector, TestShardedByteDeterminism and TestFabricCarriersReturnHome
+// check the sharing discipline.
 package shard
 
 import (
@@ -42,8 +42,9 @@ import (
 
 // Config sizes a sharded engine.
 type Config struct {
-	// Shards is the number of partitions (and worker goroutines). 1 means
-	// a plain sequential run.
+	// Shards is the number of partitions. Shard 0 runs on the caller's
+	// goroutine and each further shard on a worker goroutine, so 1 means a
+	// sequential run, windowed like any other.
 	Shards int
 	// Lookahead is the window length L: a strict lower bound on the
 	// latency of every cross-shard message. Send enforces it.
@@ -95,13 +96,14 @@ type Engine struct {
 }
 
 // New returns an engine with cfg.Shards empty sub-engines, clocks at zero.
-// Callers that started worker goroutines by running with more than one
-// shard must Close the engine when done.
+// Lookahead must be positive at every shard count: Run advances time one
+// window of that length at a time. Callers that started worker goroutines
+// by running with more than one shard must Close the engine when done.
 func New(cfg Config) *Engine {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("shard: %d shards", cfg.Shards))
 	}
-	if cfg.Shards > 1 && !(cfg.Lookahead > 0) {
+	if !(cfg.Lookahead > 0) {
 		panic(fmt.Sprintf("shard: lookahead %v must be positive", cfg.Lookahead))
 	}
 	e := &Engine{
@@ -168,18 +170,16 @@ func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst top
 // OnBarrier registers fn to run on the coordinator after every window's
 // cross-shard messages have been delivered. All workers are parked at the
 // barrier while fn runs, so it may freely inspect and drain state the
-// shards produced during the window (journey buffers, counters). With one
-// shard Run never executes windows, so fn never fires — single-shard
-// callers drain state after Run returns instead.
+// shards produced during the window (journey buffers, counters). Every
+// window ends in a barrier at every shard count, one shard included.
 func (e *Engine) OnBarrier(fn func()) { e.barrier = fn }
 
 // Run executes events until every shard's clock reaches until (exclusive of
-// events at exactly until, which stay queued for the next call). With one
-// shard it degenerates to the sub-engine's plain sequential RunBefore.
+// events at exactly until, which stay queued for the next call), in
+// lookahead windows that each end in a barrier. The windows depend only on
+// the pending event times, so a schedule runs the same windows at every
+// shard count.
 func (e *Engine) Run(until sim.Time) sim.Time {
-	if e.cfg.Shards == 1 {
-		return e.subs[0].RunBefore(until)
-	}
 	e.ensureWorkers()
 	for {
 		next := sim.Time(math.Inf(1))

@@ -78,7 +78,7 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		got := runWorkload(t, 77, n, k, 30)
 		for id := range ref {
 			if got[id] != ref[id] {
-				t.Fatalf("k=%d: node %d log differs from unsharded run", k, id)
+				t.Fatalf("k=%d: node %d log differs from the single-shard run", k, id)
 			}
 		}
 	}
@@ -145,12 +145,15 @@ func TestIdleGapsSkipWindows(t *testing.T) {
 // TestRunHorizonIsExclusive pins Run's horizon at every shard count: an
 // event at exactly until stays queued and runs on the next call, so a
 // journey that finishes on an epoch cut lands in the same epoch at K=1 as
-// at K=2. One shard runs no windows.
+// at K=2. One shard runs the same windows as two, and its barriers fire.
 func TestRunHorizonIsExclusive(t *testing.T) {
+	windows := map[int]uint64{}
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			e := New(Config{Shards: k, Lookahead: 0.5, Nodes: k})
 			defer e.Close()
+			barriers := uint64(0)
+			e.OnBarrier(func() { barriers++ })
 			var at []sim.Time
 			last := topo.ShardID(k - 1)
 			e.Sub(0).Schedule(1, func() { at = append(at, e.Sub(0).Now()) })
@@ -165,9 +168,35 @@ func TestRunHorizonIsExclusive(t *testing.T) {
 			if !slices.Equal(at, []sim.Time{1, 5}) {
 				t.Fatalf("after Run(6) events ran at %v, want [1 5]", at)
 			}
-			if k == 1 && e.Windows() != 0 {
-				t.Fatalf("single-shard run counted %d windows, want 0", e.Windows())
+			if barriers == 0 || barriers != e.Windows() {
+				t.Fatalf("OnBarrier fired %d times over %d windows, want once per window", barriers, e.Windows())
 			}
+			windows[k] = e.Windows()
+		})
+	}
+	if windows[1] != windows[2] {
+		t.Fatalf("one shard ran %d windows, two ran %d: the windows must not depend on K", windows[1], windows[2])
+	}
+}
+
+// TestNewRejectsBadConfig: a shard count below one, and a non-positive
+// lookahead at every shard count. With one shard a zero lookahead would
+// make every window empty and Run would never return.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{Shards: 0, Lookahead: 1},
+		{Shards: 1, Lookahead: 0},
+		{Shards: 1, Lookahead: -1},
+		{Shards: 1, Lookahead: sim.Time(math.NaN())},
+		{Shards: 2, Lookahead: 0},
+	} {
+		t.Run(fmt.Sprintf("shards=%d,lookahead=%v", cfg.Shards, cfg.Lookahead), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
 		})
 	}
 }
