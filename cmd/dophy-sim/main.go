@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,24 +26,47 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the simulation and prints its report to stdout. It
+// returns the exit code: 2 for a usage error, 1 if the simulation cannot be
+// built or its output written, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dophy-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		grid      = flag.Int("grid", 7, "grid side (nodes = side^2); 0 to use -nodes")
-		nodes     = flag.Int("nodes", 0, "uniform random placement with this many nodes")
-		seed      = flag.Uint64("seed", 1, "scenario seed")
-		epochs    = flag.Int("epochs", 3, "estimation epochs to run")
-		epochLen  = flag.Float64("epoch-seconds", 300, "epoch length in simulated seconds")
-		genPeriod = flag.Float64("gen-period", 5, "per-node data generation period (s)")
-		maxRetx   = flag.Int("max-retx", 7, "MAC retransmission budget")
-		agg       = flag.Int("agg", 3, "symbol aggregation threshold (0 means the default, 3)")
-		update    = flag.Int("update-every", 1, "model update period in epochs")
-		churn     = flag.Float64("churn", 0, "forced parent churn probability per beacon")
-		dynamics  = flag.String("dynamics", "static", "link dynamics: static | drift | bursty")
-		uniform   = flag.Float64("uniform-loss", 0, "force identical loss on all links (0 = realistic)")
-		baselines = flag.Bool("baselines", false, "also run traditional tomography baselines")
-		links     = flag.Bool("links", false, "print per-link estimates for the final epoch")
-		jsonOut   = flag.Bool("json", false, "emit one JSON object per epoch instead of text")
+		grid      = fs.Int("grid", 7, "grid side (nodes = side^2); 0 to use -nodes")
+		nodes     = fs.Int("nodes", 0, "uniform random placement with this many nodes")
+		seed      = fs.Uint64("seed", 1, "scenario seed")
+		epochs    = fs.Int("epochs", 3, "estimation epochs to run")
+		epochLen  = fs.Float64("epoch-seconds", 300, "epoch length in simulated seconds")
+		genPeriod = fs.Float64("gen-period", 5, "per-node data generation period (s)")
+		maxRetx   = fs.Int("max-retx", 7, "MAC retransmission budget, at least 1")
+		agg       = fs.Int("agg", 3, "symbol aggregation threshold (0 means the default, 3)")
+		update    = fs.Int("update-every", 1, "model update period in epochs")
+		churn     = fs.Float64("churn", 0, "forced parent churn probability per beacon")
+		dynamics  = fs.String("dynamics", "static", "link dynamics: static | drift | bursty")
+		uniform   = fs.Float64("uniform-loss", 0, "force identical loss on all links (0 = realistic)")
+		baselines = fs.Bool("baselines", false, "also run traditional tomography baselines")
+		links     = fs.Bool("links", false, "print per-link estimates for the final epoch")
+		jsonOut   = fs.Bool("json", false, "emit one JSON object per epoch instead of text")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "dophy-sim: "+format+"\n", a...)
+		return 2
+	}
+	// The library reads a zero MaxRetx as "use the default", so -max-retx 0
+	// would silently run with 7 retransmissions.
+	if *maxRetx < 1 {
+		return usage("-max-retx must be at least 1, got %d", *maxRetx)
+	}
 
 	opt := dophy.Options{
 		Seed:             *seed,
@@ -68,22 +92,23 @@ func main() {
 	case "bursty":
 		opt.Dynamics = dophy.DynamicsBursty
 	default:
-		fmt.Fprintf(os.Stderr, "dophy-sim: unknown dynamics %q\n", *dynamics)
-		os.Exit(2)
+		return usage("unknown dynamics %q", *dynamics)
 	}
 
 	sim, err := dophy.NewSimulation(opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dophy-sim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dophy-sim:", err)
+		return 1
 	}
 	if *jsonOut {
-		if err := runJSON(os.Stdout, sim, *epochs, *links); err != nil {
-			fatalErr(err)
+		if err := runJSON(stdout, sim, *epochs, *links); err != nil {
+			fmt.Fprintln(stderr, "dophy-sim:", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	runText(os.Stdout, sim, *epochs, *links, *baselines)
+	runText(stdout, sim, *epochs, *links, *baselines)
+	return 0
 }
 
 // runText runs epochs epochs and writes the human-readable report to w: the
@@ -206,9 +231,4 @@ func runJSON(w io.Writer, sim *dophy.Simulation, epochs int, withLinks bool) err
 		}
 	}
 	return nil
-}
-
-func fatalErr(err error) {
-	fmt.Fprintln(os.Stderr, "dophy-sim:", err)
-	os.Exit(1)
 }

@@ -99,3 +99,35 @@ func TestTextLinksTableOrder(t *testing.T) {
 		prev = l
 	}
 }
+
+// TestRunRejectsRetxBelowOne: the library reads MaxRetx 0 as "use the
+// default", so -max-retx 0 used to run with 7 retransmissions unannounced.
+// A budget below one is a usage error.
+func TestRunRejectsRetxBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		t.Run(v, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{"-max-retx", v}, &stdout, &stderr); got != 2 {
+				t.Fatalf("exit = %d, want 2 (stderr %q)", got, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "-max-retx") {
+				t.Errorf("stderr %q does not name -max-retx", stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("usage error wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestRunAcceptsOneRetx: the smallest legal budget runs and reports.
+func TestRunAcceptsOneRetx(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-max-retx", "1", "-grid", "3", "-epochs", "1", "-epoch-seconds", "60"}
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit = %d, want 0 (stderr %q)", got, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "topology: 9 nodes") {
+		t.Errorf("stdout does not start with the topology line: %q", stdout.String())
+	}
+}

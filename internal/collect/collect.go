@@ -233,7 +233,19 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, arq *mac.ARQ, pr
 		n.busy = make([]bool, tp.N())
 		n.queues = make([][]*PacketJourney, tp.N())
 	}
+	// Every hop completes a fixed latency after it starts, one per attempt
+	// count, so hop events ride the engine's FIFO lanes instead of its heap.
+	for a := 1; a <= arq.MaxAttempts(); a++ {
+		eng.Lane(cfg.hopDelay(a))
+	}
 	return n
+}
+
+// hopDelay is the time a hop of the given attempt count takes. The explicit
+// conversion pins the product's rounding, so the value transmit schedules
+// with is bit-identical to the lane latency NewSharded registers.
+func (c Config) hopDelay(attempts int) sim.Time {
+	return c.HopDelay + sim.Time(c.TxTime*sim.Time(attempts))
 }
 
 // owns reports whether this instance runs id's generation process.
@@ -430,7 +442,7 @@ func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 	link := topo.Link{From: at, To: parent}
 	res := n.arq.Send(link, n.eng.Now())
 	n.proto.OnDataResult(at, parent, res)
-	delay := n.cfg.HopDelay + n.cfg.TxTime*sim.Time(res.Attempts)
+	delay := n.cfg.hopDelay(res.Attempts)
 	if !res.Delivered {
 		n.releaseAfter(at, delay)
 		n.finish(j, DropRetries)

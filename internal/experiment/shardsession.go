@@ -244,6 +244,8 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		}
 		fab := &shardFabric{s: s, src: topo.ShardID(k)}
 		sub := s.eng.Sub(topo.ShardID(k))
+		// Same-shard beacons land exactly one lookahead after they are sent.
+		sub.Lane(lookahead)
 		rec := trace.NewRecorder(lt)
 		arq := mac.New(sc.Mac, model, root.Split(), rec)
 		arq.UsePerNodeRNG(streams)

@@ -19,17 +19,23 @@ const (
 	opRun
 	opRunBefore
 	opStop
+	opLane
 	numOps
 )
+
+// maxFuzzLanes caps the lanes one fuzz program registers.
+const maxFuzzLanes = 2
 
 type fuzzOp struct {
 	kind  int
 	event int  // opSchedule: root event index
-	off   Time // opRun/opRunBefore: horizon relative to Now, may be negative
+	off   Time // opRun/opRunBefore: horizon relative to Now, may be negative; opLane: the latency
 }
 
 // fuzzProgram is decoded from the fuzz input. Times are multiples of a
-// quarter second, so sums stay exact and equal timestamps are common.
+// quarter second, so sums stay exact, equal timestamps are common, and
+// event deltas often equal a registered lane latency: lane and heap events
+// mix at equal times.
 type fuzzProgram struct {
 	events []fuzzEvent
 	ops    []fuzzOp
@@ -58,6 +64,7 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 		}
 		return id
 	}
+	lanes := 0
 	for pos < len(data) && len(p.ops) < 64 {
 		b := next()
 		op := fuzzOp{kind: int(b % numOps)}
@@ -66,6 +73,12 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 			op.event = newEvent(0)
 		case opRun, opRunBefore:
 			op.off = Time(int(b/numOps%12)-3) / 4
+		case opLane:
+			if lanes == maxFuzzLanes {
+				continue
+			}
+			lanes++
+			op.off = Time(b/numOps%5) / 4
 		}
 		p.ops = append(p.ops, op)
 	}
@@ -178,6 +191,8 @@ func runFuzzOnEngine(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 			ret = e.RunBefore(e.Now() + op.off)
 		case opStop:
 			e.Stop()
+		case opLane:
+			e.Lane(op.off)
 		}
 		obs = append(obs, fuzzObs{ret, e.Now(), e.Processed(), e.Pending(), e.NextAt(), e.Stopped()})
 	}
@@ -222,13 +237,19 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 
 // FuzzEventOrder replays random Schedule (at equal and distinct times, from
 // the top level and from inside handlers), Run, RunBefore and Stop
-// sequences against refEngine and requires the same handler order, the
-// same Now() inside every handler, and the same clock, Processed, Pending,
-// NextAt and Stopped after every operation.
+// sequences, with up to two fixed-latency lanes registered along the way,
+// against refEngine and requires the same handler order, the same Now()
+// inside every handler, and the same clock, Processed, Pending, NextAt and
+// Stopped after every operation. The oracle knows nothing of lanes: they
+// must not change the order.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
 	f.Add([]byte{0, 200, 0, 130, 4, 70, 2, 45, 1, 9, 0, 255, 3, 17, 2})
 	f.Add([]byte{0, 66, 0, 66, 0, 66, 33, 1, 8, 0, 5, 3, 41, 30, 0, 100, 1})
+	// Lanes at 0.25 s and 0.5 s: registered up front, and the 0.25 s lane
+	// registered while the 0.5 s lane holds events.
+	f.Add([]byte{9, 0, 201, 6, 11, 10, 14, 0, 137, 7, 16, 51, 0, 201, 6, 11, 10, 27})
+	f.Add([]byte{14, 0, 137, 7, 12, 0, 7, 9, 0, 201, 6, 11, 10, 51, 3, 0, 137, 7, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeFuzzProgram(data)
 		gotLog, gotObs := runFuzzOnEngine(p)

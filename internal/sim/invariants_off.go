@@ -10,4 +10,4 @@ const InvariantsEnabled = false
 // default build's hot paths compile to exactly the pre-hook code.
 type engineInvariants struct{}
 
-func (engineInvariants) checkHeap(*Engine) {}
+func (engineInvariants) checkQueue(*Engine) {}

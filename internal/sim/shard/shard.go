@@ -2,7 +2,7 @@
 // lookahead, without giving up byte-determinism.
 //
 // The topology is partitioned spatially (topo.Partition) and each shard
-// owns a private sim.Engine — its own event heap and clock — plus the
+// owns a private sim.Engine — its own event queue and clock — plus the
 // state of its nodes. Shards execute windows of virtual time in parallel:
 // a window starting at the earliest pending event time t runs every shard
 // with RunBefore(t+L), where the lookahead L is the minimum latency of any
@@ -234,7 +234,7 @@ func (e *Engine) worker(i topo.ShardID) {
 // runWindow executes one causally closed window [windowEnd', end) on all
 // shards in parallel. The start sends publish windowEnd and all prior
 // barrier state to the workers; the done receives publish every shard's
-// heap and outbox back to the coordinator.
+// queue and outbox back to the coordinator.
 func (e *Engine) runWindow(end sim.Time) {
 	e.windowEnd = end
 	e.windows++
