@@ -158,6 +158,8 @@ func (s *Static) SetPRR(l topo.Link, p float64) {
 // RandomWalk drifts each link's PRR in logit space with reflecting bounds.
 // Queries are lazy: state advances by whole steps of Interval since the last
 // query, so cost is proportional to elapsed virtual time, not query count.
+// Each link keeps its PRR beside its logit, recomputed only when the walk
+// steps, so queries within one step cost no math.Exp.
 type RandomWalk struct {
 	Interval sim.Time // walk step period (seconds)
 	StepStd  float64  // per-step logit-space std deviation
@@ -167,6 +169,7 @@ type RandomWalk struct {
 
 type walkState struct {
 	logitPRR float64
+	prr      float64 // expit(logitPRR), refreshed whenever logitPRR moves
 	lastStep int64
 	r        *rng.Source
 }
@@ -185,7 +188,10 @@ func NewRandomWalk(t *topo.Topology, bp BaseParams, interval sim.Time, stepStd f
 	base := basePRRs(t, bp, rng.New(seed))
 	links := make([]walkState, len(base))
 	for i, p := range base {
-		links[i] = walkState{logitPRR: logit(p), r: rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))}
+		// prr is expit(logit(p)), not p: the round trip is not exact, and
+		// queries before the first step must read what expit returns.
+		lp := logit(p)
+		links[i] = walkState{logitPRR: lp, prr: expit(lp), r: rng.New(linkSeed(seed, lt.Link(topo.LinkIdx(i))))}
 	}
 	return &RandomWalk{Interval: interval, StepStd: stepStd, lt: lt, links: links}
 }
@@ -198,17 +204,20 @@ func (m *RandomWalk) PRR(l topo.Link, now sim.Time) float64 {
 	}
 	st := &m.links[i]
 	step := int64(now / m.Interval)
-	for st.lastStep < step {
-		st.logitPRR += st.r.Normal(0, m.StepStd)
-		if st.logitPRR < walkLo {
-			st.logitPRR = 2*walkLo - st.logitPRR
+	if st.lastStep < step {
+		for st.lastStep < step {
+			st.logitPRR += st.r.Normal(0, m.StepStd)
+			if st.logitPRR < walkLo {
+				st.logitPRR = 2*walkLo - st.logitPRR
+			}
+			if st.logitPRR > walkHi {
+				st.logitPRR = 2*walkHi - st.logitPRR
+			}
+			st.lastStep++
 		}
-		if st.logitPRR > walkHi {
-			st.logitPRR = 2*walkHi - st.logitPRR
-		}
-		st.lastStep++
+		st.prr = expit(st.logitPRR)
 	}
-	return expit(st.logitPRR)
+	return st.prr
 }
 
 // GilbertElliott gives each link a two-state Markov burst process: in the

@@ -235,6 +235,44 @@ func TestRandomWalkLazyConsistent(t *testing.T) {
 	}
 }
 
+// TestRandomWalkPRRMatchesUncached is the oracle for the walk's PRR memo:
+// every answer must equal, bitwise, expit of the logit the walk holds at
+// that moment. It covers the first queries at t=0 (before any step, when the
+// memo still holds its construction value), repeated queries within one
+// step, queries that cross one step boundary and queries that jump several.
+func TestRandomWalkPRRMatchesUncached(t *testing.T) {
+	tp := testTopo(t)
+	links := tp.Links()
+	m := NewRandomWalk(tp, DefaultBase(), 1, 0.3, 13)
+	check := func(l topo.Link, now sim.Time) {
+		t.Helper()
+		got := m.PRR(l, now)
+		want := expit(m.links[m.lt.Index(l)].logitPRR)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v at %v: PRR %v, expit(logitPRR) %v", l, now, got, want)
+		}
+	}
+	for _, l := range links {
+		check(l, 0)
+		check(l, 0)
+	}
+	r := rng.New(31)
+	now := sim.Time(0)
+	for i := 0; i < 20000; i++ {
+		switch r.Intn(4) {
+		case 0: // next step boundary exactly
+			now = sim.Time(int64(now/m.Interval)+1) * m.Interval
+		case 1: // several steps at once
+			now += sim.Time(r.Range(1, 5))
+		default: // within the current step
+			now += sim.Time(r.Range(0, 0.2))
+		}
+		l := links[r.Intn(len(links))]
+		check(l, now)
+		check(l, now)
+	}
+}
+
 func TestRandomWalkBounded(t *testing.T) {
 	tp := testTopo(t)
 	m := NewRandomWalk(tp, DefaultBase(), 1, 1.0, 3) // violent walk
@@ -335,6 +373,12 @@ func TestQuickPRRInRange(t *testing.T) {
 // benchPRR is a sink for BenchmarkPRR's results.
 var benchPRR float64
 
+// BenchmarkPRR queries every link in turn. At 0.1 simulated seconds per
+// query the 10x10 grid revisits a link about every 36 s, so the walk steps
+// on every query of the "walk" case. "walk-same-step" starts a fresh walk
+// and advances the clock 1e4 times slower, so a link is queried about 280
+// times per step and most queries read the memoised PRR, as on a link that
+// carries steady traffic.
 func BenchmarkPRR(b *testing.B) {
 	tp := topo.Grid(10, 10, 0, 15, rng.New(1))
 	links := tp.Links()
@@ -348,4 +392,12 @@ func BenchmarkPRR(b *testing.B) {
 			}
 		})
 	}
+	b.Run("walk-same-step", func(b *testing.B) {
+		m := allModels(tp, 1)["walk"]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchPRR = m.PRR(links[i%len(links)], sim.Time(i)/1e5)
+		}
+	})
 }

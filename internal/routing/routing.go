@@ -98,6 +98,13 @@ type nodeState struct {
 	interval   sim.Time
 	lastAdvETX float64 // advertised metric at the last beacon
 	trickleHot bool    // reset requested since last beacon
+	// bestSlot and bestM cache the best admissible neighbour: its slot in
+	// neighbors (lowest metric, lowest slot on ties; -1 with none) and its
+	// metric (+Inf with none). selectParent keeps them current from the one
+	// slot each receiveBeacon or OnDataResult changed.
+	bestSlot   int32
+	parentSlot int32 // parent's slot in neighbors; -1 with NoParent
+	bestM      float64
 }
 
 // Fabric transports beacons between nodes that may live on different
@@ -149,8 +156,9 @@ type Protocol struct {
 	beaconNowFns []sim.Handler
 	// candBuf/metricBuf are randomizeParent's candidate scratch, reused
 	// across calls so forced churn does not allocate per beacon.
-	candBuf   []topo.NodeID
+	candBuf   []int32
 	metricBuf []float64
+	inv       routeInvariants
 
 	BeaconsSent int64 // total beacon transmissions (protocol overhead)
 }
@@ -203,6 +211,9 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Mode
 			pathETX:    math.Inf(1),
 			lastAdvETX: math.Inf(1),
 			neighbors:  slots[:deg:deg],
+			bestM:      math.Inf(1),
+			bestSlot:   -1,
+			parentSlot: -1,
 		}
 		slots = slots[deg:]
 	}
@@ -335,7 +346,7 @@ func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 		info.expected, info.received = 0, 0
 	}
 	if at != topo.Sink {
-		p.selectParent(at)
+		p.selectParent(ns, k)
 	}
 }
 
@@ -369,7 +380,7 @@ func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 	}
 	p.updateLinkETX(info, sample, p.cfg.AlphaData)
 	if from != topo.Sink {
-		p.selectParent(from)
+		p.selectParent(ns, k)
 	}
 }
 
@@ -430,45 +441,52 @@ func metric(info *neighborInfo) (float64, bool) {
 	return info.advertisedETX + link, true
 }
 
-// selectParent re-evaluates ns's parent with hysteresis. Among equal
-// metrics the lowest NodeID wins, so the choice does not depend on the
-// order the neighbour slots are walked in.
-func (p *Protocol) selectParent(id topo.NodeID) {
-	ns := p.nodes[id]
-	nbs := p.tp.Neighbors(id)
-	bestID := NoParent
-	best := math.Inf(1)
-	cur := ns.parent
-	curM, curOK := 0.0, false
-	for k := range ns.neighbors {
-		m, ok := metric(&ns.neighbors[k])
-		if !ok {
-			continue
+// selectParent re-evaluates ns's parent with hysteresis after neighbour
+// slot k changed. Among equal metrics the lowest NodeID wins; slots ascend
+// with NodeID, so that is the lowest slot, whatever order slots change in.
+//
+// Only k's metric moved, so the cached best stays valid unless k was the
+// best and got worse; only then are all neighbours walked again.
+//
+// No gradient constraint applies: never choosing a parent whose own
+// advertised metric is not strictly below ours would deadlock bootstrap
+// (our metric starts at +inf). The chosen path metric improves on the
+// neighbour's advertisement by the link cost by construction, and
+// stale-state loops are caught by the data-plane TTL.
+func (p *Protocol) selectParent(ns *nodeState, k int) {
+	m, ok := metric(&ns.neighbors[k])
+	if slot := int32(k); slot == ns.bestSlot {
+		if ok && m <= ns.bestM {
+			ns.bestM = m
+		} else {
+			ns.bestSlot, ns.bestM = bestNeighbor(ns.neighbors)
 		}
-		nb := nbs[k]
-		if nb == cur {
-			curM, curOK = m, true
+	} else if ok && (m < ns.bestM || (m == ns.bestM && (ns.bestSlot < 0 || slot < ns.bestSlot))) {
+		ns.bestSlot, ns.bestM = slot, m
+	}
+	if ns.bestSlot >= 0 {
+		best, slot := ns.bestM, ns.bestSlot
+		// Keep the current parent unless the best is clearly better.
+		if cur := ns.parentSlot; cur >= 0 && cur != slot {
+			if curM, curOK := metric(&ns.neighbors[cur]); curOK && best > curM-p.cfg.Hysteresis {
+				best, slot = curM, cur
+			}
 		}
-		// Gradient constraint: never choose a parent whose own advertised
-		// metric is not strictly below ours would deadlock bootstrap (our
-		// metric starts at +inf), so constrain against the candidate metric
-		// instead: the chosen path metric must improve on the neighbour's
-		// advertisement by at least the link cost, which holds by
-		// construction; stale-state loops are caught by the data-plane TTL.
-		if m < best || (m == best && (bestID == NoParent || nb < bestID)) {
-			best = m
-			bestID = nb
+		p.adoptParent(ns, slot, best)
+	}
+	p.inv.afterSelect(p, ns)
+}
+
+// bestNeighbor walks every slot and returns the best admissible one (lowest
+// metric, lowest slot on ties) with its metric, or -1 and +Inf with none.
+func bestNeighbor(nbs []neighborInfo) (int32, float64) {
+	bestSlot, best := int32(-1), math.Inf(1)
+	for k := range nbs {
+		if m, ok := metric(&nbs[k]); ok && (m < best || (m == best && bestSlot < 0)) {
+			bestSlot, best = int32(k), m
 		}
 	}
-	if bestID == NoParent {
-		return
-	}
-	// Keep the current parent unless the best is clearly better.
-	if curOK && bestID != cur && best > curM-p.cfg.Hysteresis {
-		bestID = cur
-		best = curM
-	}
-	p.adoptParent(ns, bestID, best)
+	return bestSlot, best
 }
 
 // randomizeParent picks a uniformly random admissible candidate.
@@ -476,11 +494,11 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	ns := p.nodes[id]
 	cands := p.candBuf[:0]
 	metrics := p.metricBuf[:0]
-	// The topology's neighbour lists are sorted by node id, so candidates
-	// come out in deterministic ascending order with no post-sort.
-	for k, nb := range p.tp.Neighbors(id) {
+	// Candidates come out in ascending slot order, hence ascending NodeID,
+	// so the draw below is deterministic with no post-sort.
+	for k := range ns.neighbors {
 		if m, ok := metric(&ns.neighbors[k]); ok && m < p.cfg.MaxETXSample*4 {
-			cands = append(cands, nb)
+			cands = append(cands, int32(k))
 			metrics = append(metrics, m)
 		}
 	}
@@ -490,15 +508,18 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	}
 	k := p.rng(id).Intn(len(cands))
 	p.adoptParent(ns, cands[k], metrics[k])
+	p.inv.afterSelect(p, ns)
 }
 
-// adoptParent makes parent ns's forwarding parent, advertising pathETX.
-func (p *Protocol) adoptParent(ns *nodeState, parent topo.NodeID, pathETX float64) {
-	if ns.parent != parent {
-		if ns.parent != NoParent && p.rec != nil {
+// adoptParent makes the neighbour in slot ns's forwarding parent,
+// advertising pathETX.
+func (p *Protocol) adoptParent(ns *nodeState, slot int32, pathETX float64) {
+	if ns.parentSlot != slot {
+		if ns.parentSlot >= 0 && p.rec != nil {
 			p.rec.ParentChanges++
 		}
-		ns.parent = parent
+		ns.parentSlot = slot
+		ns.parent = p.tp.Neighbors(ns.id)[slot]
 		p.trickleReset(ns)
 	}
 	ns.pathETX = pathETX

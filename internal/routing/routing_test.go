@@ -348,45 +348,115 @@ func referenceSelect(nbs map[topo.NodeID]*neighborInfo, cur topo.NodeID, curETX,
 	return bestID, best
 }
 
-// TestSelectParentMatchesReference drives the dense selectParent and the
-// map-keyed reference over many random neighbour states — ties forced by a
-// coarse value grid, unheard and unrouted (+Inf) neighbours, and a current
-// parent both inside and outside the hysteresis band — and requires the
-// same parent and path metric every time.
-func TestSelectParentMatchesReference(t *testing.T) {
+// opStream hands runSelectionSequence its choices: from a seeded generator
+// in the test, from the fuzzer's bytes in the fuzz target.
+type opStream struct {
+	r    *rng.Source
+	data []byte
+}
+
+// intn returns a choice in [0, n); an exhausted byte stream returns 0.
+func (s *opStream) intn(n int) int {
+	if s.r != nil {
+		return s.r.Intn(n)
+	}
+	if len(s.data) == 0 {
+		return 0
+	}
+	v := int(s.data[0]) % n
+	s.data = s.data[1:]
+	return v
+}
+
+func (s *opStream) done() bool { return s.r == nil && len(s.data) == 0 }
+
+// runSelectionSequence drives a Protocol through up to steps random
+// single-neighbour updates, through ReceiveBeacon and OnDataResult exactly
+// as the simulation does, interleaved with forced re-picks by
+// randomizeParent. After every update, Parent and PathETX must equal what
+// the map-keyed reference picks from the updated neighbour table and the
+// parent and metric held before the update, bitwise. Ties are forced by a
+// coarse grid of advertised metrics and, at EWMA weight 1, link estimates
+// that equal their last sample; unrouted (+Inf) neighbours and a current
+// parent inside and outside the hysteresis band occur along the way.
+func runSelectionSequence(tb testing.TB, s *opStream, steps int) {
+	tb.Helper()
 	tp := topo.Grid(5, 10, 0, 15, rng.New(3))
-	p := New(DefaultConfig(), sim.New(), tp, radio.NewStaticUniformLoss(tp, 0), rng.New(1), nil)
-	r := rng.New(17)
-	adv := []float64{0, 1, 1.5, 2, 2.5, math.Inf(1)}
-	link := []float64{1, 1.5, 2, 3}
-	for trial := 0; trial < 5000; trial++ {
-		id := topo.NodeID(1 + r.Intn(tp.N()-1))
+	cfg := DefaultConfig()
+	alphas := []float64{1, 0.5, 0.3, 0.25}
+	cfg.AlphaBeacon = alphas[s.intn(len(alphas))]
+	cfg.AlphaData = alphas[s.intn(len(alphas))]
+	cfg.Hysteresis = []float64{0, 0.5, 1.5}[s.intn(3)]
+	p := New(cfg, sim.New(), tp, radio.NewStaticUniformLoss(tp, 0), rng.New(1), nil)
+	adv := []float64{0, 1, 1.5, 2, 2.5, 3, math.Inf(1)}
+	for step := 0; step < steps && !s.done(); step++ {
+		op := s.intn(8)
+		id := topo.NodeID(1 + s.intn(tp.N()-1))
+		if s.intn(16) == 0 {
+			id = topo.Sink
+		}
 		ns := p.nodes[id]
 		nbs := tp.Neighbors(id)
-		ref := make(map[topo.NodeID]*neighborInfo, len(nbs))
-		for k, nb := range nbs {
-			info := neighborInfo{heard: r.Bool(0.85), hasLinkETX: r.Bool(0.7)}
-			info.advertisedETX = adv[r.Intn(len(adv))]
-			info.linkETX = link[r.Intn(len(link))]
-			if r.Bool(0.2) {
-				info.advertisedETX = r.Range(0, 4)
-				info.linkETX = r.Range(1, 4)
+		nb := nbs[s.intn(len(nbs))]
+		cur, curETX := ns.parent, ns.pathETX
+		switch {
+		case op == 0:
+			if id == topo.Sink {
+				continue
 			}
-			ns.neighbors[k] = info
-			ref[nb] = &info
+			p.randomizeParent(id)
+			if ns.parent == cur && math.Float64bits(ns.pathETX) == math.Float64bits(curETX) {
+				continue
+			}
+			m, ok := metric(&ns.neighbors[p.lt.NeighborIndex(topo.Link{From: id, To: ns.parent})])
+			if !ok || math.Float64bits(m) != math.Float64bits(ns.pathETX) {
+				tb.Fatalf("step %d node %d: randomizeParent picked %d with metric %v, its metric is %v (admissible %v)",
+					step, id, ns.parent, ns.pathETX, m, ok)
+			}
+			continue
+		case op < 5:
+			info := ns.neighbors[p.lt.NeighborIndex(topo.Link{From: id, To: nb})]
+			a := adv[s.intn(len(adv))]
+			if s.intn(8) == 0 {
+				a = float64(s.intn(256)) / 64
+			}
+			p.ReceiveBeacon(id, nb, info.lastSeq+1+int64(s.intn(3)), a)
+		default:
+			p.OnDataResult(id, nb, mac.Result{Attempts: 1 + s.intn(8), Delivered: s.intn(4) != 0})
 		}
-		ns.parent = NoParent
-		if r.Bool(0.8) {
-			ns.parent = nbs[r.Intn(len(nbs))]
+		wantParent, wantETX := NoParent, 0.0
+		if id != topo.Sink {
+			ref := make(map[topo.NodeID]*neighborInfo, len(nbs))
+			for k, n := range nbs {
+				info := ns.neighbors[k]
+				ref[n] = &info
+			}
+			wantParent, wantETX = referenceSelect(ref, cur, curETX, cfg.Hysteresis)
 		}
-		ns.pathETX = r.Range(0, 8)
-		wantParent, wantETX := referenceSelect(ref, ns.parent, ns.pathETX, p.cfg.Hysteresis)
-		p.selectParent(id)
-		if ns.parent != wantParent || math.Float64bits(ns.pathETX) != math.Float64bits(wantETX) {
-			t.Fatalf("trial %d node %d: dense picked %d (metric %v), reference %d (metric %v)",
-				trial, id, ns.parent, ns.pathETX, wantParent, wantETX)
+		gotParent, _ := p.Parent(id)
+		if gotParent != wantParent || math.Float64bits(p.PathETX(id)) != math.Float64bits(wantETX) {
+			tb.Fatalf("step %d node %d: incremental selection picked %d (metric %v), reference %d (metric %v)",
+				step, id, gotParent, p.PathETX(id), wantParent, wantETX)
 		}
 	}
+}
+
+// TestSelectParentMatchesReference runs a long random update sequence per
+// configuration draw against the map-keyed reference.
+func TestSelectParentMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		runSelectionSequence(t, &opStream{r: rng.New(seed)}, 5000)
+	}
+}
+
+// FuzzParentSelection runs the same check with the fuzzer choosing the
+// configuration and every update.
+func FuzzParentSelection(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 5, 3, 2, 7, 1, 1, 0, 4, 9, 2, 6, 6, 3, 1})
+	f.Add([]byte{3, 3, 2, 1, 0, 0, 2, 6, 1, 1, 0, 4, 4, 4, 0, 5, 1, 2, 3, 0, 6, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runSelectionSequence(t, &opStream{data: data}, len(data))
+	})
 }
 
 // TestOnDataResultNoAlloc pins the hot-path contract at run time: feeding
@@ -420,5 +490,24 @@ func BenchmarkOnDataResult(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := hops[i%len(hops)]
 		p.OnDataResult(h.from, h.to, mac.Result{Attempts: 1 + i%3, Delivered: i%7 != 0})
+	}
+}
+
+// BenchmarkReceiveBeacon applies beacons on every link of a converged grid
+// in turn, each carrying the sender's current metric and next sequence
+// number, as a steady beacon schedule delivers them.
+func BenchmarkReceiveBeacon(b *testing.B) {
+	p, _, tp := bootstrap(b, topo.Grid(10, 10, 0, 15, rng.New(8)), 0.1, 9)
+	links := tp.Links()
+	seq0 := make([]int64, len(links))
+	for i, l := range links {
+		seq0[i] = p.nodes[l.To].beaconSeq
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(links)
+		l := links[j]
+		p.ReceiveBeacon(l.From, l.To, seq0[j]+1+int64(i/len(links)), p.PathETX(l.To))
 	}
 }
