@@ -188,7 +188,6 @@ func BenchmarkT5HopModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(12)
 		sc.Dophy.HopModelUpdateEvery = 1
-		sc.Dophy.HopModelTotal = 256
 		experiment.Run(sc)
 	}
 }

@@ -62,10 +62,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dophy-sim: "+format+"\n", a...)
 		return 2
 	}
-	// The library reads a zero MaxRetx as "use the default", so -max-retx 0
-	// would silently run with 7 retransmissions.
+	// The library reads a zero MaxRetx, EpochSeconds, GenPeriodSeconds or
+	// UpdateEvery as "use the default", so a zero flag would silently run
+	// the default (7 retransmissions, 300 s, 5 s, every epoch).
 	if *maxRetx < 1 {
 		return usage("-max-retx must be at least 1, got %d", *maxRetx)
+	}
+	if !(*epochLen > 0) {
+		return usage("-epoch-seconds must be positive, got %v", *epochLen)
+	}
+	if !(*genPeriod > 0) {
+		return usage("-gen-period must be positive, got %v", *genPeriod)
+	}
+	if *update < 1 {
+		return usage("-update-every must be at least 1, got %d", *update)
 	}
 
 	opt := dophy.Options{

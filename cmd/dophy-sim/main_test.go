@@ -100,18 +100,29 @@ func TestTextLinksTableOrder(t *testing.T) {
 	}
 }
 
-// TestRunRejectsRetxBelowOne: the library reads MaxRetx 0 as "use the
-// default", so -max-retx 0 used to run with 7 retransmissions unannounced.
-// A budget below one is a usage error.
+// TestRunRejectsRetxBelowOne: the library reads a zero MaxRetx,
+// EpochSeconds, GenPeriodSeconds or UpdateEvery as "use the default", so
+// -max-retx 0 used to run with 7 retransmissions unannounced, and a zero
+// -epoch-seconds, -gen-period or -update-every ran the default. Each of
+// them is a usage error naming its flag.
 func TestRunRejectsRetxBelowOne(t *testing.T) {
-	for _, v := range []string{"0", "-1"} {
-		t.Run(v, func(t *testing.T) {
+	for _, tc := range []struct{ name, flag, value string }{
+		{"0", "-max-retx", "0"},
+		{"-1", "-max-retx", "-1"},
+		{"-epoch-seconds 0", "-epoch-seconds", "0"},
+		{"-epoch-seconds -1", "-epoch-seconds", "-1"},
+		{"-gen-period 0", "-gen-period", "0"},
+		{"-gen-period NaN", "-gen-period", "NaN"},
+		{"-update-every 0", "-update-every", "0"},
+		{"-update-every -1", "-update-every", "-1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if got := run([]string{"-max-retx", v}, &stdout, &stderr); got != 2 {
+			if got := run([]string{tc.flag, tc.value}, &stdout, &stderr); got != 2 {
 				t.Fatalf("exit = %d, want 2 (stderr %q)", got, stderr.String())
 			}
-			if !strings.Contains(stderr.String(), "-max-retx") {
-				t.Errorf("stderr %q does not name -max-retx", stderr.String())
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Errorf("stderr %q does not name %s", stderr.String(), tc.flag)
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("usage error wrote to stdout: %q", stdout.String())

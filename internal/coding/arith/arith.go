@@ -1,5 +1,5 @@
 // Package arith implements an integer arithmetic coder (Witten–Neal–Cleary
-// style with 32-bit registers) over pluggable frequency models.
+// style with 32-bit registers) over static frequency models.
 //
 // This is the compression engine behind Dophy's in-packet encoding of
 // retransmission counts: with a shared static model whose mass concentrates
@@ -13,23 +13,8 @@ import (
 	"math/bits"
 
 	"dophy/internal/coding/bitio"
+	"dophy/internal/coding/model"
 )
-
-// Model supplies cumulative frequencies for coding. Implementations must
-// guarantee: every symbol has frequency >= 1, and Total() <= MaxTotal.
-type Model interface {
-	// NumSymbols returns the alphabet size.
-	NumSymbols() int
-	// Range returns the cumulative interval [low, high) of sym and the
-	// current total. 0 <= low < high <= total.
-	Range(sym int) (low, high, total uint32)
-	// Find returns the symbol whose interval contains the cumulative value
-	// v in [0, total), along with its interval.
-	Find(v uint32) (sym int, low, high, total uint32)
-	// Update adapts the model after coding sym. Static models no-op.
-	// Encoder and decoder call it identically, keeping them in sync.
-	Update(sym int)
-}
 
 // MaxTotal bounds model totals so the 64-bit range arithmetic cannot
 // overflow or starve intervals.
@@ -94,8 +79,8 @@ func scale(span uint64, c, total uint32) uint64 {
 	return span * uint64(c) / uint64(total)
 }
 
-// Encode codes one symbol under m and updates m.
-func (e *Encoder) Encode(m Model, sym int) {
+// Encode codes one symbol under m.
+func (e *Encoder) Encode(m *model.Static, sym int) {
 	if e.done {
 		panic("arith: Encode after Finish")
 	}
@@ -119,7 +104,6 @@ func (e *Encoder) Encode(m Model, sym int) {
 			e.low -= quarter
 			e.high -= quarter
 		default:
-			m.Update(sym)
 			return
 		}
 		e.low = (e.low << 1) & mask
@@ -166,8 +150,8 @@ func (d *Decoder) Reset(r *bitio.Reader) {
 // ErrCorrupt reports an undecodable stream (model/stream mismatch).
 var ErrCorrupt = errors.New("arith: corrupt stream")
 
-// Decode extracts one symbol under m and updates m.
-func (d *Decoder) Decode(m Model) (int, error) {
+// Decode extracts one symbol under m.
+func (d *Decoder) Decode(m *model.Static) (int, error) {
 	span := d.high - d.low + 1
 	_, _, total := m.Range(0)
 	if total == 0 {
@@ -193,7 +177,6 @@ func (d *Decoder) Decode(m Model) (int, error) {
 			d.high -= quarter
 			d.value -= quarter
 		default:
-			m.Update(sym)
 			return sym, nil
 		}
 		d.low = (d.low << 1) & mask
@@ -203,9 +186,8 @@ func (d *Decoder) Decode(m Model) (int, error) {
 }
 
 // EncodeAll codes symbols with fresh encoder state and returns the bytes and
-// exact bit count. The model is updated along the way (pass a static model
-// or a fresh adaptive clone depending on the protocol).
-func EncodeAll(m Model, symbols []int) (data []byte, bits int) {
+// exact bit count.
+func EncodeAll(m *model.Static, symbols []int) (data []byte, bits int) {
 	w := bitio.NewWriter()
 	e := NewEncoder(w)
 	for _, s := range symbols {
@@ -216,7 +198,7 @@ func EncodeAll(m Model, symbols []int) (data []byte, bits int) {
 }
 
 // DecodeAll decodes exactly n symbols from data.
-func DecodeAll(m Model, data []byte, n int) ([]int, error) {
+func DecodeAll(m *model.Static, data []byte, n int) ([]int, error) {
 	d := NewDecoder(bitio.NewReader(data))
 	out := make([]int, 0, n)
 	for i := 0; i < n; i++ {

@@ -28,29 +28,6 @@ func TestRoundTripStatic(t *testing.T) {
 	}
 }
 
-func TestRoundTripAdaptive(t *testing.T) {
-	syms := make([]int, 500)
-	r := rng.New(1)
-	for i := range syms {
-		syms[i] = r.Geometric(0.6)
-		if syms[i] > 7 {
-			syms[i] = 7
-		}
-	}
-	enc := model.NewAdaptive(8, 16, 1<<14)
-	data, _ := EncodeAll(enc, syms)
-	dec := model.NewAdaptive(8, 16, 1<<14)
-	got, err := DecodeAll(dec, data, len(syms))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range syms {
-		if got[i] != syms[i] {
-			t.Fatalf("adaptive mismatch at %d", i)
-		}
-	}
-}
-
 func TestCompressionApproachesEntropy(t *testing.T) {
 	// Skewed distribution: entropy well below 1 bit/symbol.
 	freq := []uint32{900, 60, 25, 10, 5}
@@ -153,7 +130,7 @@ func TestInterleavedModels(t *testing.T) {
 	w := bitio.NewWriter()
 	e := NewEncoder(w)
 	seq := []struct {
-		m   Model
+		m   *model.Static
 		sym int
 	}{
 		{hops, 3}, {counts, 0}, {hops, 5}, {counts, 2}, {hops, 0}, {counts, 1},
@@ -199,32 +176,6 @@ func TestQuickRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: adaptive encoder/decoder stay in sync on random streams.
-func TestQuickAdaptiveSync(t *testing.T) {
-	f := func(seed uint64, lenRaw uint8) bool {
-		r := rng.New(seed)
-		n := int(lenRaw)%300 + 1
-		syms := make([]int, n)
-		for i := range syms {
-			syms[i] = r.Intn(10)
-		}
-		data, _ := EncodeAll(model.NewAdaptive(10, 8, 4096), syms)
-		got, err := DecodeAll(model.NewAdaptive(10, 8, 4096), data, n)
-		if err != nil {
-			return false
-		}
-		for i := range syms {
-			if got[i] != syms[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,7 +25,7 @@ func (e *refEncoder) emit(bit int) {
 	}
 }
 
-func (e *refEncoder) encode(m Model, sym int) {
+func (e *refEncoder) encode(m *model.Static, sym int) {
 	lo, hi, total := m.Range(sym)
 	span := e.high - e.low + 1
 	e.high = e.low + span*uint64(hi)/uint64(total) - 1
@@ -43,7 +43,6 @@ func (e *refEncoder) encode(m Model, sym int) {
 			e.low -= quarter
 			e.high -= quarter
 		default:
-			m.Update(sym)
 			return
 		}
 		e.low = (e.low << 1) & mask
@@ -75,7 +74,7 @@ func newRefDecoder(r *bitio.Reader) *refDecoder {
 	return d
 }
 
-func (d *refDecoder) decode(m Model) (int, error) {
+func (d *refDecoder) decode(m *model.Static) (int, error) {
 	span := d.high - d.low + 1
 	_, _, total := m.Range(0)
 	cum := ((d.value-d.low+1)*uint64(total) - 1) / span
@@ -97,7 +96,6 @@ func (d *refDecoder) decode(m Model) (int, error) {
 			d.high -= quarter
 			d.value -= quarter
 		default:
-			m.Update(sym)
 			return sym, nil
 		}
 		d.low = (d.low << 1) & mask

@@ -1,6 +1,6 @@
 // Package model provides the frequency models driving the arithmetic coder:
 // static tables (shared between encoder nodes and the sink decoder),
-// adaptive tables, symbol aggregation (Dophy optimisation 1) and
+// symbol aggregation (Dophy optimisation 1) and
 // quantisation + serialisation of tables for periodic dissemination (Dophy
 // optimisation 2), plus entropy utilities used to reason about overhead.
 package model
@@ -11,15 +11,18 @@ import (
 	"sort"
 )
 
-// Static is an immutable frequency table implementing arith.Model.
+// Static is an immutable frequency table: the shared model the arithmetic
+// coder codes every symbol under.
 type Static struct {
 	freq []uint32
 	cum  []uint32 // cum[i] = sum of freq[:i]; len = n+1
 }
 
 // NewStatic builds a static model. Every frequency must be >= 1 so that all
-// symbols stay codable; the total must fit the coder's MaxTotal (callers
-// use Quantize to guarantee this).
+// symbols stay codable (NewStatic panics otherwise), and the total must not
+// exceed arith.MaxTotal so the coder's 64-bit range arithmetic cannot
+// overflow or starve intervals (Encode panics otherwise; callers use
+// Quantize to guarantee both).
 func NewStatic(freq []uint32) *Static {
 	if len(freq) == 0 {
 		panic("model: empty frequency table")
@@ -48,17 +51,19 @@ func Uniform(n int) *Static {
 	return NewStatic(freq)
 }
 
-// NumSymbols implements arith.Model.
+// NumSymbols returns the alphabet size.
 func (s *Static) NumSymbols() int { return len(s.freq) }
 
-// Range implements arith.Model.
+// Range returns the cumulative interval [low, high) of sym and the total:
+// 0 <= low < high <= total.
 func (s *Static) Range(sym int) (low, high, total uint32) {
 	return s.cum[sym], s.cum[sym+1], s.cum[len(s.freq)]
 }
 
-// Find implements arith.Model via binary search. Open-coded rather than
-// sort.Search: the predicate closure would allocate on every decoded
-// symbol.
+// Find returns the symbol whose interval contains the cumulative value v
+// in [0, total), along with its interval. It binary-searches, open-coded
+// rather than sort.Search: the predicate closure would allocate on every
+// decoded symbol.
 func (s *Static) Find(v uint32) (sym int, low, high, total uint32) {
 	i := findCum(s.cum, len(s.freq), v)
 	return i, s.cum[i], s.cum[i+1], s.cum[len(s.freq)]
@@ -80,94 +85,11 @@ func findCum(cum []uint32, n int, v uint32) int {
 	return lo
 }
 
-// Update implements arith.Model (no-op for static tables).
-func (s *Static) Update(int) {}
-
 // Freqs returns a copy of the table.
 func (s *Static) Freqs() []uint32 {
 	out := make([]uint32, len(s.freq))
 	copy(out, s.freq)
 	return out
-}
-
-// Adaptive is a frequency table that learns as symbols are coded. Encoder
-// and decoder must perform identical Update sequences to stay in sync.
-type Adaptive struct {
-	freq      []uint32
-	cum       []uint32
-	total     uint32
-	increment uint32
-	limit     uint32
-	dirty     bool
-}
-
-// NewAdaptive starts from a uniform table over n symbols. increment is the
-// mass added per observation; the table halves when the total exceeds limit
-// (keeping every symbol codable).
-func NewAdaptive(n int, increment, limit uint32) *Adaptive {
-	if n < 1 {
-		panic("model: adaptive model needs n >= 1")
-	}
-	if increment == 0 || limit < uint32(n)*2 {
-		panic("model: bad adaptive parameters")
-	}
-	a := &Adaptive{
-		freq:      make([]uint32, n),
-		cum:       make([]uint32, n+1),
-		increment: increment,
-		limit:     limit,
-	}
-	for i := range a.freq {
-		a.freq[i] = 1
-	}
-	a.rebuild()
-	return a
-}
-
-func (a *Adaptive) rebuild() {
-	for i, f := range a.freq {
-		a.cum[i+1] = a.cum[i] + f
-	}
-	a.total = a.cum[len(a.freq)]
-	a.dirty = false
-}
-
-// NumSymbols implements arith.Model.
-func (a *Adaptive) NumSymbols() int { return len(a.freq) }
-
-// Range implements arith.Model.
-func (a *Adaptive) Range(sym int) (low, high, total uint32) {
-	if a.dirty {
-		a.rebuild()
-	}
-	return a.cum[sym], a.cum[sym+1], a.cum[len(a.freq)]
-}
-
-// Find implements arith.Model. Open-coded binary search for the same
-// reason as Static.Find.
-func (a *Adaptive) Find(v uint32) (sym int, low, high, total uint32) {
-	if a.dirty {
-		a.rebuild()
-	}
-	i := findCum(a.cum, len(a.freq), v)
-	return i, a.cum[i], a.cum[i+1], a.cum[len(a.freq)]
-}
-
-// Update implements arith.Model: add mass to sym, rescaling at the limit.
-func (a *Adaptive) Update(sym int) {
-	a.freq[sym] += a.increment
-	a.total += a.increment
-	a.dirty = true
-	if a.total > a.limit {
-		a.total = 0
-		for i := range a.freq {
-			a.freq[i] = (a.freq[i] + 1) / 2
-			if a.freq[i] == 0 {
-				a.freq[i] = 1
-			}
-			a.total += a.freq[i]
-		}
-	}
 }
 
 // Aggregator implements Dophy optimisation 1: retransmission counts at or

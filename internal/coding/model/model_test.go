@@ -73,54 +73,6 @@ func TestFreqsCopies(t *testing.T) {
 	}
 }
 
-func TestAdaptiveLearns(t *testing.T) {
-	a := NewAdaptive(4, 10, 1<<16)
-	lo0, hi0, tot0 := a.Range(2)
-	w0 := float64(hi0-lo0) / float64(tot0)
-	for i := 0; i < 50; i++ {
-		a.Update(2)
-	}
-	lo1, hi1, tot1 := a.Range(2)
-	w1 := float64(hi1-lo1) / float64(tot1)
-	if w1 <= w0*2 {
-		t.Fatalf("adaptive weight did not grow: %v -> %v", w0, w1)
-	}
-}
-
-func TestAdaptiveRescaleKeepsSymbolsCodable(t *testing.T) {
-	a := NewAdaptive(3, 100, 250) // rescales constantly
-	for i := 0; i < 1000; i++ {
-		a.Update(0)
-	}
-	for s := 0; s < 3; s++ {
-		lo, hi, _ := a.Range(s)
-		if hi <= lo {
-			t.Fatalf("symbol %d lost its interval after rescales", s)
-		}
-	}
-	_, _, total := a.Range(0)
-	if total > 250+100 {
-		t.Fatalf("total %d exceeded limit", total)
-	}
-}
-
-func TestAdaptiveValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"n=0":        func() { NewAdaptive(0, 1, 100) },
-		"inc=0":      func() { NewAdaptive(4, 0, 100) },
-		"tiny limit": func() { NewAdaptive(4, 1, 7) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestAggregatorMapping(t *testing.T) {
 	g := Aggregator{Threshold: 3, MaxCount: 7}
 	if g.NumSymbols() != 4 {

@@ -38,6 +38,13 @@ import (
 	"dophy/internal/topo"
 )
 
+const (
+	// countModelMass is the total mass of the quantised shared count model.
+	countModelMass uint32 = 1 << 12
+	// hopModelMass is the quantisation mass of disseminated hop tables.
+	hopModelMass uint32 = 256
+)
+
 // Config parameterises Dophy.
 type Config struct {
 	// MaxAttempts is the MAC attempt budget per hop (retransmissions + 1).
@@ -45,8 +52,6 @@ type Config struct {
 	// AggThreshold is optimisation 1's threshold A on retransmission counts
 	// (counts >= A share one tail symbol). 0 disables aggregation.
 	AggThreshold int
-	// ModelTotal is the total mass of the quantised shared count model.
-	ModelTotal uint32
 	// UpdateEvery is optimisation 2's period in epochs between model
 	// updates (0 = never update; keep the initial prior forever).
 	UpdateEvery int
@@ -61,8 +66,6 @@ type Config struct {
 	// of the node's table plus a unicast to the sink (accounted in
 	// DisseminationBits). 0 disables (uniform hop models, paper baseline).
 	HopModelUpdateEvery int
-	// HopModelTotal is the quantisation mass of disseminated hop tables.
-	HopModelTotal uint32
 	// ObsDecay selects the estimation window. 0 (default) resets per-link
 	// observations at every epoch boundary (pure per-epoch windows, the
 	// paper's behaviour). A value in (0,1] multiplies accumulated counts by
@@ -77,7 +80,6 @@ func DefaultConfig() Config {
 	return Config{
 		MaxAttempts:  8,
 		AggThreshold: 3,
-		ModelTotal:   1 << 12,
 		UpdateEvery:  1,
 		MinSamples:   10,
 	}
@@ -94,17 +96,11 @@ func (c Config) validate() {
 			panic(fmt.Sprintf("core: AggThreshold %d outside [1,%d]", c.AggThreshold, c.MaxAttempts-1))
 		}
 	}
-	if c.ModelTotal < 16 {
-		panic("core: ModelTotal too small to quantise")
-	}
 	if c.UpdateEvery < 0 {
 		panic("core: UpdateEvery must be >= 0")
 	}
 	if c.HopModelUpdateEvery < 0 {
 		panic("core: HopModelUpdateEvery must be >= 0")
-	}
-	if c.HopModelUpdateEvery > 0 && c.HopModelTotal < 16 {
-		panic("core: HopModelTotal too small to quantise")
 	}
 	if c.ObsDecay < 0 || c.ObsDecay > 1 {
 		panic("core: ObsDecay must be in [0,1]")
@@ -242,7 +238,7 @@ func New(tp *topo.Topology, cfg Config) *Dophy {
 		agg: model.Aggregator{Threshold: cfg.AggThreshold, MaxCount: cfg.MaxAttempts - 1},
 	}
 	d.symbolWindow = make([]uint64, d.agg.NumSymbols())
-	d.countModel = model.NewStatic(initialPrior(d.agg.NumSymbols(), cfg.ModelTotal))
+	d.countModel = model.NewStatic(initialPrior(d.agg.NumSymbols(), countModelMass))
 	d.hopModels = make([]*model.Static, tp.N())
 	d.hopWindow = make([][]uint64, tp.N())
 	for i := 0; i < tp.N(); i++ {
@@ -465,10 +461,10 @@ func (d *Dophy) EndEpoch() *EpochReport {
 		}
 	}
 	if d.cfg.UpdateEvery > 0 && d.epoch%d.cfg.UpdateEvery == 0 && windowTotal(d.symbolWindow) > 0 {
-		freq := model.Quantize(d.symbolWindow, d.cfg.ModelTotal)
+		freq := model.Quantize(d.symbolWindow, countModelMass)
 		d.countModel = model.NewStatic(freq)
 		// Flood dissemination: every node rebroadcasts the table once.
-		rep.Overhead.DisseminationBits += int64(model.TableBits(len(freq), d.cfg.ModelTotal) * d.tp.N())
+		rep.Overhead.DisseminationBits += int64(model.TableBits(len(freq), countModelMass) * d.tp.N())
 		rep.ModelUpdated = true
 		for i := range d.symbolWindow {
 			d.symbolWindow[i] = 0
@@ -516,9 +512,9 @@ func (d *Dophy) updateHopModels() int64 {
 		if windowTotal(hist) == 0 {
 			continue
 		}
-		freq := model.Quantize(hist, d.cfg.HopModelTotal)
+		freq := model.Quantize(hist, hopModelMass)
 		d.hopModels[n] = model.NewStatic(freq)
-		tb := model.TableBits(len(freq), d.cfg.HopModelTotal)
+		tb := model.TableBits(len(freq), hopModelMass)
 		bits += int64(float64(tb) * (1 + d.meanHops))
 		for i := range hist {
 			hist[i] = 0

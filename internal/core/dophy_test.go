@@ -277,10 +277,9 @@ func TestSortedLinksDeterministic(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	tp := topo.Chain(2, 10, 10.5)
 	for name, cfg := range map[string]Config{
-		"zero attempts": {MaxAttempts: 0, ModelTotal: 64},
-		"agg too big":   {MaxAttempts: 4, AggThreshold: 4, ModelTotal: 64},
-		"agg negative":  {MaxAttempts: 4, AggThreshold: -1, ModelTotal: 64},
-		"tiny total":    {MaxAttempts: 4, ModelTotal: 2},
+		"zero attempts": {MaxAttempts: 0},
+		"agg too big":   {MaxAttempts: 4, AggThreshold: 4},
+		"agg negative":  {MaxAttempts: 4, AggThreshold: -1},
 	} {
 		func() {
 			defer func() {
@@ -320,7 +319,6 @@ func TestHopModelUpdateShrinksPathBits(t *testing.T) {
 	tp := topo.Grid(3, 10, 0, 15, rng.New(21))
 	cfg := DefaultConfig()
 	cfg.HopModelUpdateEvery = 1
-	cfg.HopModelTotal = 256
 	d := New(tp, cfg)
 	// Node 8 (corner) has neighbours {4,5,7}; always route via 5 then 2->...
 	// Use a fixed 2-hop path 8 -> 5 -> 0? 5's neighbours include 0? Node 5
@@ -358,7 +356,6 @@ func TestHopModelDisabledByDefault(t *testing.T) {
 	// with hop updates enabled to see the difference.
 	cfgOn := DefaultConfig()
 	cfgOn.HopModelUpdateEvery = 1
-	cfgOn.HopModelTotal = 256
 	dOn := New(tp, cfgOn)
 	dOn.OnJourney(journey([]topo.NodeID{2, 1, 0}, []int{1, 1}))
 	repOn := dOn.EndEpoch()
@@ -371,11 +368,10 @@ func TestHopModelDisabledByDefault(t *testing.T) {
 func TestHopModelConfigValidation(t *testing.T) {
 	tp := topo.Chain(2, 10, 10.5)
 	cfg := DefaultConfig()
-	cfg.HopModelUpdateEvery = 1
-	cfg.HopModelTotal = 2
+	cfg.HopModelUpdateEvery = -1
 	defer func() {
 		if recover() == nil {
-			t.Fatal("tiny HopModelTotal accepted")
+			t.Fatal("negative HopModelUpdateEvery accepted")
 		}
 	}()
 	New(tp, cfg)

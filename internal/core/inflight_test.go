@@ -45,7 +45,6 @@ func TestDistributedMatchesCentral(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UpdateEvery = 1
 	cfg.HopModelUpdateEvery = 2
-	cfg.HopModelTotal = 256
 	central := New(tp, cfg)
 	distributed := New(tp, cfg)
 	nw.Subscribe(func(j *collect.PacketJourney) { central.OnJourney(j) })

@@ -27,8 +27,9 @@ type schemeBank struct {
 	sink    *sinkStage
 	schemes SchemeSet
 	dophy   *core.Dophy
-	// dophyNA and the path records are nil unless schemes has Codecs;
-	// obsCol and est are nil unless it has Baselines.
+	// dophyNA and the path records are nil, and perPacket stays empty,
+	// unless schemes has Codecs; obsCol and est are nil unless it has
+	// Baselines.
 	dophyNA *core.Dophy
 	raw     *pathrecord.Recorder
 	compact *pathrecord.Recorder
@@ -71,8 +72,9 @@ func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, pool jour
 	return b
 }
 
-// feed applies one completed journey to every built scheme and samples
-// delivered packets' Dophy annotation cost. It runs on the sink goroutine.
+// feed applies one completed journey to every built scheme and, when
+// Codecs is built, samples delivered packets' Dophy annotation cost. It
+// runs on the sink goroutine.
 func (b *schemeBank) feed(j *collect.PacketJourney) {
 	bits := b.dophy.OnJourney(j)
 	if b.schemes&Codecs != 0 {
@@ -80,12 +82,12 @@ func (b *schemeBank) feed(j *collect.PacketJourney) {
 		b.raw.OnJourney(j)
 		b.compact.OnJourney(j)
 		b.huff.OnJourney(j)
+		if j.Delivered {
+			b.perPacket = append(b.perPacket, PacketSample{Hops: len(j.Hops), DophyBits: bits})
+		}
 	}
 	if b.schemes&Baselines != 0 {
 		b.obsCol.OnJourney(j)
-	}
-	if j.Delivered {
-		b.perPacket = append(b.perPacket, PacketSample{Hops: len(j.Hops), DophyBits: bits})
 	}
 }
 
@@ -97,7 +99,6 @@ func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) (*
 	eo := &EpochOutcome{
 		Epoch:      epoch,
 		Truth:      truth,
-		DirtyLinks: truth.DirtyCount(),
 		QueueDrops: queueDrops,
 		// At most seven schemes land in the map: size it once for all.
 		Schemes: make(map[string]*SchemeEpoch, 8),

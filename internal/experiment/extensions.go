@@ -36,7 +36,6 @@ func T5(seed uint64, o RunOptions) *Table {
 		sc.Name = fmt.Sprintf("t5-%d", ue)
 		sc.Seed = seed
 		sc.Dophy.HopModelUpdateEvery = ue
-		sc.Dophy.HopModelTotal = 256
 		sc.Epochs = 6
 		sc.EpochLen = 250
 		scs[i] = sc

@@ -29,16 +29,16 @@ var allocBudgets = []struct {
 	mallocs uint64
 	bytes   uint64
 }{
-	{"F5", F5, 1890, 1_217_000},
-	{"F6", F6, 1450, 1_739_000},
+	{"F5", F5, 1830, 784_000},
+	{"F6", F6, 1385, 471_000},
 	{"T11", T11, 2035, 1_131_000},
-	{"F9", F9, 8070, 5_180_000},
-	{"S0", S0, s0Mallocs, 40_110_000},
+	{"F9", F9, 7890, 3_093_000},
+	{"S0", S0, s0Mallocs, 39_950_000},
 }
 
 // s0Mallocs is S0's committed mallocs at one shard, shared by its
 // allocBudgets row and BenchmarkS0ShardScaling.
-const s0Mallocs = 55_380
+const s0Mallocs = 55_360
 
 // Tolerances over the committed counts. Both counts move by at most about
 // 1.3% between plain, -race and dophy_invariants builds, so the same budget

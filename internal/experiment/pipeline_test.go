@@ -104,7 +104,7 @@ func TestRunZeroEpochs(t *testing.T) {
 // TestSchemeSetsMatchAcrossEngines ties both engines' scheme banks to
 // Scenario.Schemes: Session and a one-shard ShardedSession each harvest
 // dophy plus exactly the schemes of the selected groups, for every set of
-// groups.
+// groups, and carry per-packet samples exactly when Codecs is selected.
 func TestSchemeSetsMatchAcrossEngines(t *testing.T) {
 	names := func(eo *EpochOutcome) []string {
 		var out []string
@@ -114,27 +114,35 @@ func TestSchemeSetsMatchAcrossEngines(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
+	// check holds one engine's epoch to the group: exactly the wanted
+	// schemes, and per-packet samples (F1's input) only under Codecs.
+	check := func(t *testing.T, engine string, eo *EpochOutcome, want []string, samples bool) {
+		t.Helper()
+		if got := names(eo); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s schemes = %v, want %v", engine, got, want)
+		}
+		if got := len(eo.PerPacket) > 0; got != samples {
+			t.Errorf("%s has %d per-packet samples, want samples: %v", engine, len(eo.PerPacket), samples)
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		schemes SchemeSet
 		want    []string
+		samples bool
 	}{
-		{"empty", 0, []string{SchemeDophy}},
-		{"codecs", Codecs, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeRaw}},
-		{"baselines", Baselines, []string{SchemeDophy, SchemeLSQ, SchemeMINC}},
-		{"all", Codecs | Baselines, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeLSQ, SchemeMINC, SchemeRaw}},
+		{"empty", 0, []string{SchemeDophy}, false},
+		{"codecs", Codecs, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeRaw}, true},
+		{"baselines", Baselines, []string{SchemeDophy, SchemeLSQ, SchemeMINC}, false},
+		{"all", Codecs | Baselines, []string{SchemeCompact, SchemeDophy, SchemeDophyNA, SchemeHuffman, SchemeLSQ, SchemeMINC, SchemeRaw}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := smallScenario(31)
 			sc.Schemes = tc.schemes
-			if got := names(NewSession(sc).RunEpoch()); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("Session schemes = %v, want %v", got, tc.want)
-			}
+			check(t, "Session", NewSession(sc).RunEpoch(), tc.want, tc.samples)
 			ss := NewShardedSession(sc, DefaultShardSpec(1))
 			defer ss.Close()
-			if got := names(ss.RunEpoch()); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("ShardedSession schemes = %v, want %v", got, tc.want)
-			}
+			check(t, "ShardedSession", ss.RunEpoch(), tc.want, tc.samples)
 		})
 	}
 }

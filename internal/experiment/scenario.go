@@ -287,13 +287,10 @@ type EpochOutcome struct {
 	Schemes map[string]*SchemeEpoch
 	// QueueDrops counts congestion losses this epoch (QueueCap scenarios).
 	QueueDrops int64
-	// PerPacket holds (hops, dophyBits) samples for overhead-vs-path-length
-	// analysis.
+	// PerPacket holds one (hops, dophyBits) sample per delivered packet for
+	// overhead-vs-path-length analysis (F1). It is nil unless
+	// Scenario.Schemes has Codecs.
 	PerPacket []PacketSample
-	// DirtyLinks counts ground-truth links whose counts changed since the
-	// previous epoch (trace.Epoch.DirtyCount): how much of the network
-	// drifted this epoch. Diagnostic only: never rendered.
-	DirtyLinks int
 }
 
 // PacketSample is one delivered packet's (path length, annotation bits).

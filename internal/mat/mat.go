@@ -60,16 +60,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.Cols+j] = v }
 // Add increments element (i, j).
 func (m *Dense) Add(i, j int, v float64) { m.data[i*m.Cols+j] += v }
 
-// MulVec returns A*x.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	m.MulVecTo(out, x)
-	return out
-}
-
 // MulVecTo computes A*x into dst, which must have length Rows. It lets
 // iterative solvers reuse one gradient buffer instead of allocating per
 // step.
@@ -90,15 +80,8 @@ func (m *Dense) MulVecTo(dst, x []float64) {
 	}
 }
 
-// TMulVec returns A^T * y.
-func (m *Dense) TMulVec(y []float64) []float64 {
-	out := make([]float64, m.Cols)
-	m.TMulVecTo(out, y)
-	return out
-}
-
 // TMulVecTo computes A^T * y into dst, which must have length Cols and be
-// zeroed by the caller — the allocation-free variant of TMulVec.
+// zeroed by the caller.
 func (m *Dense) TMulVecTo(dst, y []float64) {
 	if len(y) != m.Rows {
 		panic(fmt.Sprintf("mat: TMulVecTo dimension mismatch %d vs %d", len(y), m.Rows))
@@ -118,21 +101,10 @@ func (m *Dense) TMulVecTo(dst, y []float64) {
 	}
 }
 
-// Gram returns A^T A (Cols x Cols, symmetric positive semidefinite).
-func (m *Dense) Gram() *Dense {
-	g := NewDense(m.Cols, m.Cols)
-	m.gramInto(g)
-	return g
-}
-
 // GramInto computes A^T A into g, reshaping it to Cols x Cols and reusing
 // its backing storage.
 func (m *Dense) GramInto(g *Dense) {
 	g.Reshape(m.Cols, m.Cols)
-	m.gramInto(g)
-}
-
-func (m *Dense) gramInto(g *Dense) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.data[i*m.Cols : (i+1)*m.Cols]
 		for a := 0; a < m.Cols; a++ {
@@ -153,20 +125,12 @@ func (m *Dense) gramInto(g *Dense) {
 	}
 }
 
-// NNLS solves min ||A x - b||^2 subject to x >= 0 by projected gradient
-// descent with a step from the Gram matrix's row-sum bound. It converges
-// linearly and is robust on the small ill-conditioned systems tomography
-// produces. iters bounds the work; tol stops early on stagnation. The
-// caller owns the returned slice; per-epoch callers should hold an
-// NNLSSolver instead and reuse its scratch.
-func NNLS(a *Dense, b []float64, iters int, tol float64) []float64 {
-	var s NNLSSolver
-	return s.Solve(a, b, iters, tol)
-}
-
-// NNLSSolver runs NNLS repeatedly over same-shaped or differently-shaped
-// systems, reusing its Gram matrix and vector scratch across Solve calls.
-// The zero value is ready to use.
+// NNLSSolver solves min ||A x - b||^2 subject to x >= 0 by projected
+// gradient descent with a step from the Gram matrix's row-sum bound. It
+// converges linearly and is robust on the small ill-conditioned systems
+// tomography produces. One solver runs over same-shaped or
+// differently-shaped systems, reusing its Gram matrix and vector scratch
+// across Solve calls. The zero value is ready to use.
 type NNLSSolver struct {
 	g     Dense
 	x     []float64
@@ -183,9 +147,10 @@ type NNLSSolver struct {
 	nzVal   []float64
 }
 
-// Solve is NNLS with reusable scratch: it forms G = A^T A and A^T b, then
-// runs the projected-gradient iteration from x = 0. The returned slice
-// aliases the solver's scratch and is valid until the next Solve call.
+// Solve forms G = A^T A and A^T b, then runs the projected-gradient
+// iteration from x = 0. iters bounds the work; tol stops early on
+// stagnation. The returned slice aliases the solver's scratch and is valid
+// until the next Solve call.
 func (s *NNLSSolver) Solve(a *Dense, b []float64, iters int, tol float64) []float64 {
 	a.GramInto(&s.g)
 	s.atb = grow(s.atb, a.Cols)
@@ -286,18 +251,3 @@ func (s *NNLSSolver) gramMulVec(grad, x []float64) {
 		}
 	}
 }
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }

@@ -18,15 +18,17 @@ func TestMulVec(t *testing.T) {
 			a.Set(i, j, vals[i][j])
 		}
 	}
-	got := a.MulVec([]float64{1, 0, -1})
+	got := []float64{7, 7} // MulVecTo overwrites dst
+	a.MulVecTo(got, []float64{1, 0, -1})
 	if got[0] != -2 || got[1] != -2 {
-		t.Fatalf("MulVec = %v", got)
+		t.Fatalf("MulVecTo = %v", got)
 	}
-	gotT := a.TMulVec([]float64{1, 1})
+	gotT := make([]float64, 3)
+	a.TMulVecTo(gotT, []float64{1, 1})
 	want := []float64{5, 7, 9}
 	for i := range want {
 		if gotT[i] != want[i] {
-			t.Fatalf("TMulVec = %v", gotT)
+			t.Fatalf("TMulVecTo = %v", gotT)
 		}
 	}
 }
@@ -37,7 +39,9 @@ func TestGram(t *testing.T) {
 	a.Set(1, 1, 2)
 	a.Set(2, 0, 3)
 	a.Set(2, 1, 1)
-	g := a.Gram()
+	g := NewDense(1, 5) // GramInto reshapes and zeroes g
+	g.Set(0, 4, 9)
+	a.GramInto(g)
 	// A^T A = [[10, 3], [3, 5]]
 	want := [][]float64{{10, 3}, {3, 5}}
 	for i := range want {
@@ -59,8 +63,10 @@ func TestNNLSNonNegative(t *testing.T) {
 		}
 	}
 	truth := []float64{0.5, 0, 1.5, 0, 0.1, 2}
-	b := a.MulVec(truth)
-	x := NNLS(a, b, 5000, 1e-12)
+	b := make([]float64, rows)
+	a.MulVecTo(b, truth)
+	var s NNLSSolver
+	x := s.Solve(a, b, 5000, 1e-12)
 	for i, v := range x {
 		if v < 0 {
 			t.Fatalf("NNLS produced negative x[%d] = %v", i, v)
@@ -76,7 +82,8 @@ func TestNNLSClampsInfeasible(t *testing.T) {
 	a := NewDense(2, 1)
 	a.Set(0, 0, 1)
 	a.Set(1, 0, 1)
-	x := NNLS(a, []float64{-3, -5}, 1000, 1e-12)
+	var s NNLSSolver
+	x := s.Solve(a, []float64{-3, -5}, 1000, 1e-12)
 	if x[0] != 0 {
 		t.Fatalf("x = %v, want [0]", x)
 	}
@@ -94,22 +101,14 @@ func TestNNLSZeroMatrix(t *testing.T) {
 	}
 }
 
-func TestDotNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("Dot wrong")
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
-	}
-}
-
 func TestDimensionPanics(t *testing.T) {
 	a := NewDense(2, 3)
 	for name, fn := range map[string]func(){
-		"mulvec":  func() { a.MulVec([]float64{1}) },
-		"tmulvec": func() { a.TMulVec([]float64{1}) },
-		"dot":     func() { Dot([]float64{1}, []float64{1, 2}) },
-		"negdim":  func() { NewDense(-1, 2) },
+		"mulvec":      func() { a.MulVecTo(make([]float64, 2), []float64{1}) },
+		"mulvec dst":  func() { a.MulVecTo(make([]float64, 3), []float64{1, 2, 3}) },
+		"tmulvec":     func() { a.TMulVecTo(make([]float64, 3), []float64{1}) },
+		"tmulvec dst": func() { a.TMulVecTo(make([]float64, 2), []float64{1, 2}) },
+		"negdim":      func() { NewDense(-1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -210,8 +209,10 @@ func FuzzNNLSGradient(f *testing.F) {
 // reference the production solver must match bitwise, and it returns the
 // number of iterations it ran.
 func solveDense(a *Dense, b []float64, iters int, tol float64) ([]float64, int) {
-	g := a.Gram()
-	atb := a.TMulVec(b)
+	var g Dense
+	a.GramInto(&g)
+	atb := make([]float64, a.Cols)
+	a.TMulVecTo(atb, b)
 	lip := 0.0
 	for i := 0; i < g.Rows; i++ {
 		sum := 0.0

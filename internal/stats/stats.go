@@ -1,6 +1,6 @@
 // Package stats provides the error metrics and summaries the experiment
-// harness reports: absolute/relative error aggregates, quantiles, empirical
-// CDFs and binomial confidence intervals — hand-rolled on sorted slices.
+// harness reports: absolute/relative error aggregates, quantiles and
+// empirical CDFs — hand-rolled on sorted slices.
 package stats
 
 import (
@@ -133,28 +133,6 @@ func CDF(xs []float64) (x, f []float64) {
 		f = append(f, float64(i+1)/n)
 	}
 	return x, f
-}
-
-// Wilson returns the Wilson score interval for k successes in n trials at
-// ~95% confidence (z = 1.96).
-func Wilson(k, n int64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }
 
 // Mean returns the arithmetic mean (0 for empty input).

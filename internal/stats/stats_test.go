@@ -108,37 +108,6 @@ func TestCDFEmpty(t *testing.T) {
 	}
 }
 
-func TestWilson(t *testing.T) {
-	lo, hi := Wilson(50, 100)
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Fatalf("interval [%v, %v] excludes p-hat", lo, hi)
-	}
-	if hi-lo > 0.25 {
-		t.Fatalf("interval too wide: [%v, %v]", lo, hi)
-	}
-	// Degenerate cases clamp to [0,1].
-	lo0, hi0 := Wilson(0, 10)
-	if lo0 != 0 || hi0 <= 0 {
-		t.Fatalf("zero successes: [%v, %v]", lo0, hi0)
-	}
-	loN, hiN := Wilson(10, 10)
-	if hiN != 1 || loN >= 1 {
-		t.Fatalf("all successes: [%v, %v]", loN, hiN)
-	}
-	loE, hiE := Wilson(0, 0)
-	if loE != 0 || hiE != 1 {
-		t.Fatalf("no trials: [%v, %v]", loE, hiE)
-	}
-}
-
-func TestWilsonShrinksWithN(t *testing.T) {
-	lo1, hi1 := Wilson(5, 10)
-	lo2, hi2 := Wilson(500, 1000)
-	if (hi2 - lo2) >= (hi1 - lo1) {
-		t.Fatal("interval did not shrink with sample size")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 || Mean(nil) != 0 {
 		t.Fatal("Mean wrong")
