@@ -33,7 +33,6 @@ import (
 
 	"dophy/internal/experiment"
 	"dophy/internal/sim"
-	"dophy/internal/stats"
 	"dophy/internal/topo"
 )
 
@@ -327,39 +326,23 @@ func (s *Simulation) RunEpoch() *Report {
 		ParentChangesPerNode: float64(eo.Truth.ParentChanges) / math.Max(1, float64(s.session.Topology().N()-1)),
 	}
 	min := s.scenario.MinTruthAttempts
-	for _, l := range eo.Truth.ActiveLinks(min) {
-		if loss, ok := eo.Truth.Link(l).Loss(min); ok {
-			rep.TrueLoss[l] = loss
+	truth := eo.Truth
+	for i := topo.LinkIdx(0); i < truth.Table.Count(); i++ {
+		if loss, ok := truth.TrueLoss(i, min); ok {
+			rep.TrueLoss[truth.Table.Link(i)] = loss
 		}
 	}
-	// Table order is ascending (From, To), so the float accumulation below
-	// is deterministic without sorting.
-	var est, tru []float64
 	for i := topo.LinkIdx(0); i < se.Table.Count(); i++ {
-		loss := se.Loss[i]
-		if math.IsNaN(loss) {
-			continue
-		}
-		l := se.Table.Link(i)
-		rep.Estimates[l] = LinkEstimate{Loss: loss, StdErr: se.StdErr[i], Samples: se.Samples[i]}
-		if t, ok := rep.TrueLoss[l]; ok {
-			est = append(est, loss)
-			tru = append(tru, t)
+		if loss := se.Loss[i]; !math.IsNaN(loss) {
+			rep.Estimates[se.Table.Link(i)] = LinkEstimate{Loss: loss, StdErr: se.StdErr[i], Samples: se.Samples[i]}
 		}
 	}
-	if len(rep.TrueLoss) > 0 {
-		rep.Coverage = float64(len(est)) / float64(len(rep.TrueLoss))
-	}
-	if len(est) > 0 {
-		rep.MAE = stats.MAE(est, tru)
-	} else {
-		rep.MAE = math.NaN()
-	}
+	acc := experiment.Score(se, truth, min)
+	rep.MAE, rep.Coverage = acc.MAE, acc.Coverage
 	if s.compare {
 		rep.BaselineMAE = map[string]float64{}
 		for _, name := range []string{experiment.SchemeMINC, experiment.SchemeLSQ} {
-			acc := experiment.Score(eo.Schemes[name], eo.Truth, min)
-			rep.BaselineMAE[name] = acc.MAE
+			rep.BaselineMAE[name] = experiment.Score(eo.Schemes[name], truth, min).MAE
 		}
 	}
 	return rep

@@ -155,8 +155,6 @@ type EpochReport struct {
 	Overhead     Overhead
 	DecodeErrors int64
 	ModelUpdated bool
-	// ModelFreqs snapshots the shared count model in force during the epoch.
-	ModelFreqs []uint32
 }
 
 // At returns l's estimate and whether l was estimated this epoch.
@@ -394,7 +392,7 @@ func (d *Dophy) decodeWith(origin topo.NodeID, data []byte, nHops int, countMode
 	links := d.linkBuf[:0]
 	counts := d.countBuf[:0]
 	for cur != topo.Sink {
-		if len(links) > nHops {
+		if len(links) >= nHops {
 			return nil, nil, fmt.Errorf("core: decode overran %d hops", nHops)
 		}
 		hm := hopModels[cur]
@@ -439,7 +437,6 @@ func (d *Dophy) EndEpoch() *EpochReport {
 		Est:          make([]LinkEstimate, d.lt.Len()),
 		Overhead:     d.overhead,
 		DecodeErrors: d.decodeErrors,
-		ModelFreqs:   d.countModel.Freqs(),
 	}
 	for i := range rep.Est {
 		rep.Est[i].Loss = math.NaN()

@@ -412,6 +412,43 @@ func TestDecodeRobustOnGarbage(t *testing.T) {
 	}
 }
 
+// FuzzDecodeArbitrary feeds the sink-side decoder arbitrary annotation
+// bytes, an origin and a hop count in [0, 64]. It must never panic, and a
+// successful decode must be a walk through the neighbour tables from the
+// origin to the sink of at most that many hops.
+func FuzzDecodeArbitrary(f *testing.F) {
+	tp := topo.Grid(4, 10, 1, 14, rng.New(61))
+	d := New(tp, DefaultConfig())
+	data, _, _ := d.encode(journey([]topo.NodeID{5, 4, 0}, []int{1, 3}))
+	f.Add(append([]byte(nil), data...), uint16(5), uint8(2))
+	f.Add([]byte{}, uint16(1), uint8(0))
+	f.Add([]byte{0xff, 0x00, 0x5a}, uint16(15), uint8(64))
+	f.Fuzz(func(t *testing.T, data []byte, o uint16, n uint8) {
+		origin := topo.NodeID(int(o) % tp.N())
+		nHops := int(n) % 65
+		links, counts, err := d.decode(origin, data, nHops)
+		if err != nil {
+			return
+		}
+		if len(links) > nHops || len(counts) != len(links) {
+			t.Fatalf("decoded %d links and %d counts for %d hops", len(links), len(counts), nHops)
+		}
+		cur := origin
+		for i, l := range links {
+			if l.From != cur || !tp.Adjacent(l.From, l.To) {
+				t.Fatalf("hop %d: %v does not continue a walk from %d", i, l, cur)
+			}
+			if counts[i] < 0 || counts[i] >= d.CountSymbols() {
+				t.Fatalf("hop %d: count symbol %d out of range", i, counts[i])
+			}
+			cur = l.To
+		}
+		if cur != topo.Sink {
+			t.Fatalf("walk from %d ends at %d, not the sink", origin, cur)
+		}
+	})
+}
+
 func TestObsDecayCarriesEvidence(t *testing.T) {
 	tp := topo.Chain(3, 10, 10.5)
 	cfg := DefaultConfig()

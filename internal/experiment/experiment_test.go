@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dophy/internal/rng"
+	"dophy/internal/trace"
 )
 
 // smallScenario keeps tests fast.
@@ -115,8 +116,70 @@ func TestScoreAgainstTruth(t *testing.T) {
 	if acc.Coverage <= 0 || acc.Coverage > 1 {
 		t.Fatalf("coverage = %v", acc.Coverage)
 	}
-	if len(acc.Errors) != acc.Links {
-		t.Fatalf("errors len %d != links %d", len(acc.Errors), acc.Links)
+	if errs := appendErrors(nil, eo.Schemes[SchemeDophy], eo.Truth, res.Scenario.MinTruthAttempts); len(errs) != acc.Links {
+		t.Fatalf("errors len %d != links %d", len(errs), acc.Links)
+	}
+}
+
+// TestScoreAllocFree: scoring runs for every scheme of every epoch, on the
+// facade's per-epoch path too, so it must not allocate.
+func TestScoreAllocFree(t *testing.T) {
+	sc := smallScenario(9)
+	sc.Epochs = 1
+	sc.Schemes = Baselines
+	eo := Run(sc).Epochs[0]
+	for _, s := range []string{SchemeDophy, SchemeMINC, SchemeLSQ} {
+		se := eo.scheme(s)
+		if n := testing.AllocsPerRun(100, func() { Score(se, eo.Truth, sc.MinTruthAttempts) }); n != 0 {
+			t.Errorf("Score(%s) allocates %v times per call", s, n)
+		}
+	}
+}
+
+// TestScoreMatchesOracle recomputes every scheme's score from the raw
+// truth counts and estimates with plain loops, sharing no code with
+// Score. Sums run in table order on both sides, so results must be equal,
+// not merely close.
+func TestScoreMatchesOracle(t *testing.T) {
+	oracle := func(se *SchemeEpoch, counts []trace.LinkCounts, min int64) Accuracy {
+		active, links, sum := 0, 0, 0.0
+		for i, c := range counts {
+			if c.DataAttempts < min || c.Attempts <= 0 {
+				continue
+			}
+			active++
+			if math.IsNaN(se.Loss[i]) {
+				continue
+			}
+			links++
+			sum += math.Abs(se.Loss[i] - (1 - float64(c.Successes)/float64(c.Attempts)))
+		}
+		want := Accuracy{MAE: math.NaN(), Links: links}
+		if links > 0 {
+			want.MAE = sum / float64(links)
+		}
+		if active > 0 {
+			want.Coverage = float64(links) / float64(active)
+		}
+		return want
+	}
+	bounded := DefaultScenario()
+	bounded.Collect.QueueCap = 4
+	for name, sc := range map[string]Scenario{"default": DefaultScenario(), "queue-cap-4": bounded} {
+		sc.Epochs = 1
+		sc.Schemes = Baselines
+		eo := Run(sc).Epochs[0]
+		for _, s := range []string{SchemeDophy, SchemeMINC, SchemeLSQ} {
+			se := eo.scheme(s)
+			got := Score(se, eo.Truth, sc.MinTruthAttempts)
+			want := oracle(se, eo.Truth.Counts, sc.MinTruthAttempts)
+			if got.Links == 0 {
+				t.Fatalf("%s/%s: nothing scored", name, s)
+			}
+			if got.MAE != want.MAE || got.Links != want.Links || got.Coverage != want.Coverage {
+				t.Errorf("%s/%s: Score = %+v, oracle = %+v", name, s, got, want)
+			}
+		}
 	}
 }
 

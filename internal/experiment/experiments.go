@@ -301,8 +301,7 @@ func F5(seed uint64, o RunOptions) *Table {
 	errsBy := map[string][]float64{}
 	for _, eo := range res.Epochs {
 		for _, s := range accuracySchemes {
-			acc := Score(eo.scheme(s), eo.Truth, sc.MinTruthAttempts)
-			errsBy[s] = append(errsBy[s], acc.Errors...)
+			errsBy[s] = appendErrors(errsBy[s], eo.scheme(s), eo.Truth, sc.MinTruthAttempts)
 		}
 	}
 	for _, s := range accuracySchemes {

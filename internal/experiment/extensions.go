@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"dophy/internal/collect"
 	"dophy/internal/core"
@@ -180,12 +181,12 @@ func F8(seed uint64, o RunOptions) *Table {
 		// p90 of Dophy's absolute per-link error across epochs.
 		var errs []float64
 		for _, eo := range res.Epochs {
-			acc := Score(eo.Schemes[SchemeDophy], eo.Truth, scs[i].MinTruthAttempts)
-			errs = append(errs, acc.Errors...)
+			errs = appendErrors(errs, eo.Schemes[SchemeDophy], eo.Truth, scs[i].MinTruthAttempts)
 		}
 		p90 := 0.0
 		if len(errs) > 0 {
-			p90 = stats.Summarize(errs).P90
+			sort.Float64s(errs)
+			p90 = stats.Quantile(errs, 0.9)
 		}
 		t.Rows = append(t.Rows, []string{
 			f1(bad),

@@ -29,10 +29,10 @@ var allocBudgets = []struct {
 	mallocs uint64
 	bytes   uint64
 }{
-	{"F5", F5, 1830, 784_000},
+	{"F5", F5, 1660, 749_000},
 	{"F6", F6, 1385, 471_000},
 	{"T11", T11, 2035, 1_131_000},
-	{"F9", F9, 7890, 3_093_000},
+	{"F9", F9, 7175, 2_975_000},
 	{"S0", S0, s0Mallocs, 39_950_000},
 }
 

@@ -96,8 +96,10 @@ func S0(seed uint64, o RunOptions) *Table {
 }
 
 // S1 is the headline scale tier: a ~100k-node grid (316x316) that a flat
-// per-epoch map pipeline could not hold. Expect minutes at one shard and
-// near-linear speedup with -shards up to the machine's cores.
+// per-epoch map pipeline could not hold. Expect minutes at one shard.
+// More shards need not be faster: on a 2-core VM, an epoch of the
+// 2,500-node scale-sharded benchmark scenario took 79–86 ms at two shards
+// against 74–84 ms at one.
 func S1(seed uint64, o RunOptions) *Table {
 	sc := scaleScenario(o, "s1-scale-100k", seed, 316)
 	sc.Warmup = 700

@@ -9,7 +9,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dophy/internal/collect"
 	"dophy/internal/core"
@@ -18,7 +17,6 @@ import (
 	"dophy/internal/rng"
 	"dophy/internal/routing"
 	"dophy/internal/sim"
-	"dophy/internal/stats"
 	"dophy/internal/topo"
 	"dophy/internal/trace"
 )
@@ -229,53 +227,61 @@ func (s *SchemeEpoch) BitsPerPacket() float64 {
 }
 
 // Accuracy scores one scheme against epoch ground truth, on the links the
-// scheme reported that also carried enough traffic.
+// scheme reported that also have ground truth (trace.Epoch.TrueLoss).
 type Accuracy struct {
-	MAE      float64
-	RMSE     float64
-	MaxErr   float64
+	MAE      float64 // mean |estimate − truth|; NaN when no link is scored
 	Links    int     // links scored
 	Coverage float64 // fraction of truth-active links the scheme reported
-	Errors   []float64
 }
 
-// Score computes Accuracy for a scheme epoch against the trace epoch.
+// Score computes Accuracy for a scheme epoch against the trace epoch. It
+// is the only place an estimate is scored, and it allocates nothing.
 func Score(se *SchemeEpoch, truth *trace.Epoch, minAttempts int64) Accuracy {
-	active := truth.ActiveLinkCount(minAttempts)
-	// Table order is ascending (From, To), so the float summations below
-	// visit links deterministically without any sort.
-	var est, tru []float64
-	for i := topo.LinkIdx(0); se.Table != nil && i < se.Table.Count(); i++ {
-		loss := se.Loss[i]
-		if math.IsNaN(loss) {
-			continue
-		}
-		c := truth.Link(se.Table.Link(i))
-		if c.DataAttempts < minAttempts || c.Attempts == 0 {
-			continue
-		}
-		lossTrue, _ := c.Loss(minAttempts)
-		est = append(est, loss)
-		tru = append(tru, lossTrue)
-	}
-	acc := Accuracy{Links: len(est)}
+	var acc Accuracy
+	sum := 0.0
+	active := scoredLinks(se, truth, minAttempts, func(est, tru float64) {
+		sum += math.Abs(est - tru)
+		acc.Links++
+	})
 	if active > 0 {
-		acc.Coverage = float64(len(est)) / float64(active)
+		acc.Coverage = float64(acc.Links) / float64(active)
 	}
-	if len(est) == 0 {
+	if acc.Links == 0 {
 		acc.MAE = math.NaN()
-		acc.RMSE = math.NaN()
 		return acc
 	}
-	acc.MAE = stats.MAE(est, tru)
-	acc.RMSE = stats.RMSE(est, tru)
-	acc.MaxErr = stats.MaxAbsErr(est, tru)
-	acc.Errors = make([]float64, len(est))
-	for i := range est {
-		acc.Errors[i] = math.Abs(est[i] - tru[i])
-	}
-	sort.Float64s(acc.Errors)
+	acc.MAE = sum / float64(acc.Links)
 	return acc
+}
+
+// appendErrors appends |estimate − truth| for each link Score scores, in
+// table order and unsorted.
+func appendErrors(dst []float64, se *SchemeEpoch, truth *trace.Epoch, minAttempts int64) []float64 {
+	scoredLinks(se, truth, minAttempts, func(est, tru float64) {
+		dst = append(dst, math.Abs(est-tru))
+	})
+	return dst
+}
+
+// scoredLinks calls fn with the estimate and the truth of every link that
+// has ground truth and an estimate, and returns how many links have ground
+// truth. It walks the link table in ascending (From, To) order, so float
+// sums over fn's arguments are deterministic without a sort.
+func scoredLinks(se *SchemeEpoch, truth *trace.Epoch, minAttempts int64, fn func(est, tru float64)) (active int) {
+	if se.Table != nil && se.Table != truth.Table {
+		panic("experiment: scheme and truth index different link tables")
+	}
+	for i := topo.LinkIdx(0); i < truth.Table.Count(); i++ {
+		tru, ok := truth.TrueLoss(i, minAttempts)
+		if !ok {
+			continue
+		}
+		active++
+		if se.Table != nil && !math.IsNaN(se.Loss[i]) {
+			fn(se.Loss[i], tru)
+		}
+	}
+	return active
 }
 
 // EpochOutcome bundles everything observed in one epoch.
@@ -456,29 +462,24 @@ func (eo *EpochOutcome) scheme(name string) *SchemeEpoch {
 // skipping epochs where the scheme estimated nothing. It panics if the run
 // did not build the scheme.
 func (r *RunResult) MeanAccuracy(scheme string) Accuracy {
-	var maes, rmses, covs, maxes []float64
-	links := 0
+	var mean Accuracy
+	epochs := 0
 	for _, eo := range r.Epochs {
 		acc := Score(eo.scheme(scheme), eo.Truth, r.Scenario.MinTruthAttempts)
 		if math.IsNaN(acc.MAE) {
 			continue
 		}
-		maes = append(maes, acc.MAE)
-		rmses = append(rmses, acc.RMSE)
-		covs = append(covs, acc.Coverage)
-		maxes = append(maxes, acc.MaxErr)
-		links += acc.Links
+		mean.MAE += acc.MAE
+		mean.Coverage += acc.Coverage
+		mean.Links += acc.Links
+		epochs++
 	}
-	if len(maes) == 0 {
-		return Accuracy{MAE: math.NaN(), RMSE: math.NaN()}
+	if epochs == 0 {
+		return Accuracy{MAE: math.NaN()}
 	}
-	return Accuracy{
-		MAE:      stats.Mean(maes),
-		RMSE:     stats.Mean(rmses),
-		MaxErr:   stats.Mean(maxes),
-		Coverage: stats.Mean(covs),
-		Links:    links,
-	}
+	mean.MAE /= float64(epochs)
+	mean.Coverage /= float64(epochs)
+	return mean
 }
 
 // MeanBitsPerPacket averages a scheme's in-packet cost across epochs. It

@@ -156,11 +156,6 @@ func TestShardedRejectsUnshardable(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("ack-over-reverse-link", func() {
-		sc := DefaultScenario()
-		sc.Mac.AckOverReverseLink = true
-		NewShardedSession(sc, DefaultShardSpec(2))
-	})
 	expectPanic("node-failures", func() {
 		sc := DefaultScenario()
 		sc.Radio.FailMTBF = 500

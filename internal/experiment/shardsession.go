@@ -191,11 +191,6 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	if sp.Shards < 1 {
 		panic(fmt.Sprintf("experiment: %d shards", sp.Shards))
 	}
-	if sc.Mac.AckOverReverseLink {
-		// The ACK draw queries the reverse link's radio state, which the
-		// receiver's shard owns — it cannot run under the sender's window.
-		panic("experiment: AckOverReverseLink is incompatible with sharded runs")
-	}
 	if sc.Radio.FailMTBF > 0 {
 		// Node-failure processes mutate both endpoints' radio state on
 		// every query; they have no single owning shard.

@@ -45,11 +45,6 @@ type Result struct {
 type Config struct {
 	MaxRetx int     // retransmissions allowed after the first attempt
 	AckLoss float64 // probability an ACK is lost (fixed-rate model)
-	// AckOverReverseLink makes ACK delivery follow the radio model's PRR of
-	// the reverse link instead of the fixed AckLoss — the realistic model
-	// for asymmetric links, where a good forward link can pair with a bad
-	// ACK channel. When set, AckLoss is ignored.
-	AckOverReverseLink bool
 }
 
 // DefaultConfig mirrors common low-power MAC settings (7 retransmissions,
@@ -112,12 +107,7 @@ func (a *ARQ) Send(l topo.Link, now sim.Time) Result {
 			res.Delivered = true
 			res.FirstDelivered = attempt
 		}
-		acked := !r.Bool(a.cfg.AckLoss)
-		if a.cfg.AckOverReverseLink {
-			rev := topo.Link{From: l.To, To: l.From}
-			acked = r.Bool(a.model.PRR(rev, now))
-		}
-		if acked {
+		if !r.Bool(a.cfg.AckLoss) {
 			res.AckedAttempt = attempt
 			return res
 		}

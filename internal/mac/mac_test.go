@@ -204,35 +204,3 @@ func TestFirstDeliveredSemantics(t *testing.T) {
 		t.Fatal("ack loss never produced duplicate retransmissions")
 	}
 }
-
-func TestAckOverReverseLink(t *testing.T) {
-	// Perfect forward link, dead reverse link: every packet delivers on the
-	// first attempt but no ACK ever arrives, so the sender burns its whole
-	// budget.
-	tp := chainTopo()
-	m := radio.NewStaticUniformLoss(tp, 0)
-	m.SetPRR(topo.Link{From: 0, To: 1}, 0) // reverse of 1->0
-	a := New(Config{MaxRetx: 3, AckOverReverseLink: true}, m, rng.New(5), nil)
-	for i := 0; i < 50; i++ {
-		res := a.Send(link, 0)
-		if !res.Delivered || res.FirstDelivered != 1 {
-			t.Fatalf("forward delivery broken: %+v", res)
-		}
-		if res.Attempts != 4 || res.AckedAttempt != 0 {
-			t.Fatalf("dead ACK channel did not exhaust budget: %+v", res)
-		}
-	}
-	// Healthy reverse link: single attempts again.
-	m.SetPRR(topo.Link{From: 0, To: 1}, 1)
-	res := a.Send(link, 0)
-	if res.Attempts != 1 || res.AckedAttempt != 1 {
-		t.Fatalf("healthy ACK channel result: %+v", res)
-	}
-	// The reverse link replaces the fixed-rate model: AckLoss is ignored.
-	b := New(Config{MaxRetx: 3, AckLoss: 0.9, AckOverReverseLink: true}, m, rng.New(5), nil)
-	for i := 0; i < 50; i++ {
-		if res := b.Send(link, 0); res.Attempts != 1 || res.AckedAttempt != 1 {
-			t.Fatalf("AckLoss leaked into the reverse-link ACK model: %+v", res)
-		}
-	}
-}

@@ -35,15 +35,19 @@ import (
 // NoParent marks a node that has not yet acquired a route.
 const NoParent topo.NodeID = -1
 
+// Protocol constants every deployment shares.
+const (
+	beaconPeriod sim.Time = 10   // mean interval between beacons per node
+	beaconJitter float64  = 0.25 // uniform +/- fraction of the period
+	sampleWindow          = 5    // expected beacons per reception-ratio sample
+	maxETXSample float64  = 16   // cap for penalty / low-ratio samples
+)
+
 // Config tunes the protocol.
 type Config struct {
-	BeaconPeriod sim.Time // mean interval between beacons per node
-	BeaconJitter float64  // uniform +/- fraction of the period
-	Window       int      // expected beacons per reception-ratio sample
-	AlphaBeacon  float64  // EWMA weight of beacon-derived ETX samples
-	AlphaData    float64  // EWMA weight of data-derived ETX samples
-	Hysteresis   float64  // ETX improvement required to switch parent
-	MaxETXSample float64  // cap for penalty / low-ratio samples
+	AlphaBeacon float64 // EWMA weight of beacon-derived ETX samples
+	AlphaData   float64 // EWMA weight of data-derived ETX samples
+	Hysteresis  float64 // ETX improvement required to switch parent
 	// RandomizeParentProb is the probability, evaluated at each beacon a
 	// node sends, that it re-selects a parent uniformly among admissible
 	// candidates instead of the best one. 0 disables forced churn.
@@ -63,13 +67,9 @@ type Config struct {
 // protocol at simulation time scales.
 func DefaultConfig() Config {
 	return Config{
-		BeaconPeriod: 10,
-		BeaconJitter: 0.25,
-		Window:       5,
-		AlphaBeacon:  0.3,
-		AlphaData:    0.25,
-		Hysteresis:   0.5,
-		MaxETXSample: 16,
+		AlphaBeacon: 0.3,
+		AlphaData:   0.25,
+		Hysteresis:  0.5,
 	}
 }
 
@@ -174,12 +174,6 @@ func New(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Model, r *r
 // come from per-node streams, and beacons cross the boundary through the
 // fabric. With zero hooks it is exactly New.
 func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, model radio.Model, r *rng.Source, rec *trace.Recorder, hooks ShardHooks) *Protocol {
-	if cfg.BeaconPeriod <= 0 {
-		panic("routing: beacon period must be positive")
-	}
-	if cfg.Window < 1 {
-		panic("routing: window must be >= 1")
-	}
 	if cfg.RandomizeParentProb < 0 || cfg.RandomizeParentProb > 1 {
 		panic("routing: RandomizeParentProb must be in [0,1]")
 	}
@@ -253,7 +247,7 @@ func (p *Protocol) Start() {
 			p.pendingBeacon[id] = false
 			p.beaconOnce(id)
 		}
-		firstPeriod := p.cfg.BeaconPeriod
+		firstPeriod := beaconPeriod
 		if p.cfg.AdaptiveBeacon {
 			p.nodes[i].interval = p.cfg.BeaconMin
 			firstPeriod = p.cfg.BeaconMin
@@ -267,8 +261,8 @@ func (p *Protocol) Start() {
 // jitteredPeriod returns the next beacon delay for ns, advancing its
 // Trickle interval when adaptive beaconing is on.
 func (p *Protocol) jitteredPeriod(ns *nodeState) sim.Time {
-	j := p.cfg.BeaconJitter
-	base := p.cfg.BeaconPeriod
+	j := beaconJitter
+	base := beaconPeriod
 	if p.cfg.AdaptiveBeacon {
 		if ns.trickleHot {
 			ns.interval = p.cfg.BeaconMin
@@ -336,11 +330,11 @@ func (p *Protocol) receiveBeacon(at, from topo.NodeID, seq int64, advertisedETX 
 	}
 	info.lastSeq = seq
 	info.received++
-	if info.expected >= p.cfg.Window {
+	if info.expected >= sampleWindow {
 		ratio := float64(info.received) / float64(info.expected)
-		sample := p.cfg.MaxETXSample
+		sample := maxETXSample
 		if ratio > 0 {
-			sample = math.Min(1/ratio, p.cfg.MaxETXSample)
+			sample = math.Min(1/ratio, maxETXSample)
 		}
 		p.updateLinkETX(info, sample, p.cfg.AlphaBeacon)
 		info.expected, info.received = 0, 0
@@ -370,7 +364,7 @@ func (p *Protocol) OnDataResult(from, to topo.NodeID, res mac.Result) {
 	info := &ns.neighbors[k]
 	sample := float64(res.Attempts)
 	if !res.Delivered {
-		sample = p.cfg.MaxETXSample
+		sample = maxETXSample
 		// Data-path trouble: re-arm fast beaconing (CTP's pull behaviour)
 		// so the neighbourhood resynchronises its advertisements quickly.
 		p.trickleReset(ns)
@@ -497,7 +491,7 @@ func (p *Protocol) randomizeParent(id topo.NodeID) {
 	// Candidates come out in ascending slot order, hence ascending NodeID,
 	// so the draw below is deterministic with no post-sort.
 	for k := range ns.neighbors {
-		if m, ok := metric(&ns.neighbors[k]); ok && m < p.cfg.MaxETXSample*4 {
+		if m, ok := metric(&ns.neighbors[k]); ok && m < maxETXSample*4 {
 			cands = append(cands, int32(k))
 			metrics = append(metrics, m)
 		}

@@ -94,7 +94,7 @@ func TestFailedDataGivesPenalty(t *testing.T) {
 		p.OnDataResult(2, 1, mac.Result{Attempts: 8, Delivered: false})
 	}
 	got := ns.neighbors[p.lt.NeighborIndex(topo.Link{From: 2, To: 1})].linkETX
-	if got < DefaultConfig().MaxETXSample-1 {
+	if got < maxETXSample-1 {
 		t.Fatalf("penalty sample not applied: link ETX = %v", got)
 	}
 }
@@ -183,24 +183,6 @@ func TestCurrentTreeShape(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	tp := chainTopo(2)
-	model := radio.NewStaticUniformLoss(tp, 0)
-	for name, cfg := range map[string]Config{
-		"zero period": {BeaconPeriod: 0, Window: 5},
-		"zero window": {BeaconPeriod: 1, Window: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			New(cfg, sim.New(), tp, model, rng.New(1), nil)
-		}()
-	}
-}
-
 func TestStartTwicePanics(t *testing.T) {
 	tp := chainTopo(2)
 	model := radio.NewStaticUniformLoss(tp, 0)
@@ -234,8 +216,8 @@ func TestAdaptiveBeaconReducesOverhead(t *testing.T) {
 		cfg := DefaultConfig()
 		if adaptive {
 			cfg.AdaptiveBeacon = true
-			cfg.BeaconMin = cfg.BeaconPeriod
-			cfg.BeaconMax = cfg.BeaconPeriod * 16
+			cfg.BeaconMin = beaconPeriod
+			cfg.BeaconMax = beaconPeriod * 16
 			cfg.TrickleReset = 1
 		}
 		p := New(cfg, eng, tp, model, rng.New(42), trace.NewRecorder(tp.LinkTable()))

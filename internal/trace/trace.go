@@ -126,35 +126,17 @@ func (e *Epoch) Link(l topo.Link) LinkCounts {
 	return LinkCounts{}
 }
 
-// ActiveLinks returns the links with at least minAttempts *data* attempts,
-// in canonical table order — the links a tomography scheme could plausibly
-// estimate.
-func (e *Epoch) ActiveLinks(minAttempts int64) []topo.Link {
-	return e.AppendActiveLinks(minAttempts, nil)
-}
-
-// AppendActiveLinks is the append-into variant of ActiveLinks for per-epoch
-// hot paths: it extends buf (typically a reused scratch slice reset to
-// length zero) instead of allocating a fresh slice each call.
-func (e *Epoch) AppendActiveLinks(minAttempts int64, buf []topo.Link) []topo.Link {
-	for i := topo.LinkIdx(0); i < e.Table.Count(); i++ {
-		if e.Counts[i].DataAttempts >= minAttempts && e.Counts[i].Attempts > 0 {
-			buf = append(buf, e.Table.Link(i))
-		}
+// TrueLoss returns link i's empirical per-attempt loss, 1 −
+// Successes/Attempts over data and beacon attempts alike, and whether link
+// i has ground truth: at least minDataAttempts data attempts and at least
+// one attempt. These are the links a tomography scheme could plausibly
+// estimate, and the only links any scheme is scored on.
+func (e *Epoch) TrueLoss(i topo.LinkIdx, minDataAttempts int64) (float64, bool) {
+	c := e.Counts[i]
+	if c.DataAttempts < minDataAttempts || c.Attempts == 0 {
+		return 0, false
 	}
-	return buf
-}
-
-// ActiveLinkCount counts the links ActiveLinks would return without
-// materialising them — for per-epoch scoring that only needs the total.
-func (e *Epoch) ActiveLinkCount(minAttempts int64) int {
-	n := 0
-	for i := topo.LinkIdx(0); i < e.Table.Count(); i++ {
-		if e.Counts[i].DataAttempts >= minAttempts && e.Counts[i].Attempts > 0 {
-			n++
-		}
-	}
-	return n
+	return 1 - float64(c.Successes)/float64(c.Attempts), true
 }
 
 // DirtyCount returns how many links changed since the previous cut.

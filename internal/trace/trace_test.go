@@ -89,26 +89,41 @@ func TestCutSnapshotsAndResets(t *testing.T) {
 	}
 }
 
-func TestActiveLinksDeterministicOrder(t *testing.T) {
-	// Star-ish layout: 0 adjacent to 1,2,3; 1 adjacent to 2 as well.
-	tp := topo.FromPoints([]topo.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 0, Y: 5}, {X: -5, Y: 0}}, 7.1)
-	r := NewRecorder(tp.LinkTable())
-	links := []topo.Link{{From: 3, To: 0}, {From: 1, To: 2}, {From: 1, To: 0}, {From: 2, To: 0}}
-	for _, l := range links {
-		r.Attempt(l, true)
-		r.Attempt(l, true)
-	}
-	r.Attempt(topo.Link{From: 2, To: 1}, true) // only one attempt
+func TestTrueLossRule(t *testing.T) {
+	lt := testTable(t)
+	r := NewRecorder(lt)
+	// l12: two data attempts and two beacons, three received.
+	r.Attempt(l12, true)
+	r.Attempt(l12, false)
+	r.Beacon(l12, true)
+	r.Beacon(l12, true)
+	// l21: one data attempt.
+	r.Attempt(l21, true)
+	// 0->1: beacons only.
+	r.Beacon(topo.Link{From: 0, To: 1}, true)
 	e := r.Cut()
-	got := e.ActiveLinks(2)
-	want := []topo.Link{{From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 3, To: 0}}
-	if len(got) != len(want) {
-		t.Fatalf("active links = %v", got)
+	idx := func(l topo.Link) topo.LinkIdx { return lt.Index(l) }
+
+	// Beacons count toward the loss, not toward the data-attempt floor.
+	if loss, ok := e.TrueLoss(idx(l12), 2); !ok || loss != 0.25 {
+		t.Fatalf("l12 truth = %v, %v; want 0.25, true", loss, ok)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("active links = %v, want %v", got, want)
-		}
+	if _, ok := e.TrueLoss(idx(l12), 3); ok {
+		t.Fatal("l12 has truth above its data-attempt count")
+	}
+	if _, ok := e.TrueLoss(idx(l21), 2); ok {
+		t.Fatal("l21 has truth below the data-attempt floor")
+	}
+	if loss, ok := e.TrueLoss(idx(l21), 1); !ok || loss != 0 {
+		t.Fatalf("l21 truth = %v, %v; want 0, true", loss, ok)
+	}
+	// A beacon-only link carried no data, and a silent link has no
+	// attempts, so neither has truth even at a zero floor.
+	if _, ok := e.TrueLoss(idx(topo.Link{From: 0, To: 1}), 1); ok {
+		t.Fatal("beacon-only link has truth")
+	}
+	if _, ok := e.TrueLoss(idx(topo.Link{From: 2, To: 3}), 0); ok {
+		t.Fatal("silent link has truth")
 	}
 }
 
@@ -138,10 +153,10 @@ func TestBeaconVsDataAttempts(t *testing.T) {
 	r2.Beacon(l21, true)
 	r2.Beacon(l21, true)
 	e2 := r2.Cut()
-	if len(e2.ActiveLinks(1)) != 0 {
+	if _, ok := e2.TrueLoss(e2.Table.Index(l21), 1); ok {
 		t.Fatal("beacon-only link reported data-active")
 	}
-	if len(e.ActiveLinks(1)) != 1 {
+	if _, ok := e.TrueLoss(e.Table.Index(l12), 1); !ok {
 		t.Fatal("data link not reported active")
 	}
 }
@@ -207,25 +222,5 @@ func TestCutMergedDirtyUnion(t *testing.T) {
 	rb.Attempt(l21, false)
 	if got := CutMerged([]*Recorder{ra, rb}).DirtyCount(); got != 1 {
 		t.Fatalf("one-shard change merged DirtyCount = %d, want 1", got)
-	}
-}
-
-func TestAppendActiveLinksMatchesActiveLinks(t *testing.T) {
-	lt := testTable(t)
-	r := NewRecorder(lt)
-	r.Attempt(l12, true)
-	r.Attempt(l21, false)
-	e := r.Cut()
-	want := e.ActiveLinks(1)
-	buf := make([]topo.Link, 0, 8)
-	buf = append(buf, topo.Link{From: 3, To: 2}) // pre-existing content survives
-	got := e.AppendActiveLinks(1, buf)
-	if len(got) != 1+len(want) {
-		t.Fatalf("appended %d links, want %d", len(got)-1, len(want))
-	}
-	for i, l := range want {
-		if got[i+1] != l {
-			t.Fatalf("AppendActiveLinks = %v, want prefix+%v", got, want)
-		}
 	}
 }
