@@ -154,9 +154,9 @@ func BenchmarkF6Validation(b *testing.B) {
 	}
 }
 
-// BenchmarkT4EndToEnd is the throughput experiment itself (T4): one full
-// mid-size epoch, reported as ns/op so sim-seconds-per-wall-second can be
-// derived.
+// BenchmarkT4EndToEnd runs one reduced-scale simulation end to end through
+// experiment.Run (a 49-node grid, Dophy alone); CI's benchmark smoke step
+// runs it. Simulation throughput of record is bench/'s sim_s_per_host_s.
 func BenchmarkT4EndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

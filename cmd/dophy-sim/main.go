@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	runText(stdout, sim, *epochs, *links, *baselines)
+	runText(stdout, stderr, sim, *epochs, *links, *baselines)
 	return 0
 }
 
@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // topology summary, one row per epoch (plus the baselines' MAE when
 // baselines is set) and, when links is set, the final epoch's per-link
 // table in ascending (From, To) order.
-func runText(w io.Writer, sim *dophy.Simulation, epochs int, links, baselines bool) {
+func runText(w, stderr io.Writer, sim *dophy.Simulation, epochs int, links, baselines bool) {
 	info := sim.Topology()
 	fmt.Fprintf(w, "topology: %d nodes, %d directed links, avg degree %.1f, avg hops %.1f (max %d)\n\n",
 		info.Nodes, info.Links, info.AvgDegree, info.AvgHops, info.MaxHops)
@@ -139,7 +139,7 @@ func runText(w io.Writer, sim *dophy.Simulation, epochs int, links, baselines bo
 		fmt.Fprintf(w, "%-6d  %-9.4f  %-9.2f  %-9.2f  %-10.4f  %-10.2f\n",
 			rep.Epoch, rep.MAE, rep.Coverage, rep.BytesPerPacket, rep.DeliveryRatio, rep.ParentChangesPerNode)
 		if rep.DecodeErrors > 0 {
-			fmt.Fprintf(os.Stderr, "dophy-sim: %d decode errors!\n", rep.DecodeErrors)
+			fmt.Fprintf(stderr, "dophy-sim: %d decode errors!\n", rep.DecodeErrors)
 		}
 		if baselines {
 			for _, name := range []string{"minc", "lsq"} {

@@ -78,7 +78,7 @@ func TestTextLinksTableOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	runText(&buf, sim, 1, true, false)
+	runText(&buf, &buf, sim, 1, true, false)
 	_, table, ok := strings.Cut(buf.String(), "per-link estimates (final epoch):\n")
 	if !ok {
 		t.Fatalf("no per-link table in:\n%s", buf.String())

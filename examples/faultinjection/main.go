@@ -27,26 +27,20 @@ func main() {
 		sc := experiment.DefaultScenario()
 		sc.Seed = 19
 		if mtbf > 0 {
-			sc.Radio.FailMTBF = experimentTime(mtbf)
+			sc.Radio.FailMTBF = experiment.Duration(mtbf)
 			sc.Radio.FailMTTR = 60
 		}
 		sc.EpochLen = 400
 		sc.Epochs = 3
 		sc.Schemes = experiment.Baselines
 		res := experiment.Run(sc)
-		var delivery, churn float64
-		for _, eo := range res.Epochs {
-			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
-			churn += float64(eo.Truth.ParentChanges) / float64(len(res.Epochs))
-		}
-		churn /= float64(res.Topology.N() - 1)
 		label := "none"
 		if mtbf > 0 {
 			label = fmt.Sprintf("%.0f", mtbf)
 		}
 		fmt.Printf("%-9s  %-9.4f  %-12.1f  %-10.4f  %-10.4f\n",
-			label, delivery,
-			churn,
+			label, res.MeanDeliveryRatio,
+			res.ParentChangesPerNodePerEpoch,
 			res.MeanAccuracy(experiment.SchemeDophy).MAE,
 			res.MeanAccuracy(experiment.SchemeMINC).MAE)
 	}
@@ -55,6 +49,3 @@ func main() {
 	fmt.Println("Dophy's per-link error stays several times below the tree baseline:")
 	fmt.Println("retransmission counts keep naming the surviving links precisely.")
 }
-
-// experimentTime adapts a float64 to the scenario's duration type.
-func experimentTime(v float64) (out experiment.Duration) { return experiment.Duration(v) }

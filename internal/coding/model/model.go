@@ -186,22 +186,38 @@ func Quantize(counts []uint64, total uint32) []uint32 {
 	return out
 }
 
+// GeometricPrior is the deployment-time count model every recording scheme
+// starts from: n symbols with geometrically decaying mass (most links need
+// few retransmissions), quantised to total.
+func GeometricPrior(n int, total uint32) []uint32 {
+	counts := make([]uint64, n)
+	w := uint64(1) << uint(n)
+	for i := range counts {
+		counts[i] = w
+		w = (w + 1) / 2
+	}
+	return Quantize(counts, total)
+}
+
+// BitsFor returns the width of a fixed-width field that can hold n
+// distinct values: ceil(log2 n), with a 1-bit floor.
+func BitsFor(n int) int {
+	b := 1
+	for (1 << uint(b)) < n {
+		b++
+	}
+	return b
+}
+
 // TableBits is the dissemination cost of one quantised table in bits:
 // each frequency is sent as a fixed-width field sized for the total.
 func TableBits(n int, total uint32) int {
-	width := 1
-	for (uint32(1) << width) < total {
-		width++
-	}
-	return n * width
+	return n * BitsFor(int(total))
 }
 
 // Serialize packs a frequency table into bytes (fixed width per entry).
 func Serialize(freq []uint32, total uint32) []byte {
-	width := 1
-	for (uint32(1) << width) < total {
-		width++
-	}
+	width := BitsFor(int(total))
 	bits := len(freq) * width
 	out := make([]byte, (bits+7)/8)
 	pos := 0
@@ -218,10 +234,7 @@ func Serialize(freq []uint32, total uint32) []byte {
 
 // Deserialize unpacks n frequencies serialised with Serialize.
 func Deserialize(data []byte, n int, total uint32) ([]uint32, error) {
-	width := 1
-	for (uint32(1) << width) < total {
-		width++
-	}
+	width := BitsFor(int(total))
 	if len(data)*8 < n*width {
 		return nil, fmt.Errorf("model: table data too short: %d bytes for %d x %d bits", len(data), n, width)
 	}

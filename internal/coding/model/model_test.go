@@ -250,3 +250,27 @@ func TestQuickQuantize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBitsFor(t *testing.T) {
+	for n, want := range map[int]int{0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 49: 6, 4096: 12, 4097: 13} {
+		if got := BitsFor(n); got != want {
+			t.Errorf("BitsFor(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+func TestGeometricPriorDecays(t *testing.T) {
+	for _, n := range []int{1, 4, 8} {
+		freq := GeometricPrior(n, 1<<12)
+		var total uint32
+		for i, f := range freq {
+			total += f
+			if f == 0 || (i > 0 && f > freq[i-1]) {
+				t.Fatalf("n=%d: prior %v is not positive and non-increasing", n, freq)
+			}
+		}
+		if len(freq) != n || total != 1<<12 {
+			t.Fatalf("n=%d: prior %v sums to %d", n, freq, total)
+		}
+	}
+}

@@ -236,7 +236,7 @@ func New(tp *topo.Topology, cfg Config) *Dophy {
 		agg: model.Aggregator{Threshold: cfg.AggThreshold, MaxCount: cfg.MaxAttempts - 1},
 	}
 	d.symbolWindow = make([]uint64, d.agg.NumSymbols())
-	d.countModel = model.NewStatic(initialPrior(d.agg.NumSymbols(), countModelMass))
+	d.countModel = model.NewStatic(model.GeometricPrior(d.agg.NumSymbols(), countModelMass))
 	d.hopModels = make([]*model.Static, tp.N())
 	d.hopWindow = make([][]uint64, tp.N())
 	for i := 0; i < tp.N(); i++ {
@@ -245,7 +245,7 @@ func New(tp *topo.Topology, cfg Config) *Dophy {
 			d.hopWindow[i] = make([]uint64, deg)
 		}
 	}
-	d.originBits = bitsFor(tp.N())
+	d.originBits = model.BitsFor(tp.N())
 	hops := tp.HopCounts()
 	sum, cnt := 0, 0
 	for _, h := range hops {
@@ -265,27 +265,6 @@ func New(tp *topo.Topology, cfg Config) *Dophy {
 	return d
 }
 
-// initialPrior is the deployment-time default model: geometric decay,
-// reflecting that most links need few retransmissions.
-func initialPrior(n int, total uint32) []uint32 {
-	counts := make([]uint64, n)
-	w := uint64(1) << uint(n)
-	for i := range counts {
-		counts[i] = w
-		w = (w + 1) / 2
-	}
-	return model.Quantize(counts, total)
-}
-
-// bitsFor returns ceil(log2(n)) with a 1-bit floor.
-func bitsFor(n int) int {
-	b := 1
-	for (1 << uint(b)) < n {
-		b++
-	}
-	return b
-}
-
 // exactLen returns the number of exact attempt bins in link observations.
 func (d *Dophy) exactLen() int {
 	if d.cfg.AggThreshold > 0 {
@@ -303,6 +282,17 @@ func (d *Dophy) OnJourney(j *collect.PacketJourney) int {
 		return 0
 	}
 	data, finalBits, prefixBits := d.encode(j)
+	d.deliver(j, data, finalBits, prefixBits, 0, d.countModel, d.hopModels)
+	return finalBits
+}
+
+// deliver is what one delivered annotation contributes, on either encoding
+// path: it books the packet's costs, decodes data under the models the
+// packet was encoded with, checks the decode against the journey's ground
+// truth and accumulates the hop records. prefixBits[i] is the annotation's
+// length after hop i; stateBits is the coder-register overhead carried into
+// every hop after the first (0 on the sink-side path).
+func (d *Dophy) deliver(j *collect.PacketJourney, data []byte, finalBits int, prefixBits []int, stateBits int, countModel *model.Static, hopModels []*model.Static) {
 	d.overhead.Packets++
 	d.overhead.Hops += int64(len(j.Hops))
 	d.overhead.AnnotationBits += int64(finalBits)
@@ -312,25 +302,25 @@ func (d *Dophy) OnJourney(j *collect.PacketJourney) int {
 	for i, h := range j.Hops {
 		carried := d.originBits
 		if i > 0 {
-			carried += prefixBits[i-1]
+			carried += prefixBits[i-1] + stateBits
+			d.overhead.InFlightStateBits += int64(stateBits * h.Attempts)
 		}
 		d.overhead.TransmittedBits += int64(carried * h.Attempts)
 	}
 
-	hops, counts, err := d.decode(j.Origin, data, len(j.Hops))
+	hops, counts, err := d.decode(j.Origin, data, len(j.Hops), countModel, hopModels)
 	if err != nil {
 		d.decodeErrors++
-		return finalBits
+		return
 	}
 	// Cross-check against ground truth: any divergence is a codec bug.
 	for i := range hops {
 		if hops[i] != j.Hops[i].Link || counts[i] != d.agg.Map(j.Hops[i].Observed-1) {
 			d.decodeErrors++
-			return finalBits
+			return
 		}
 	}
 	d.accumulate(hops, counts)
-	return finalBits
 }
 
 // accumulate folds decoded hop records into the per-epoch observations.
@@ -375,16 +365,11 @@ func (d *Dophy) encode(j *collect.PacketJourney) (data []byte, finalBits int, pr
 }
 
 // decode reconstructs the hop links and count symbols from an annotation
-// using the current models.
-func (d *Dophy) decode(origin topo.NodeID, data []byte, nHops int) ([]topo.Link, []int, error) {
-	return d.decodeWith(origin, data, nHops, d.countModel, d.hopModels)
-}
-
-// decodeWith decodes against an explicit model version (the one the packet
-// was encoded under, for in-flight packets spanning a model update). The
-// returned slices alias the engine's scratch buffers and are only valid
-// until the next decode call.
-func (d *Dophy) decodeWith(origin topo.NodeID, data []byte, nHops int, countModel *model.Static, hopModels []*model.Static) ([]topo.Link, []int, error) {
+// under an explicit model version: the one the packet was encoded under,
+// which for an in-flight packet spanning a model update is not the current
+// one. The returned slices alias the engine's scratch buffers and are only
+// valid until the next decode call.
+func (d *Dophy) decode(origin topo.NodeID, data []byte, nHops int, countModel *model.Static, hopModels []*model.Static) ([]topo.Link, []int, error) {
 	d.decReader.Reset(data)
 	dec := d.decCoder
 	dec.Reset(d.decReader)
@@ -441,22 +426,10 @@ func (d *Dophy) EndEpoch() *EpochReport {
 	for i := range rep.Est {
 		rep.Est[i].Loss = math.NaN()
 	}
-	for i := topo.LinkIdx(0); i < d.lt.Count(); i++ {
-		obs := d.linkObs.At(i)
-		total := obs.Total()
-		if total == 0 || total < float64(d.cfg.MinSamples) {
-			continue
-		}
-		p, err := obs.EstimateP(d.cfg.MaxAttempts)
-		if err != nil {
-			continue
-		}
-		rep.Est[i] = LinkEstimate{
-			Loss:    1 - p,
-			StdErr:  obs.StdErr(d.cfg.MaxAttempts, p),
-			Samples: int64(total + 0.5),
-		}
-	}
+	m := d.cfg.MaxAttempts
+	d.linkObs.Estimates(m, d.cfg.MinSamples, func(i topo.LinkIdx, obs *geomle.Obs, p float64, samples int64) {
+		rep.Est[i] = LinkEstimate{Loss: 1 - p, StdErr: obs.StdErr(m, p), Samples: samples}
+	})
 	if d.cfg.UpdateEvery > 0 && d.epoch%d.cfg.UpdateEvery == 0 && windowTotal(d.symbolWindow) > 0 {
 		freq := model.Quantize(d.symbolWindow, countModelMass)
 		d.countModel = model.NewStatic(freq)

@@ -391,7 +391,7 @@ func TestDecodeRobustOnGarbage(t *testing.T) {
 		}
 		origin := topo.NodeID(r.Intn(tp.N()-1) + 1)
 		nHops := r.Intn(12) + 1
-		links, counts, err := d.decode(origin, data, nHops)
+		links, counts, err := d.decode(origin, data, nHops, d.countModel, d.hopModels)
 		if err != nil {
 			continue
 		}
@@ -426,7 +426,7 @@ func FuzzDecodeArbitrary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, o uint16, n uint8) {
 		origin := topo.NodeID(int(o) % tp.N())
 		nHops := int(n) % 65
-		links, counts, err := d.decode(origin, data, nHops)
+		links, counts, err := d.decode(origin, data, nHops, d.countModel, d.hopModels)
 		if err != nil {
 			return
 		}

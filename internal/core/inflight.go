@@ -99,34 +99,7 @@ func (a *Annotator) OnDeliver(j *collect.PacketJourney) {
 	}
 	e, w := arith.Resume(pa.state, pa.completed)
 	e.Finish()
-	data, finalBits := w.Bytes(), w.Bits()
-
-	d := a.d
-	d.overhead.Packets++
-	d.overhead.Hops += int64(len(j.Hops))
-	d.overhead.AnnotationBits += int64(finalBits)
-	d.overhead.HeaderBits += int64(d.originBits)
-	for i, h := range j.Hops {
-		carried := d.originBits
-		if i > 0 {
-			carried += pa.prefixBits[i-1] + arith.StateBytes*8
-			d.overhead.InFlightStateBits += int64(arith.StateBytes * 8 * h.Attempts)
-		}
-		d.overhead.TransmittedBits += int64(carried * h.Attempts)
-	}
-
-	hops, counts, err := d.decodeWith(j.Origin, data, len(j.Hops), pa.countModel, pa.hopModels)
-	if err != nil {
-		d.decodeErrors++
-		return
-	}
-	for i := range hops {
-		if hops[i] != j.Hops[i].Link || counts[i] != d.agg.Map(j.Hops[i].Observed-1) {
-			d.decodeErrors++
-			return
-		}
-	}
-	d.accumulate(hops, counts)
+	a.d.deliver(j, w.Bytes(), w.Bits(), pa.prefixBits, arith.StateBytes*8, pa.countModel, pa.hopModels)
 }
 
 // OnDrop implements collect.Annotator: reclaim in-flight state.

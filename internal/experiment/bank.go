@@ -17,57 +17,82 @@ import (
 // records) and Baselines (the epochobs collector feeding the MINC/LSQ
 // estimators). Session and ShardedSession each own one and drive it the
 // same way: start the sink stage, add every completed journey to it in
-// order, join it and harvest at each epoch end, then estimate the harvested
-// observations. A group that is not selected is not built, fed, harvested
-// or estimated.
+// order, join it and harvest at each epoch end. A group that is not
+// selected is not built, fed, harvested or estimated.
 type schemeBank struct {
 	// sink feeds the bank on its own goroutine during an epoch (see
 	// pipeline.go); the schemes below are the sink goroutine's from the
 	// stage's start until its join.
 	sink    *sinkStage
 	schemes SchemeSet
+	lt      *topo.LinkTable
 	dophy   *core.Dophy
 	// dophyNA and the path records are nil, and perPacket stays empty,
-	// unless schemes has Codecs; obsCol and est are nil unless it has
-	// Baselines.
+	// unless schemes has Codecs; obsCol and the estimators are nil unless
+	// it has Baselines. The estimators' scratch persists across epochs for
+	// reuse.
 	dophyNA *core.Dophy
 	raw     *pathrecord.Recorder
 	compact *pathrecord.Recorder
 	huff    *pathrecord.Recorder
 	obsCol  *epochobs.Collector
-	est     *estBank
+	mincEst *minc.Estimator
+	lsqEst  *lsq.Estimator
 
 	perPacket []PacketSample
 }
 
-// newSchemeBank derives the Dophy configuration from the scenario's retry
-// budget and builds dophy plus the groups sc.Schemes selects. pool takes
-// each journey back once the bank is done with it.
-func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, pool journeyPool) *schemeBank {
-	dcfg := sc.Dophy
-	dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-	if dcfg.AggThreshold >= dcfg.MaxAttempts {
-		dcfg.AggThreshold = 0 // aggregation meaningless for tiny budgets
+// schemeConfigs holds every scheme's configuration for one scenario.
+type schemeConfigs struct {
+	dophy, dophyNA        core.Config
+	raw, compact, huffman pathrecord.Config
+	minc                  minc.Config
+	lsq                   lsq.Config
+}
+
+// schemeConfigs is the one place a scenario becomes scheme configurations.
+// Every scheme's attempt bound is the scenario's retry budget plus one, an
+// aggregation threshold that budget cannot reach is dropped (aggregation is
+// meaningless for tiny budgets), dophy-noagg is dophy without aggregation,
+// and the path records report links under dophy's MinSamples.
+func (sc Scenario) schemeConfigs() schemeConfigs {
+	m := sc.Mac.MaxRetx + 1
+	c := schemeConfigs{dophy: sc.Dophy, minc: minc.DefaultConfig(), lsq: lsq.DefaultConfig()}
+	c.dophy.MaxAttempts = m
+	if c.dophy.AggThreshold >= m {
+		c.dophy.AggThreshold = 0
 	}
-	b := &schemeBank{schemes: sc.Schemes, dophy: core.New(tp, dcfg)}
+	c.dophyNA = c.dophy
+	c.dophyNA.AggThreshold = 0
+	path := func(v pathrecord.Variant) pathrecord.Config {
+		p := pathrecord.DefaultConfig(v)
+		p.MaxAttempts = m
+		p.MinSamples = c.dophy.MinSamples
+		return p
+	}
+	c.raw, c.compact, c.huffman = path(pathrecord.Raw), path(pathrecord.Compact), path(pathrecord.Huffman)
+	c.minc.MaxAttempts = m
+	c.lsq.MaxAttempts = m
+	return c
+}
+
+// newSchemeBank builds dophy plus the groups sc.Schemes selects, configured
+// by sc.schemeConfigs. pool takes each journey back once the bank is done
+// with it.
+func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, pool journeyPool) *schemeBank {
+	cfg := sc.schemeConfigs()
+	b := &schemeBank{schemes: sc.Schemes, lt: lt, dophy: core.New(tp, cfg.dophy)}
 	b.sink = newSinkStage(b, pool)
 	if b.schemes&Codecs != 0 {
-		naCfg := dcfg
-		naCfg.AggThreshold = 0
-		b.dophyNA = core.New(tp, naCfg)
-		prCfg := func(v pathrecord.Variant) pathrecord.Config {
-			c := pathrecord.DefaultConfig(v)
-			c.MaxAttempts = dcfg.MaxAttempts
-			c.MinSamples = dcfg.MinSamples
-			return c
-		}
-		b.raw = pathrecord.New(tp, prCfg(pathrecord.Raw))
-		b.compact = pathrecord.New(tp, prCfg(pathrecord.Compact))
-		b.huff = pathrecord.New(tp, prCfg(pathrecord.Huffman))
+		b.dophyNA = core.New(tp, cfg.dophyNA)
+		b.raw = pathrecord.New(tp, cfg.raw)
+		b.compact = pathrecord.New(tp, cfg.compact)
+		b.huff = pathrecord.New(tp, cfg.huffman)
 	}
 	if b.schemes&Baselines != 0 {
 		b.obsCol = epochobs.New(lt)
-		b.est = newEstBank(lt, dcfg.MaxAttempts)
+		b.mincEst = minc.NewEstimator(lt, cfg.minc)
+		b.lsqEst = lsq.NewEstimator(lt, cfg.lsq)
 	}
 	return b
 }
@@ -91,11 +116,11 @@ func (b *schemeBank) feed(j *collect.PacketJourney) {
 	}
 }
 
-// harvest closes the epoch in every built scheme and returns the epoch's
-// outcome with the observations estBank.estimate turns into MINC and LSQ
-// (nil unless Baselines is built). queueDrops is the epoch's
-// congestion-loss count.
-func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) (*EpochOutcome, *epochobs.Epoch) {
+// harvest closes the epoch in every built scheme, runs the inference
+// estimators over the epoch's observations when Baselines is built, and
+// returns the epoch's outcome. queueDrops is the epoch's congestion-loss
+// count.
+func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) *EpochOutcome {
 	eo := &EpochOutcome{
 		Epoch:      epoch,
 		Truth:      truth,
@@ -110,43 +135,16 @@ func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) (*
 		eo.Schemes[SchemeCompact] = fromPathRecord(SchemeCompact, b.compact.EndEpoch())
 		eo.Schemes[SchemeHuffman] = fromPathRecord(SchemeHuffman, b.huff.EndEpoch())
 	}
-	var obs *epochobs.Epoch
-	if b.schemes&Baselines != 0 {
-		obs = b.obsCol.EndEpoch()
-	}
 	eo.PerPacket = b.perPacket
 	b.perPacket = nil
-	return eo, obs
-}
-
-// estBank holds the inference estimators, whose scratch persists across
-// epochs for reuse.
-type estBank struct {
-	lt      *topo.LinkTable
-	mincEst *minc.Estimator
-	lsqEst  *lsq.Estimator
-}
-
-// newEstBank builds the MINC/LSQ estimator pair.
-func newEstBank(lt *topo.LinkTable, maxAttempts int) *estBank {
-	mcfg := minc.DefaultConfig()
-	mcfg.MaxAttempts = maxAttempts
-	lcfg := lsq.DefaultConfig()
-	lcfg.MaxAttempts = maxAttempts
-	return &estBank{lt: lt, mincEst: minc.NewEstimator(lt, mcfg), lsqEst: lsq.NewEstimator(lt, lcfg)}
-}
-
-// estimate runs the inference estimators over one epoch's observations and
-// completes its outcome. A nil bank (Baselines not selected) returns the
-// outcome as harvested.
-func (b *estBank) estimate(eo *EpochOutcome, obs *epochobs.Epoch) *EpochOutcome {
-	if b == nil {
-		return eo
+	if b.schemes&Baselines != 0 {
+		obs := b.obsCol.EndEpoch()
+		// Estimate returns borrowed estimator scratch, rewritten next epoch;
+		// the SchemeEpoch outlives the epoch, so this is the one copy-out
+		// boundary.
+		eo.Schemes[SchemeMINC] = &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(obs)...)}
+		eo.Schemes[SchemeLSQ] = &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(obs)...)}
 	}
-	// Estimate returns borrowed estimator scratch, rewritten next epoch; the
-	// SchemeEpoch outlives the epoch, so this is the one copy-out boundary.
-	eo.Schemes[SchemeMINC] = &SchemeEpoch{Name: SchemeMINC, Table: b.lt, Loss: append([]float64(nil), b.mincEst.Estimate(obs)...)}
-	eo.Schemes[SchemeLSQ] = &SchemeEpoch{Name: SchemeLSQ, Table: b.lt, Loss: append([]float64(nil), b.lsqEst.Estimate(obs)...)}
 	return eo
 }
 

@@ -6,18 +6,13 @@ import (
 	"dophy/internal/sim"
 )
 
-// timeNow is indirected for tests. This is the module's single sanctioned
-// wall-clock read inside the simulation tree: experiment T4 reports
-// sim-seconds-per-wall-second, so the wall clock is the quantity being
-// measured, not an input to any simulated outcome. It holds the function,
-// not a reading; nowNanos is the one call through it. A wall-clock read
-// that reached a simulated outcome would make the goldens and
+// nowNanos is the module's single sanctioned wall-clock read inside the
+// simulation tree. Its one user is the sink stage's waitNs, the simulation
+// side's time blocked on the sink, which BenchmarkSessionRunEpoch reports:
+// a cost, not an input to any simulated outcome. A wall-clock read that
+// reached a simulated outcome would make the goldens and
 // TestShardedByteDeterminism fail from run to run.
-var timeNow = time.Now
-
-// simTimeAlias lets extension experiments write durations without importing
-// the sim package name into expression-heavy code.
-type simTimeAlias = sim.Time
+func nowNanos() int64 { return time.Now().UnixNano() }
 
 // Duration is the exported name for simulated seconds, for callers outside
 // the internal tree's sim package (examples, tools).

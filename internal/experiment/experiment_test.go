@@ -287,8 +287,8 @@ func TestRegistryRunsDistinctIDs(t *testing.T) {
 			t.Fatalf("incomplete registry entry %+v", r.ID)
 		}
 	}
-	if len(seen) != 21 {
-		t.Fatalf("registry has %d entries, want 21", len(seen))
+	if len(seen) != 20 {
+		t.Fatalf("registry has %d entries, want 20", len(seen))
 	}
 }
 
@@ -375,9 +375,6 @@ func TestExperimentGoldens(t *testing.T) {
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			if r.ID == "T4" {
-				t.Skip("T4 reports wall-clock timings; not reproducible")
-			}
 			got := r.Run(97, RunOptions{}).Format()
 			path := filepath.Join("testdata", "golden", r.ID+".txt")
 			if *updateGolden {

@@ -345,7 +345,7 @@ func T2(seed uint64, o RunOptions) *Table {
 	for i, res := range RunAll(scs, o) {
 		thr := thresholds[i]
 		acc := res.MeanAccuracy(SchemeDophy)
-		symbols := scs[i].Mac.MaxRetx + 1
+		symbols := scs[i].schemeConfigs().dophy.MaxAttempts
 		if thr > 0 {
 			symbols = thr + 1
 		}
@@ -462,72 +462,6 @@ func pow(x float64, n int) float64 {
 	return out
 }
 
-// T4's timing loop: repeat the run until this much wall time has passed,
-// and at most this many times.
-const (
-	t4MinWallNs  = 1e9
-	t4MaxRepeats = 64
-)
-
-// T4 measures implementation throughput: coder speed, simulation event
-// rate, and end-to-end journey processing rate.
-func T4(seed uint64, o RunOptions) *Table {
-	t := &Table{
-		ID:      "T4",
-		Title:   "Implementation throughput",
-		Columns: []string{"metric", "value", "unit"},
-	}
-	// Simulation event rate: run a mid-size scenario and time it. One run
-	// takes well under a tenth of a second, too short to time against
-	// scheduler noise, so it is repeated until t4MinWallNs have passed and
-	// the median is reported. The repeat cap bounds the loop should the
-	// clock not advance.
-	sc := DefaultScenario()
-	sc.Name = "t4"
-	sc.Seed = seed
-	sc.Topo = GridSpec(10)
-	sc.Epochs = 2
-	sc.EpochLen = 200
-	simSeconds := float64(sc.Warmup) + float64(sc.EpochLen)*float64(sc.Epochs)
-	var walls []float64
-	var pkts int64
-	var nodes int
-	for total := int64(0); total < t4MinWallNs && len(walls) < t4MaxRepeats; {
-		start := nowNanos()
-		res := Run(sc)
-		elapsed := nowNanos() - start
-		total += elapsed
-		var got int64
-		for _, eo := range res.Epochs {
-			got += eo.Truth.Delivered
-		}
-		if len(walls) > 0 && got != pkts {
-			panic(fmt.Sprintf("experiment: T4 run %d delivered %d packets, run 1 delivered %d: one scenario must replay identically",
-				len(walls)+1, got, pkts))
-		}
-		pkts, nodes = got, res.Topology.N()
-		walls = append(walls, float64(elapsed)/1e9)
-	}
-	sort.Float64s(walls)
-	wall := stats.Quantile(walls, 0.5)
-	t.Rows = append(t.Rows,
-		[]string{"sim-speedup", f1(simSeconds / wall), "virtual-s per wall-s"},
-		[]string{"packets-processed", fmt.Sprintf("%d", pkts), "per run"},
-		[]string{"wall-time", f2(wall), "s per run"},
-		[]string{"runs", fmt.Sprintf("%d", len(walls)), "-"},
-		[]string{"nodes", fmt.Sprintf("%d", nodes), "-"},
-	)
-	t.Notes = append(t.Notes,
-		"see `go test -bench=.` for per-operation microbenchmarks",
-		"run dophy-bench with -parallel 1 for undistorted wall-clock numbers")
-	return t
-}
-
-// nowNanos is a tiny wall-clock shim (the only wall-clock use in the repo).
-// timeNow only ever holds time.Now or a test stub, neither of which reads
-// simulation state, writes package state or allocates.
-func nowNanos() int64 { return timeNow().UnixNano() }
-
 // Runner is one experiment entry in the registry.
 type Runner struct {
 	ID    string
@@ -547,7 +481,6 @@ func All() []Runner {
 		{"T2", "aggregation threshold sweep", T2},
 		{"T3", "model update period sweep", T3},
 		{"F6", "simulator validation", F6},
-		{"T4", "throughput", T4},
 		{"T5", "hop-identity model ablation (extension)", T5},
 		{"T6", "retry-budget visibility sweep (extension)", T6},
 		{"F7", "node failures (extension)", F7},

@@ -8,6 +8,7 @@ import (
 	"dophy/internal/collect"
 	"dophy/internal/core"
 	"dophy/internal/energy"
+	"dophy/internal/sim"
 	"dophy/internal/stats"
 	"dophy/internal/tomo/pathrecord"
 	"dophy/internal/topo"
@@ -81,13 +82,9 @@ func T6(seed uint64, o RunOptions) *Table {
 		scs[i] = sc
 	}
 	for i, res := range RunAll(scs, o) {
-		var delivery float64
-		for _, eo := range res.Epochs {
-			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", budgets[i]),
-			f(delivery),
+			f(res.MeanDeliveryRatio),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 			f(res.MeanAccuracy(SchemeMINC).MAE),
 			f(res.MeanAccuracy(SchemeLSQ).MAE),
@@ -115,7 +112,7 @@ func F7(seed uint64, o RunOptions) *Table {
 		sc.Name = fmt.Sprintf("f7-%.0f", mtbf)
 		sc.Seed = seed
 		if mtbf > 0 {
-			sc.Radio.FailMTBF = timeT(mtbf)
+			sc.Radio.FailMTBF = sim.Time(mtbf)
 			sc.Radio.FailMTTR = 60
 		}
 		sc.EpochLen = 400
@@ -125,20 +122,14 @@ func F7(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		mtbf := mtbfs[i]
-		var delivery, churn float64
-		for _, eo := range res.Epochs {
-			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
-			churn += float64(eo.Truth.ParentChanges) / float64(len(res.Epochs))
-		}
-		churn /= float64(res.Topology.N() - 1)
 		label := "none"
 		if mtbf > 0 {
 			label = fmt.Sprintf("%.0f", mtbf)
 		}
 		t.Rows = append(t.Rows, []string{
 			label,
-			f(delivery),
-			f2(churn),
+			f(res.MeanDeliveryRatio),
+			f2(res.ParentChangesPerNodePerEpoch),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 			f(res.MeanAccuracy(SchemeMINC).MAE),
 			f(res.MeanAccuracy(SchemeLSQ).MAE),
@@ -167,8 +158,8 @@ func F8(seed uint64, o RunOptions) *Table {
 		sc.Seed = seed
 		sc.Radio = RadioSpec{
 			Kind:      RadioGilbertElliott,
-			MeanGood:  timeT(bad * 5),
-			MeanBad:   timeT(bad),
+			MeanGood:  sim.Time(bad * 5),
+			MeanBad:   sim.Time(bad),
 			BadFactor: 0.25,
 		}
 		sc.EpochLen = 400
@@ -199,9 +190,6 @@ func F8(seed uint64, o RunOptions) *Table {
 	return t
 }
 
-// timeT converts to sim.Time without shadowing package names at call sites.
-func timeT(v float64) (out simTimeAlias) { return simTimeAlias(v) }
-
 // F9 overloads the network so relays drop packets from full queues:
 // congestion loss that has nothing to do with link quality. Delivery-ratio
 // tomography cannot tell the two apart; Dophy's per-attempt observations
@@ -222,7 +210,7 @@ func F9(seed uint64, o RunOptions) *Table {
 		sc := DefaultScenario()
 		sc.Name = fmt.Sprintf("f9-%.1f", gp)
 		sc.Seed = seed
-		sc.Collect.GenPeriod = timeT(gp)
+		sc.Collect.GenPeriod = sim.Time(gp)
 		sc.Collect.TxTime = 0.05
 		sc.Collect.QueueCap = 4
 		sc.EpochLen = 300
@@ -232,9 +220,8 @@ func F9(seed uint64, o RunOptions) *Table {
 	}
 	for i, res := range RunAll(scs, o) {
 		gp := periods[i]
-		var delivery, qdrops, generated float64
+		var qdrops, generated float64
 		for _, eo := range res.Epochs {
-			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
 			qdrops += float64(eo.QueueDrops)
 			generated += float64(eo.Truth.Generated)
 		}
@@ -244,7 +231,7 @@ func F9(seed uint64, o RunOptions) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			f2(gp),
-			f(delivery),
+			f(res.MeanDeliveryRatio),
 			f2(qPct),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 			f(res.MeanAccuracy(SchemeMINC).MAE),
@@ -276,15 +263,11 @@ func T7(seed uint64, o RunOptions) *Table {
 		sc.Mac.AckLoss = al
 		sc.Epochs = 3
 		sess := NewSession(sc)
-		mkCfg := func(sender bool) pathrecord.Config {
-			c := pathrecord.DefaultConfig(pathrecord.Compact)
-			c.MaxAttempts = sc.Mac.MaxRetx + 1
-			c.MinSamples = sc.Dophy.MinSamples
-			c.SenderCounts = sender
-			return c
-		}
-		recv := pathrecord.New(sess.Topology(), mkCfg(false))
-		send := pathrecord.New(sess.Topology(), mkCfg(true))
+		recvCfg := sc.schemeConfigs().compact
+		sendCfg := recvCfg
+		sendCfg.SenderCounts = true
+		recv := pathrecord.New(sess.Topology(), recvCfg)
+		send := pathrecord.New(sess.Topology(), sendCfg)
 		sess.SubscribeJourneys(func(j *collect.PacketJourney) {
 			recv.OnJourney(j)
 			send.OnJourney(j)
@@ -350,7 +333,7 @@ func T8(seed uint64, o RunOptions) *Table {
 			if math.IsNaN(est) {
 				continue
 			}
-			truth, ok := eo.Truth.Link(se.Table.Link(i)).Loss(sc.MinTruthAttempts)
+			truth, ok := eo.Truth.TrueLoss(i, sc.MinTruthAttempts)
 			if !ok {
 				continue
 			}
@@ -431,16 +414,12 @@ func T9(seed uint64, o RunOptions) *Table {
 		if combos[i].adaptive {
 			label = "trickle"
 		}
-		var delivery float64
-		for _, eo := range res.Epochs {
-			delivery += eo.Truth.DeliveryRatio() / float64(len(res.Epochs))
-		}
 		perNode := float64(res.BeaconsSent) / float64(res.Topology.N()) / float64(scs[i].Epochs)
 		t.Rows = append(t.Rows, []string{
 			label,
 			combos[i].env,
 			f1(perNode),
-			f(delivery),
+			f(res.MeanDeliveryRatio),
 			f(res.MeanAccuracy(SchemeDophy).MAE),
 		})
 	}
@@ -473,9 +452,7 @@ func T10(seed uint64, o RunOptions) *Table {
 		sc.Collect.TxTime = 0
 		sc.Collect.HopDelay = 0
 		sess := NewSession(sc)
-		dcfg := sc.Dophy
-		dcfg.MaxAttempts = sc.Mac.MaxRetx + 1
-		dist := core.New(sess.Topology(), dcfg)
+		dist := core.New(sess.Topology(), sc.schemeConfigs().dophy)
 		sess.AttachAnnotator(dist.NewAnnotator())
 		identical := true
 		var annotBits, stateBits, packets int64

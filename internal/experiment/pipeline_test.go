@@ -37,6 +37,7 @@ func stepSession(sc Scenario, s epochEngine) *RunResult {
 		res.Epochs = append(res.Epochs, eo)
 		packets += eo.Truth.Delivered
 		changes += eo.Truth.ParentChanges
+		res.MeanDeliveryRatio += eo.Truth.DeliveryRatio() / float64(sc.Epochs)
 	}
 	if sc.Epochs > 0 {
 		res.MeanPacketsPerEpoch = float64(packets) / float64(sc.Epochs)

@@ -168,6 +168,21 @@ func DefaultScenario() Scenario {
 	}
 }
 
+// radioSeedMix separates the radio model's seed from the scenario seed the
+// random streams split from.
+const radioSeedMix = 0x9e3779b97f4a7c15
+
+// Deploy derives the scenario's deployment from its seed: the topology,
+// built from the first split of the root stream, the radio model, seeded
+// apart from that stream, and the root stream itself, which the protocol
+// stack splits its own streams from. Every run of a scenario and every tool
+// that must reproduce its topology goes through Deploy.
+func (sc Scenario) Deploy() (tp *topo.Topology, model radio.Model, root *rng.Source) {
+	root = rng.New(sc.Seed)
+	tp = sc.Topo.Build(root.Split())
+	return tp, sc.Radio.Build(tp, sc.Seed^radioSeedMix), root
+}
+
 // SchemeEpoch is one scheme's normalised per-epoch output. Per-link values
 // are dense vectors indexed by Table; NaN in Loss marks links the scheme did
 // not estimate.
@@ -315,6 +330,8 @@ type RunResult struct {
 	Events uint64
 	// MeanPacketsPerEpoch is the mean delivered packets per epoch.
 	MeanPacketsPerEpoch float64
+	// MeanDeliveryRatio is the mean of the epochs' delivery ratios.
+	MeanDeliveryRatio float64
 	// ParentChangesPerNodePerEpoch measures routing dynamics.
 	ParentChangesPerNodePerEpoch float64
 	// BeaconsSent is the routing protocol's total control-plane cost.
@@ -354,9 +371,7 @@ type Session struct {
 // NewSession builds the network, attaches dophy and the scheme groups
 // sc.Schemes selects, runs the routing warmup and starts data generation.
 func NewSession(sc Scenario) *Session {
-	root := rng.New(sc.Seed)
-	tp := sc.Topo.Build(root.Split())
-	model := sc.Radio.Build(tp, sc.Seed^0x9e3779b97f4a7c15)
+	tp, model, root := sc.Deploy()
 	eng := sim.New()
 	lt := tp.LinkTable()
 	rec := trace.NewRecorder(lt)
@@ -398,8 +413,7 @@ func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }
 func (s *Session) Events() uint64 { return s.eng.Processed() }
 
 // RunEpoch advances the simulation one epoch, with the sink stage feeding
-// the scheme bank alongside, harvests every built scheme and runs the
-// built inference estimators over the harvested observations.
+// the scheme bank alongside, and harvests every built scheme.
 func (s *Session) RunEpoch() *EpochOutcome {
 	s.epoch++
 	s.bank.sink.start()
@@ -408,7 +422,7 @@ func (s *Session) RunEpoch() *EpochOutcome {
 	truth := s.rec.Cut()
 	drops := s.nw.QueueDrops - s.lastQueueDrops
 	s.lastQueueDrops += drops
-	return s.bank.est.estimate(s.bank.harvest(s.epoch, truth, drops))
+	return s.bank.harvest(s.epoch, truth, drops)
 }
 
 // Run executes the scenario with the schemes it selects: a NewSession
@@ -435,6 +449,7 @@ func runEpochs(sc Scenario, e epochEngine) *RunResult {
 		res.Epochs = append(res.Epochs, eo)
 		totalPackets += eo.Truth.Delivered
 		totalChanges += eo.Truth.ParentChanges
+		res.MeanDeliveryRatio += eo.Truth.DeliveryRatio() / float64(sc.Epochs)
 	}
 	if sc.Epochs > 0 {
 		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)

@@ -211,9 +211,7 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 		panic(fmt.Sprintf("experiment: HopDelay+TxTime %v must be positive for sharded runs", lookahead))
 	}
 
-	root := rng.New(sc.Seed)
-	tp := sc.Topo.Build(root.Split())
-	model := sc.Radio.Build(tp, sc.Seed^0x9e3779b97f4a7c15)
+	tp, model, root := sc.Deploy()
 	lt := tp.LinkTable()
 	// One stream per node, derived before any per-shard construction so the
 	// streams are identical at every shard count.
@@ -389,8 +387,8 @@ func (s *ShardedSession) queueDrops() int64 {
 	return total
 }
 
-// RunEpoch advances the simulation one epoch, harvests every built scheme
-// and estimates, mirroring Session.RunEpoch. It drains per-shard
+// RunEpoch advances the simulation one epoch and harvests every built
+// scheme, mirroring Session.RunEpoch. It drains per-shard
 // recorders, so it runs strictly between Run windows.
 func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	s.epoch++
@@ -400,7 +398,7 @@ func (s *ShardedSession) RunEpoch() *EpochOutcome {
 	truth := trace.CutMerged(s.recs)
 	drops := s.queueDrops() - s.lastQueueDrops
 	s.lastQueueDrops += drops
-	return s.bank.est.estimate(s.bank.harvest(s.epoch, truth, drops))
+	return s.bank.harvest(s.epoch, truth, drops)
 }
 
 // Close stops the shard workers. The session must not be run afterwards.

@@ -1,7 +1,6 @@
-// Package journal serialises packet journeys and epoch summaries to
-// JSON-lines streams, so simulation runs can be exported for offline
-// analysis (cmd/dophy-trace) and replayed into tomography schemes without
-// re-running the simulator.
+// Package journal serialises packet journeys to JSON-lines streams, so
+// simulation runs can be exported for offline analysis (cmd/dophy-trace)
+// and replayed into tomography schemes without re-running the simulator.
 package journal
 
 import (
@@ -71,16 +70,11 @@ func (r Record) ToJourney() (*collect.PacketJourney, error) {
 		Delivered: r.Delivered,
 	}
 	if !r.Delivered {
-		switch r.Drop {
-		case "retries":
-			j.Drop = collect.DropRetries
-		case "no-route":
-			j.Drop = collect.DropNoRoute
-		case "ttl":
-			j.Drop = collect.DropTTL
-		default:
+		d, ok := dropReason(r.Drop)
+		if !ok {
 			return nil, fmt.Errorf("journal: unknown drop reason %q", r.Drop)
 		}
+		j.Drop = d
 	}
 	for i, h := range r.Hops {
 		if h.Attempts < 1 || h.Observed < 1 || h.Observed > h.Attempts {
@@ -96,6 +90,19 @@ func (r Record) ToJourney() (*collect.PacketJourney, error) {
 		})
 	}
 	return j, nil
+}
+
+// dropReason parses a drop name by matching it against collect's own names
+// (DropReason.String), so the names live only in collect and a reason it
+// adds round-trips with no edit here. It walks the reasons from DropRetries
+// until String reports "unknown", which collect returns past the last one.
+func dropReason(name string) (collect.DropReason, bool) {
+	for d := collect.DropRetries; d.String() != "unknown"; d++ {
+		if d.String() == name {
+			return d, true
+		}
+	}
+	return 0, false
 }
 
 // Writer streams journeys as JSON lines.

@@ -53,7 +53,7 @@ func TestRoundTripDelivered(t *testing.T) {
 }
 
 func TestRoundTripDropReasons(t *testing.T) {
-	for _, reason := range []collect.DropReason{collect.DropRetries, collect.DropNoRoute, collect.DropTTL} {
+	for _, reason := range []collect.DropReason{collect.DropRetries, collect.DropNoRoute, collect.DropTTL, collect.DropQueue} {
 		j := sampleJourney()
 		j.Delivered = false
 		j.Drop = reason
@@ -103,12 +103,14 @@ func TestMultipleRecords(t *testing.T) {
 
 func TestRejectBadRecords(t *testing.T) {
 	cases := map[string]string{
-		"bad drop":      `{"origin":1,"seq":1,"delivered":false,"drop":"martians"}`,
-		"neg origin":    `{"origin":-1,"seq":1,"delivered":true}`,
-		"zero attempts": `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":1,"to":0,"attempts":0,"observed":0}]}`,
-		"obs>attempts":  `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":1,"to":0,"attempts":1,"observed":2}]}`,
-		"neg node":      `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":-3,"to":0,"attempts":1,"observed":1}]}`,
-		"not json":      `this is not json`,
+		"bad drop":       `{"origin":1,"seq":1,"delivered":false,"drop":"martians"}`,
+		"drop delivered": `{"origin":1,"seq":1,"delivered":false,"drop":"delivered"}`,
+		"drop unknown":   `{"origin":1,"seq":1,"delivered":false,"drop":"unknown"}`,
+		"neg origin":     `{"origin":-1,"seq":1,"delivered":true}`,
+		"zero attempts":  `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":1,"to":0,"attempts":0,"observed":0}]}`,
+		"obs>attempts":   `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":1,"to":0,"attempts":1,"observed":2}]}`,
+		"neg node":       `{"origin":1,"seq":1,"delivered":true,"hops":[{"from":-3,"to":0,"attempts":1,"observed":1}]}`,
+		"not json":       `this is not json`,
 	}
 	for name, line := range cases {
 		r := NewReader(strings.NewReader(line + "\n"))
@@ -143,7 +145,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			Delivered: r.Bool(0.8),
 		}
 		if !j.Delivered {
-			j.Drop = []collect.DropReason{collect.DropRetries, collect.DropNoRoute, collect.DropTTL}[r.Intn(3)]
+			j.Drop = []collect.DropReason{collect.DropRetries, collect.DropNoRoute, collect.DropTTL, collect.DropQueue}[r.Intn(4)]
 		}
 		hops := r.Intn(6)
 		for i := 0; i < hops; i++ {
@@ -164,7 +166,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if got.Origin != j.Origin || got.Seq != j.Seq || got.Delivered != j.Delivered || len(got.Hops) != len(j.Hops) {
+		if got.Origin != j.Origin || got.Seq != j.Seq || got.Delivered != j.Delivered || got.Drop != j.Drop || len(got.Hops) != len(j.Hops) {
 			return false
 		}
 		for i := range j.Hops {

@@ -137,8 +137,7 @@ func TestTraceRecording(t *testing.T) {
 	if c.Attempts != int64(totalAttempts) {
 		t.Fatalf("trace attempts = %d, result sum = %d", c.Attempts, totalAttempts)
 	}
-	loss, ok := c.Loss(1)
-	if !ok || math.Abs(loss-0.5) > 0.05 {
+	if loss := 1 - float64(c.Successes)/float64(c.Attempts); math.Abs(loss-0.5) > 0.05 {
 		t.Fatalf("empirical loss = %v, want ~0.5", loss)
 	}
 }

@@ -52,3 +52,24 @@ func (o *Obs) Clear() {
 	clear(o.Exact)
 	o.Censored = 0
 }
+
+// Estimates is the per-link estimate pass every arena-backed scheme runs at
+// an epoch's end. In link-table order it calls fn for each accumulator that
+// has observations, at least minSamples of them, and an MLE under max
+// attempts m, with that MLE p of the success probability and the
+// observation count rounded to the nearest integer. Links it skips have no
+// estimate this epoch.
+func (a *Arena) Estimates(m int, minSamples int64, fn func(i topo.LinkIdx, obs *Obs, p float64, samples int64)) {
+	for i := range a.obs {
+		obs := &a.obs[i]
+		total := obs.Total()
+		if total == 0 || total < float64(minSamples) {
+			continue
+		}
+		p, err := obs.EstimateP(m)
+		if err != nil {
+			continue
+		}
+		fn(topo.LinkIdx(i), obs, p, int64(total+0.5))
+	}
+}

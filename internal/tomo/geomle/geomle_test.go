@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dophy/internal/rng"
+	"dophy/internal/topo"
 )
 
 // sample draws n delivered-packet attempt counts for success prob p and max
@@ -228,5 +229,35 @@ func BenchmarkEstimate(b *testing.B) {
 		if _, err := obs.EstimateP(8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestArenaEstimatesRule: the estimate pass reports, in link order, only
+// links with observations, at least minSamples of them, and an MLE.
+func TestArenaEstimatesRule(t *testing.T) {
+	const m = 3
+	a := NewArena(5, m)
+	a.Reset()
+	for i := 0; i < 5; i++ { // link 1: too few samples
+		a.At(1).AddAttempt(1)
+	}
+	for i := 0; i < 12; i++ { // links 2 and 4: enough samples
+		a.At(2).AddAttempt(1)
+		a.At(4).AddAttempt(2)
+	}
+	for i := 0; i < 8; i++ {
+		a.At(2).AddAttempt(2)
+	}
+	a.At(3).Censored = 12 // no tail room with m exact bins: no MLE
+	var got []topo.LinkIdx
+	a.Estimates(m, 10, func(i topo.LinkIdx, obs *Obs, p float64, samples int64) {
+		got = append(got, i)
+		want, err := a.At(i).EstimateP(m)
+		if err != nil || p != want || obs != a.At(i) || samples != int64(obs.Total()+0.5) {
+			t.Fatalf("link %d: p %v samples %d, want p %v (err %v) samples %v", i, p, samples, want, err, obs.Total())
+		}
+	})
+	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("estimated links %v, want [2 4]", got)
 	}
 }

@@ -160,41 +160,23 @@ func New(tp *topo.Topology, cfg Config) *Recorder {
 		tp:         tp,
 		lt:         lt,
 		cfg:        cfg,
-		originBits: bitsFor(tp.N()),
-		countBits:  bitsFor(cfg.MaxAttempts),
+		originBits: model.BitsFor(tp.N()),
+		countBits:  model.BitsFor(cfg.MaxAttempts),
 		hopBits:    make([]int, tp.N()),
 		linkObs:    geomle.NewArena(lt.Len(), cfg.MaxAttempts),
 		w:          bitio.NewWriter(),
 	}
 	for i := range r.hopBits {
 		if deg := len(tp.Neighbors(topo.NodeID(i))); deg > 0 {
-			r.hopBits[i] = bitsFor(deg)
+			r.hopBits[i] = model.BitsFor(deg)
 		}
 	}
 	if cfg.Variant == Huffman {
 		r.epochCounts = make([]uint64, cfg.MaxAttempts)
 		// Initial code from the same geometric prior Dophy uses.
-		r.code = huffman.Build(priorFreq(cfg.MaxAttempts))
+		r.code = huffman.Build(model.GeometricPrior(cfg.MaxAttempts, 1<<12))
 	}
 	return r
-}
-
-func priorFreq(n int) []uint32 {
-	counts := make([]uint64, n)
-	w := uint64(1) << uint(n)
-	for i := range counts {
-		counts[i] = w
-		w = (w + 1) / 2
-	}
-	return model.Quantize(counts, 1<<12)
-}
-
-func bitsFor(n int) int {
-	b := 1
-	for (1 << uint(b)) < n {
-		b++
-	}
-	return b
 }
 
 // OnJourney accounts and records one delivered packet, returning its
@@ -260,19 +242,10 @@ func (r *Recorder) EndEpoch() *EpochReport {
 	for i := range rep.Loss {
 		rep.Loss[i] = math.NaN()
 	}
-	for i := topo.LinkIdx(0); i < r.lt.Count(); i++ {
-		obs := r.linkObs.At(i)
-		total := obs.Total()
-		if total == 0 || total < float64(r.cfg.MinSamples) {
-			continue
-		}
-		loss, err := obs.EstimateLoss(r.cfg.MaxAttempts)
-		if err != nil {
-			continue
-		}
-		rep.Loss[i] = loss
-		rep.Samples[i] = int64(total + 0.5)
-	}
+	r.linkObs.Estimates(r.cfg.MaxAttempts, r.cfg.MinSamples, func(i topo.LinkIdx, _ *geomle.Obs, p float64, samples int64) {
+		rep.Loss[i] = 1 - p
+		rep.Samples[i] = samples
+	})
 	if r.cfg.Variant == Huffman {
 		total := uint64(0)
 		for _, c := range r.epochCounts {

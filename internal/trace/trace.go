@@ -30,15 +30,6 @@ type LinkCounts struct {
 	DataAttempts int64 // data-packet transmissions only
 }
 
-// Loss returns the empirical per-attempt loss ratio and whether enough
-// attempts were observed to call it meaningful.
-func (c LinkCounts) Loss(minAttempts int64) (float64, bool) {
-	if c.Attempts < minAttempts || c.Attempts == 0 {
-		return 0, false
-	}
-	return 1 - float64(c.Successes)/float64(c.Attempts), true
-}
-
 // Recorder accumulates ground truth for the current epoch.
 type Recorder struct {
 	lt            *topo.LinkTable

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"testing"
 
 	"dophy/internal/topo"
@@ -51,20 +50,6 @@ func TestNonTopologyLinkPanics(t *testing.T) {
 		}
 	}()
 	r.Attempt(topo.Link{From: 0, To: 3}, true)
-}
-
-func TestLossComputation(t *testing.T) {
-	c := LinkCounts{Attempts: 10, Successes: 7}
-	loss, ok := c.Loss(5)
-	if !ok || math.Abs(loss-0.3) > 1e-12 {
-		t.Fatalf("loss = %v ok=%v", loss, ok)
-	}
-	if _, ok := c.Loss(11); ok {
-		t.Fatal("loss reported ok below minAttempts")
-	}
-	if _, ok := (LinkCounts{}).Loss(0); ok {
-		t.Fatal("zero attempts reported ok")
-	}
 }
 
 func TestCutSnapshotsAndResets(t *testing.T) {
