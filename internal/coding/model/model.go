@@ -85,13 +85,6 @@ func findCum(cum []uint32, n int, v uint32) int {
 	return lo
 }
 
-// Freqs returns a copy of the table.
-func (s *Static) Freqs() []uint32 {
-	out := make([]uint32, len(s.freq))
-	copy(out, s.freq)
-	return out
-}
-
 // Aggregator implements Dophy optimisation 1: retransmission counts at or
 // above Threshold collapse into one tail symbol. A packet's exact count is
 // then censored, which the estimator accounts for.

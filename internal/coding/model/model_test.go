@@ -64,15 +64,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestFreqsCopies(t *testing.T) {
-	s := NewStatic([]uint32{1, 2})
-	f := s.Freqs()
-	f[0] = 99
-	if lo, hi, _ := s.Range(0); hi-lo != 1 {
-		t.Fatal("Freqs exposed internal state")
-	}
-}
-
 func TestAggregatorMapping(t *testing.T) {
 	g := Aggregator{Threshold: 3, MaxCount: 7}
 	if g.NumSymbols() != 4 {

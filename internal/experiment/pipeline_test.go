@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dophy/internal/tomo/epochobs"
+	"dophy/internal/topo"
 )
 
 // maskNaN prepares a RunResult for reflect.DeepEqual: the NaN markers in
@@ -174,4 +177,45 @@ func TestReadingUnbuiltSchemePanics(t *testing.T) {
 	expectPanicNaming(t, SchemeRaw, func() { res.MeanBitsPerPacket(SchemeRaw) })
 	expectPanicNaming(t, SchemeHuffman, func() { res.TotalBitsPerPacket(SchemeHuffman) })
 	expectPanicNaming(t, SchemeDophyNA, func() { res.DecodeErrorTotal(SchemeDophyNA) })
+}
+
+// TestBaselinesShareSystem rebuilds each epoch's tree-path system from the
+// journeys of a Baselines session: MINC and LSQ must both solve exactly its
+// rows and estimate exactly the links of its columns.
+func TestBaselinesShareSystem(t *testing.T) {
+	sc := smallScenario(41)
+	sc.Schemes = Baselines
+	s := NewSession(sc)
+	lt := s.Topology().LinkTable()
+	col := epochobs.New(lt)
+	s.SubscribeJourneys(col.OnJourney)
+	sys := epochobs.NewSystem(lt)
+	for ep := 1; ep <= sc.Epochs; ep++ {
+		eo := s.RunEpoch()
+		sys.Build(col.EndEpoch())
+		if sys.Rows() == 0 {
+			t.Fatalf("epoch %d: empty system", ep)
+		}
+		inCols := make([]bool, lt.Len())
+		for _, c := range sys.Cols {
+			inCols[c] = true
+		}
+		for _, tc := range []struct {
+			name string
+			rows int
+		}{
+			{SchemeMINC, s.bank.mincEst.LastStats().Rows},
+			{SchemeLSQ, s.bank.lsqEst.LastStats().Rows},
+		} {
+			if tc.rows != sys.Rows() {
+				t.Errorf("epoch %d: %s solved %d rows, system has %d", ep, tc.name, tc.rows, sys.Rows())
+			}
+			for i, v := range eo.Schemes[tc.name].Loss {
+				if math.IsNaN(v) == inCols[i] {
+					t.Errorf("epoch %d: %s estimates link %v: %v, in the system's columns: %v",
+						ep, tc.name, lt.Link(topo.LinkIdx(i)), !math.IsNaN(v), inCols[i])
+				}
+			}
+		}
+	}
 }

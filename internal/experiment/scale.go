@@ -37,7 +37,6 @@ func scaleScenario(o RunOptions, name string, seed uint64, side int) Scenario {
 	sc.Routing.BeaconMax = 2
 	sc.Routing.TrickleReset = 0.5
 	sc.Collect.GenPeriod = 60
-	sc.Collect.GenJitter = 0.25
 	// Paths grow with the grid diameter; leave generous TTL headroom for
 	// detours during convergence so long journeys are not cut short.
 	sc.Collect.TTL = 8 * side

@@ -210,18 +210,6 @@ type SchemeEpoch struct {
 	DecodeErrors    int64
 }
 
-// LossAt returns the scheme's estimate for one link.
-func (s *SchemeEpoch) LossAt(l topo.Link) (float64, bool) {
-	if s.Table == nil {
-		return 0, false
-	}
-	i := s.Table.Index(l)
-	if i < 0 || math.IsNaN(s.Loss[i]) {
-		return 0, false
-	}
-	return s.Loss[i], true
-}
-
 // NumEstimated counts links the scheme estimated this epoch.
 func (s *SchemeEpoch) NumEstimated() int {
 	n := 0

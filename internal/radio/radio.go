@@ -24,7 +24,6 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 
 	"dophy/internal/rng"
@@ -143,16 +142,6 @@ func (s *Static) PRR(l topo.Link, _ sim.Time) float64 {
 		return 0
 	}
 	return s.prr[i]
-}
-
-// SetPRR overrides one link's quality (used by tests and fault injection).
-// It panics when l is not a link of the model's topology.
-func (s *Static) SetPRR(l topo.Link, p float64) {
-	i := s.lt.Index(l)
-	if i == topo.NoLink {
-		panic(fmt.Sprintf("radio: SetPRR on %d->%d, which is not a link of the topology", l.From, l.To))
-	}
-	s.prr[i] = clamp(p, 0, 1)
 }
 
 // RandomWalk drifts each link's PRR in logit space with reflecting bounds.

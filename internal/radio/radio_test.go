@@ -1,9 +1,7 @@
 package radio
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -81,45 +79,6 @@ func TestStaticUniformLoss(t *testing.T) {
 	for _, l := range tp.Links() {
 		if got := m.PRR(l, 0); math.Abs(got-0.8) > 1e-12 {
 			t.Fatalf("uniform loss PRR = %v, want 0.8", got)
-		}
-	}
-}
-
-// TestStaticSetPRR checks the clamp on real links at both ends, and that a
-// write to a link the topology does not have panics naming the link
-// instead of being dropped.
-func TestStaticSetPRR(t *testing.T) {
-	tp := testTopo(t)
-	m := NewStatic(tp, DefaultBase(), 1)
-	l := tp.Links()[0]
-	m.SetPRR(l, 0.33)
-	if got := m.PRR(l, 0); got != 0.33 {
-		t.Fatalf("SetPRR not applied: %v", got)
-	}
-	m.SetPRR(l, 2) // clamped
-	if got := m.PRR(l, 0); got != 1 {
-		t.Fatalf("SetPRR clamp failed: %v", got)
-	}
-	m.SetPRR(l, -0.5)
-	if got := m.PRR(l, 0); got != 0 {
-		t.Fatalf("SetPRR low clamp failed: %v", got)
-	}
-	for _, ghost := range nonLinks(t, tp) {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("SetPRR on non-link %v did not panic", ghost)
-				}
-				want := fmt.Sprintf("%d->%d", ghost.From, ghost.To)
-				if msg, _ := r.(string); !strings.Contains(msg, want) {
-					t.Fatalf("SetPRR panic %q does not name the link %s", r, want)
-				}
-			}()
-			m.SetPRR(ghost, 0.5)
-		}()
-		if got := m.PRR(ghost, 0); got != 0 {
-			t.Fatalf("non-link %v reads PRR %v after a rejected SetPRR", ghost, got)
 		}
 	}
 }

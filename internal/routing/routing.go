@@ -528,20 +528,6 @@ func (p *Protocol) Parent(id topo.NodeID) (topo.NodeID, bool) {
 // PathETX returns id's advertised path metric (inf before bootstrap).
 func (p *Protocol) PathETX(id topo.NodeID) float64 { return p.nodes[id].pathETX }
 
-// CurrentTree snapshots every node's parent (NoParent where unset). Index 0
-// is the sink. Static-tree tomography baselines consume this.
-func (p *Protocol) CurrentTree() []topo.NodeID {
-	out := make([]topo.NodeID, len(p.nodes))
-	for i, ns := range p.nodes {
-		if ns == nil {
-			out[i] = NoParent // owned by another shard
-			continue
-		}
-		out[i] = ns.parent
-	}
-	return out
-}
-
 // Routed reports how many owned nodes (excluding the sink) currently have
 // parents. On a sharded instance this counts only the shard's own nodes;
 // sum across shards for the network-wide figure.

@@ -167,18 +167,16 @@ func TestBeaconsRecordedInTrace(t *testing.T) {
 	}
 }
 
+// TestCurrentTreeShape: after bootstrap the sink has no parent and every
+// other node is routed.
 func TestCurrentTreeShape(t *testing.T) {
 	p, _, tp := bootstrapped(t, 4, 0, 11)
-	tree := p.CurrentTree()
-	if len(tree) != tp.N() {
-		t.Fatalf("tree size %d", len(tree))
+	if pa, ok := p.Parent(topo.Sink); ok || pa != NoParent {
+		t.Fatalf("sink parent = %d", pa)
 	}
-	if tree[0] != NoParent {
-		t.Fatalf("sink parent = %d", tree[0])
-	}
-	for i := 1; i < len(tree); i++ {
-		if tree[i] == NoParent {
-			t.Fatalf("node %d unrouted in tree snapshot", i)
+	for i := 1; i < tp.N(); i++ {
+		if _, ok := p.Parent(topo.NodeID(i)); !ok {
+			t.Fatalf("node %d unrouted after bootstrap", i)
 		}
 	}
 }

@@ -27,26 +27,6 @@ type Epoch struct {
 	Tree []topo.NodeID
 }
 
-// PathToSink walks the dominant tree from origin; ok is false when the walk
-// hits a node without a parent or loops.
-func (e *Epoch) PathToSink(origin topo.NodeID) (links []topo.Link, ok bool) {
-	cur := origin
-	for cur != topo.Sink {
-		// A loop-free walk visits each node at most once; more links than
-		// nodes means the tree has a cycle.
-		if len(links) >= len(e.Tree) {
-			return nil, false
-		}
-		p := e.Tree[cur]
-		if p < 0 {
-			return nil, false
-		}
-		links = append(links, topo.Link{From: cur, To: p})
-		cur = p
-	}
-	return links, true
-}
-
 // AppendPathIndices appends the table indices of origin's dominant-tree
 // path (origin side first) to buf and returns the extended slice. ok is
 // false — with buf restored to its original length — when the walk hits a
@@ -71,6 +51,93 @@ func (e *Epoch) AppendPathIndices(lt *topo.LinkTable, origin topo.NodeID, buf []
 		cur = p
 	}
 	return buf, true
+}
+
+// MinExpected is the fewest packets an origin must be expected to have sent
+// in an epoch for its row to enter the tree-path system.
+const MinExpected = 5
+
+// System is one epoch's tree-path system, the input of the MINC and LSQ
+// baselines. A row is an origin, in origin order, that is expected to have
+// sent at least MinExpected packets and whose dominant-tree walk reaches
+// the sink. A column is a link on some row's walk, numbered in the order
+// the rows first encounter it. Build rewrites every exported field, reusing
+// their storage across epochs.
+type System struct {
+	lt *topo.LinkTable
+
+	// Cols maps a column to its link table index.
+	Cols []topo.LinkIdx
+	// Path holds every row's columns, origin side first, flattened: row r's
+	// are Path[RowStart[r]:RowStart[r+1]].
+	Path     []int32
+	RowStart []int32
+	// Delivered[r] is row r's delivered count clamped to its expected
+	// count, and Lost[r] the expected count minus Delivered[r]; both are
+	// whole numbers, held as float64 for the solvers.
+	Delivered []float64
+	Lost      []float64
+
+	colOf []int32        // link table index -> column, -1 when not in Cols
+	walk  []topo.LinkIdx // one origin's table indices
+}
+
+// NewSystem returns an empty system over lt. A tree walk has at most one
+// link per node, and a tree at most one link per non-sink node, so the
+// per-row storage, Cols and the walk scratch are sized from the node count.
+func NewSystem(lt *topo.LinkTable) *System {
+	n := lt.Nodes()
+	s := &System{
+		lt:        lt,
+		Cols:      make([]topo.LinkIdx, 0, n),
+		RowStart:  make([]int32, 0, n+1),
+		Delivered: make([]float64, 0, n),
+		Lost:      make([]float64, 0, n),
+		colOf:     make([]int32, lt.Len()),
+		walk:      make([]topo.LinkIdx, 0, n),
+	}
+	for i := range s.colOf {
+		s.colOf[i] = -1
+	}
+	return s
+}
+
+// Rows returns the number of rows Build selected.
+func (s *System) Rows() int { return len(s.Delivered) }
+
+// Build fills the system from one epoch's observations.
+func (s *System) Build(e *Epoch) {
+	for _, c := range s.Cols {
+		s.colOf[c] = -1
+	}
+	s.Cols = s.Cols[:0]
+	s.Path = s.Path[:0]
+	s.RowStart = s.RowStart[:0]
+	s.Delivered = s.Delivered[:0]
+	s.Lost = s.Lost[:0]
+	for origin, n := range e.Expected {
+		id := topo.NodeID(origin)
+		if id == topo.Sink || n < MinExpected {
+			continue
+		}
+		walk, ok := e.AppendPathIndices(s.lt, id, s.walk[:0])
+		s.walk = walk
+		if !ok {
+			continue
+		}
+		s.RowStart = append(s.RowStart, int32(len(s.Path)))
+		for _, li := range walk {
+			if s.colOf[li] < 0 {
+				s.colOf[li] = int32(len(s.Cols))
+				s.Cols = append(s.Cols, li)
+			}
+			s.Path = append(s.Path, s.colOf[li])
+		}
+		d := min(e.Delivered[origin], n)
+		s.Delivered = append(s.Delivered, float64(d))
+		s.Lost = append(s.Lost, float64(n-d))
+	}
+	s.RowStart = append(s.RowStart, int32(len(s.Path)))
 }
 
 // Collector accumulates observations and cuts them into epochs.

@@ -84,30 +84,34 @@ func TestDominantTree(t *testing.T) {
 }
 
 func TestPathToSink(t *testing.T) {
+	lt := chainTable(4)
 	e := &Epoch{Tree: []topo.NodeID{-1, 0, 1, 2}}
-	links, ok := e.PathToSink(3)
-	if !ok || len(links) != 3 {
-		t.Fatalf("path = %v ok=%v", links, ok)
+	path, ok := e.AppendPathIndices(lt, 3, nil)
+	if !ok || len(path) != 3 {
+		t.Fatalf("path = %v ok=%v", path, ok)
 	}
 	want := []topo.Link{{From: 3, To: 2}, {From: 2, To: 1}, {From: 1, To: 0}}
-	for i := range want {
-		if links[i] != want[i] {
-			t.Fatalf("path = %v", links)
+	for i, l := range want {
+		if got := lt.Link(path[i]); got != l {
+			t.Fatalf("index %d resolves to %v, want %v", path[i], got, l)
 		}
 	}
 }
 
+// A walk that fails restores the caller's buffer to its length on entry.
 func TestPathToSinkNoRoute(t *testing.T) {
-	e := &Epoch{Tree: []topo.NodeID{-1, -1, 1}}
-	if _, ok := e.PathToSink(2); ok {
-		t.Fatal("path through unrouted node accepted")
+	lt := chainTable(4)
+	e := &Epoch{Tree: []topo.NodeID{-1, -1, 1, 2}} // 1 has no parent
+	if out, ok := e.AppendPathIndices(lt, 3, []topo.LinkIdx{99}); ok || len(out) != 1 {
+		t.Fatalf("walk through unrouted node: out=%v ok=%v", out, ok)
 	}
 }
 
 func TestPathToSinkLoop(t *testing.T) {
-	e := &Epoch{Tree: []topo.NodeID{-1, 2, 1}}
-	if _, ok := e.PathToSink(1); ok {
-		t.Fatal("looping tree path accepted")
+	lt := chainTable(4)
+	e := &Epoch{Tree: []topo.NodeID{-1, 2, 1, -1}}
+	if out, ok := e.AppendPathIndices(lt, 1, []topo.LinkIdx{99}); ok || len(out) != 1 {
+		t.Fatalf("looping tree path: out=%v ok=%v", out, ok)
 	}
 }
 
@@ -116,20 +120,11 @@ func TestAppendPathIndices(t *testing.T) {
 	e := &Epoch{Tree: []topo.NodeID{-1, 0, 1, 2}}
 	buf := []topo.LinkIdx{99} // pre-existing content must survive
 	buf, ok := e.AppendPathIndices(lt, 3, buf)
-	if !ok || len(buf) != 4 {
+	if !ok || len(buf) != 4 || buf[0] != 99 {
 		t.Fatalf("indices = %v ok=%v", buf, ok)
 	}
-	want := []topo.Link{{From: 3, To: 2}, {From: 2, To: 1}, {From: 1, To: 0}}
-	for i, l := range want {
-		if got := lt.Link(buf[i+1]); got != l {
-			t.Fatalf("index %d resolves to %v, want %v", buf[i+1], got, l)
-		}
-	}
-
-	// Loop and no-route walks restore the buffer.
-	loop := &Epoch{Tree: []topo.NodeID{-1, 2, 1, -1}}
-	if out, ok := loop.AppendPathIndices(lt, 1, buf[:1]); ok || len(out) != 1 {
-		t.Fatalf("loop walk: out=%v ok=%v", out, ok)
+	if got := lt.Link(buf[1]); got != (topo.Link{From: 3, To: 2}) {
+		t.Fatalf("first appended index resolves to %v, want 3->2", got)
 	}
 	// A tree edge that is not a topology link is rejected.
 	far := &Epoch{Tree: []topo.NodeID{-1, 0, 0, -1}} // 2->0 skips a hop
@@ -177,8 +172,8 @@ func TestParentChangeReroutesDownstreamPaths(t *testing.T) {
 	if e.Tree[3] != 2 || e.Tree[2] != 0 {
 		t.Fatalf("tree = %v, want 3->2 and 2->0", e.Tree)
 	}
-	links, ok := e.PathToSink(3)
-	if !ok || len(links) != 2 || links[0] != (topo.Link{From: 3, To: 2}) || links[1] != (topo.Link{From: 2, To: 0}) {
-		t.Fatalf("path(3) = %v ok=%v, want 3->2->0", links, ok)
+	path, ok := e.AppendPathIndices(lt, 3, nil)
+	if !ok || len(path) != 2 || lt.Link(path[0]) != (topo.Link{From: 3, To: 2}) || lt.Link(path[1]) != (topo.Link{From: 2, To: 0}) {
+		t.Fatalf("path(3) = %v ok=%v, want 3->2->0", path, ok)
 	}
 }

@@ -145,15 +145,6 @@ func (o Obs) EstimateP(m int) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// EstimateLoss returns the MLE of the per-attempt loss ratio 1 - p.
-func (o Obs) EstimateLoss(m int) (float64, error) {
-	p, err := o.EstimateP(m)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - p, nil
-}
-
 // StdErr approximates the standard error of the loss estimate via the
 // observed information (numerical second derivative at the MLE). It returns
 // 0 when the curvature is degenerate (e.g. p-hat at the boundary).

