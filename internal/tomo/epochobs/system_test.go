@@ -245,6 +245,23 @@ func checkSystem(t *testing.T, lt *topo.LinkTable, e *Epoch, s *System) {
 	if int(next) != len(s.Cols) {
 		t.Fatalf("%d of %d columns on a path", next, len(s.Cols))
 	}
+	// Every row through a column continues along the same chain of columns
+	// to the sink: a column's successor, or its lack of one, is the same in
+	// every row. LSQ's Gram matrix relies on it.
+	succOf := make(map[int32]int32)
+	for r := 0; r < s.Rows(); r++ {
+		path := s.Path[s.RowStart[r]:s.RowStart[r+1]]
+		for k, c := range path {
+			succ := int32(-1)
+			if k+1 < len(path) {
+				succ = path[k+1]
+			}
+			if prev, ok := succOf[c]; ok && prev != succ {
+				t.Fatalf("column %d is followed by column %d in row %d and by %d before", c, succ, r, prev)
+			}
+			succOf[c] = succ
+		}
+	}
 	var rows []topo.NodeID
 	for r := 0; r < s.Rows(); r++ {
 		if s.RowStart[r] >= s.RowStart[r+1] {

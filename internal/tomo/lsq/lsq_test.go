@@ -1,4 +1,4 @@
-package lsq
+package lsq_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"dophy/internal/rng"
 	"dophy/internal/tomo/epochobs"
 	"dophy/internal/tomo/geomle"
+	"dophy/internal/tomo/lsq"
 	"dophy/internal/topo"
 )
 
@@ -62,9 +63,9 @@ func chainEpoch(n int64, drops []float64) *epochobs.Epoch {
 func TestRecoversChainDrops(t *testing.T) {
 	drops := []float64{0.02, 0.05, 0.1}
 	e := chainEpoch(100000, drops)
-	cfg := DefaultConfig()
+	cfg := lsq.DefaultConfig()
 	lt := chainTable(4)
-	got := toMap(lt, NewEstimator(lt, cfg).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, cfg).Estimate(e))
 	if len(got) != 3 {
 		t.Fatalf("estimated %d links", len(got))
 	}
@@ -80,7 +81,7 @@ func TestRecoversChainDrops(t *testing.T) {
 func TestPerfectDeliveryZeroLoss(t *testing.T) {
 	e := chainEpoch(1000, []float64{0, 0})
 	lt := chainTable(3)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(e))
 	for l, loss := range got {
 		if loss > 0.01 {
 			t.Fatalf("lossless link %v estimated at %v", l, loss)
@@ -91,7 +92,7 @@ func TestPerfectDeliveryZeroLoss(t *testing.T) {
 func TestSkipsUnderSampledOrigins(t *testing.T) {
 	e := chainEpoch(2, []float64{0.1}) // below MinExpected
 	lt := chainTable(2)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(e))
 	if len(got) != 0 {
 		t.Fatalf("under-sampled epoch produced estimates: %v", got)
 	}
@@ -101,7 +102,7 @@ func TestSkipsUnroutedOrigins(t *testing.T) {
 	e := chainEpoch(1000, []float64{0.1, 0.1})
 	e.Tree[1] = -1 // break the shared tail; origins 1 and 2 lose their paths
 	lt := chainTable(3)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(e))
 	if len(got) != 0 {
 		t.Fatalf("unroutable origins produced estimates: %v", got)
 	}
@@ -111,7 +112,7 @@ func TestZeroDeliveryClamped(t *testing.T) {
 	e := chainEpoch(100, []float64{0.5})
 	e.Delivered[1] = 0 // nothing arrived
 	lt := chainTable(2)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(e))
 	l := topo.Link{From: 1, To: 0}
 	if got[l] <= 0 || got[l] > 1 || math.IsInf(got[l], 0) || math.IsNaN(got[l]) {
 		t.Fatalf("zero-delivery estimate = %v", got[l])
@@ -121,7 +122,7 @@ func TestZeroDeliveryClamped(t *testing.T) {
 func TestEmptyEpoch(t *testing.T) {
 	e := &epochobs.Epoch{Delivered: make([]int64, 3), Expected: make([]int64, 3), Tree: []topo.NodeID{-1, -1, -1}}
 	lt := chainTable(3)
-	if got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e)); len(got) != 0 {
+	if got := toMap(lt, lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(e)); len(got) != 0 {
 		t.Fatalf("empty epoch gave %v", got)
 	}
 }
@@ -132,7 +133,7 @@ func TestPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("MaxAttempts 0 accepted")
 		}
 	}()
-	NewEstimator(chainTable(2), Config{MaxAttempts: 0})
+	lsq.NewEstimator(chainTable(2), lsq.Config{MaxAttempts: 0})
 }
 
 // sameEstimates fails unless got and want agree bitwise, NaN for NaN.
@@ -169,7 +170,7 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 	// The same estimator must give identical answers on repeated epochs —
 	// scratch reuse must not leak state across calls.
 	lt := chainTable(4)
-	est := NewEstimator(lt, DefaultConfig())
+	est := lsq.NewEstimator(lt, lsq.DefaultConfig())
 	// Estimate returns borrowed scratch: copy out before the next call.
 	first := append([]float64(nil), est.Estimate(chainEpoch(100000, []float64{0.02, 0.05, 0.1}))...)
 	est.Estimate(chainEpoch(1000, []float64{0, 0, 0})) // interleaved epoch
@@ -180,9 +181,9 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 	// epoch must still match a fresh estimator.
 	lt = topo.Grid(14, 10, 1.5, 14, rng.New(1)).LinkTable()
 	full, churned := churnEpochs(lt)
-	wantFull := NewEstimator(lt, DefaultConfig()).Estimate(full)
-	wantChurned := NewEstimator(lt, DefaultConfig()).Estimate(churned)
-	est = NewEstimator(lt, DefaultConfig())
+	wantFull := lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(full)
+	wantChurned := lsq.NewEstimator(lt, lsq.DefaultConfig()).Estimate(churned)
+	est = lsq.NewEstimator(lt, lsq.DefaultConfig())
 	for k, e := range []*epochobs.Epoch{full, churned, full, churned, full} {
 		want := wantFull
 		if e == churned {
@@ -192,21 +193,28 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 	}
 }
 
-func TestBranchyTree(t *testing.T) {
-	// Star over a shared trunk: 2->1->0, 3->1->0. Trunk link 1->0 shared.
+// Per-hop drop probabilities of branchyEpoch's links.
+const dTrunk, d2, d3 = 0.04, 0.1, 0.02
+
+// branchyEpoch is a star over a shared trunk on starTable: 2->1->0 and
+// 3->1->0 share the trunk link 1->0.
+func branchyEpoch() *epochobs.Epoch {
 	e := &epochobs.Epoch{
 		Delivered: make([]int64, 4),
 		Expected:  make([]int64, 4),
 		Tree:      []topo.NodeID{-1, 0, 1, 1},
 	}
 	const n = 50000
-	dTrunk, d2, d3 := 0.04, 0.1, 0.02
 	e.Expected[1], e.Delivered[1] = n, int64(math.Round(n*(1-dTrunk)))
 	e.Expected[2], e.Delivered[2] = n, int64(math.Round(n*(1-d2)*(1-dTrunk)))
 	e.Expected[3], e.Delivered[3] = n, int64(math.Round(n*(1-d3)*(1-dTrunk)))
-	cfg := DefaultConfig()
+	return e
+}
+
+func TestBranchyTree(t *testing.T) {
+	cfg := lsq.DefaultConfig()
 	lt := starTable()
-	got := toMap(lt, NewEstimator(lt, cfg).Estimate(e))
+	got := toMap(lt, lsq.NewEstimator(lt, cfg).Estimate(branchyEpoch()))
 	check := func(l topo.Link, drop float64) {
 		want := geomle.LossFromDrop(drop, cfg.MaxAttempts)
 		if math.Abs(got[l]-want) > 0.03 {
@@ -221,10 +229,10 @@ func TestBranchyTree(t *testing.T) {
 func TestStatsReportNNLSIters(t *testing.T) {
 	// A three-link chain cannot converge in three iterations: the solve
 	// stops at the cap.
-	cfg := DefaultConfig()
+	cfg := lsq.DefaultConfig()
 	cfg.Iters = 3
 	lt := chainTable(4)
-	est := NewEstimator(lt, cfg)
+	est := lsq.NewEstimator(lt, cfg)
 	est.Estimate(chainEpoch(100000, []float64{0.02, 0.05, 0.1}))
 	if got := est.LastStats().Iters; got != cfg.Iters {
 		t.Fatalf("capped solve reported %d iterations, want %d", got, cfg.Iters)
@@ -232,11 +240,112 @@ func TestStatsReportNNLSIters(t *testing.T) {
 
 	// One link, one origin: the first step lands on the optimum and the
 	// second sees no movement, far below the default cap.
-	cfg = DefaultConfig()
+	cfg = lsq.DefaultConfig()
 	lt = chainTable(2)
-	est = NewEstimator(lt, cfg)
+	est = lsq.NewEstimator(lt, cfg)
 	est.Estimate(chainEpoch(1000, []float64{0.1}))
 	if got := est.LastStats().Iters; got <= 0 || got >= cfg.Iters {
 		t.Fatalf("single-link solve reported %d iterations, want in (0, %d)", got, cfg.Iters)
+	}
+}
+
+// clampedChainEpoch is the chain 2->1->0 in which origin 2 delivers more
+// than origin 1, whose only link it crosses: the unconstrained solution
+// puts a negative value on 2->1, and NNLS must clamp it to zero.
+func clampedChainEpoch() *epochobs.Epoch {
+	return &epochobs.Epoch{
+		Delivered: []int64{0, 800, 900},
+		Expected:  []int64{0, 1000, 1000},
+		Tree:      []topo.NodeID{-1, 0, 1},
+	}
+}
+
+func TestNNLSClampsInfeasible(t *testing.T) {
+	lt := chainTable(3)
+	est := lsq.NewEstimator(lt, lsq.DefaultConfig())
+	got := toMap(lt, est.Estimate(clampedChainEpoch()))
+	if l := (topo.Link{From: 2, To: 1}); got[l] != 0 {
+		t.Fatalf("link %v = %v, want 0 (clamped)", l, got[l])
+	}
+	// The trunk takes the least-squares compromise of both rows.
+	sys, x := est.Solution()
+	trunk := lt.Index(topo.Link{From: 1, To: 0})
+	for j, li := range sys.Cols {
+		if li == trunk && math.Abs(x[j]-(-math.Log(0.8)-math.Log(0.9))/2) > 1e-6 {
+			t.Fatalf("trunk solution %v, want %v", x[j], (-math.Log(0.8)-math.Log(0.9))/2)
+		}
+	}
+}
+
+func TestNNLSZeroMatrix(t *testing.T) {
+	// An epoch without rows has an empty system: no solve runs and no
+	// link is estimated.
+	lt := chainTable(3)
+	est := lsq.NewEstimator(lt, lsq.DefaultConfig())
+	est.Estimate(chainEpoch(1000, []float64{0.1, 0.1}))
+	e := &epochobs.Epoch{Delivered: make([]int64, 3), Expected: make([]int64, 3), Tree: []topo.NodeID{-1, 0, 1}}
+	if got := toMap(lt, est.Estimate(e)); len(got) != 0 {
+		t.Fatalf("empty system gave %v", got)
+	}
+	if s := est.LastStats(); s != (lsq.Stats{}) {
+		t.Fatalf("empty system reports %+v, want no rows and no iterations", s)
+	}
+	if _, x := est.Solution(); len(x) != 0 {
+		t.Fatalf("empty system solved to %v", x)
+	}
+}
+
+func TestNNLSNonNegative(t *testing.T) {
+	// Exact counts over a random tree, with several lossless links: the
+	// solution is the per-link truth, zeros included, and never negative.
+	const n = 9
+	r := rng.New(2)
+	lt := completeTable(n)
+	e := randomTreeEpoch(r, n, 1)
+	truth := []float64{0, 0.05, 0, 0.15, 0.01, 0, 0.2, 0.08, 0} // by child node
+	for v := 1; v < n; v++ {
+		sum := 0.0
+		for u := topo.NodeID(v); u != topo.Sink; u = e.Tree[u] {
+			sum += truth[u]
+		}
+		e.Expected[v] = 10_000_000
+		e.Delivered[v] = int64(math.Round(1e7 * math.Exp(-sum)))
+	}
+	cfg := lsq.DefaultConfig()
+	cfg.Iters, cfg.Tol = 50000, 1e-13
+	est := lsq.NewEstimator(lt, cfg)
+	est.Estimate(e)
+	sys, x := est.Solution()
+	if len(x) != n-1 {
+		t.Fatalf("%d columns, want %d", len(x), n-1)
+	}
+	for j, li := range sys.Cols {
+		child := lt.Link(li).From
+		if x[j] < 0 || math.Abs(x[j]-truth[child]) > 1e-4 {
+			t.Fatalf("link %v: x = %v, want %v (%d iterations)", lt.Link(li), x[j], truth[child], est.LastStats().Iters)
+		}
+	}
+}
+
+// TestEstimateAllocFree: once an estimator has solved the largest system
+// of a sequence, solving the sequence again, its system shrinking and
+// growing, allocates nothing.
+func TestEstimateAllocFree(t *testing.T) {
+	lt := topo.Grid(14, 10, 1.5, 14, rng.New(1)).LinkTable()
+	full, churned := churnEpochs(lt)
+	cut := &epochobs.Epoch{Delivered: full.Delivered, Expected: full.Expected, Tree: append([]topo.NodeID(nil), full.Tree...)}
+	cut.Tree[full.Tree[len(full.Tree)-1]] = -1 // a relay's subtree leaves
+	empty := &epochobs.Epoch{Delivered: full.Delivered, Expected: make([]int64, lt.Nodes()), Tree: full.Tree}
+	cfg := lsq.DefaultConfig()
+	cfg.Iters = 50 // the solve's iterations allocate nothing either way
+	est := lsq.NewEstimator(lt, cfg)
+	est.Estimate(full)
+	seq := []*epochobs.Epoch{churned, cut, empty, full, cut, churned, full}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, e := range seq {
+			est.Estimate(e)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d epochs, want 0", allocs, len(seq))
 	}
 }

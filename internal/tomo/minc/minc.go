@@ -39,10 +39,10 @@ func DefaultConfig() Config {
 // Estimator runs tree EM for successive epochs of one topology, reusing
 // its tree-path system and EM scratch — and the estimate vector itself —
 // across calls: Estimate returns a borrowed view of estimator-owned
-// scratch, rewritten by the next call.
+// scratch, rewritten by the next call. A system has at most one column per
+// node, so the per-link scratch is sized once, from the node count.
 type Estimator struct {
 	cfg Config
-	lt  *topo.LinkTable
 	sys *epochobs.System
 
 	drop       []float64
@@ -67,18 +67,15 @@ func NewEstimator(lt *topo.LinkTable, cfg Config) *Estimator {
 	if cfg.MaxAttempts < 1 {
 		panic("minc: MaxAttempts must be >= 1")
 	}
-	return &Estimator{cfg: cfg, lt: lt, sys: epochobs.NewSystem(lt)}
-}
-
-// resize returns s with length n and every element zeroed, reusing the
-// backing array when it is large enough.
-func resize(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+	n := lt.Nodes()
+	return &Estimator{
+		cfg:        cfg,
+		sys:        epochobs.NewSystem(lt),
+		drop:       make([]float64, n),
+		deaths:     make([]float64, n),
+		traversals: make([]float64, n),
+		out:        make([]float64, lt.Len()),
 	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Estimate runs tree EM over one epoch. The result is dense, indexed by
@@ -91,7 +88,6 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	sys.Build(e)
 	path, rowStart, deliv, lost := sys.Path, sys.RowStart, sys.Delivered, sys.Lost
 
-	est.out = resize(est.out, est.lt.Len())
 	out := est.out
 	for i := range out {
 		out[i] = math.NaN()
@@ -103,10 +99,7 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	}
 	nlinks := len(sys.Cols)
 
-	est.drop = resize(est.drop, nlinks)
-	est.deaths = resize(est.deaths, nlinks)
-	est.traversals = resize(est.traversals, nlinks)
-	drop, deaths, traversals := est.drop, est.deaths, est.traversals
+	drop, deaths, traversals := est.drop[:nlinks], est.deaths[:nlinks], est.traversals[:nlinks]
 	// Initialise drops uniformly from the aggregate loss rate.
 	var totalExp, totalLost float64
 	for s := 0; s < nsrc; s++ {
@@ -124,10 +117,8 @@ func (est *Estimator) Estimate(e *epochobs.Epoch) []float64 {
 	itersRun := 0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		itersRun++
-		for i := range deaths {
-			deaths[i] = 0
-			traversals[i] = 0
-		}
+		clear(deaths)
+		clear(traversals)
 		for s := 0; s < nsrc; s++ {
 			row := path[rowStart[s]:rowStart[s+1]]
 			// Path delivery probability S_k = prod(1 - d_j).

@@ -218,3 +218,26 @@ func TestEMConvergesFromLossyStart(t *testing.T) {
 		t.Fatalf("far link = %v, want ~%v", far, wantFar)
 	}
 }
+
+// TestEstimateAllocFree: once an estimator has solved the largest system
+// of a sequence, solving the sequence again, its system shrinking and
+// growing, allocates nothing.
+func TestEstimateAllocFree(t *testing.T) {
+	lt := topo.Grid(14, 10, 1.5, 14, rng.New(1)).LinkTable()
+	full, churned := churnEpochs(lt)
+	cut := &epochobs.Epoch{Delivered: full.Delivered, Expected: full.Expected, Tree: append([]topo.NodeID(nil), full.Tree...)}
+	cut.Tree[full.Tree[len(full.Tree)-1]] = -1 // a relay's subtree leaves
+	empty := &epochobs.Epoch{Delivered: full.Delivered, Expected: make([]int64, lt.Nodes()), Tree: full.Tree}
+	cfg := DefaultConfig()
+	cfg.MaxIters = 20 // the EM sweeps allocate nothing either way
+	est := NewEstimator(lt, cfg)
+	est.Estimate(full)
+	seq := []*epochobs.Epoch{churned, cut, empty, full, cut, churned, full}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, e := range seq {
+			est.Estimate(e)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d epochs, want 0", allocs, len(seq))
+	}
+}
