@@ -61,13 +61,18 @@ const MinExpected = 5
 // baselines. A row is an origin, in origin order, that is expected to have
 // sent at least MinExpected packets and whose dominant-tree walk reaches
 // the sink. A column is a link on some row's walk, numbered in the order
-// the rows first encounter it. Build rewrites every exported field, reusing
-// their storage across epochs.
+// the rows first encounter it. Every row through a column continues along
+// the same chain of columns to the sink, so the columns form a tree rooted
+// at the sink. Build rewrites every exported field, reusing their storage
+// across epochs.
 type System struct {
 	lt *topo.LinkTable
 
 	// Cols maps a column to its link table index.
 	Cols []topo.LinkIdx
+	// Next[c] is the column after c toward the sink, -1 when c's link
+	// enters the sink.
+	Next []int32
 	// Path holds every row's columns, origin side first, flattened: row r's
 	// are Path[RowStart[r]:RowStart[r+1]].
 	Path     []int32
@@ -80,21 +85,26 @@ type System struct {
 
 	colOf []int32        // link table index -> column, -1 when not in Cols
 	walk  []topo.LinkIdx // one origin's table indices
+
+	fit fitScratch
 }
 
 // NewSystem returns an empty system over lt. A tree walk has at most one
 // link per node, and a tree at most one link per non-sink node, so the
-// per-row storage, Cols and the walk scratch are sized from the node count.
+// per-row storage, Cols, Next and the walk and fit scratch are sized from
+// the node count.
 func NewSystem(lt *topo.LinkTable) *System {
 	n := lt.Nodes()
 	s := &System{
 		lt:        lt,
 		Cols:      make([]topo.LinkIdx, 0, n),
+		Next:      make([]int32, 0, n),
 		RowStart:  make([]int32, 0, n+1),
 		Delivered: make([]float64, 0, n),
 		Lost:      make([]float64, 0, n),
 		colOf:     make([]int32, lt.Len()),
 		walk:      make([]topo.LinkIdx, 0, n),
+		fit:       newFitScratch(n),
 	}
 	for i := range s.colOf {
 		s.colOf[i] = -1
@@ -111,6 +121,7 @@ func (s *System) Build(e *Epoch) {
 		s.colOf[c] = -1
 	}
 	s.Cols = s.Cols[:0]
+	s.Next = s.Next[:0]
 	s.Path = s.Path[:0]
 	s.RowStart = s.RowStart[:0]
 	s.Delivered = s.Delivered[:0]
@@ -126,12 +137,17 @@ func (s *System) Build(e *Epoch) {
 			continue
 		}
 		s.RowStart = append(s.RowStart, int32(len(s.Path)))
-		for _, li := range walk {
+		for t, li := range walk {
 			if s.colOf[li] < 0 {
 				s.colOf[li] = int32(len(s.Cols))
 				s.Cols = append(s.Cols, li)
+				s.Next = append(s.Next, -1)
 			}
-			s.Path = append(s.Path, s.colOf[li])
+			c := s.colOf[li]
+			if t > 0 {
+				s.Next[s.Path[len(s.Path)-1]] = c
+			}
+			s.Path = append(s.Path, c)
 		}
 		d := min(e.Delivered[origin], n)
 		s.Delivered = append(s.Delivered, float64(d))

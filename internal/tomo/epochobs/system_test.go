@@ -113,6 +113,8 @@ func sameSystem(got, want *System) error {
 	switch {
 	case !slices.Equal(got.Cols, want.Cols):
 		return fmt.Errorf("cols %v, want %v", got.Cols, want.Cols)
+	case !slices.Equal(got.Next, want.Next):
+		return fmt.Errorf("next %v, want %v", got.Next, want.Next)
 	case !slices.Equal(got.Path, want.Path) || !slices.Equal(got.RowStart, want.RowStart):
 		return fmt.Errorf("path %v / %v, want %v / %v", got.Path, got.RowStart, want.Path, want.RowStart)
 	case !slices.Equal(got.Delivered, want.Delivered) || !slices.Equal(got.Lost, want.Lost):
@@ -247,7 +249,7 @@ func checkSystem(t *testing.T, lt *topo.LinkTable, e *Epoch, s *System) {
 	}
 	// Every row through a column continues along the same chain of columns
 	// to the sink: a column's successor, or its lack of one, is the same in
-	// every row. LSQ's Gram matrix relies on it.
+	// every row, and Next records it. The tree fit relies on it.
 	succOf := make(map[int32]int32)
 	for r := 0; r < s.Rows(); r++ {
 		path := s.Path[s.RowStart[r]:s.RowStart[r+1]]
@@ -260,6 +262,14 @@ func checkSystem(t *testing.T, lt *topo.LinkTable, e *Epoch, s *System) {
 				t.Fatalf("column %d is followed by column %d in row %d and by %d before", c, succ, r, prev)
 			}
 			succOf[c] = succ
+		}
+	}
+	if len(s.Next) != len(s.Cols) {
+		t.Fatalf("%d successors for %d columns", len(s.Next), len(s.Cols))
+	}
+	for c, succ := range succOf {
+		if s.Next[c] != succ {
+			t.Fatalf("column %d has successor %d in the rows, Next %d", c, succ, s.Next[c])
 		}
 	}
 	var rows []topo.NodeID

@@ -1,10 +1,11 @@
-package minc
+package minc_test
 
 import (
 	"testing"
 
 	"dophy/internal/rng"
 	"dophy/internal/tomo/epochobs"
+	"dophy/internal/tomo/minc"
 	"dophy/internal/topo"
 )
 
@@ -53,7 +54,7 @@ func benchEpoch(lt *topo.LinkTable) *epochobs.Epoch {
 func BenchmarkEstimate200Grid(b *testing.B) {
 	lt := topo.Grid(14, 10, 1.5, 14, rng.New(1)).LinkTable()
 	e := benchEpoch(lt)
-	est := NewEstimator(lt, DefaultConfig())
+	est := minc.NewEstimator(lt, minc.DefaultConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,4 +1,4 @@
-package minc
+package minc_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"dophy/internal/rng"
 	"dophy/internal/tomo/epochobs"
 	"dophy/internal/tomo/geomle"
+	"dophy/internal/tomo/minc"
 	"dophy/internal/topo"
 )
 
@@ -58,9 +59,9 @@ func chainEpoch(n int64, drops []float64) *epochobs.Epoch {
 func TestEMRecoversChainDrops(t *testing.T) {
 	drops := []float64{0.03, 0.08, 0.15}
 	e := chainEpoch(100000, drops)
-	cfg := DefaultConfig()
+	cfg := minc.DefaultConfig()
 	lt := chainTable(4)
-	got := toMap(lt, NewEstimator(lt, cfg).Estimate(e))
+	got := toMap(lt, minc.NewEstimator(lt, cfg).Estimate(e))
 	if len(got) != 3 {
 		t.Fatalf("estimated %d links: %v", len(got), got)
 	}
@@ -73,20 +74,28 @@ func TestEMRecoversChainDrops(t *testing.T) {
 	}
 }
 
-func TestEMBranchyTree(t *testing.T) {
+// Per-hop drop probabilities of branchyEpoch's links.
+const dTrunk, d2, d3 = 0.05, 0.12, 0.01
+
+// branchyEpoch is a star over a shared trunk on starTable: 2->1->0 and
+// 3->1->0 share the trunk link 1->0.
+func branchyEpoch() *epochobs.Epoch {
 	e := &epochobs.Epoch{
 		Delivered: make([]int64, 4),
 		Expected:  make([]int64, 4),
 		Tree:      []topo.NodeID{-1, 0, 1, 1},
 	}
 	const n = 50000
-	dTrunk, d2, d3 := 0.05, 0.12, 0.01
 	e.Expected[1], e.Delivered[1] = n, int64(math.Round(n*(1-dTrunk)))
 	e.Expected[2], e.Delivered[2] = n, int64(math.Round(n*(1-d2)*(1-dTrunk)))
 	e.Expected[3], e.Delivered[3] = n, int64(math.Round(n*(1-d3)*(1-dTrunk)))
-	cfg := DefaultConfig()
+	return e
+}
+
+func TestEMBranchyTree(t *testing.T) {
+	cfg := minc.DefaultConfig()
 	lt := starTable()
-	got := toMap(lt, NewEstimator(lt, cfg).Estimate(e))
+	got := toMap(lt, minc.NewEstimator(lt, cfg).Estimate(branchyEpoch()))
 	check := func(l topo.Link, drop float64) {
 		want := geomle.LossFromDrop(drop, cfg.MaxAttempts)
 		if math.Abs(got[l]-want) > 0.04 {
@@ -101,7 +110,7 @@ func TestEMBranchyTree(t *testing.T) {
 func TestPerfectDelivery(t *testing.T) {
 	e := chainEpoch(1000, []float64{0, 0})
 	lt := chainTable(3)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(e))
 	for l, loss := range got {
 		if loss > 0.01 {
 			t.Fatalf("lossless link %v = %v", l, loss)
@@ -112,7 +121,7 @@ func TestPerfectDelivery(t *testing.T) {
 func TestSkipsUnderSampled(t *testing.T) {
 	e := chainEpoch(2, []float64{0.1})
 	lt := chainTable(2)
-	if got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e)); len(got) != 0 {
+	if got := toMap(lt, minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(e)); len(got) != 0 {
 		t.Fatalf("under-sampled epoch estimated: %v", got)
 	}
 }
@@ -120,7 +129,7 @@ func TestSkipsUnderSampled(t *testing.T) {
 func TestEmptyEpoch(t *testing.T) {
 	e := &epochobs.Epoch{Delivered: make([]int64, 2), Expected: make([]int64, 2), Tree: []topo.NodeID{-1, -1}}
 	lt := chainTable(2)
-	if got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e)); len(got) != 0 {
+	if got := toMap(lt, minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(e)); len(got) != 0 {
 		t.Fatalf("empty epoch estimated: %v", got)
 	}
 }
@@ -129,7 +138,7 @@ func TestDeliveredClampedToExpected(t *testing.T) {
 	e := chainEpoch(100, []float64{0.1})
 	e.Delivered[1] = 150 // reordering artefact
 	lt := chainTable(2)
-	got := toMap(lt, NewEstimator(lt, DefaultConfig()).Estimate(e))
+	got := toMap(lt, minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(e))
 	l := topo.Link{From: 1, To: 0}
 	if got[l] < 0 || got[l] > 1 || math.IsNaN(got[l]) {
 		t.Fatalf("clamped estimate = %v", got[l])
@@ -142,7 +151,7 @@ func TestPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("MaxAttempts 0 accepted")
 		}
 	}()
-	NewEstimator(chainTable(2), Config{MaxAttempts: 0})
+	minc.NewEstimator(chainTable(2), minc.Config{MaxAttempts: 0})
 }
 
 // sameEstimates fails unless got and want agree bitwise, NaN for NaN.
@@ -179,7 +188,7 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 	// The same estimator must give identical answers on repeated epochs —
 	// scratch reuse must not leak state across calls.
 	lt := chainTable(3)
-	est := NewEstimator(lt, DefaultConfig())
+	est := minc.NewEstimator(lt, minc.DefaultConfig())
 	// Estimate returns borrowed scratch: copy out before the next call.
 	first := append([]float64(nil), est.Estimate(chainEpoch(100000, []float64{0.0, 0.3}))...)
 	est.Estimate(chainEpoch(1000, []float64{0.2, 0.2})) // interleaved epoch
@@ -190,9 +199,9 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 	// epoch must still match a fresh estimator.
 	lt = topo.Grid(14, 10, 1.5, 14, rng.New(1)).LinkTable()
 	full, churned := churnEpochs(lt)
-	wantFull := NewEstimator(lt, DefaultConfig()).Estimate(full)
-	wantChurned := NewEstimator(lt, DefaultConfig()).Estimate(churned)
-	est = NewEstimator(lt, DefaultConfig())
+	wantFull := minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(full)
+	wantChurned := minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(churned)
+	est = minc.NewEstimator(lt, minc.DefaultConfig())
 	for k, e := range []*epochobs.Epoch{full, churned, full, churned, full} {
 		want := wantFull
 		if e == churned {
@@ -203,15 +212,15 @@ func TestEstimatorReuseAcrossEpochs(t *testing.T) {
 }
 
 func TestEMConvergesFromLossyStart(t *testing.T) {
-	// All loss on the far link; EM must not smear it onto the trunk.
+	// All loss on the far link; the fit must not smear it onto the trunk.
 	e := chainEpoch(100000, []float64{0.0, 0.3})
-	cfg := DefaultConfig()
+	cfg := minc.DefaultConfig()
 	lt := chainTable(3)
-	got := toMap(lt, NewEstimator(lt, cfg).Estimate(e))
+	got := toMap(lt, minc.NewEstimator(lt, cfg).Estimate(e))
 	trunk := got[topo.Link{From: 1, To: 0}]
 	far := got[topo.Link{From: 2, To: 1}]
 	if far < trunk {
-		t.Fatalf("EM attributed loss to the wrong link: trunk=%v far=%v", trunk, far)
+		t.Fatalf("the fit attributed loss to the wrong link: trunk=%v far=%v", trunk, far)
 	}
 	wantFar := geomle.LossFromDrop(0.3, cfg.MaxAttempts)
 	if math.Abs(far-wantFar) > 0.05 {
@@ -228,9 +237,7 @@ func TestEstimateAllocFree(t *testing.T) {
 	cut := &epochobs.Epoch{Delivered: full.Delivered, Expected: full.Expected, Tree: append([]topo.NodeID(nil), full.Tree...)}
 	cut.Tree[full.Tree[len(full.Tree)-1]] = -1 // a relay's subtree leaves
 	empty := &epochobs.Epoch{Delivered: full.Delivered, Expected: make([]int64, lt.Nodes()), Tree: full.Tree}
-	cfg := DefaultConfig()
-	cfg.MaxIters = 20 // the EM sweeps allocate nothing either way
-	est := NewEstimator(lt, cfg)
+	est := minc.NewEstimator(lt, minc.DefaultConfig())
 	est.Estimate(full)
 	seq := []*epochobs.Epoch{churned, cut, empty, full, cut, churned, full}
 	if allocs := testing.AllocsPerRun(5, func() {
@@ -239,5 +246,45 @@ func TestEstimateAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("%v allocations per pass over %d epochs, want 0", allocs, len(seq))
+	}
+}
+
+// TestRowlessNodeTakesParentValue pins the fit's choice where the system
+// cannot tell two links apart: relay 1 sent too few packets to have a row,
+// so it takes its parent's (the sink's) delivery probability, its link
+// carries no loss, and the link below it carries all of origin 2's.
+func TestRowlessNodeTakesParentValue(t *testing.T) {
+	e := &epochobs.Epoch{
+		Delivered: []int64{0, 0, 800},
+		Expected:  []int64{0, epochobs.MinExpected - 1, 1000},
+		Tree:      []topo.NodeID{-1, 0, 1},
+	}
+	lt := chainTable(3)
+	cfg := minc.DefaultConfig()
+	got := toMap(lt, minc.NewEstimator(lt, cfg).Estimate(e))
+	if l := (topo.Link{From: 1, To: 0}); got[l] != 0 {
+		t.Fatalf("rowless relay's link %v = %v, want 0", l, got[l])
+	}
+	if l, want := (topo.Link{From: 2, To: 1}), geomle.LossFromDrop(1-0.8, cfg.MaxAttempts); got[l] != want {
+		t.Fatalf("link %v = %v, want %v", l, got[l], want)
+	}
+}
+
+// TestDeadNextLinkReadsDropZero pins the other free choice: when nothing
+// gets past a link's successor (p_next = 0), the link's own drop is 0/0,
+// and it reads as drop 0, while the dead link reads as loss 1.
+func TestDeadNextLinkReadsDropZero(t *testing.T) {
+	e := &epochobs.Epoch{
+		Delivered: []int64{0, 0, 0},
+		Expected:  []int64{0, 100, 100},
+		Tree:      []topo.NodeID{-1, 0, 1},
+	}
+	lt := chainTable(3)
+	got := toMap(lt, minc.NewEstimator(lt, minc.DefaultConfig()).Estimate(e))
+	if l := (topo.Link{From: 1, To: 0}); got[l] != 1 {
+		t.Fatalf("dead link %v = %v, want 1", l, got[l])
+	}
+	if l := (topo.Link{From: 2, To: 1}); got[l] != 0 {
+		t.Fatalf("link %v behind a dead link = %v, want 0", l, got[l])
 	}
 }
