@@ -15,9 +15,9 @@ import (
 // realisation: dophy always, plus the groups Scenario.Schemes selects —
 // Codecs (its no-aggregation ablation and the raw/compact/huffman path
 // records) and Baselines (the epochobs collector feeding the MINC/LSQ
-// estimators). Session and ShardedSession each own one and drive it the
-// same way: start the sink stage, add every completed journey to it in
-// order, join it and harvest at each epoch end. A group that is not
+// estimators). The deployment core both engines share owns one and drives
+// it: start the sink stage, add every completed journey to it in order,
+// join it and harvest at each epoch end. A group that is not
 // selected is not built, fed, harvested or estimated.
 type schemeBank struct {
 	// sink feeds the bank on its own goroutine during an epoch (see
@@ -79,8 +79,9 @@ func (sc Scenario) schemeConfigs() schemeConfigs {
 // newSchemeBank builds dophy plus the groups sc.Schemes selects, configured
 // by sc.schemeConfigs. pool takes each journey back once the bank is done
 // with it.
-func newSchemeBank(sc Scenario, tp *topo.Topology, lt *topo.LinkTable, pool journeyPool) *schemeBank {
+func newSchemeBank(sc Scenario, tp *topo.Topology, pool journeyPool) *schemeBank {
 	cfg := sc.schemeConfigs()
+	lt := tp.LinkTable()
 	b := &schemeBank{schemes: sc.Schemes, lt: lt, dophy: core.New(tp, cfg.dophy)}
 	b.sink = newSinkStage(b, pool)
 	if b.schemes&Codecs != 0 {

@@ -31,8 +31,8 @@ type journeyFeeder interface {
 	feed(j *collect.PacketJourney)
 }
 
-// journeyPool takes back journeys the feeder is done with: Session and
-// ShardedSession hand each to the collect network that generated it.
+// journeyPool takes back journeys the feeder is done with: the deployment
+// hands each to the collect network that generated it.
 type journeyPool interface {
 	recycle(j *collect.PacketJourney)
 }

@@ -32,7 +32,7 @@ func maskNaN(r *RunResult) {
 
 // stepSession is the reference for Run: a fresh session stepped through
 // RunEpoch, with the run totals folded independently of runEpochs.
-func stepSession(sc Scenario, s epochEngine) *RunResult {
+func stepSession(sc Scenario, s *deployment) *RunResult {
 	res := &RunResult{Scenario: sc, Topology: s.Topology()}
 	var packets, changes int64
 	for e := 0; e < sc.Epochs; e++ {
@@ -61,7 +61,7 @@ func TestRunMatchesRunEpoch(t *testing.T) {
 		sc := smallScenario(17)
 		sc.Epochs = 4
 		sc.Schemes = Codecs | Baselines
-		ref := stepSession(sc, NewSession(sc))
+		ref := stepSession(sc, &NewSession(sc).deployment)
 		got := Run(sc)
 		maskNaN(ref)
 		maskNaN(got)
@@ -81,7 +81,7 @@ func TestRunShardedMatchesRunEpoch(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		sp := DefaultShardSpec(k)
 		s := NewShardedSession(sc, sp)
-		ref := stepSession(sc, s)
+		ref := stepSession(sc, &s.deployment)
 		s.Close()
 		got := RunSharded(sc, sp)
 		maskNaN(ref)

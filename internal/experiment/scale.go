@@ -58,7 +58,7 @@ func runScaleTier(id, title string, sc Scenario, o RunOptions) *Table {
 	}
 	s := NewShardedSession(sc, DefaultShardSpec(o.ShardCount()))
 	defer s.Close()
-	res := runEpochs(sc, s)
+	res := runEpochs(&s.deployment)
 	eo := res.Epochs[len(res.Epochs)-1]
 	st := s.Stats()
 	dophy := eo.Schemes[SchemeDophy]

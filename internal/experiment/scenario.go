@@ -111,11 +111,14 @@ func (rs RadioSpec) Build(t *topo.Topology, seed uint64) radio.Model {
 	default:
 		panic(fmt.Sprintf("experiment: unknown radio kind %d", rs.Kind))
 	}
-	if rs.FailMTBF > 0 && rs.FailMTTR > 0 {
+	if rs.failures() {
 		m = radio.NewNodeFailures(m, t.N(), rs.FailMTBF, rs.FailMTTR, seed^0xabcdef12345)
 	}
 	return m
 }
+
+// failures reports whether Build overlays node crash/recover dynamics.
+func (rs RadioSpec) failures() bool { return rs.FailMTBF > 0 && rs.FailMTTR > 0 }
 
 // Scenario declares one complete simulation setup.
 type Scenario struct {
@@ -336,118 +339,6 @@ const (
 	SchemeMINC    = "minc"
 	SchemeLSQ     = "lsq"
 )
-
-// Session is an assembled deployment with the scenario's schemes attached;
-// epochs are stepped on demand. experiment.Run and the public dophy facade
-// share it.
-//
-// Consumers and annotators attach only before the first epoch runs — an
-// epoch they missed can never be replayed.
-type Session struct {
-	sc    Scenario
-	tp    *topo.Topology
-	eng   *sim.Engine
-	rec   *trace.Recorder
-	nw    *collect.Network
-	proto *routing.Protocol
-	bank  *schemeBank
-
-	epoch          int
-	lastQueueDrops int64
-}
-
-// NewSession builds the network, attaches dophy and the scheme groups
-// sc.Schemes selects, runs the routing warmup and starts data generation.
-func NewSession(sc Scenario) *Session {
-	tp, model, root := sc.Deploy()
-	eng := sim.New()
-	lt := tp.LinkTable()
-	rec := trace.NewRecorder(lt)
-	arq := mac.New(sc.Mac, model, root.Split(), rec)
-	proto := routing.New(sc.Routing, eng, tp, model, root.Split(), rec)
-	nw := collect.New(sc.Collect, eng, tp, arq, proto, root.Split(), rec)
-	s := &Session{sc: sc, tp: tp, eng: eng, rec: rec, nw: nw, proto: proto}
-	s.bank = newSchemeBank(sc, tp, lt, s)
-	nw.Subscribe(s.bank.sink.add)
-
-	proto.Start()
-	eng.Run(sc.Warmup)
-	rec.Cut() // discard warmup ground truth
-	nw.Start()
-	return s
-}
-
-// Topology exposes the built topology.
-func (s *Session) Topology() *topo.Topology { return s.tp }
-
-// recycle hands a journey the sink stage is done with back to collect.
-func (s *Session) recycle(j *collect.PacketJourney) { s.nw.Recycle(j) }
-
-// SubscribeJourneys registers an extra consumer of every completed journey
-// (e.g. the trace exporter). Call before the first RunEpoch. fn runs on the
-// simulation goroutine while the sink stage may be reading the same journey
-// concurrently, and the journey is recycled for a later packet once the
-// sink is done with it: fn must not write j or retain it after returning.
-func (s *Session) SubscribeJourneys(fn collect.JourneyFunc) { s.nw.Subscribe(fn) }
-
-// AttachAnnotator registers a hop-by-hop annotator (the distributed
-// encoding path). Call before the first RunEpoch.
-func (s *Session) AttachAnnotator(a collect.Annotator) { s.nw.AttachAnnotator(a) }
-
-// BeaconsSent exposes the routing protocol's control-plane transmissions.
-func (s *Session) BeaconsSent() int64 { return s.proto.BeaconsSent }
-
-// Events exposes the simulator's processed-event count so far.
-func (s *Session) Events() uint64 { return s.eng.Processed() }
-
-// RunEpoch advances the simulation one epoch, with the sink stage feeding
-// the scheme bank alongside, and harvests every built scheme.
-func (s *Session) RunEpoch() *EpochOutcome {
-	s.epoch++
-	s.bank.sink.start()
-	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
-	s.bank.sink.join()
-	truth := s.rec.Cut()
-	drops := s.nw.QueueDrops - s.lastQueueDrops
-	s.lastQueueDrops += drops
-	return s.bank.harvest(s.epoch, truth, drops)
-}
-
-// Run executes the scenario with the schemes it selects: a NewSession
-// stepped through RunEpoch sc.Epochs times.
-func Run(sc Scenario) *RunResult {
-	return runEpochs(sc, NewSession(sc))
-}
-
-// epochEngine is a deployment runEpochs can step: Session or ShardedSession.
-type epochEngine interface {
-	RunEpoch() *EpochOutcome
-	Topology() *topo.Topology
-	BeaconsSent() int64
-	Events() uint64
-}
-
-// runEpochs steps e through sc.Epochs epochs and folds the run totals from
-// each outcome's ground truth.
-func runEpochs(sc Scenario, e epochEngine) *RunResult {
-	res := &RunResult{Scenario: sc, Topology: e.Topology()}
-	var totalPackets, totalChanges int64
-	for ep := 0; ep < sc.Epochs; ep++ {
-		eo := e.RunEpoch()
-		res.Epochs = append(res.Epochs, eo)
-		totalPackets += eo.Truth.Delivered
-		totalChanges += eo.Truth.ParentChanges
-		res.MeanDeliveryRatio += eo.Truth.DeliveryRatio() / float64(sc.Epochs)
-	}
-	if sc.Epochs > 0 {
-		res.MeanPacketsPerEpoch = float64(totalPackets) / float64(sc.Epochs)
-		res.ParentChangesPerNodePerEpoch =
-			float64(totalChanges) / float64(sc.Epochs) / math.Max(1, float64(res.Topology.N()-1))
-	}
-	res.BeaconsSent = e.BeaconsSent()
-	res.Events = e.Events()
-	return res
-}
 
 // scheme returns the epoch's output for a scheme the run built. harvest
 // adds every built scheme to every epoch, so a missing name was not built,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dophy/internal/collect"
 	"dophy/internal/topo"
 )
 
@@ -78,26 +79,90 @@ func shardTestScenario() Scenario {
 	return sc
 }
 
+// shardFailureScenario is shardTestScenario with node crashes overlaid
+// (experiment F7's dynamics): every node's up/down flips must reach each
+// shard's radio replica identically at every shard count.
+func shardFailureScenario() Scenario {
+	sc := shardTestScenario()
+	sc.Name = "shard-determinism-failures"
+	sc.Radio.FailMTBF = 300
+	sc.Radio.FailMTTR = 60
+	return sc
+}
+
 // TestShardedByteDeterminism is the sharded engine's correctness gate: the
 // full epoch reports of a sharded run must be byte-identical at 1, 2, 4 and
 // 8 shards. K=1 runs the same lookahead windows on a single engine with no
 // worker goroutine, so this pins every parallel execution to the
 // sequential reference.
 func TestShardedByteDeterminism(t *testing.T) {
-	sc := shardTestScenario()
-	var ref string
-	for _, k := range []int{1, 2, 4, 8} {
-		got := renderRun(RunSharded(sc, DefaultShardSpec(k)))
-		if k == 1 {
-			ref = got
-			if len(ref) < 10000 {
-				t.Fatalf("reference report suspiciously small (%d bytes) — workload too light to trust", len(ref))
+	for _, sc := range []Scenario{shardTestScenario(), shardFailureScenario()} {
+		t.Run(sc.Name, func(t *testing.T) {
+			var ref string
+			for _, k := range []int{1, 2, 4, 8} {
+				got := renderRun(RunSharded(sc, DefaultShardSpec(k)))
+				if k == 1 {
+					ref = got
+					if len(ref) < 10000 {
+						t.Fatalf("reference report suspiciously small (%d bytes) — workload too light to trust", len(ref))
+					}
+					continue
+				}
+				if got != ref {
+					t.Errorf("shards=%d diverges from shards=1:\n%s", k, firstDiff(ref, got))
+				}
 			}
-			continue
+		})
+	}
+}
+
+// homeFeeder stands in front of the scheme bank and records, for every
+// journey record it is fed, the shards owning the origins of the packets
+// the record has carried.
+type homeFeeder struct {
+	next  journeyFeeder
+	owner []topo.ShardID
+	homes map[*collect.PacketJourney]map[topo.ShardID]bool
+	fed   int
+}
+
+func (f *homeFeeder) feed(j *collect.PacketJourney) {
+	if f.homes[j] == nil {
+		f.homes[j] = map[topo.ShardID]bool{}
+	}
+	f.homes[j][f.owner[j.Origin]] = true
+	f.fed++
+	f.next.feed(j)
+}
+
+// TestJourneysReturnHome pins where the deployment recycles journeys at two
+// shards: back to the collect network of the shard that generated them, so
+// a journey record only ever carries packets from nodes of one shard. A
+// recycle that returned every record to one shard's pool would hand the
+// other shard's records to its own nodes' packets.
+func TestJourneysReturnHome(t *testing.T) {
+	sc := shardTestScenario()
+	sc.Schemes = 0
+	sc.Epochs = 3
+	s := NewShardedSession(sc, DefaultShardSpec(2))
+	defer s.Close()
+	f := &homeFeeder{next: s.bank, owner: s.owner, homes: map[*collect.PacketJourney]map[topo.ShardID]bool{}}
+	s.bank.sink.to = f
+	runEpochs(&s.deployment)
+	records := map[topo.ShardID]int{}
+	for _, homes := range f.homes {
+		if len(homes) > 1 {
+			t.Fatalf("a journey record carried packets from nodes of shards %v", homes)
 		}
-		if got != ref {
-			t.Errorf("shards=%d diverges from shards=1:\n%s", k, firstDiff(ref, got))
+		for k := range homes {
+			records[k]++
 		}
+	}
+	if records[0] == 0 || records[1] == 0 {
+		t.Fatalf("journey records per shard: %v; both shards must generate packets", records)
+	}
+	if f.fed <= len(f.homes) {
+		t.Fatalf("%d journeys on %d records: no record was recycled", f.fed, len(f.homes))
 	}
 }
 
@@ -144,8 +209,9 @@ func TestFabricCarriersReturnHome(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnshardable locks in the validation: radio/mac modes
-// whose state has no single owning shard must refuse to run sharded.
+// TestShardedRejectsUnshardable locks in the validation: configurations
+// whose event order depends on the shard layout, or that leave no
+// lookahead window, must refuse to run sharded.
 func TestShardedRejectsUnshardable(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
@@ -156,12 +222,6 @@ func TestShardedRejectsUnshardable(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("node-failures", func() {
-		sc := DefaultScenario()
-		sc.Radio.FailMTBF = 500
-		sc.Radio.FailMTTR = 50
-		NewShardedSession(sc, DefaultShardSpec(2))
-	})
 	expectPanic("bounded-queues", func() {
 		sc := DefaultScenario()
 		sc.Collect.QueueCap = 4

@@ -129,7 +129,7 @@ func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.
 	dst := s.owner[to]
 	c := f.carrier(dst, to, from)
 	c.j = j // the carrier owns j until it lands; this shard may not touch it again
-	s.eng.Send(f.src, at, from, dst, c.fn)
+	s.coord.Send(f.src, at, from, dst, c.fn)
 }
 
 // DeliverBeacon applies a received beacon on the receiver's owning shard
@@ -139,10 +139,10 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 	dst := s.owner[to]
 	c := f.carrier(dst, to, from)
 	c.seq, c.adv = seq, advertisedETX
-	s.eng.Send(f.src, s.eng.Sub(f.src).Now()+s.lookahead, from, dst, c.fn)
+	s.coord.Send(f.src, s.coord.Sub(f.src).Now()+s.lookahead, from, dst, c.fn)
 }
 
-// ShardedSession is the partitioned counterpart of Session: one complete
+// ShardedSession is the deployment on the sharded engine: one complete
 // deployment split across sp.Shards engines, with every built scheme fed
 // the exact same journey sequence regardless of the shard count.
 //
@@ -156,32 +156,15 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 // next window. Windows partition virtual time, so the concatenation of
 // per-window flushes is itself globally sorted and identical at any K.
 type ShardedSession struct {
-	sc        Scenario
-	sp        ShardSpec
+	deployment
 	lookahead sim.Time
-	tp        *topo.Topology
-	lt        *topo.LinkTable
-	eng       *shard.Engine  // the coordinator handle; windowing happens inside it
-	owner     []topo.ShardID // topo.Partition's node->shard map
+	coord     *shard.Engine // the deployment's engine; windowing happens inside it
 	cutLinks  int
-	// Per-shard stacks: code running inside a window reaches them only
-	// through its own shard's ShardID index.
-	recs   []*trace.Recorder
-	protos []*routing.Protocol
-	nws    []*collect.Network
-	fabs   []*shardFabric
+	fabs      []*shardFabric
 	// bufs holds the journeys completed since the last flush, per shard,
 	// until the flush hands them to the sink stage, which recycles them.
 	bufs   [][]*collect.PacketJourney
 	fmerge []*collect.PacketJourney // flush merge scratch, cleared before flush returns
-
-	// The scheme bank's sink stage is driven from the coordinator: each
-	// barrier's sorted journeys go to it, and its goroutine feeds them while
-	// the workers run the next window.
-	bank *schemeBank
-
-	epoch          int
-	lastQueueDrops int64
 }
 
 // NewShardedSession partitions the scenario's topology, builds one
@@ -190,11 +173,6 @@ type ShardedSession struct {
 func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	if sp.Shards < 1 {
 		panic(fmt.Sprintf("experiment: %d shards", sp.Shards))
-	}
-	if sc.Radio.FailMTBF > 0 {
-		// Node-failure processes mutate both endpoints' radio state on
-		// every query; they have no single owning shard.
-		panic("experiment: node failures (FailMTBF) are incompatible with sharded runs")
 	}
 	if sc.Collect.QueueCap > 0 {
 		// Contention queues chain transmissions back to back, so a node's
@@ -219,24 +197,31 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 
 	owner := tp.Partition(sp.Shards)
 	_, cut := lt.CrossShard(owner)
-
+	coord := shard.New(shard.Config{Shards: sp.Shards, Lookahead: lookahead, Nodes: tp.N()})
 	s := &ShardedSession{
-		sc: sc, sp: sp, lookahead: lookahead,
-		tp: tp, lt: lt, owner: owner, cutLinks: cut,
-		eng:    shard.New(shard.Config{Shards: sp.Shards, Lookahead: lookahead, Nodes: tp.N()}),
-		recs:   make([]*trace.Recorder, sp.Shards),
-		protos: make([]*routing.Protocol, sp.Shards),
-		nws:    make([]*collect.Network, sp.Shards),
-		fabs:   make([]*shardFabric, sp.Shards),
-		bufs:   make([][]*collect.PacketJourney, sp.Shards),
+		deployment: newDeployment(sc, tp, coord, owner, sp.Shards),
+		lookahead:  lookahead, coord: coord, cutLinks: cut,
+		fabs: make([]*shardFabric, sp.Shards),
+		bufs: make([][]*collect.PacketJourney, sp.Shards),
 	}
-	for k := 0; k < sp.Shards; k++ {
+	for k := range s.nws {
+		id := topo.ShardID(k)
 		owned := make([]bool, tp.N())
 		for i := range owned {
-			owned[i] = owner[i] == topo.ShardID(k)
+			owned[i] = owner[i] == id
 		}
-		fab := &shardFabric{s: s, src: topo.ShardID(k)}
-		sub := s.eng.Sub(topo.ShardID(k))
+		if k > 0 && sc.Radio.failures() {
+			// A failure overlay advances a node's up/down state for
+			// whichever shard queries it (a link's PRR reads both
+			// endpoints), so each shard gets its own replica. Every replica
+			// draws node i's flips from the same per-node stream and each
+			// shard queries in non-decreasing time, so the replicas agree at
+			// every K. Base models stay shared: each link's state is
+			// advanced only by its sender's shard.
+			model = sc.Radio.Build(tp, sc.Seed^radioSeedMix)
+		}
+		fab := &shardFabric{s: s, src: id}
+		sub := coord.Sub(id)
 		// Same-shard beacons land exactly one lookahead after they are sent.
 		sub.Lane(lookahead)
 		rec := trace.NewRecorder(lt)
@@ -246,26 +231,15 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 			routing.ShardHooks{Owned: owned, PerNode: streams, Fabric: fab})
 		nw := collect.NewSharded(sc.Collect, sub, tp, arq, proto, root.Split(), rec,
 			collect.ShardHooks{Owned: owned, PerNode: streams, Fabric: fab})
-		shardIdx := topo.ShardID(k)
-		nw.Subscribe(func(j *collect.PacketJourney) { s.bufferJourney(shardIdx, j) })
+		nw.Subscribe(func(j *collect.PacketJourney) { s.bufferJourney(id, j) })
 		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
 	}
 
-	s.bank = newSchemeBank(sc, tp, lt, s)
+	s.bank = newSchemeBank(sc, tp, &s.deployment)
 	// Handing journeys to the sink at every barrier (rather than at epoch
 	// ends) bounds journey buffering to one window's worth of completions.
-	s.eng.OnBarrier(s.flush)
-
-	for _, p := range s.protos {
-		p.Start()
-	}
-	// The warmup produces no journeys (generation starts below), so the
-	// barrier flushes during it hand nothing to the sink stage.
-	s.eng.Run(sc.Warmup)
-	trace.CutMerged(s.recs) // discard warmup ground truth
-	for _, nw := range s.nws {
-		nw.Start()
-	}
+	coord.OnBarrier(s.flush)
+	s.start()
 	return s
 }
 
@@ -310,13 +284,6 @@ func (s *ShardedSession) flush() {
 	s.fmerge = m[:0]
 }
 
-// recycle returns a journey the sink has fed to the pool of the shard that
-// generated it. The sink stage calls it from flush and RunEpoch, so it runs
-// with the workers parked.
-func (s *ShardedSession) recycle(j *collect.PacketJourney) {
-	s.nws[s.owner[j.Origin]].Recycle(j)
-}
-
 func sortJourneys(m []*collect.PacketJourney) {
 	// Insertion sort: windows are short, so m is tiny and almost sorted
 	// (per-shard buffers are already completion-ordered).
@@ -341,68 +308,20 @@ func journeyAfter(a, b *collect.PacketJourney) bool {
 	return a.Seq > b.Seq
 }
 
-// Topology returns the built topology.
-func (s *ShardedSession) Topology() *topo.Topology { return s.tp }
-
-// BeaconsSent sums the control-plane cost over all shards. Like every
-// cross-shard reader below, it must only run with the workers parked.
-func (s *ShardedSession) BeaconsSent() int64 {
-	var total int64
-	for _, p := range s.protos {
-		total += p.BeaconsSent
-	}
-	return total
-}
-
-// Events sums the simulator events executed by all shards.
-func (s *ShardedSession) Events() uint64 { return s.eng.Processed() }
-
-// Routed counts nodes (excluding the sink) that currently have a parent.
-func (s *ShardedSession) Routed() int {
-	n := 0
-	for _, p := range s.protos {
-		n += p.Routed()
-	}
-	return n
-}
-
 // Stats reports the partitioning and window accounting so far.
 func (s *ShardedSession) Stats() ShardStats {
 	return ShardStats{
-		Shards:    s.sp.Shards,
+		Shards:    len(s.nws),
 		Lookahead: s.lookahead,
 		CutLinks:  s.cutLinks,
-		Links:     s.lt.Len(),
-		Windows:   s.eng.Windows(),
-		Exchanged: s.eng.Exchanged(),
+		Links:     s.tp.LinkTable().Len(),
+		Windows:   s.coord.Windows(),
+		Exchanged: s.coord.Exchanged(),
 	}
-}
-
-// queueDrops sums congestion losses over all shards.
-func (s *ShardedSession) queueDrops() int64 {
-	var total int64
-	for _, nw := range s.nws {
-		total += nw.QueueDrops
-	}
-	return total
-}
-
-// RunEpoch advances the simulation one epoch and harvests every built
-// scheme, mirroring Session.RunEpoch. It drains per-shard
-// recorders, so it runs strictly between Run windows.
-func (s *ShardedSession) RunEpoch() *EpochOutcome {
-	s.epoch++
-	s.bank.sink.start()
-	s.eng.Run(s.sc.Warmup + sim.Time(s.epoch)*s.sc.EpochLen)
-	s.bank.sink.join()
-	truth := trace.CutMerged(s.recs)
-	drops := s.queueDrops() - s.lastQueueDrops
-	s.lastQueueDrops += drops
-	return s.bank.harvest(s.epoch, truth, drops)
 }
 
 // Close stops the shard workers. The session must not be run afterwards.
-func (s *ShardedSession) Close() { s.eng.Close() }
+func (s *ShardedSession) Close() { s.coord.Close() }
 
 // RunSharded executes the scenario under the sharded engine through the
 // same epoch loop as Run, building the same schemes: dophy and the groups
@@ -412,5 +331,5 @@ func (s *ShardedSession) Close() { s.eng.Close() }
 func RunSharded(sc Scenario, sp ShardSpec) *RunResult {
 	s := NewShardedSession(sc, sp)
 	defer s.Close()
-	return runEpochs(sc, s)
+	return runEpochs(&s.deployment)
 }

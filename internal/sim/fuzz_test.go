@@ -7,18 +7,16 @@ import (
 )
 
 // fuzzEvent is one scheduled handler of a fuzz program. When it fires it
-// schedules each child at Now()+child.delta, then calls Stop if asked.
+// schedules each child at Now()+child.delta.
 type fuzzEvent struct {
 	delta    Time
 	children []int
-	stop     bool
 }
 
 const (
 	opSchedule = iota
 	opRun
 	opRunBefore
-	opStop
 	opLane
 	numOps
 )
@@ -55,7 +53,7 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 	newEvent = func(depth int) int {
 		c := next()
 		id := len(p.events)
-		p.events = append(p.events, fuzzEvent{delta: Time(c%5) / 4, stop: c/5%13 == 0})
+		p.events = append(p.events, fuzzEvent{delta: Time(c%5) / 4})
 		if depth < 3 {
 			for k := 0; k < int(c/65) && len(p.events) < 160; k++ {
 				child := newEvent(depth + 1)
@@ -92,7 +90,6 @@ type fuzzObs struct {
 	processed uint64
 	pending   int
 	nextAt    Time
-	stopped   bool
 }
 
 type fuzzFired struct {
@@ -107,7 +104,6 @@ type refEngine struct {
 	now       Time
 	pending   []refEntry
 	processed uint64
-	stopped   bool
 	fire      func(id int)
 }
 
@@ -139,8 +135,7 @@ func (r *refEngine) popAndFire() {
 // run: events at or before until fire; stopping at the horizon moves the
 // clock forward to it, never back.
 func (r *refEngine) run(until Time) Time {
-	r.stopped = false
-	for len(r.pending) > 0 && !r.stopped {
+	for len(r.pending) > 0 {
 		if r.pending[0].at > until {
 			r.now = max(r.now, until)
 			return r.now
@@ -150,16 +145,13 @@ func (r *refEngine) run(until Time) Time {
 	return r.now
 }
 
-// runBefore: events strictly before horizon fire; unless stopped, the
-// clock then moves forward to horizon.
+// runBefore: events strictly before horizon fire; the clock then moves
+// forward to horizon.
 func (r *refEngine) runBefore(horizon Time) Time {
-	r.stopped = false
-	for len(r.pending) > 0 && !r.stopped && r.pending[0].at < horizon {
+	for len(r.pending) > 0 && r.pending[0].at < horizon {
 		r.popAndFire()
 	}
-	if !r.stopped {
-		r.now = max(r.now, horizon)
-	}
+	r.now = max(r.now, horizon)
 	return r.now
 }
 
@@ -174,9 +166,6 @@ func runFuzzOnEngine(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 			for _, c := range ev.children {
 				schedule(c)
 			}
-			if ev.stop {
-				e.Stop()
-			}
 		})
 	}
 	var obs []fuzzObs
@@ -189,14 +178,12 @@ func runFuzzOnEngine(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 			ret = e.Run(e.Now() + op.off)
 		case opRunBefore:
 			ret = e.RunBefore(e.Now() + op.off)
-		case opStop:
-			e.Stop()
 		case opLane:
 			e.Lane(op.off)
 		}
-		obs = append(obs, fuzzObs{ret, e.Now(), e.Processed(), e.Pending(), e.NextAt(), e.Stopped()})
+		obs = append(obs, fuzzObs{ret, e.Now(), e.Processed(), e.Pending(), e.NextAt()})
 	}
-	obs = append(obs, fuzzObs{e.RunAll(), e.Now(), e.Processed(), e.Pending(), e.NextAt(), e.Stopped()})
+	obs = append(obs, fuzzObs{e.Run(Time(math.Inf(1))), e.Now(), e.Processed(), e.Pending(), e.NextAt()})
 	return log, obs
 }
 
@@ -209,13 +196,10 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 		for _, c := range p.events[id].children {
 			schedule(c)
 		}
-		if p.events[id].stop {
-			r.stopped = true
-		}
 	}
 	var obs []fuzzObs
 	snap := func(ret Time) fuzzObs {
-		return fuzzObs{ret, r.now, r.processed, len(r.pending), r.nextAt(), r.stopped}
+		return fuzzObs{ret, r.now, r.processed, len(r.pending), r.nextAt()}
 	}
 	for _, op := range p.ops {
 		var ret Time
@@ -226,8 +210,6 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 			ret = r.run(r.now + op.off)
 		case opRunBefore:
 			ret = r.runBefore(r.now + op.off)
-		case opStop:
-			r.stopped = true
 		}
 		obs = append(obs, snap(ret))
 	}
@@ -236,11 +218,11 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 }
 
 // FuzzEventOrder replays random Schedule (at equal and distinct times, from
-// the top level and from inside handlers), Run, RunBefore and Stop
-// sequences, with up to two fixed-latency lanes registered along the way,
-// against refEngine and requires the same handler order, the same Now()
-// inside every handler, and the same clock, Processed, Pending, NextAt and
-// Stopped after every operation. The oracle knows nothing of lanes: they
+// the top level and from inside handlers), Run and RunBefore sequences,
+// with up to two fixed-latency lanes registered along the way, against
+// refEngine and requires the same handler order, the same Now() inside
+// every handler, and the same clock, Processed, Pending and NextAt after
+// every operation. The oracle knows nothing of lanes: they
 // must not change the order.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
@@ -248,8 +230,8 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 66, 0, 66, 0, 66, 33, 1, 8, 0, 5, 3, 41, 30, 0, 100, 1})
 	// Lanes at 0.25 s and 0.5 s: registered up front, and the 0.25 s lane
 	// registered while the 0.5 s lane holds events.
-	f.Add([]byte{9, 0, 201, 6, 11, 10, 14, 0, 137, 7, 16, 51, 0, 201, 6, 11, 10, 27})
-	f.Add([]byte{14, 0, 137, 7, 12, 0, 7, 9, 0, 201, 6, 11, 10, 51, 3, 0, 137, 7, 16})
+	f.Add([]byte{7, 0, 201, 6, 11, 10, 11, 0, 137, 7, 16, 41, 0, 201, 6, 11, 10, 22})
+	f.Add([]byte{11, 0, 137, 7, 12, 0, 7, 7, 0, 201, 6, 11, 10, 41, 0, 137, 7, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeFuzzProgram(data)
 		gotLog, gotObs := runFuzzOnEngine(p)

@@ -4,6 +4,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestInvariantsSurviveMixedWorkload(t *testing.T) {
 			}
 		})
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if e.Pending() != 0 {
 		t.Fatalf("queue not drained: %d pending", e.Pending())
 	}

@@ -122,7 +122,6 @@ type Engine struct {
 	rings     []slot     // initial rings for lanes yet to be registered
 	inLanes   int        // events queued in lanes
 	processed uint64
-	stopped   bool
 }
 
 // New returns an engine with the clock at zero.
@@ -379,19 +378,12 @@ func (e *Engine) After(d Time, fn Handler) {
 	e.Schedule(e.now+d, fn)
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// Run executes events until the queue drains, Stop is called, or the next
-// event lies beyond until (events at exactly until run; use math.Inf(1) for
-// "no limit"). When it stops at the horizon it advances the clock to until,
-// never backwards. It returns the time at which it stopped.
+// Run executes events until the queue drains or the next event lies beyond
+// until (events at exactly until run; use math.Inf(1) for "no limit"). When
+// it stops at the horizon it advances the clock to until, never backwards.
+// It returns the time at which it stopped.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		at, src := e.head()
 		if src == srcNone {
 			break
@@ -409,11 +401,6 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// RunAll executes events until the queue drains or Stop is called.
-func (e *Engine) RunAll() Time {
-	return e.Run(Time(math.Inf(1)))
-}
-
 // NextAt returns the scheduled time of the earliest pending event, or +Inf
 // when the queue is empty. The shard barrier uses this to compute safe
 // lookahead horizons without popping.
@@ -427,17 +414,16 @@ func (e *Engine) NextAt() Time {
 // exactly horizon stay queued — the conservative-lookahead contract is that
 // a window [start, horizon) owns only the events inside it, while arrivals
 // injected at the barrier land at or after horizon. It returns the time at
-// which it stopped (horizon, unless Stop was called).
+// which it stopped: horizon, or the clock if that is already past it.
 func (e *Engine) RunBefore(horizon Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		at, src := e.head()
 		if at >= horizon || src == srcNone {
 			break
 		}
 		e.fire(src)
 	}
-	if !e.stopped && e.now < horizon {
+	if e.now < horizon {
 		e.now = horizon
 	}
 	return e.now

@@ -15,7 +15,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		at := at
 		e.Schedule(at, func() { got = append(got, at) })
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("events out of order: %v", got)
 	}
@@ -31,7 +31,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.Schedule(1, func() { got = append(got, i) })
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
@@ -46,9 +46,9 @@ func TestClockAdvances(t *testing.T) {
 			t.Errorf("Now() = %v inside event at 2.5", e.Now())
 		}
 	})
-	end := e.RunAll()
+	end := e.Run(Time(math.Inf(1)))
 	if end != 2.5 {
-		t.Fatalf("RunAll returned %v, want 2.5", end)
+		t.Fatalf("Run returned %v, want 2.5", end)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestAfter(t *testing.T) {
 	e.Schedule(1, func() {
 		e.After(0.5, func() { at = e.Now() })
 	})
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if at != 1.5 {
 		t.Fatalf("After fired at %v, want 1.5", at)
 	}
@@ -67,7 +67,7 @@ func TestAfter(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
 	e.Schedule(5, func() {})
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -97,16 +97,16 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		e.Schedule(Time(i), func() {})
 		e.After(0.5, func() {})
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	e.After(0.5, func() {})
 	if len(e.queue) != 0 || e.inLanes != 1 {
 		t.Fatalf("lane-latency event queued in the heap (heap %d, lanes %d)", len(e.queue), e.inLanes)
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Schedule(e.Now()+1, func() {})
 		e.After(0.5, func() {})
-		e.RunAll()
+		e.Run(Time(math.Inf(1)))
 	})
 	// The func literals capture nothing, so they are static values; the
 	// queued slots live inline in the warmed heap and lane ring.
@@ -175,7 +175,7 @@ func TestLaneEventsInterleaveWithHeap(t *testing.T) {
 	if e.Pending() != 6 || len(e.queue) != 2 {
 		t.Fatalf("Pending %d with %d in the heap, want 6 and 2", e.Pending(), len(e.queue))
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	want := []int{3, 4, 0, 2, 5, 7, 1, 6}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("pop order %v, want %v", got, want)
@@ -205,7 +205,7 @@ func TestScheduleBelowLaneTailGoesToHeap(t *testing.T) {
 	if at := e.NextAt(); at != 1 {
 		t.Fatalf("NextAt = %v, want 1", at)
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if fmt.Sprint(got) != "[head below tail]" {
 		t.Fatalf("pop order %v, want [head below tail]", got)
 	}
@@ -226,7 +226,7 @@ func TestRunHorizon(t *testing.T) {
 		t.Fatalf("Run(2) returned %v", end)
 	}
 	// Remaining event still fires on a later run.
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if len(fired) != 3 {
 		t.Fatalf("event after horizon lost: %v", fired)
 	}
@@ -255,29 +255,9 @@ func TestRunHorizonBehindClockKeepsTime(t *testing.T) {
 		}()
 		e.Schedule(4, func() {})
 	}()
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if fired != 1 || e.Now() != 10 {
 		t.Fatalf("drain fired %d events ending at %v, want 1 at 10", fired, e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop at 3", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false")
 	}
 }
 
@@ -286,7 +266,7 @@ func TestProcessedCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if e.Processed() != 7 {
 		t.Fatalf("Processed() = %d, want 7", e.Processed())
 	}
@@ -300,7 +280,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		e.Schedule(1.5, func() { order = append(order, "nested") })
 	})
 	e.Schedule(2, func() { order = append(order, "b") })
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	want := []string{"a", "nested", "b"}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
@@ -319,7 +299,7 @@ func TestQuickOrdering(t *testing.T) {
 			at := Time(r) / 16
 			e.Schedule(at, func() { got = append(got, at) })
 		}
-		e.RunAll()
+		e.Run(Time(math.Inf(1)))
 		if len(got) != len(raw) {
 			return false
 		}
@@ -337,7 +317,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(Time(j%97), func() {})
 		}
-		e.RunAll()
+		e.Run(Time(math.Inf(1)))
 	}
 }
 
@@ -384,7 +364,7 @@ func TestNextAtCancelReschedule(t *testing.T) {
 	if got := e.NextAt(); got != 2 {
 		t.Fatalf("NextAt after popping the new head = %v, want 2", got)
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if got := e.NextAt(); !math.IsInf(float64(got), 1) {
 		t.Fatalf("NextAt after drain = %v, want +Inf", got)
 	}
@@ -449,7 +429,7 @@ func TestRunBeforeRescheduleInsideWindow(t *testing.T) {
 	if at := e.NextAt(); at != 10 {
 		t.Fatalf("NextAt = %v, want 10", at)
 	}
-	e.RunAll()
+	e.Run(Time(math.Inf(1)))
 	if len(fired) != 2 || fired[1] != "late" {
 		t.Fatalf("drain ran %v, want [first late]", fired)
 	}
@@ -467,8 +447,13 @@ type steadyTimer struct {
 func (t *steadyTimer) fire() {
 	w := t.w
 	w.fired++
-	if w.fired == w.limit {
-		w.e.Stop()
+	if w.fired >= w.limit {
+		// The measured events are done: stop the clock and let the queue
+		// drain without rescheduling.
+		if w.fired == w.limit {
+			w.b.StopTimer()
+		}
+		return
 	}
 	// xorshift64: a fixed stream, so every run dispatches the same events.
 	w.x ^= w.x << 13
@@ -489,6 +474,7 @@ func (t *steadyTimer) fire() {
 }
 
 type steadyWorkload struct {
+	b            *testing.B
 	e            *Engine
 	x            uint64
 	fired, limit int
@@ -499,7 +485,7 @@ type steadyWorkload struct {
 // first fire 30–100 ms in. The chains reschedule at random 30–100 ms delays,
 // or, given fixed latencies, at those, registered as lanes.
 func runSteadyState(b *testing.B, fixed []Time) {
-	w := &steadyWorkload{e: New(), x: 0x9e3779b97f4a7c15}
+	w := &steadyWorkload{b: b, e: New(), x: 0x9e3779b97f4a7c15, limit: math.MaxInt}
 	add := func(n int, lo, hi Time, fixed []Time) {
 		for i := 0; i < n; i++ {
 			t := &steadyTimer{w: w, lo: lo, hi: hi, fixed: fixed}
@@ -517,7 +503,7 @@ func runSteadyState(b *testing.B, fixed []Time) {
 	w.fired, w.limit = 0, b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	w.e.RunAll()
+	w.e.Run(Time(math.Inf(1)))
 }
 
 // BenchmarkEngineSteadyState reports ns per dispatched event on a queue
