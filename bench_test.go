@@ -1,12 +1,12 @@
-// Benchmarks, one per table/figure of the reproduced evaluation (DESIGN.md
-// experiment index). Each benchmark runs a reduced-scale variant of its
-// experiment's workload so `go test -bench=.` finishes in minutes; the
-// full-scale numbers come from `go run ./cmd/dophy-bench`.
+// Benchmarks over reduced-scale variants of the reproduced evaluation's
+// workloads (DESIGN.md experiment index), so `go test -bench=.` finishes in
+// minutes. The full-scale tables come from `go run ./cmd/dophy-bench`, and
+// performance of record (wall time, events/sec, allocations and peak RSS
+// per workload) from the benchmark in bench/ (`bash bench/run.sh`).
 //
-// Fixed seeds keep the work per iteration identical across runs, so ns/op
-// is comparable between machines and commits. Every benchmark calls
-// b.ReportAllocs() so allocs/op regressions in the simulator hot paths are
-// visible without -benchmem.
+// Fixed seeds keep the work per iteration identical across runs, and every
+// benchmark calls b.ReportAllocs() so allocs/op regressions in the
+// simulator hot paths are visible without -benchmem.
 //
 // CI note: these benchmarks are compiled (but skipped) by plain `go test`;
 // a smoke run uses `-bench=BenchmarkT4EndToEnd -benchtime=1x`. None of them

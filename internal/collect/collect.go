@@ -176,10 +176,9 @@ type Network struct {
 	// genFns holds one prebuilt generation handler per node, so periodic
 	// rescheduling does not allocate a fresh closure every packet.
 	genFns []sim.Handler
-	// contFree pools hop continuations (see hopCont): each carrier owns a
-	// single prebuilt handler, so the per-hop forwarding path performs no
-	// closure allocation in steady state.
-	contFree []*hopCont
+	// hops schedules every hop's completion (see hopEnd) on pooled
+	// carriers, so the per-hop forwarding path allocates nothing once warm.
+	hops *sim.Pool[hopEnd]
 	// journeyFree holds finished journeys handed back by Recycle; generate
 	// reuses them before allocating.
 	journeyFree []*PacketJourney
@@ -229,6 +228,7 @@ func NewSharded(cfg Config, eng *sim.Engine, tp *topo.Topology, arq *mac.ARQ, pr
 		fab:     hooks.Fabric,
 		nextSeq: make([]int64, tp.N()),
 	}
+	n.hops = sim.NewPool(eng, n.endHop)
 	if cfg.QueueCap > 0 {
 		n.busy = make([]bool, tp.N())
 		n.queues = make([][]*PacketJourney, tp.N())
@@ -336,7 +336,7 @@ func (n *Network) generate(id topo.NodeID) {
 }
 
 // Arrive admits a packet delivered over the fabric to owned node 'to' —
-// the cross-shard counterpart of the local post-hop continuation. It must
+// the cross-shard counterpart of a hop's local completion. It must
 // run on this instance's engine at the packet's arrival time.
 func (n *Network) Arrive(to topo.NodeID, j *PacketJourney) {
 	n.forward(to, j)
@@ -383,47 +383,24 @@ func (n *Network) release(at topo.NodeID) {
 	n.inv.onRelease(n, at)
 }
 
-// hopCont is a pooled continuation for the post-hop delay: it stands in for
-// the closure transmit would otherwise allocate per hop. Each carrier is
-// created once with a single prebuilt handler bound to itself and returns
-// to the network's pool when it runs.
-type hopCont struct {
-	n      *Network
-	at     topo.NodeID
-	parent topo.NodeID
-	j      *PacketJourney // nil for release-only continuations (QueueCap > 0 only)
-	fn     sim.Handler
+// hopEnd is a hop's completion: node at is released and, when the packet
+// rode the hop, j arrives at parent.
+type hopEnd struct {
+	at, parent topo.NodeID
+	j          *PacketJourney // nil for release-only events (QueueCap > 0 only)
 }
 
-// cont draws a carrier from the pool (or mints one) and arms it.
-func (n *Network) cont(at, parent topo.NodeID, j *PacketJourney) *hopCont {
-	var c *hopCont
-	if k := len(n.contFree); k > 0 {
-		c = n.contFree[k-1]
-		n.contFree[k-1] = nil
-		n.contFree = n.contFree[:k-1]
-	} else {
-		c = &hopCont{n: n}
-		c.fn = c.run
-	}
-	c.at, c.parent, c.j = at, parent, j
-	return c
-}
-
-// run fires the continuation and recycles the carrier.
-func (c *hopCont) run() {
-	n, at, parent, j := c.n, c.at, c.parent, c.j
-	c.j = nil
-	n.contFree = append(n.contFree, c)
-	n.release(at)
-	if j == nil {
+// endHop runs a hop's completion, scheduled through the hops pool.
+func (n *Network) endHop(h hopEnd) {
+	n.release(h.at)
+	if h.j == nil {
 		return
 	}
-	if parent == topo.Sink {
-		n.finish(j, NotDropped)
+	if h.parent == topo.Sink {
+		n.finish(h.j, NotDropped)
 		return
 	}
-	n.forward(parent, j)
+	n.forward(h.parent, h.j)
 }
 
 // transmit performs one hop of j from node at, then schedules the next.
@@ -456,23 +433,23 @@ func (n *Network) transmit(at topo.NodeID, j *PacketJourney) {
 	if n.fab != nil && parent != topo.Sink {
 		// Sharded path: release this node locally when the hop completes and
 		// hand the packet to the fabric, which lands it on the parent's owner
-		// at the same absolute time the local continuation would have run.
-		// Sink deliveries stay on the local continuation so the journey
+		// at the same absolute time the local completion would have run.
+		// Sink deliveries stay on the local completion so the journey
 		// finishes on the forwarder's shard either way.
 		n.releaseAfter(at, delay)
 		n.fab.DeliverData(at, parent, n.eng.Now()+delay, j)
 		return
 	}
-	n.eng.After(delay, n.cont(at, parent, j).fn)
+	n.hops.Schedule(n.eng.Now()+delay, hopEnd{at: at, parent: parent, j: j})
 }
 
 // releaseAfter releases node at when its current hop's delay has passed,
-// on the paths where the packet does not ride the hop continuation. Without
+// on the paths where the packet does not ride the hop's completion. Without
 // bounded queues release has nothing to do, so no event is scheduled and a
 // hop costs one event on either engine.
 func (n *Network) releaseAfter(at topo.NodeID, delay sim.Time) {
 	if n.cfg.QueueCap > 0 {
-		n.eng.After(delay, n.cont(at, 0, nil).fn)
+		n.hops.Schedule(n.eng.Now()+delay, hopEnd{at: at})
 	}
 }
 

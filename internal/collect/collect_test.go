@@ -439,7 +439,7 @@ func TestRecycleDropsLongHopBuffers(t *testing.T) {
 
 // TestForwardPathAllocFree runs a lossy chain at steady state, recycling
 // every finished journey, and requires the forwarding path to allocate
-// nothing once the journey and continuation pools and the event queue are
+// nothing once the journey and hop-completion pools and the event queue are
 // warm: with unbounded queues, and with bounded ones at relays kept busy
 // enough to queue and drop packets.
 func TestForwardPathAllocFree(t *testing.T) {
@@ -509,7 +509,7 @@ func (c *hopCounter) OnDrop(*PacketJourney)    {}
 
 // TestHopEventCount pins the events a packet costs on a lossy chain, on the
 // plain engine and through a fabric. Without bounded queues a generation
-// is one event and a hop is one event, its continuation or its fabric
+// is one event and a hop is one event, its completion or its fabric
 // arrival; a retries drop schedules nothing. With bounded queues release
 // frees the sender and starts its next queued packet, so every retries
 // drop, and every hop handed to the fabric, adds a release event.

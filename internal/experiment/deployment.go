@@ -12,7 +12,8 @@ import (
 )
 
 // engine is what a deployment needs of its simulator once it is built:
-// *sim.Engine on the plain engine, *shard.Engine on the sharded one.
+// *sim.Engine on the plain engine, *shard.Engine[delivery] on the sharded
+// one.
 type engine interface {
 	Run(until sim.Time) sim.Time
 	Processed() uint64

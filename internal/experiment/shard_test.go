@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -166,46 +167,35 @@ func TestJourneysReturnHome(t *testing.T) {
 	}
 }
 
-// TestFabricCarriersReturnHome pins the fabric's carrier pool at two
-// shards. After every epoch no carrier is still parked away from home,
-// every idle carrier sits on its home shard's free list, and the set of
-// carriers ever seen idle stops growing once the pools are warm. A pool
-// that kept carriers on the shard they last ran on would drain toward the
-// sink's shard, which data hops flow into, and fail all but the first
-// check. Warm pools still gain the odd carrier when the number in flight
-// sets a new peak (85 after epoch 3, 92 after epoch 12), so growth is
-// bounded by a quarter; the draining pool grows by about a thousand
-// carriers an epoch.
-func TestFabricCarriersReturnHome(t *testing.T) {
+// TestShardedWarmEpochAllocs pins the fabric's allocation at two shards:
+// once the event pools are warm, an epoch allocates a small bounded amount
+// however many beacons and hops cross the shard boundary. Warm epochs read
+// 28–37 mallocs; a pool that never parked its carriers would bind a handler
+// per beacon and per hop, and make a block of carriers every 64 of them,
+// tens of thousands of mallocs an epoch.
+func TestShardedWarmEpochAllocs(t *testing.T) {
 	sc := shardTestScenario()
 	sc.Schemes = 0
 	sc.EpochLen = 60
 	s := NewShardedSession(sc, DefaultShardSpec(2))
 	defer s.Close()
-	const epochs, warm = 12, 3
-	seen := map[*carrier]bool{}
-	pooled := make([]int, 0, epochs)
+	const epochs, warm, limit = 12, 4, 200
+	mallocs := make([]uint64, 0, epochs)
+	var before, after runtime.MemStats
 	for e := 1; e <= epochs; e++ {
+		runtime.ReadMemStats(&before)
 		s.RunEpoch()
-		for k, f := range s.fabs {
-			if len(f.away) != 0 {
-				t.Fatalf("epoch %d: shard %d still parks %d carriers of other shards", e, k, len(f.away))
-			}
-			for _, c := range f.free {
-				if c.home != f {
-					t.Fatalf("epoch %d: shard %d's free list holds a carrier homed on shard %d", e, k, c.home.src)
-				}
-				seen[c] = true
-			}
-		}
-		pooled = append(pooled, len(seen))
+		runtime.ReadMemStats(&after)
+		mallocs = append(mallocs, after.Mallocs-before.Mallocs)
 	}
 	if s.Stats().Exchanged == 0 {
-		t.Fatal("no cross-shard message: the scenario does not exercise the away lists")
+		t.Fatal("no cross-shard message: the scenario does not exercise the fabric")
 	}
-	t.Logf("carriers seen after each epoch: %v", pooled)
-	if 4*pooled[epochs-1] > 5*pooled[warm-1] {
-		t.Fatalf("pooled carriers grew by more than a quarter after epoch %d: %v", warm, pooled)
+	t.Logf("mallocs per epoch: %v", mallocs)
+	for e, m := range mallocs[warm:] {
+		if m >= limit {
+			t.Fatalf("epoch %d made %d mallocs, want fewer than %d once warm: %v", warm+e+1, m, limit, mallocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"dophy/internal/collect"
 	"dophy/internal/mac"
@@ -45,102 +46,20 @@ type ShardStats struct {
 	Exchanged uint64 // cross-shard messages delivered at barriers
 }
 
-// shardFabric carries beacons and data packets between nodes for one
-// source shard. It implements routing.Fabric and collect.Fabric. Every
-// delivery rides a pooled carrier (see carrier) taken from the sending
-// shard's free list, so neither a beacon nor a data hop allocates once the
-// pools are warm. Each shard gets its own instance so both lists below have
-// one writer at a time: the shard's worker inside a window, the coordinator
-// at the barrier.
-type shardFabric struct {
-	s   *ShardedSession
-	src topo.ShardID
-	// free holds idle carriers homed on this shard. Only carriers whose
-	// home is this fabric are ever on it.
-	free []*carrier
-	// away holds carriers homed on other shards that have run on this one;
-	// flush returns them home.
-	away []*carrier
+// delivery is one fabric message, carried by value to the receiver's
+// shard: a beacon receipt (j == nil), or a packet arriving at ends.to.
+type delivery struct {
+	ends ends
+	seq  int64
+	adv  float64
+	// j is an in-flight journey; the sending shard may not touch it again.
+	j *collect.PacketJourney
 }
 
-// carrier is a pooled, pre-bound delivery: a beacon receipt (j == nil) or a
-// packet arrival on shard dst, the sharded counterpart of collect's hopCont.
-// fn is bound to run once, when the carrier is made, so scheduling it
-// allocates nothing. A carrier always returns to its home fabric's free
-// list: directly when it ran there, through the running shard's away list
-// and flush when it ran on another shard. Returning it to the running
-// shard instead would drain the pools toward the sink's shard, since data
-// hops flow toward the sink.
-type carrier struct {
-	home     *shardFabric
-	dst      topo.ShardID
-	to, from topo.NodeID
-	seq      int64
-	adv      float64
-	// j is an in-flight journey: collect recycles only finished ones, and
-	// run clears j before the carrier is reused.
-	j  *collect.PacketJourney
-	fn sim.Handler
-}
-
-// run is the carrier's continuation on shard dst: it reads its payload into
-// locals, parks itself for reuse, and only then delivers. The delivery may
-// take the same carrier from the pool, so no field of c may be touched
-// after it is parked.
-func (c *carrier) run() {
-	home, dst, to, from, seq, adv, j := c.home, c.dst, c.to, c.from, c.seq, c.adv, c.j
-	c.j = nil
-	s := home.s
-	// c is parked; the next carrier() on its home shard owns it
-	if dst == home.src {
-		home.free = append(home.free, c)
-	} else {
-		here := s.fabs[dst]
-		here.away = append(here.away, c)
-	}
-	if j == nil {
-		s.protos[dst].ReceiveBeacon(to, from, seq, adv)
-		return
-	}
-	s.nws[dst].Arrive(to, j)
-}
-
-// carrier takes an idle carrier from this shard's pool, or makes one.
-func (f *shardFabric) carrier(dst topo.ShardID, to, from topo.NodeID) *carrier {
-	if n := len(f.free); n > 0 {
-		c := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		c.dst, c.to, c.from = dst, to, from
-		return c
-	}
-	// Pool miss: allocates only until the pool warms up.
-	c := &carrier{home: f, dst: dst, to: to, from: from}
-	c.fn = c.run
-	return c
-}
-
-// DeliverData lands j on its next hop's owning shard at absolute time at.
-// transmit guarantees at is at least HopDelay+TxTime in the future, which
-// the session's lookahead never exceeds, so cross-shard sends always clear
-// the current window.
-func (f *shardFabric) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
-	s := f.s
-	dst := s.owner[to]
-	c := f.carrier(dst, to, from)
-	c.j = j // the carrier owns j until it lands; this shard may not touch it again
-	s.coord.Send(f.src, at, from, dst, c.fn)
-}
-
-// DeliverBeacon applies a received beacon on the receiver's owning shard
-// one lookahead window (the data-plane latency floor) after it was sent.
-func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
-	s := f.s
-	dst := s.owner[to]
-	c := f.carrier(dst, to, from)
-	c.seq, c.adv = seq, advertisedETX
-	s.coord.Send(f.src, s.coord.Sub(f.src).Now()+s.lookahead, from, dst, c.fn)
-}
+// ends is a message's receiver and sender, as int32 so that a delivery is
+// four words, which Go keeps in registers on its way into a pooled carrier
+// (DESIGN.md, "Fabric messages", has the profile).
+type ends struct{ to, from int32 }
 
 // ShardedSession is the deployment on the sharded engine: one complete
 // deployment split across sp.Shards engines, with every built scheme fed
@@ -155,12 +74,16 @@ func (f *shardFabric) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedE
 // whose single goroutine feeds them in that order while the workers run the
 // next window. Windows partition virtual time, so the concatenation of
 // per-window flushes is itself globally sorted and identical at any K.
+//
+// The session is also the fabric (collect.Fabric and routing.Fabric) of
+// every shard's stack: a beacon or a data hop leaves as a delivery sent
+// from its sender's shard, and the shard engine lands it on the receiver's
+// shard through that shard's own event pool.
 type ShardedSession struct {
 	deployment
 	lookahead sim.Time
-	coord     *shard.Engine // the deployment's engine; windowing happens inside it
+	coord     *shard.Engine[delivery] // the deployment's engine; windowing happens inside it
 	cutLinks  int
-	fabs      []*shardFabric
 	// bufs holds the journeys completed since the last flush, per shard,
 	// until the flush hands them to the sink stage, which recycles them.
 	bufs   [][]*collect.PacketJourney
@@ -190,6 +113,9 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	}
 
 	tp, model, root := sc.Deploy()
+	if tp.N() > math.MaxInt32 {
+		panic(fmt.Sprintf("experiment: %d nodes do not fit a delivery's int32 ids", tp.N()))
+	}
 	lt := tp.LinkTable()
 	// One stream per node, derived before any per-shard construction so the
 	// streams are identical at every shard count.
@@ -197,13 +123,9 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 
 	owner := tp.Partition(sp.Shards)
 	_, cut := lt.CrossShard(owner)
-	coord := shard.New(shard.Config{Shards: sp.Shards, Lookahead: lookahead, Nodes: tp.N()})
-	s := &ShardedSession{
-		deployment: newDeployment(sc, tp, coord, owner, sp.Shards),
-		lookahead:  lookahead, coord: coord, cutLinks: cut,
-		fabs: make([]*shardFabric, sp.Shards),
-		bufs: make([][]*collect.PacketJourney, sp.Shards),
-	}
+	s := &ShardedSession{lookahead: lookahead, cutLinks: cut, bufs: make([][]*collect.PacketJourney, sp.Shards)}
+	s.coord = shard.New(shard.Config{Shards: sp.Shards, Lookahead: lookahead, Nodes: tp.N()}, s.arrive)
+	s.deployment = newDeployment(sc, tp, s.coord, owner, sp.Shards)
 	for k := range s.nws {
 		id := topo.ShardID(k)
 		owned := make([]bool, tp.N())
@@ -220,27 +142,52 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 			// advanced only by its sender's shard.
 			model = sc.Radio.Build(tp, sc.Seed^radioSeedMix)
 		}
-		fab := &shardFabric{s: s, src: id}
-		sub := coord.Sub(id)
+		sub := s.coord.Sub(id)
 		// Same-shard beacons land exactly one lookahead after they are sent.
 		sub.Lane(lookahead)
 		rec := trace.NewRecorder(lt)
 		arq := mac.New(sc.Mac, model, root.Split(), rec)
 		arq.UsePerNodeRNG(streams)
 		proto := routing.NewSharded(sc.Routing, sub, tp, model, root.Split(), rec,
-			routing.ShardHooks{Owned: owned, PerNode: streams, Fabric: fab})
+			routing.ShardHooks{Owned: owned, PerNode: streams, Fabric: s})
 		nw := collect.NewSharded(sc.Collect, sub, tp, arq, proto, root.Split(), rec,
-			collect.ShardHooks{Owned: owned, PerNode: streams, Fabric: fab})
+			collect.ShardHooks{Owned: owned, PerNode: streams, Fabric: s})
 		nw.Subscribe(func(j *collect.PacketJourney) { s.bufferJourney(id, j) })
-		s.recs[k], s.protos[k], s.nws[k], s.fabs[k] = rec, proto, nw, fab
+		s.recs[k], s.protos[k], s.nws[k] = rec, proto, nw
 	}
 
 	s.bank = newSchemeBank(sc, tp, &s.deployment)
 	// Handing journeys to the sink at every barrier (rather than at epoch
 	// ends) bounds journey buffering to one window's worth of completions.
-	coord.OnBarrier(s.flush)
+	s.coord.OnBarrier(s.flush)
 	s.start()
 	return s
+}
+
+// DeliverData lands j on its next hop's owning shard at absolute time at.
+// transmit guarantees at is at least HopDelay+TxTime in the future, which
+// the session's lookahead never exceeds, so cross-shard sends always clear
+// the current window.
+func (s *ShardedSession) DeliverData(from, to topo.NodeID, at sim.Time, j *collect.PacketJourney) {
+	s.coord.Send(s.owner[from], at, from, s.owner[to], delivery{ends: ends{int32(to), int32(from)}, j: j})
+}
+
+// DeliverBeacon applies a received beacon on the receiver's owning shard
+// one lookahead window (the data-plane latency floor) after it was sent.
+func (s *ShardedSession) DeliverBeacon(from, to topo.NodeID, seq int64, advertisedETX float64) {
+	src := s.owner[from]
+	s.coord.Send(src, s.coord.Sub(src).Now()+s.lookahead, from, s.owner[to],
+		delivery{ends: ends{int32(to), int32(from)}, seq: seq, adv: advertisedETX})
+}
+
+// arrive lands a delivery on shard dst, the receiver's, at its arrival
+// time.
+func (s *ShardedSession) arrive(dst topo.ShardID, d delivery) {
+	if d.j == nil {
+		s.protos[dst].ReceiveBeacon(topo.NodeID(d.ends.to), topo.NodeID(d.ends.from), d.seq, d.adv)
+		return
+	}
+	s.nws[dst].Arrive(topo.NodeID(d.ends.to), d.j)
 }
 
 // bufferJourney parks a journey completed by shard k until the next flush.
@@ -251,20 +198,12 @@ func (s *ShardedSession) bufferJourney(k topo.ShardID, j *collect.PacketJourney)
 	s.bufs[k] = append(s.bufs[k], j)
 }
 
-// flush returns every carrier parked away from home to its home pool, then
-// drains every shard's completed-journey buffer in (Completed, Origin, Seq)
-// order — a pure function of simulation behaviour, so the global feed
-// sequence is identical at every shard count — and hands it to the scheme
-// bank's sink stage. Runs on the coordinator at every window barrier, at
-// every shard count.
+// flush drains every shard's completed-journey buffer in (Completed,
+// Origin, Seq) order — a pure function of simulation behaviour, so the
+// global feed sequence is identical at every shard count — and hands it to
+// the scheme bank's sink stage. Runs on the coordinator at every window
+// barrier, at every shard count.
 func (s *ShardedSession) flush() {
-	for _, f := range s.fabs {
-		for i, c := range f.away {
-			c.home.free = append(c.home.free, c)
-			f.away[i] = nil
-		}
-		f.away = f.away[:0]
-	}
 	m := s.fmerge[:0]
 	for k := range s.bufs {
 		b := s.bufs[k]

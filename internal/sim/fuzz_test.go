@@ -19,6 +19,10 @@ const (
 	opRunBefore
 	opLane
 	numOps
+	// opPoolSchedule is opSchedule through a Pool, the children of its
+	// event too; the schedule byte's next bit picks it, so the input
+	// encodings of the other operations stay as they were.
+	opPoolSchedule = numOps
 )
 
 // maxFuzzLanes caps the lanes one fuzz program registers.
@@ -26,7 +30,7 @@ const maxFuzzLanes = 2
 
 type fuzzOp struct {
 	kind  int
-	event int  // opSchedule: root event index
+	event int  // opSchedule, opPoolSchedule: root event index
 	off   Time // opRun/opRunBefore: horizon relative to Now, may be negative; opLane: the latency
 }
 
@@ -68,6 +72,9 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 		op := fuzzOp{kind: int(b % numOps)}
 		switch op.kind {
 		case opSchedule:
+			if b/numOps%2 == 1 {
+				op.kind = opPoolSchedule
+			}
 			op.event = newEvent(0)
 		case opRun, opRunBefore:
 			op.off = Time(int(b/numOps%12)-3) / 4
@@ -168,12 +175,23 @@ func runFuzzOnEngine(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 			}
 		})
 	}
+	// A pooled event's handler schedules its children through the pool it
+	// runs from, reusing its own carrier for the first.
+	var pool *Pool[int]
+	pool = NewPool(e, func(id int) {
+		log = append(log, fuzzFired{id, e.Now()})
+		for _, c := range p.events[id].children {
+			pool.Schedule(e.Now()+p.events[c].delta, c)
+		}
+	})
 	var obs []fuzzObs
 	for _, op := range p.ops {
 		var ret Time
 		switch op.kind {
 		case opSchedule:
 			schedule(op.event)
+		case opPoolSchedule:
+			pool.Schedule(e.Now()+p.events[op.event].delta, op.event)
 		case opRun:
 			ret = e.Run(e.Now() + op.off)
 		case opRunBefore:
@@ -204,7 +222,7 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 	for _, op := range p.ops {
 		var ret Time
 		switch op.kind {
-		case opSchedule:
+		case opSchedule, opPoolSchedule:
 			schedule(op.event)
 		case opRun:
 			ret = r.run(r.now + op.off)
@@ -218,12 +236,12 @@ func runFuzzOnRef(p *fuzzProgram) ([]fuzzFired, []fuzzObs) {
 }
 
 // FuzzEventOrder replays random Schedule (at equal and distinct times, from
-// the top level and from inside handlers), Run and RunBefore sequences,
-// with up to two fixed-latency lanes registered along the way, against
-// refEngine and requires the same handler order, the same Now() inside
-// every handler, and the same clock, Processed, Pending and NextAt after
-// every operation. The oracle knows nothing of lanes: they
-// must not change the order.
+// the top level and from inside handlers, directly and through a Pool),
+// Run and RunBefore sequences, with up to two fixed-latency lanes
+// registered along the way, against refEngine and requires the same handler
+// order, the same Now() inside every handler, and the same clock,
+// Processed, Pending and NextAt after every operation. The oracle knows
+// nothing of lanes or pools: they must not change the order.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
 	f.Add([]byte{0, 200, 0, 130, 4, 70, 2, 45, 1, 9, 0, 255, 3, 17, 2})
@@ -232,6 +250,8 @@ func FuzzEventOrder(f *testing.F) {
 	// registered while the 0.5 s lane holds events.
 	f.Add([]byte{7, 0, 201, 6, 11, 10, 11, 0, 137, 7, 16, 41, 0, 201, 6, 11, 10, 22})
 	f.Add([]byte{11, 0, 137, 7, 12, 0, 7, 7, 0, 201, 6, 11, 10, 41, 0, 137, 7, 16})
+	// The same lanes with pooled schedules (4, 12) beside plain ones (0, 8).
+	f.Add([]byte{7, 4, 201, 6, 11, 10, 0, 137, 7, 12, 41, 0, 8, 201, 6, 11, 10, 22})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeFuzzProgram(data)
 		gotLog, gotObs := runFuzzOnEngine(p)

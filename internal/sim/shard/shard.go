@@ -11,12 +11,13 @@
 // the parallel execution is equivalent to the sequential one.
 //
 // Cross-shard interactions are not applied directly: the sending shard
-// appends a message to its private outbox via Send, and at the window
-// barrier the coordinator merges all outboxes, sorts them by
-// (arrival time, origin node, per-origin sequence) and schedules them on
-// the destination shards. The sort key is a pure function of the
-// simulation's behaviour — shard numbering never enters it — so the merge
-// order, and with it the entire run, is identical at any shard count.
+// appends a message, a value of the engine's payload type, to its private
+// outbox via Send, and at the window barrier the coordinator merges all
+// outboxes, sorts them by (arrival time, origin node, per-origin sequence)
+// and schedules them on the destination shards. The sort key is a pure
+// function of the simulation's behaviour — shard numbering never enters
+// it — so the merge order, and with it the entire run, is identical at any
+// shard count.
 // Per-node RNG streams (rng.Derive) complete the argument: no draw order
 // depends on how nodes interleave across shards.
 //
@@ -25,9 +26,11 @@
 // touching any shard state (both directions establish happens-before).
 // Shard 0 always runs on the caller's goroutine, so one shard runs the same
 // windows and barriers as K >= 2 with no worker goroutine. All cross-shard
-// traffic flows through the outbox merge at window barriers. The race
-// detector, TestShardedByteDeterminism and TestFabricCarriersReturnHome
-// check the sharing discipline.
+// traffic flows through the outbox merge at window barriers, as values:
+// each shard schedules its arrivals through a sim.Pool of its own, used by
+// the shard inside a window and by the coordinator at a barrier, so no
+// carrier or handler ever crosses a shard boundary. The race detector and
+// TestShardedByteDeterminism check the sharing discipline.
 package shard
 
 import (
@@ -56,19 +59,19 @@ type Config struct {
 
 // msg is one cross-shard interaction, parked in an outbox until the next
 // barrier.
-type msg struct {
+type msg[P any] struct {
 	at     sim.Time
-	origin topo.NodeID // node whose handler produced the message
 	seq    uint64      // per-origin counter; breaks (at, origin) ties
+	origin topo.NodeID // node whose handler produced the message
 	dst    topo.ShardID
-	fn     sim.Handler
+	p      P
 }
 
 // compareMsgs is the barrier merge order: (arrival time, origin node,
 // per-origin seq), a pure function of simulation behaviour — shard
 // numbering never enters it, so the merge is a total order identical at any
 // shard count. FuzzMergeKeyTotalOrder pins exactly that property.
-func compareMsgs(a, b msg) int {
+func compareMsgs[P any](a, b msg[P]) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c
 	}
@@ -78,14 +81,16 @@ func compareMsgs(a, b msg) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// Engine coordinates the per-shard sub-engines.
-type Engine struct {
-	cfg       Config        // sizing, fixed at New
-	subs      []*sim.Engine // each shard runs its own engine inside windows
-	outbox    [][]msg       // indexed by source shard; written only by that shard's worker inside a window
-	seqs      []uint64      // per-origin message counters; touched only by the origin's owner shard
-	merged    []msg         // barrier merge scratch
-	windowEnd sim.Time      // horizon of the window in flight; set before workers start
+// Engine coordinates the per-shard sub-engines. Its messages carry a
+// payload of type P, which New's arrive receives on the destination shard.
+type Engine[P any] struct {
+	cfg       Config         // sizing, fixed at New
+	subs      []*sim.Engine  // each shard runs its own engine inside windows
+	arrivals  []*sim.Pool[P] // shard s's arrivals, scheduled on subs[s]
+	outbox    [][]msg[P]     // indexed by source shard; written only by that shard's worker inside a window
+	seqs      []uint64       // per-origin message counters; touched only by the origin's owner shard
+	merged    []msg[P]       // barrier merge scratch
+	windowEnd sim.Time       // horizon of the window in flight; set before workers start
 	windows   uint64
 	exchanged uint64
 	barrier   func()
@@ -95,48 +100,53 @@ type Engine struct {
 	done      chan struct{}
 }
 
-// New returns an engine with cfg.Shards empty sub-engines, clocks at zero.
-// Lookahead must be positive at every shard count: Run advances time one
-// window of that length at a time. Callers that started worker goroutines
-// by running with more than one shard must Close the engine when done.
-func New(cfg Config) *Engine {
+// New returns an engine with cfg.Shards empty sub-engines, clocks at zero,
+// whose messages run arrive(dst, p) on their destination shard dst at their
+// arrival time. Lookahead must be positive at every shard count: Run
+// advances time one window of that length at a time. Callers that started
+// worker goroutines by running with more than one shard must Close the
+// engine when done.
+func New[P any](cfg Config, arrive func(dst topo.ShardID, p P)) *Engine[P] {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("shard: %d shards", cfg.Shards))
 	}
 	if !(cfg.Lookahead > 0) {
 		panic(fmt.Sprintf("shard: lookahead %v must be positive", cfg.Lookahead))
 	}
-	e := &Engine{
-		cfg:    cfg,
-		subs:   make([]*sim.Engine, cfg.Shards),
-		outbox: make([][]msg, cfg.Shards),
-		seqs:   make([]uint64, cfg.Nodes),
-		start:  make([]chan sim.Time, cfg.Shards),
-		done:   make(chan struct{}, cfg.Shards),
+	e := &Engine[P]{
+		cfg:      cfg,
+		subs:     make([]*sim.Engine, cfg.Shards),
+		arrivals: make([]*sim.Pool[P], cfg.Shards),
+		outbox:   make([][]msg[P], cfg.Shards),
+		seqs:     make([]uint64, cfg.Nodes),
+		start:    make([]chan sim.Time, cfg.Shards),
+		done:     make(chan struct{}, cfg.Shards),
 	}
 	for i := range e.subs {
+		dst := topo.ShardID(i)
 		e.subs[i] = sim.New()
+		e.arrivals[i] = sim.NewPool(e.subs[i], func(p P) { arrive(dst, p) })
 		e.start[i] = make(chan sim.Time, 1)
 	}
 	return e
 }
 
 // Shards returns the configured shard count.
-func (e *Engine) Shards() int { return e.cfg.Shards }
+func (e *Engine[P]) Shards() int { return e.cfg.Shards }
 
 // Sub returns shard s's engine. Handlers owned by shard s must schedule
 // local work exclusively through it.
-func (e *Engine) Sub(s topo.ShardID) *sim.Engine { return e.subs[s] }
+func (e *Engine[P]) Sub(s topo.ShardID) *sim.Engine { return e.subs[s] }
 
 // Windows returns the number of parallel windows executed so far.
-func (e *Engine) Windows() uint64 { return e.windows }
+func (e *Engine[P]) Windows() uint64 { return e.windows }
 
 // Exchanged returns the number of cross-shard messages delivered so far.
-func (e *Engine) Exchanged() uint64 { return e.exchanged }
+func (e *Engine[P]) Exchanged() uint64 { return e.exchanged }
 
 // Processed sums the events executed by all shards. It reads every shard's
 // event counter, so it may only run with the workers parked.
-func (e *Engine) Processed() uint64 {
+func (e *Engine[P]) Processed() uint64 {
 	var total uint64
 	for _, s := range e.subs {
 		total += s.Processed()
@@ -144,17 +154,18 @@ func (e *Engine) Processed() uint64 {
 	return total
 }
 
-// Send parks a cross-shard interaction: fn will run on shard dst's engine
-// at absolute time at. It must be called from a handler executing on shard
-// src (the caller guarantees origin is owned by src), with at no earlier
-// than the current window's horizon — the conservative-lookahead contract.
-// Violating it panics, like scheduling in the past does on a plain engine.
+// Send parks a cross-shard interaction: arrive(dst, p) will run on shard
+// dst's engine at absolute time at. It must be called from a handler
+// executing on shard src (the caller guarantees origin is owned by src),
+// with at no earlier than the current window's horizon — the
+// conservative-lookahead contract. Violating it panics, like scheduling in
+// the past does on a plain engine.
 //
 // Same-shard sends short-circuit to a direct Schedule; the outbox and the
 // barrier merge exist only for genuinely cross-shard traffic.
-func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst topo.ShardID, fn sim.Handler) {
+func (e *Engine[P]) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst topo.ShardID, p P) {
 	if src == dst {
-		e.subs[src].Schedule(at, fn)
+		e.arrivals[src].Schedule(at, p)
 		return
 	}
 	if at < e.windowEnd {
@@ -163,8 +174,7 @@ func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst top
 	}
 	seq := e.seqs[origin]
 	e.seqs[origin] = seq + 1
-	// fn crosses the shard boundary at the next barrier merge
-	e.outbox[src] = append(e.outbox[src], msg{at: at, origin: origin, seq: seq, dst: dst, fn: fn})
+	e.outbox[src] = append(e.outbox[src], msg[P]{at: at, seq: seq, origin: origin, dst: dst, p: p})
 }
 
 // OnBarrier registers fn to run on the coordinator after every window's
@@ -172,14 +182,14 @@ func (e *Engine) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst top
 // barrier while fn runs, so it may freely inspect and drain state the
 // shards produced during the window (journey buffers, counters). Every
 // window ends in a barrier at every shard count, one shard included.
-func (e *Engine) OnBarrier(fn func()) { e.barrier = fn }
+func (e *Engine[P]) OnBarrier(fn func()) { e.barrier = fn }
 
 // Run executes events until every shard's clock reaches until (exclusive of
 // events at exactly until, which stay queued for the next call), in
 // lookahead windows that each end in a barrier. The windows depend only on
 // the pending event times, so a schedule runs the same windows at every
 // shard count.
-func (e *Engine) Run(until sim.Time) sim.Time {
+func (e *Engine[P]) Run(until sim.Time) sim.Time {
 	e.ensureWorkers()
 	for {
 		next := sim.Time(math.Inf(1))
@@ -212,7 +222,7 @@ func (e *Engine) Run(until sim.Time) sim.Time {
 
 // ensureWorkers lazily starts one goroutine per shard beyond the first;
 // shard 0 always runs on the caller's goroutine.
-func (e *Engine) ensureWorkers() {
+func (e *Engine[P]) ensureWorkers() {
 	if e.started {
 		return
 	}
@@ -224,7 +234,7 @@ func (e *Engine) ensureWorkers() {
 
 // worker is shard i's goroutine body. It only ever touches shard i's
 // engine, projected through the typed index.
-func (e *Engine) worker(i topo.ShardID) {
+func (e *Engine[P]) worker(i topo.ShardID) {
 	for end := range e.start[i] {
 		e.subs[i].RunBefore(end)
 		e.done <- struct{}{}
@@ -235,7 +245,7 @@ func (e *Engine) worker(i topo.ShardID) {
 // shards in parallel. The start sends publish windowEnd and all prior
 // barrier state to the workers; the done receives publish every shard's
 // queue and outbox back to the coordinator.
-func (e *Engine) runWindow(end sim.Time) {
+func (e *Engine[P]) runWindow(end sim.Time) {
 	e.windowEnd = end
 	e.windows++
 	for i := 1; i < e.cfg.Shards; i++ {
@@ -249,29 +259,31 @@ func (e *Engine) runWindow(end sim.Time) {
 
 // deliver merges every shard's outbox in compareMsgs order — a key
 // independent of the shard count — and schedules the messages on their
-// destination shards. The key is a strict total order, so the unstable
-// sort gives the one order any stable sort would; slices.SortFunc also
-// needs neither a closure nor a reflective swapper, so a barrier allocates
-// nothing once merged has grown.
-func (e *Engine) deliver() {
+// destination shards through their own pools: every worker is parked, so
+// the coordinator may use them. The key is a strict total order, so the
+// unstable sort gives the one order any stable sort would; slices.SortFunc
+// also needs neither a closure nor a reflective swapper, so a barrier
+// allocates nothing once merged has grown.
+func (e *Engine[P]) deliver() {
 	m := e.merged[:0]
-	for s := range e.outbox {
-		m = append(m, e.outbox[s]...)
-		e.outbox[s] = e.outbox[s][:0]
+	for s, out := range e.outbox {
+		m = append(m, out...)
+		clear(out) // the buffers are reused; hold no payload in them
+		e.outbox[s] = out[:0]
 	}
 	if len(m) > 1 {
-		slices.SortFunc(m, compareMsgs)
+		slices.SortFunc(m, compareMsgs[P])
 	}
 	for i := range m {
-		e.subs[m[i].dst].Schedule(m[i].at, m[i].fn)
-		m[i].fn = nil // drop the handler's reference; merged is reused
+		e.arrivals[m[i].dst].Schedule(m[i].at, m[i].p)
 	}
+	clear(m)
 	e.exchanged += uint64(len(m))
 	e.merged = m[:0]
 }
 
 // Close stops the worker goroutines. The engine must not be Run again.
-func (e *Engine) Close() {
+func (e *Engine[P]) Close() {
 	if e.closed {
 		return
 	}

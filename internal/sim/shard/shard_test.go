@@ -12,6 +12,12 @@ import (
 	"dophy/internal/topo"
 )
 
+// newEngine returns an engine whose messages are handlers, each run as it
+// arrives.
+func newEngine(cfg Config) *Engine[sim.Handler] {
+	return New(cfg, func(_ topo.ShardID, fn sim.Handler) { fn() })
+}
+
 // runWorkload drives a synthetic message-passing workload over n nodes
 // partitioned into k contiguous shards and returns one execution log per
 // node. Every node draws only from its own rng.Derive stream and logs only
@@ -24,7 +30,7 @@ func runWorkload(t *testing.T, seed uint64, n, k int, until sim.Time) []string {
 	for i := range owner {
 		owner[i] = topo.ShardID(i * k / n)
 	}
-	e := New(Config{Shards: k, Lookahead: lookahead, Nodes: n})
+	e := newEngine(Config{Shards: k, Lookahead: lookahead, Nodes: n})
 	defer e.Close()
 
 	logs := make([]strings.Builder, n)
@@ -85,7 +91,7 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 }
 
 func TestSendDeliversAtExactTime(t *testing.T) {
-	e := New(Config{Shards: 2, Lookahead: 1, Nodes: 4})
+	e := newEngine(Config{Shards: 2, Lookahead: 1, Nodes: 4})
 	defer e.Close()
 	var remote, local sim.Time
 	e.Sub(0).Schedule(0.5, func() {
@@ -107,7 +113,7 @@ func TestSendDeliversAtExactTime(t *testing.T) {
 }
 
 func TestLookaheadViolationPanics(t *testing.T) {
-	e := New(Config{Shards: 2, Lookahead: 1, Nodes: 2})
+	e := newEngine(Config{Shards: 2, Lookahead: 1, Nodes: 2})
 	defer e.Close()
 	e.Sub(0).Schedule(0.5, func() {
 		// Arrival inside the current window: conservative contract broken.
@@ -122,7 +128,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestIdleGapsSkipWindows(t *testing.T) {
-	e := New(Config{Shards: 2, Lookahead: 0.01, Nodes: 2})
+	e := newEngine(Config{Shards: 2, Lookahead: 0.01, Nodes: 2})
 	defer e.Close()
 	fired := 0
 	e.Sub(0).Schedule(0, func() { fired++ })
@@ -150,7 +156,7 @@ func TestRunHorizonIsExclusive(t *testing.T) {
 	windows := map[int]uint64{}
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			e := New(Config{Shards: k, Lookahead: 0.5, Nodes: k})
+			e := newEngine(Config{Shards: k, Lookahead: 0.5, Nodes: k})
 			defer e.Close()
 			barriers := uint64(0)
 			e.OnBarrier(func() { barriers++ })
@@ -196,13 +202,13 @@ func TestNewRejectsBadConfig(t *testing.T) {
 					t.Fatalf("New(%+v) did not panic", cfg)
 				}
 			}()
-			New(cfg)
+			newEngine(cfg)
 		})
 	}
 }
 
 func TestProcessedSumsShards(t *testing.T) {
-	e := New(Config{Shards: 2, Lookahead: 0.5, Nodes: 2})
+	e := newEngine(Config{Shards: 2, Lookahead: 0.5, Nodes: 2})
 	defer e.Close()
 	for i := 0; i < 5; i++ {
 		e.Sub(0).Schedule(sim.Time(i)+0.1, func() {})
@@ -228,29 +234,31 @@ func FuzzMergeKeyTotalOrder(f *testing.F) {
 		// Decode a message multiset: coarse timestamps force (at) ties, and
 		// per-origin counters mirror how Send stamps seqs, so the full
 		// (at, origin, seq) key is unique by construction.
-		var msgs []msg
+		// Each message's payload is its index in msgs, so the check below
+		// compares whole messages, not only their keys.
+		var msgs []msg[int]
 		seqs := map[topo.NodeID]uint64{}
 		for i := 0; i+1 < len(data); i += 2 {
 			origin := topo.NodeID(data[i] % 7)
 			at := sim.Time(data[i+1]%5) / 4
-			msgs = append(msgs, msg{at: at, origin: origin, seq: seqs[origin]})
+			msgs = append(msgs, msg[int]{at: at, origin: origin, seq: seqs[origin], p: len(msgs)})
 			seqs[origin]++
 		}
 
 		// merge mimics deliver: group each message into its origin's outbox
 		// under a k-shard owner map, concatenate the outboxes in shard
 		// order, and sort by the merge key.
-		merge := func(k int) []msg {
-			out := make([][]msg, k)
+		merge := func(k int) []msg[int] {
+			out := make([][]msg[int], k)
 			for _, mm := range msgs {
 				s := int(mm.origin) % k
 				out[s] = append(out[s], mm)
 			}
-			var m []msg
+			var m []msg[int]
 			for s := range out {
 				m = append(m, out[s]...)
 			}
-			slices.SortFunc(m, compareMsgs)
+			slices.SortFunc(m, compareMsgs[int])
 			return m
 		}
 
@@ -263,7 +271,7 @@ func FuzzMergeKeyTotalOrder(f *testing.F) {
 		for _, k := range []int{2, 3, 4, 5} {
 			got := merge(k)
 			for i := range want {
-				if got[i].at != want[i].at || got[i].origin != want[i].origin || got[i].seq != want[i].seq {
+				if got[i] != want[i] {
 					t.Fatalf("k=%d: merge order diverges at %d: got %+v want %+v", k, i, got[i], want[i])
 				}
 			}

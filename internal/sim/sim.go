@@ -21,12 +21,14 @@
 // later keeps its own flag and checks it when the handler runs. The heap
 // and the lanes store each event inline as a value, so steady-state
 // scheduling performs no heap allocation once their backing arrays have
-// grown.
+// grown. A handler that needs data of its own (a hop's packet, a message's
+// payload) is scheduled through a Pool, which binds it once and reuses it.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is virtual simulation time in seconds.
@@ -376,6 +378,74 @@ func (e *Engine) After(d Time, fn Handler) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.Schedule(e.now+d, fn)
+}
+
+// Pool schedules events that carry a value of type P to one handler, run,
+// without allocating once it is warm. Each event rides a pooled carrier
+// whose Handler is bound once, on the carrier's first use. A carrier parks
+// itself, payload cleared, before it calls run, so run may schedule through
+// the pool again and reuse the carrier it ran in, and a parked carrier keeps
+// nothing alive. A Pool belongs to one engine and, like it, to one goroutine
+// at a time.
+//
+// Two shards' pools are written from two cores on every event; the pad and
+// grow's blocks keep them off shared cache lines wherever they are allocated.
+type Pool[P any] struct {
+	eng  *Engine
+	run  func(P)
+	free []*carrier[P]
+	_    [64]byte // a cache line
+}
+
+// carrierBlock is how many carriers a pool makes at once: a block spans a
+// multiple of 64 bytes, which the allocator aligns to cache lines.
+const carrierBlock = 64
+
+// carrier is one pooled event: its payload and its prebound handler.
+type carrier[P any] struct {
+	pool *Pool[P]
+	p    P
+	fn   Handler
+}
+
+// NewPool returns an empty pool of events on eng that each run run.
+func NewPool[P any](eng *Engine, run func(P)) *Pool[P] {
+	return &Pool[P]{eng: eng, run: run}
+}
+
+// Schedule runs run(p) at absolute time at. The event takes its place in
+// the engine's (at, seq) order exactly as Engine.Schedule's would.
+func (pl *Pool[P]) Schedule(at Time, p P) {
+	if len(pl.free) == 0 {
+		pl.grow()
+	}
+	k := len(pl.free) - 1
+	c := pl.free[k]
+	pl.free = pl.free[:k]
+	if c.fn == nil {
+		c.fn = c.fire // bound on first use, as binding allocates
+	}
+	c.p = p
+	pl.eng.Schedule(at, c.fn)
+}
+
+// grow parks a new block of carriers; only a pool that runs dry allocates.
+func (pl *Pool[P]) grow() {
+	blk := make([]carrier[P], carrierBlock)
+	pl.free = slices.Grow(pl.free, carrierBlock)
+	for i := range blk {
+		blk[i].pool = pl
+		pl.free = append(pl.free, &blk[i])
+	}
+}
+
+// fire parks c, payload cleared, then runs its payload.
+func (c *carrier[P]) fire() {
+	pl, p := c.pool, c.p
+	var zero P
+	c.p = zero
+	pl.free = append(pl.free, c)
+	pl.run(p)
 }
 
 // Run executes events until the queue drains or the next event lies beyond

@@ -185,6 +185,100 @@ func TestLaneEventsInterleaveWithHeap(t *testing.T) {
 	}
 }
 
+// TestPoolEventsKeepScheduleOrder: a pooled event takes its place in the
+// engine's (at, seq) order like any other, so pooled, heap and lane events
+// scheduled at equal times run in the order they were scheduled.
+func TestPoolEventsKeepScheduleOrder(t *testing.T) {
+	e := New()
+	var got []int
+	pl := NewPool(e, func(id int) { got = append(got, id) })
+	add := func(id int, at Time) { e.Schedule(at, func() { got = append(got, id) }) }
+	e.Lane(1)
+	pl.Schedule(1, 0)   // lane
+	add(1, 1)           // lane
+	pl.Schedule(0.5, 2) // heap
+	pl.Schedule(1.5, 3) // heap
+	add(4, 0.5)         // heap
+	e.Run(0.5)
+	pl.Schedule(1, 5)   // heap: 0.5 ahead, and no lane is
+	pl.Schedule(1.5, 6) // lane, tied with the heap's 3
+	add(7, 1.5)         // lane
+	if len(e.queue) != 2 || e.inLanes != 4 {
+		t.Fatalf("%d events in the heap and %d in lanes, want 2 and 4", len(e.queue), e.inLanes)
+	}
+	e.Run(Time(math.Inf(1)))
+	want := []int{2, 4, 0, 1, 5, 3, 6, 7}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+}
+
+// TestPoolHandlerReusesItsCarrier: a carrier is parked before its handler
+// runs, so a handler that schedules through its own pool takes the very
+// carrier it ran in. A chain of events then needs one carrier however long
+// it is, and once warm it allocates nothing.
+func TestPoolHandlerReusesItsCarrier(t *testing.T) {
+	if InvariantsEnabled {
+		t.Skip("dophy_invariants build trades allocation-freedom for checking")
+	}
+	e := New()
+	e.Lane(0.5)
+	var pl *Pool[int]
+	var ran []*carrier[int] // the carrier each event of the first chain ran in
+	record := true
+	pl = NewPool(e, func(left int) {
+		if record {
+			ran = append(ran, pl.free[len(pl.free)-1])
+		}
+		if left > 0 {
+			pl.Schedule(e.Now()+0.5, left-1)
+		}
+	})
+	pl.Schedule(0, 100)
+	e.Run(Time(math.Inf(1)))
+	if len(pl.free) != carrierBlock {
+		t.Fatalf("a 100-event chain left %d carriers, want one block of %d", len(pl.free), carrierBlock)
+	}
+	c := pl.free[carrierBlock-1]
+	for i, r := range ran {
+		if r != c {
+			t.Fatalf("event %d of the chain ran in another carrier", i)
+		}
+	}
+	record = false
+	allocs := testing.AllocsPerRun(100, func() {
+		pl.Schedule(e.Now()+1, 10)
+		e.Run(Time(math.Inf(1)))
+	})
+	if allocs > 0 {
+		t.Fatalf("pooled schedule/run cycle allocates %.1f objects, want 0", allocs)
+	}
+	if len(pl.free) != carrierBlock || pl.free[carrierBlock-1] != c {
+		t.Fatalf("the warm chain changed carriers: %d parked", len(pl.free))
+	}
+}
+
+// TestParkedCarrierHoldsNoPayload: a carrier drops its payload when it
+// parks, so a pool never keeps a payload (a journey, say) alive after its
+// event has run.
+func TestParkedCarrierHoldsNoPayload(t *testing.T) {
+	e := New()
+	ran := 0
+	pl := NewPool(e, func(p *[64]byte) { ran++ })
+	for i := 0; i < carrierBlock+8; i++ {
+		pl.Schedule(Time(i%3), new([64]byte))
+	}
+	e.Run(Time(math.Inf(1)))
+	if ran != carrierBlock+8 || len(pl.free) != 2*carrierBlock {
+		t.Fatalf("%d events ran and %d carriers parked, want %d and %d", ran, len(pl.free), carrierBlock+8, 2*carrierBlock)
+	}
+	for i, c := range pl.free {
+		if c.p != nil {
+			t.Fatalf("parked carrier %d still holds its payload", i)
+		}
+	}
+}
+
 // TestScheduleBelowLaneTailGoesToHeap: an event at Now()+d that would sort
 // before the lane's tail must not join the lane. The clock never goes back,
 // so this cannot happen through the public API; the test plants a later

@@ -21,8 +21,7 @@ var densePackages = []string{"../tomo", "../trace", "../experiment", "../radio",
 // once allocates nothing per event, so no behaviour test or allocation
 // gate sees it: it only makes every lookup hash. Routing's neighbour table
 // as a map cost churn-forward about 9% of its simulated seconds per host
-// second, below what the benchmark's 25% bound sees (DESIGN.md
-// "Determinism & invariants").
+// second, below what the benchmark's 25% bound sees (CHANGES.md, PR 26).
 func TestNoLinkKeyedMapFields(t *testing.T) {
 	fset := token.NewFileSet()
 	fields := 0
