@@ -9,7 +9,7 @@
 // simulator hot paths are visible without -benchmem.
 //
 // CI note: these benchmarks are compiled (but skipped) by plain `go test`;
-// a smoke run uses `-bench=BenchmarkT4EndToEnd -benchtime=1x`. None of them
+// a smoke run uses `-bench=BenchmarkExperimentRun -benchtime=1x`. None of them
 // need a testing.Short() guard because they do no work unless -bench selects
 // them.
 package dophy
@@ -154,10 +154,10 @@ func BenchmarkF6Validation(b *testing.B) {
 	}
 }
 
-// BenchmarkT4EndToEnd runs one reduced-scale simulation end to end through
+// BenchmarkExperimentRun runs one reduced-scale simulation end to end through
 // experiment.Run (a 49-node grid, Dophy alone); CI's benchmark smoke step
 // runs it. Simulation throughput of record is bench/'s sim_s_per_host_s.
-func BenchmarkT4EndToEnd(b *testing.B) {
+func BenchmarkExperimentRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario(10)

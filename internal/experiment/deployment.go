@@ -30,7 +30,7 @@ type deployment struct {
 	eng engine
 	// Per-shard stacks, one entry each on the plain engine. Code running
 	// inside a sharded window reaches them only through its own shard's
-	// index; everything else reads them with the workers parked.
+	// index; everything else reads them between windows.
 	recs   []*trace.Recorder
 	protos []*routing.Protocol
 	nws    []*collect.Network
@@ -96,7 +96,7 @@ func (d *deployment) Routed() int {
 // recycle hands a journey the sink stage is done with back to the collect
 // network of the shard that generated it, so every pool keeps the records
 // its own nodes' packets ride. The sink stage calls it on the simulation
-// side, with any shard workers parked.
+// side, between windows.
 func (d *deployment) recycle(j *collect.PacketJourney) {
 	d.nws[d.owner[j.Origin]].Recycle(j)
 }

@@ -112,7 +112,10 @@ func runS0(b *testing.B, shards int) s0Run {
 //   - keeps at least 67% of its events/sec (wall time at most 1/0.67 of
 //     the unsharded run's; the event counts are equal, so this is the same
 //     bound), which absorbs shared-runner noise and a saturated runner's
-//     lack of speedup but not a barrier or scheduling regression, and
+//     lack of speedup but not a barrier or scheduling regression (on a
+//     2-core VM, k2-s/k1-s read 0.87–1.11 over 13 runs, and 0.85–1.21 at
+//     GOMAXPROCS=1 over 6: S0 is mostly beacon-only warmup, which the
+//     load-weighted partition leaves 2.2× unbalanced), and
 //   - allocates at most 1.5× the unsharded run's mallocs: the fabric's
 //     carriers are pooled, so a second shard costs no allocation per
 //     message (measured 1.01×: both shard counts flush journeys to the

@@ -74,6 +74,7 @@ func runScaleTier(id, title string, sc Scenario, o RunOptions) *Table {
 	// never reads wall time. dophy-bench prints each experiment's wall time
 	// under its table; events/sec is this row over that time.
 	row("events", fmt.Sprintf("%d", res.Events))
+	row("shard-event-ratio", fmt.Sprintf("%.3f", st.Imbalance()))
 	row("routed-nodes", fmt.Sprintf("%d", s.Routed()))
 	row("delivered", fmt.Sprintf("%d", eo.Truth.Delivered))
 	row("generated", fmt.Sprintf("%d", eo.Truth.Generated))
@@ -97,8 +98,10 @@ func S0(seed uint64, o RunOptions) *Table {
 // S1 is the headline scale tier: a ~100k-node grid (316x316) that a flat
 // per-epoch map pipeline could not hold. Expect minutes at one shard.
 // More shards need not be faster: on a 2-core VM, an epoch of the
-// 2,500-node scale-sharded benchmark scenario took 79–86 ms at two shards
-// against 74–84 ms at one.
+// 2,500-node scale-sharded benchmark scenario took 60–66 ms at two shards
+// against 72–79 ms at one, but S0 at two shards took 0.87–1.11× its time
+// at one, because the partition leaves the beacon-only warmup unbalanced
+// and S1 is mostly warmup too.
 func S1(seed uint64, o RunOptions) *Table {
 	sc := scaleScenario(o, "s1-scale-100k", seed, 316)
 	sc.Warmup = 700

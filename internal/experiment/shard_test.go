@@ -276,3 +276,20 @@ func firstDiff(a, b string) string {
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
+
+// TestLoadWeights: on a chain sink-1-2-3 each node's BFS subtree is the
+// nodes beyond it, so its weight is that count times treeHopEvents over
+// GenPeriod plus its degree over BeaconInterval.
+func TestLoadWeights(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Topo = TopoSpec{Kind: TopoChain, N: 4, Spacing: 10, Range: 11}
+	tp, _, _ := sc.Deploy()
+	data, beacon := treeHopEvents/float64(sc.Collect.GenPeriod), 1/float64(sc.Routing.BeaconInterval())
+	subtree, degree := []float64{4, 3, 2, 1}, []float64{1, 2, 2, 1}
+	got := loadWeights(sc, tp)
+	for i := range subtree {
+		if want := subtree[i]*data + degree[i]*beacon; got[i] != want {
+			t.Fatalf("node %d weighs %v, want %v (weights %v)", i, got[i], want, got)
+		}
+	}
+}

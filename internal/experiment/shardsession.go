@@ -44,6 +44,18 @@ type ShardStats struct {
 	Links     int    // total directed links
 	Windows   uint64 // parallel windows executed
 	Exchanged uint64 // cross-shard messages delivered at barriers
+	// Events holds each shard's processed-event count, indexed by shard.
+	Events []uint64
+}
+
+// Imbalance is the largest shard's event count over the smallest's: 1 when
+// the partition balanced the run's events exactly.
+func (st ShardStats) Imbalance() float64 {
+	lo, hi := st.Events[0], st.Events[0]
+	for _, n := range st.Events {
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	return float64(hi) / float64(lo)
 }
 
 // delivery is one fabric message, carried by value to the receiver's
@@ -121,7 +133,7 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	// streams are identical at every shard count.
 	streams := rng.NewStreams(root.Uint64(), tp.N())
 
-	owner := tp.Partition(sp.Shards)
+	owner := tp.Partition(sp.Shards, loadWeights(sc, tp))
 	_, cut := lt.CrossShard(owner)
 	s := &ShardedSession{lookahead: lookahead, cutLinks: cut, bufs: make([][]*collect.PacketJourney, sp.Shards)}
 	s.coord = shard.New(shard.Config{Shards: sp.Shards, Lookahead: lookahead, Nodes: tp.N()}, s.arrive)
@@ -162,6 +174,51 @@ func NewShardedSession(sc Scenario, sp ShardSpec) *ShardedSession {
 	s.coord.OnBarrier(s.flush)
 	s.start()
 	return s
+}
+
+// treeHopEvents is how many events a packet costs per hop of its depth in
+// the BFS hop tree, in units where a neighbour's beacons cost one per
+// BeaconInterval. Routes follow link quality and detour, and a node
+// receives only some of its neighbours' beacons: on scale-sharded's four
+// deployments a packet took 2.2–3.1 hops per BFS hop and a node received
+// 0.78 beacons per neighbour per BeaconInterval, a ratio of 2.8–4.0. At 4
+// those deployments' shards run within 1.18× of each other's events per
+// epoch.
+const treeHopEvents = 4
+
+// loadWeights estimates each node's share of a run's events, which
+// Partition balances across the shards. A node forwards every packet its
+// subtree in a BFS hop tree rooted at the sink generates, one per node per
+// GenPeriod, and receives its neighbours' beacons, one per BeaconInterval.
+func loadWeights(sc Scenario, tp *topo.Topology) []float64 {
+	n := tp.N()
+	// BFS from the sink; a node's parent is the node that reached it.
+	parent := make([]topo.NodeID, n)
+	seen := make([]bool, n)
+	order := make([]topo.NodeID, 1, n)
+	order[0], seen[topo.Sink] = topo.Sink, true
+	for i := 0; i < len(order); i++ {
+		for _, nb := range tp.Neighbors(order[i]) {
+			if !seen[nb] {
+				seen[nb], parent[nb] = true, order[i]
+				order = append(order, nb)
+			}
+		}
+	}
+	subtree := make([]float64, n)
+	for i := len(order) - 1; i > 0; i-- {
+		id := order[i]
+		subtree[id]++
+		subtree[parent[id]] += subtree[id]
+	}
+	subtree[topo.Sink]++
+	data := treeHopEvents / float64(sc.Collect.GenPeriod)
+	beacon := 1 / float64(sc.Routing.BeaconInterval())
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = subtree[i]*data + float64(len(tp.Neighbors(topo.NodeID(i))))*beacon
+	}
+	return w
 }
 
 // DeliverData lands j on its next hop's owning shard at absolute time at.
@@ -249,6 +306,10 @@ func journeyAfter(a, b *collect.PacketJourney) bool {
 
 // Stats reports the partitioning and window accounting so far.
 func (s *ShardedSession) Stats() ShardStats {
+	events := make([]uint64, len(s.nws))
+	for k := range events {
+		events[k] = s.coord.Sub(topo.ShardID(k)).Processed()
+	}
 	return ShardStats{
 		Shards:    len(s.nws),
 		Lookahead: s.lookahead,
@@ -256,6 +317,7 @@ func (s *ShardedSession) Stats() ShardStats {
 		Links:     s.tp.LinkTable().Len(),
 		Windows:   s.coord.Windows(),
 		Exchanged: s.coord.Exchanged(),
+		Events:    events,
 	}
 }
 

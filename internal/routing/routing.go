@@ -63,6 +63,15 @@ type Config struct {
 	TrickleReset   float64 // path-ETX delta that resets the interval
 }
 
+// BeaconInterval is a node's steady-state mean interval between beacons:
+// BeaconMax under adaptive beaconing, the fixed period otherwise.
+func (c Config) BeaconInterval() sim.Time {
+	if c.AdaptiveBeacon {
+		return c.BeaconMax
+	}
+	return beaconPeriod
+}
+
 // DefaultConfig returns settings that behave like a well-tuned collection
 // protocol at simulation time scales.
 func DefaultConfig() Config {

@@ -21,23 +21,28 @@
 // Per-node RNG streams (rng.Derive) complete the argument: no draw order
 // depends on how nodes interleave across shards.
 //
-// Concurrency is confined to this package: the coordinator hands a window
-// horizon to each worker over a channel and waits for all of them before
-// touching any shard state (both directions establish happens-before).
-// Shard 0 always runs on the caller's goroutine, so one shard runs the same
-// windows and barriers as K >= 2 with no worker goroutine. All cross-shard
-// traffic flows through the outbox merge at window barriers, as values:
-// each shard schedules its arrivals through a sim.Pool of its own, used by
-// the shard inside a window and by the coordinator at a barrier, so no
-// carrier or handler ever crosses a shard boundary. The race detector and
-// TestShardedByteDeterminism check the sharing discipline.
+// Concurrency is confined to this package: the coordinator publishes each
+// window by advancing an atomic generation counter, after writing the
+// window's horizon, and waits until every worker has stored that generation
+// as finished before touching any shard state (both directions establish
+// happens-before). A waiting goroutine spins on the counter for a bounded
+// budget when every shard has a processor of its own, then parks (see
+// handoff). Shard 0 always runs on the caller's goroutine, so one shard
+// runs the same windows and barriers as K >= 2 with no worker goroutine.
+// All cross-shard traffic flows through the outbox merge at window
+// barriers, as values: each shard schedules its arrivals through a sim.Pool
+// of its own, used by the shard inside a window and by the coordinator at a
+// barrier, so no carrier or handler ever crosses a shard boundary. The race
+// detector and TestShardedByteDeterminism check the sharing discipline.
 package shard
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"dophy/internal/sim"
 	"dophy/internal/topo"
@@ -95,9 +100,72 @@ type Engine[P any] struct {
 	exchanged uint64
 	barrier   func()
 	started   bool
-	closed    bool
-	start     []chan sim.Time // channel fabric, fixed at New
-	done      chan struct{}
+	closed    bool // set before the generation that stops the workers
+	spin      bool // waiters spin before parking; fixed when the workers start
+	gen       atomic.Uint64
+	coord     handoff   // the coordinator, waiting for a worker to finish
+	workers   []handoff // workers[i] is shard i's worker, waiting for gen; 0 unused
+}
+
+// spinChecks is how many times a waiter reads the counter it waits on
+// before it parks. A parked worker starts 58–65 µs after it is woken on a
+// 2-core VM, about half of scale-sharded's 100–110 µs windows; spinning
+// through a barrier costs the waiting core instead. 5,000 checks, with a
+// yield every yieldEvery, cover a barrier's merge and journey flush, and
+// an epoch's end still parks the workers. On scale-sharded, 1,000 checks
+// read 64–67 ms epoch_p50_ms and 5,000 to 50,000 read 50–59 ms.
+const spinChecks = 5000
+
+// yieldEvery is how often a spinning waiter calls runtime.Gosched, so the
+// goroutines that share its processor, such as the session's sink stage,
+// still run.
+const yieldEvery = 32
+
+// handoff lets one goroutine wait for a monotone counter to reach a value:
+// it spins, then parks. A parked waiter sets sleeping before it re-reads
+// the counter, and a publisher clears it after it advances the counter;
+// both are sequentially consistent atomics, so either the waiter sees the
+// new value or the publisher sees the flag and sends a wake token. Whoever
+// clears the flag decides whether a token is sent, so no wake-up is lost
+// and none is left behind.
+type handoff struct {
+	sleeping atomic.Bool
+	wake     chan struct{} // capacity 1: a publisher never blocks
+	done     atomic.Uint64 // for a worker: the last generation it finished
+	_        [64]byte      // one cache line per waiter
+}
+
+// await returns once c reaches want, spinning first when spin is set.
+func (h *handoff) await(c *atomic.Uint64, want uint64, spin bool) {
+	if spin {
+		for i := 1; i <= spinChecks; i++ {
+			if c.Load() >= want {
+				return
+			}
+			if i%yieldEvery == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	for {
+		h.sleeping.Store(true)
+		if c.Load() >= want {
+			if !h.sleeping.CompareAndSwap(true, false) {
+				<-h.wake // a publisher cleared the flag first: take its token
+			}
+			return
+		}
+		<-h.wake
+	}
+}
+
+// notify wakes h's waiter if it is parked. Call it after advancing the
+// counter the waiter waits on.
+func (h *handoff) notify() {
+	// The load keeps the flag's cache line shared while the waiter spins.
+	if h.sleeping.Load() && h.sleeping.CompareAndSwap(true, false) {
+		h.wake <- struct{}{}
+	}
 }
 
 // New returns an engine with cfg.Shards empty sub-engines, clocks at zero,
@@ -119,14 +187,14 @@ func New[P any](cfg Config, arrive func(dst topo.ShardID, p P)) *Engine[P] {
 		arrivals: make([]*sim.Pool[P], cfg.Shards),
 		outbox:   make([][]msg[P], cfg.Shards),
 		seqs:     make([]uint64, cfg.Nodes),
-		start:    make([]chan sim.Time, cfg.Shards),
-		done:     make(chan struct{}, cfg.Shards),
+		coord:    handoff{wake: make(chan struct{}, 1)},
+		workers:  make([]handoff, cfg.Shards),
 	}
 	for i := range e.subs {
 		dst := topo.ShardID(i)
 		e.subs[i] = sim.New()
 		e.arrivals[i] = sim.NewPool(e.subs[i], func(p P) { arrive(dst, p) })
-		e.start[i] = make(chan sim.Time, 1)
+		e.workers[i].wake = make(chan struct{}, 1)
 	}
 	return e
 }
@@ -145,7 +213,7 @@ func (e *Engine[P]) Windows() uint64 { return e.windows }
 func (e *Engine[P]) Exchanged() uint64 { return e.exchanged }
 
 // Processed sums the events executed by all shards. It reads every shard's
-// event counter, so it may only run with the workers parked.
+// event counter, so it may only run between windows.
 func (e *Engine[P]) Processed() uint64 {
 	var total uint64
 	for _, s := range e.subs {
@@ -178,7 +246,7 @@ func (e *Engine[P]) Send(src topo.ShardID, at sim.Time, origin topo.NodeID, dst 
 }
 
 // OnBarrier registers fn to run on the coordinator after every window's
-// cross-shard messages have been delivered. All workers are parked at the
+// cross-shard messages have been delivered. Every worker waits at the
 // barrier while fn runs, so it may freely inspect and drain state the
 // shards produced during the window (journey buffers, counters). Every
 // window ends in a barrier at every shard count, one shard included.
@@ -221,46 +289,74 @@ func (e *Engine[P]) Run(until sim.Time) sim.Time {
 }
 
 // ensureWorkers lazily starts one goroutine per shard beyond the first;
-// shard 0 always runs on the caller's goroutine.
+// shard 0 always runs on the caller's goroutine. Waiters spin only when
+// every shard can hold a processor: with more shards than processors a
+// spinning waiter would take the processor the shard it waits for needs.
 func (e *Engine[P]) ensureWorkers() {
 	if e.started {
 		return
 	}
 	e.started = true
+	e.spin = runtime.GOMAXPROCS(0) >= e.cfg.Shards
 	for i := 1; i < e.cfg.Shards; i++ {
 		go e.worker(topo.ShardID(i))
 	}
 }
 
 // worker is shard i's goroutine body. It only ever touches shard i's
-// engine, projected through the typed index.
+// engine, projected through the typed index. It runs each generation's
+// window and stores the generation as finished; the generation Close
+// publishes stops it.
 func (e *Engine[P]) worker(i topo.ShardID) {
-	for end := range e.start[i] {
-		e.subs[i].RunBefore(end)
-		e.done <- struct{}{}
+	h := &e.workers[i]
+	for g := uint64(1); ; g++ {
+		h.await(&e.gen, g, e.spin)
+		// Once done is stored the coordinator may move on, so closed is
+		// read before.
+		stop := e.closed
+		if !stop {
+			e.subs[i].RunBefore(e.windowEnd)
+		}
+		h.done.Store(g)
+		e.coord.notify()
+		if stop {
+			return
+		}
 	}
 }
 
 // runWindow executes one causally closed window [windowEnd', end) on all
-// shards in parallel. The start sends publish windowEnd and all prior
-// barrier state to the workers; the done receives publish every shard's
-// queue and outbox back to the coordinator.
+// shards in parallel.
 func (e *Engine[P]) runWindow(end sim.Time) {
 	e.windowEnd = end
 	e.windows++
-	for i := 1; i < e.cfg.Shards; i++ {
-		e.start[i] <- end
-	}
+	g := e.publish()
 	e.subs[0].RunBefore(end)
+	e.join(g)
+}
+
+// publish starts the next generation on every worker: it publishes
+// windowEnd, closed and all prior barrier state to them.
+func (e *Engine[P]) publish() uint64 {
+	g := e.gen.Add(1)
 	for i := 1; i < e.cfg.Shards; i++ {
-		<-e.done
+		e.workers[i].notify()
+	}
+	return g
+}
+
+// join waits until every worker has finished generation g, which publishes
+// every shard's queue and outbox back to the coordinator.
+func (e *Engine[P]) join(g uint64) {
+	for i := 1; i < e.cfg.Shards; i++ {
+		e.coord.await(&e.workers[i].done, g, e.spin)
 	}
 }
 
 // deliver merges every shard's outbox in compareMsgs order — a key
 // independent of the shard count — and schedules the messages on their
-// destination shards through their own pools: every worker is parked, so
-// the coordinator may use them. The key is a strict total order, so the
+// destination shards through their own pools: every worker is waiting
+// for the next window, so the coordinator may use them. The key is a strict total order, so the
 // unstable sort gives the one order any stable sort would; slices.SortFunc
 // also needs neither a closure nor a reflective swapper, so a barrier
 // allocates nothing once merged has grown.
@@ -282,16 +378,18 @@ func (e *Engine[P]) deliver() {
 	e.merged = m[:0]
 }
 
-// Close stops the worker goroutines. The engine must not be Run again.
+// Close stops the worker goroutines and waits until each has stopped. The
+// engine must not be Run again.
 func (e *Engine[P]) Close() {
 	if e.closed {
 		return
 	}
-	e.closed = true
 	if !e.started {
+		e.closed = true
 		return
 	}
-	for i := 1; i < e.cfg.Shards; i++ {
-		close(e.start[i])
-	}
+	// A Run that panicked inside a window left its workers running it.
+	e.join(e.gen.Load())
+	e.closed = true
+	e.join(e.publish())
 }

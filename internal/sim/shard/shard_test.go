@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -275,6 +276,121 @@ func FuzzMergeKeyTotalOrder(f *testing.F) {
 					t.Fatalf("k=%d: merge order diverges at %d: got %+v want %+v", k, i, got[i], want[i])
 				}
 			}
+		}
+	})
+}
+
+// withProcs runs fn at GOMAXPROCS n and restores the old setting.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// awaitParked polls until shard i's worker has parked, yielding between
+// reads.
+func awaitParked[P any](t *testing.T, e *Engine[P], i topo.ShardID) {
+	t.Helper()
+	for n := 0; !e.workers[i].sleeping.Load(); n++ {
+		if n > 10_000_000 {
+			t.Fatalf("worker %d never parked", i)
+		}
+		runtime.Gosched()
+	}
+}
+
+// awaitGoroutines polls until no more than n goroutines exist.
+func awaitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > n; i++ {
+		if i > 10_000_000 {
+			t.Fatalf("%d goroutines, want %d: a worker outlived Close", runtime.NumGoroutine(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// chain schedules a ping-pong between shard 0 and the last shard: each
+// arrival logs its time and sends the next message one lookahead later.
+func chain(e *Engine[sim.Handler], log *[]sim.Time, hops int) {
+	last := topo.ShardID(e.Shards() - 1)
+	var hop func(at topo.ShardID, left int) sim.Handler
+	hop = func(at topo.ShardID, left int) sim.Handler {
+		return func() {
+			now := e.Sub(at).Now()
+			*log = append(*log, now)
+			if left > 0 {
+				to := last - at
+				e.Send(at, now+1, topo.NodeID(at), to, hop(to, left-1))
+			}
+		}
+	}
+	e.Sub(0).Schedule(0.5, hop(0, hops))
+}
+
+// TestParkedWorkerWakes: a worker that spun past its budget and parked
+// between two Runs wakes for the second and runs the same schedule as one
+// shard does.
+func TestParkedWorkerWakes(t *testing.T) {
+	withProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+		run := func(k int) []sim.Time {
+			e := newEngine(Config{Shards: k, Lookahead: 1, Nodes: 2})
+			defer e.Close()
+			var log []sim.Time
+			chain(e, &log, 20)
+			e.Run(10)
+			if k > 1 {
+				if !e.spin {
+					t.Fatal("two shards on two processors do not spin")
+				}
+				awaitParked(t, e, 1)
+			}
+			e.Run(100)
+			return log
+		}
+		if one, two := run(1), run(2); !slices.Equal(one, two) {
+			t.Fatalf("after a park, two shards ran %v, one ran %v", two, one)
+		}
+	})
+}
+
+// TestCloseStopsWorkers: Close leaves no worker behind, whether the worker
+// was spinning at the barrier or parked.
+func TestCloseStopsWorkers(t *testing.T) {
+	withProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+		for _, parked := range []bool{false, true} {
+			base := runtime.NumGoroutine()
+			e := newEngine(Config{Shards: 2, Lookahead: 1, Nodes: 2})
+			var log []sim.Time
+			chain(e, &log, 5)
+			e.Run(100)
+			if parked {
+				awaitParked(t, e, 1)
+			}
+			e.Close()
+			awaitGoroutines(t, base)
+		}
+	})
+}
+
+// TestOneProcessorParks: with more shards than processors a waiter parks
+// at once, and the run is the one-shard run.
+func TestOneProcessorParks(t *testing.T) {
+	withProcs(1, func() {
+		e := newEngine(Config{Shards: 2, Lookahead: 1, Nodes: 2})
+		defer e.Close()
+		var log []sim.Time
+		chain(e, &log, 20)
+		e.Run(100)
+		if e.spin {
+			t.Fatal("two shards on one processor spin")
+		}
+		if len(log) != 21 {
+			t.Fatalf("ran %d hops, want 21", len(log))
+		}
+		ref := runWorkload(t, 5, 12, 1, 20)
+		got := runWorkload(t, 5, 12, 2, 20)
+		if !slices.Equal(got, ref) {
+			t.Fatal("two shards on one processor differ from one shard")
 		}
 	})
 }

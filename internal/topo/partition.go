@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -12,22 +13,56 @@ type ShardID int32
 
 // Partition assigns every node to one of k spatial shards and returns the
 // owner map, indexed by NodeID. Shards are contiguous bands along the
-// layout's wider axis with balanced node counts (sizes differ by at most
-// one), so cross-shard links exist only between geometrically adjacent
-// bands and the cut stays proportional to the band perimeter.
+// layout's wider axis, so cross-shard links exist only between
+// geometrically adjacent bands and the cut stays proportional to the band
+// perimeter. weight[i] is node i's estimated load: the bands are cut at
+// equal cumulative weight, so each shard's weight is within one node's
+// maximum weight of the ideal total/k. Uniform weights give bands whose
+// node counts differ by at most one. A shard may be empty when one node
+// outweighs a shard's share.
 //
-// The assignment is a pure function of the node positions and k: nodes are
-// ordered by (band-axis coordinate, other coordinate, id) and cut into k
-// equal runs. It is independent of shard count used elsewhere, so the same
-// topology partitioned at different k yields nested, deterministic bands.
-func (t *Topology) Partition(k int) []ShardID {
+// The assignment is a pure function of the node positions, the weights and
+// k: nodes are ordered by (band-axis coordinate, other coordinate, id) and
+// node i goes to shard ceil(k·W_i/W) - 1, where W_i is the cumulative
+// weight through i in that order and W the total.
+func (t *Topology) Partition(k int, weight []float64) []ShardID {
 	n := t.N()
 	if k < 1 {
 		panic(fmt.Sprintf("topo: partition into %d shards", k))
 	}
+	if len(weight) != n {
+		panic(fmt.Sprintf("topo: %d weights for %d nodes", len(weight), n))
+	}
 	if k > n {
 		k = n
 	}
+	order := t.bandOrder()
+	// Summing in band order makes the last cumulative weight equal total.
+	total := 0.0
+	for _, id := range order {
+		if w := weight[id]; w >= 0 && w <= math.MaxFloat64 {
+			total += w
+		} else {
+			panic(fmt.Sprintf("topo: node %d has weight %v", id, w))
+		}
+	}
+	if !(total > 0) {
+		panic("topo: node weights sum to zero")
+	}
+	owner := make([]ShardID, n)
+	cum := 0.0
+	for _, id := range order {
+		cum += weight[id]
+		s := int(math.Ceil(float64(k)*cum/total)) - 1
+		owner[id] = ShardID(max(0, min(s, k-1)))
+	}
+	return owner
+}
+
+// bandOrder lists the nodes in Partition's band order: by coordinate along
+// the layout's wider axis, then along the other axis, then by id.
+func (t *Topology) bandOrder() []NodeID {
+	n := t.N()
 	var minX, maxX, minY, maxY float64
 	for i, p := range t.Pos {
 		if i == 0 || p.X < minX {
@@ -63,14 +98,7 @@ func (t *Topology) Partition(k int) []ShardID {
 		}
 		return order[a] < order[b]
 	})
-	owner := make([]ShardID, n)
-	for s := 0; s < k; s++ {
-		lo, hi := s*n/k, (s+1)*n/k
-		for _, id := range order[lo:hi] {
-			owner[id] = ShardID(s)
-		}
-	}
-	return owner
+	return order
 }
 
 // CrossShard classifies every directed link of the table against a

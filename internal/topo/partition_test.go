@@ -8,47 +8,76 @@ import (
 	"dophy/internal/rng"
 )
 
+// uniform returns n unit weights, under which Partition balances node
+// counts.
+func uniform(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+// TestPartitionBalancedAndDeterministic: each shard's weight is within one
+// node's maximum weight of the ideal total/k, uniform weights cut the
+// equal-count bands (runs of the band order at s*n/k), and the owner map is
+// a pure function of its inputs.
 func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	tp := Grid(15, 10, 2, 14, rng.New(3)) // 225 nodes
+	n := tp.N()
+	hops := tp.HopCounts()
+	weight := make([]float64, n)
+	total, heaviest := 0.0, 0.0
+	for i := range weight {
+		weight[i] = 1 + float64(hops[i]*hops[i]) // skewed: far nodes weigh more
+		total += weight[i]
+		heaviest = max(heaviest, weight[i])
+	}
 	for _, k := range []int{1, 2, 4, 8} {
-		owner := tp.Partition(k)
-		if len(owner) != tp.N() {
-			t.Fatalf("k=%d: owner covers %d nodes, want %d", k, len(owner), tp.N())
+		owner := tp.Partition(k, weight)
+		if len(owner) != n {
+			t.Fatalf("k=%d: owner covers %d nodes, want %d", k, len(owner), n)
 		}
-		counts := make([]int, k)
-		for _, s := range owner {
+		load := make([]float64, k)
+		for id, s := range owner {
 			if s < 0 || int(s) >= k {
 				t.Fatalf("k=%d: shard id %d out of range", k, s)
 			}
-			counts[s]++
+			load[s] += weight[id]
 		}
-		lo, hi := tp.N(), 0
-		for _, c := range counts {
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
+		for s, l := range load {
+			if math.Abs(l-total/float64(k)) > heaviest {
+				t.Fatalf("k=%d: shard %d weighs %v, ideal %v, heaviest node %v", k, s, l, total/float64(k), heaviest)
 			}
 		}
-		if hi-lo > 1 {
-			t.Fatalf("k=%d: unbalanced shard sizes %v", k, counts)
-		}
-		if again := tp.Partition(k); !reflect.DeepEqual(owner, again) {
+		if again := tp.Partition(k, weight); !reflect.DeepEqual(owner, again) {
 			t.Fatalf("k=%d: Partition is not deterministic", k)
+		}
+
+		// Uniform weights cut the equal-count bands: the nodes at band
+		// positions [s*n/k, (s+1)*n/k) form shard s.
+		want := make([]ShardID, n)
+		order := tp.bandOrder()
+		for s := 0; s < k; s++ {
+			for _, id := range order[s*n/k : (s+1)*n/k] {
+				want[id] = ShardID(s)
+			}
+		}
+		if got := tp.Partition(k, uniform(n)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: uniform weights do not give the equal-count bands", k)
 		}
 	}
 }
 
 func TestPartitionSingleShardAndClamp(t *testing.T) {
 	tp := Chain(3, 10, 15)
-	for _, s := range tp.Partition(1) {
+	for _, s := range tp.Partition(1, uniform(tp.N())) {
 		if s != 0 {
 			t.Fatalf("k=1 assigned shard %d", s)
 		}
 	}
 	// More shards than nodes clamps to one node per shard.
-	owner := tp.Partition(10)
+	owner := tp.Partition(10, uniform(tp.N()))
 	seen := map[ShardID]bool{}
 	for _, s := range owner {
 		if seen[s] {
@@ -62,7 +91,7 @@ func TestPartitionBandsAreSpatial(t *testing.T) {
 	// On a jitter-free wide grid, bands along X must give each shard an
 	// X-interval disjoint from the others.
 	tp := Grid(10, 10, 0, 14, rng.New(1))
-	owner := tp.Partition(5)
+	owner := tp.Partition(5, uniform(tp.N()))
 	minX := make([]float64, 5)
 	maxX := make([]float64, 5)
 	for s := range minX {
@@ -82,7 +111,7 @@ func TestPartitionBandsAreSpatial(t *testing.T) {
 
 func TestCrossShardClassification(t *testing.T) {
 	tp := Chain(6, 10, 15) // line: only adjacent nodes linked
-	owner := tp.Partition(2)
+	owner := tp.Partition(2, uniform(tp.N()))
 	cross, cut := tp.LinkTable().CrossShard(owner)
 	wantCut := 0
 	for i, l := range tp.Links() {
@@ -150,7 +179,7 @@ func TestPartitionDegenerateCases(t *testing.T) {
 	// More shards than nodes clamps to n: every node becomes its own
 	// single-node stripe and the shard ids stay densely numbered.
 	for _, k := range []int{n, n + 1, 3 * n} {
-		owner := tp.Partition(k)
+		owner := tp.Partition(k, uniform(n))
 		perShard := make([]int, n)
 		for id, s := range owner {
 			if s < 0 || int(s) >= n {
@@ -167,7 +196,7 @@ func TestPartitionDegenerateCases(t *testing.T) {
 
 	// Single-node stripes on a chain cut every adjacency: the cut is the
 	// whole directed link set.
-	cross, cut := tp.LinkTable().CrossShard(tp.Partition(n))
+	cross, cut := tp.LinkTable().CrossShard(tp.Partition(n, uniform(n)))
 	if cut != len(tp.Links()) {
 		t.Fatalf("n-way chain cut=%d, want all %d directed links", cut, len(tp.Links()))
 	}
@@ -178,7 +207,7 @@ func TestPartitionDegenerateCases(t *testing.T) {
 	}
 
 	// One shard: a single band, so the cut is empty and no link is cross.
-	cross, cut = tp.LinkTable().CrossShard(tp.Partition(1))
+	cross, cut = tp.LinkTable().CrossShard(tp.Partition(1, uniform(tp.N())))
 	if cut != 0 {
 		t.Fatalf("k=1 cut=%d, want 0", cut)
 	}
@@ -186,5 +215,25 @@ func TestPartitionDegenerateCases(t *testing.T) {
 		if c {
 			t.Fatalf("k=1: link %d classified cross-shard", i)
 		}
+	}
+}
+
+func TestPartitionRejectsBadWeights(t *testing.T) {
+	tp := Chain(3, 10, 15)
+	for name, w := range map[string][]float64{
+		"short":    {1, 1},
+		"negative": {1, -1, 1},
+		"nan":      {1, math.NaN(), 1},
+		"inf":      {1, math.Inf(1), 1},
+		"zero":     {0, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Partition(2, %v) did not panic", w)
+				}
+			}()
+			tp.Partition(2, w)
+		})
 	}
 }
