@@ -9,8 +9,11 @@
 //	dophy-trace -analyze trace.jsonl -grid 7               # replay & estimate
 //
 // The -grid/-seed options of -analyze must match the exporting run: the
-// decoder needs the topology's neighbour tables. A journal that does not fit
-// the topology is rejected at its first bad record.
+// decoder needs the topology's neighbour tables, and it decodes under the
+// scenario's own Dophy configuration and attempt budget. A journal with a
+// record that could not have happened on that topology (a broken walk, a
+// hop that is not a link, an attempt past the budget) is rejected at its
+// first such record.
 package main
 
 import (
@@ -122,10 +125,11 @@ func doAnalyze(path string, grid int, seed uint64, stdout io.Writer) error {
 	}
 	defer f.Close()
 
-	tp, _, _ := scenario(grid, seed).Deploy()
-	cfg := core.DefaultConfig()
+	sc := scenario(grid, seed)
+	tp, _, _ := sc.Deploy()
+	cfg := sc.DophyConfig()
 	d := core.New(tp, cfg)
-	r := journal.NewReader(f)
+	r := journal.NewReader(f, tp, cfg.MaxAttempts)
 	var journeys, delivered int64
 	for {
 		j, err := r.Read()
@@ -136,10 +140,6 @@ func doAnalyze(path string, grid int, seed uint64, stdout io.Writer) error {
 			return err
 		}
 		journeys++
-		if err := fits(tp, cfg.MaxAttempts, j); err != nil {
-			return fmt.Errorf("record %d does not fit the %d-node topology (do -grid and -seed match the export?): %w",
-				journeys, tp.N(), err)
-		}
 		if j.Delivered {
 			delivered++
 		}
@@ -163,37 +163,6 @@ func doAnalyze(path string, grid int, seed uint64, stdout io.Writer) error {
 	if len(links) > 0 {
 		worst := links[0]
 		fmt.Fprintf(stdout, "\nworst link: %s at %.3f loss\n", worst, lossOf(worst))
-	}
-	return nil
-}
-
-// fits checks that a journey read from a journal could have happened on tp
-// under a budget of maxAttempts per hop: its origin and hops lie inside the
-// topology, each hop is a link, the hops chain from the origin, no hop was
-// first received after the budget ran out, and a delivered journey ends at
-// the sink. The Dophy engine assumes all of this of every journey it is fed.
-func fits(tp *topo.Topology, maxAttempts int, j *collect.PacketJourney) error {
-	n := topo.NodeID(tp.N())
-	if j.Origin >= n {
-		return fmt.Errorf("origin %d is outside the topology", j.Origin)
-	}
-	at := j.Origin
-	for i, h := range j.Hops {
-		l := h.Link
-		switch {
-		case l.From >= n || l.To >= n:
-			return fmt.Errorf("hop %d (%v) leaves the topology", i, l)
-		case tp.LinkTable().Index(l) < 0:
-			return fmt.Errorf("hop %d (%v) is not a link", i, l)
-		case l.From != at:
-			return fmt.Errorf("hop %d (%v) does not continue from node %d", i, l, at)
-		case h.Observed > maxAttempts:
-			return fmt.Errorf("hop %d (%v) was received on attempt %d of at most %d", i, l, h.Observed, maxAttempts)
-		}
-		at = l.To
-	}
-	if j.Delivered && at != topo.Sink {
-		return fmt.Errorf("delivered journey ends at node %d, not the sink", at)
 	}
 	return nil
 }

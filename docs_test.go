@@ -1,6 +1,7 @@
 package dophy
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -193,12 +194,36 @@ func (m moduleDecls) undeclared(parts []string) string {
 // test), or a qualified name such as `collect.Network`, `Network.Recycle`
 // or `shard.Engine.Send`, whose every part must be declared. A qualified
 // name on a package from outside the module (`slices.SortFunc`) is not
-// checked. All-lowercase bare words, acronyms, snake_case metric names and
-// file names and paths are out of scope: they are not distinguishable from
-// prose, or are not Go names.
+// checked. All-lowercase bare words, acronyms, file names and paths are
+// out of scope: they are not distinguishable from prose, or are not Go
+// names.
+//
+// It also fails on a backticked bench metric name that bench/ does not
+// emit. A span is a metric name when it is snake_case, either dotted after
+// a layer some declared metric uses (`core.on_journey_share`) or holding an
+// underscore (`sim_s_per_host_s`), and ends in the last word of a declared
+// metric (`share`, `epoch`, `s`, ...); `dophy_invariants` and `p_l` are not.
 func TestDocsNameDeclaredCode(t *testing.T) {
 	m := moduleNames(t)
-	checked := 0
+	emitted, declared := benchMetrics(t)
+	layers, ends := map[string]bool{}, map[string]bool{}
+	for name := range declared {
+		if layer, _, ok := strings.Cut(name, "."); ok {
+			layers[layer] = true
+		}
+		ends[lastWord(name)] = true
+	}
+	isMetric := func(span string) bool {
+		mm := metricSpan.FindStringSubmatch(span)
+		if mm == nil || !ends[lastWord(span)] {
+			return false
+		}
+		if mm[1] == "" {
+			return strings.Contains(mm[2], "_")
+		}
+		return layers[mm[1]]
+	}
+	checked, metrics := 0, 0
 	for _, doc := range docsWithNames {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -214,6 +239,13 @@ func TestDocsNameDeclaredCode(t *testing.T) {
 				continue
 			}
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+				if isMetric(span[1]) {
+					metrics++
+					if !emitted[span[1]] {
+						t.Errorf("%s:%d: `%s` names a bench metric that bench/ does not emit", doc, i+1, span[1])
+					}
+					continue
+				}
 				name := docName.FindStringSubmatch(span[1])
 				if name == nil {
 					continue
@@ -229,7 +261,78 @@ func TestDocsNameDeclaredCode(t *testing.T) {
 			}
 		}
 	}
-	if checked < 200 {
-		t.Fatalf("checked only %d names: the scan no longer reads the docs", checked)
+	if checked < 200 || metrics < 5 {
+		t.Fatalf("checked only %d names and %d metric names: the scan no longer reads the docs", checked, metrics)
 	}
+}
+
+// metricSpan matches a span shaped like a bench metric name: lowercase
+// snake_case words, optionally after one layer prefix
+// (`core.on_journey_share`, `sim_s_per_host_s`).
+var metricSpan = regexp.MustCompile(`^(?:([a-z][a-z0-9]*)\.)?([a-z][a-z0-9]*(?:_[a-z0-9]+)*)$`)
+
+// benchMetrics returns the metric names bench/ emits, read from its Go
+// files as text: every quoted name, and every quoted dotted name joined
+// with each suffix the code appends to one (`sg.metric+"_share"`). It also
+// returns the names BENCHMARK.json declares, and fails unless bench/ emits
+// each of them, which keeps the text scan honest.
+func benchMetrics(t *testing.T) (emitted, declared map[string]bool) {
+	quoted := regexp.MustCompile(`"([a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)?)"`)
+	appended := regexp.MustCompile(`\+\s*"(_[a-z0-9_]+)"`)
+	files, err := filepath.Glob(filepath.Join("bench", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, suffixes []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range quoted.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		for _, m := range appended.FindAllStringSubmatch(string(src), -1) {
+			suffixes = append(suffixes, m[1])
+		}
+	}
+	emitted = map[string]bool{}
+	for _, n := range names {
+		emitted[n] = true
+		if strings.Contains(n, ".") {
+			for _, suf := range suffixes {
+				emitted[n+suf] = true
+			}
+		}
+	}
+	text, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(text, &spec); err != nil {
+		t.Fatal(err)
+	}
+	declared = map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		declared[m.Name] = true
+		if !emitted[m.Name] {
+			t.Errorf("BENCHMARK.json declares %s, which the scan of bench/ does not find", m.Name)
+		}
+	}
+	if len(declared) < 20 {
+		t.Fatalf("BENCHMARK.json declares only %d metrics: the parse no longer reads it", len(declared))
+	}
+	return emitted, declared
+}
+
+// lastWord returns a metric name's last snake_case or dotted word.
+func lastWord(name string) string {
+	return name[strings.LastIndexAny(name, "_.")+1:]
 }

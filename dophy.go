@@ -322,7 +322,7 @@ func (s *Simulation) RunEpoch() *Report {
 		Generated:            eo.Truth.Generated,
 		DecodeErrors:         se.DecodeErrors,
 		BytesPerPacket:       se.BitsPerPacket() / 8,
-		DisseminationBytes:   float64(se.ExtraBits) / 8,
+		DisseminationBytes:   float64(se.DisseminationBits) / 8,
 		ParentChangesPerNode: float64(eo.Truth.ParentChanges) / math.Max(1, float64(s.session.Topology().N()-1)),
 	}
 	min := s.scenario.MinTruthAttempts

@@ -13,6 +13,9 @@
 package collect
 
 import (
+	"errors"
+	"fmt"
+
 	"dophy/internal/mac"
 	"dophy/internal/rng"
 	"dophy/internal/routing"
@@ -77,6 +80,57 @@ type PacketJourney struct {
 	Hops      []Hop
 	Delivered bool
 	Drop      DropReason
+}
+
+// Check returns the first way j could not have happened on tp under a
+// budget of maxAttempts transmissions per hop, or nil. It is the one
+// definition of a valid journey: the tomography schemes decode under these
+// rules, the dophy_invariants audit holds every simulated journey to them,
+// and journal.Reader holds every record read from outside to them.
+//
+//   - the origin is a node of tp other than the sink, which generates nothing;
+//   - each hop is a link of tp that continues the walk from the origin and
+//     never leaves the sink, which forwards nothing;
+//   - each hop has 1 <= Observed <= Attempts <= maxAttempts;
+//   - the journey is delivered exactly when it ends at the sink with
+//     Drop == NotDropped;
+//   - it completed no earlier than it was generated.
+func (j *PacketJourney) Check(tp *topo.Topology, maxAttempts int) error {
+	switch {
+	case j.Origin == topo.Sink:
+		return errors.New("origin is the sink, which generates no packets")
+	case j.Origin < 0 || int(j.Origin) >= tp.N():
+		return fmt.Errorf("origin %d is outside the %d-node topology", j.Origin, tp.N())
+	}
+	lt := tp.LinkTable()
+	at := j.Origin
+	for i, h := range j.Hops {
+		l := h.Link
+		switch {
+		case l.From != at:
+			return fmt.Errorf("hop %d (%v) does not continue from node %d", i, l, at)
+		case at == topo.Sink:
+			return fmt.Errorf("hop %d (%v) leaves the sink, which forwards nothing", i, l)
+		case lt.Index(l) == topo.NoLink:
+			return fmt.Errorf("hop %d (%v) is not a link", i, l)
+		case h.Observed < 1 || h.Observed > h.Attempts:
+			return fmt.Errorf("hop %d (%v) was first received on attempt %d of %d", i, l, h.Observed, h.Attempts)
+		case h.Attempts > maxAttempts:
+			return fmt.Errorf("hop %d (%v) ran to attempt %d, past the budget of %d", i, l, h.Attempts, maxAttempts)
+		}
+		at = l.To
+	}
+	switch {
+	case j.Delivered && at != topo.Sink:
+		return fmt.Errorf("delivered journey ends at node %d, not the sink", at)
+	case !j.Delivered && at == topo.Sink:
+		return fmt.Errorf("journey dropped (%v) after reaching the sink", j.Drop)
+	case j.Delivered != (j.Drop == NotDropped):
+		return fmt.Errorf("journey marked delivered=%t has drop reason %v", j.Delivered, j.Drop)
+	case j.Completed < j.Generated:
+		return fmt.Errorf("journey completed at %v before its generation at %v", j.Completed, j.Generated)
+	}
+	return nil
 }
 
 // Sink consumers receive every completed journey (delivered or dropped).

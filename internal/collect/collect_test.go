@@ -2,6 +2,7 @@ package collect
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dophy/internal/mac"
@@ -566,5 +567,61 @@ func TestHopEventCount(t *testing.T) {
 					got, rec.Generated, hc.hops, hc.relayed, retryDrops, want)
 			}
 		})
+	}
+}
+
+// TestCheckRules holds PacketJourney.Check to each of its rules on a
+// 4-node chain (0-1-2-3) under a budget of 3 attempts: one valid journey
+// of each kind passes, and each broken one fails naming what is wrong.
+func TestCheckRules(t *testing.T) {
+	tp := topo.Chain(4, 10, 10.5)
+	hop := func(from, to topo.NodeID, attempts, observed int) Hop {
+		return Hop{Link: topo.Link{From: from, To: to}, Attempts: attempts, Observed: observed}
+	}
+	delivered := func(origin topo.NodeID, hops ...Hop) *PacketJourney {
+		return &PacketJourney{Origin: origin, Generated: 1, Completed: 2, Delivered: true, Hops: hops}
+	}
+	dropped := func(origin topo.NodeID, hops ...Hop) *PacketJourney {
+		return &PacketJourney{Origin: origin, Generated: 1, Completed: 2, Drop: DropTTL, Hops: hops}
+	}
+	for name, j := range map[string]*PacketJourney{
+		"delivered":        delivered(3, hop(3, 2, 3, 2), hop(2, 1, 1, 1), hop(1, 0, 2, 1)),
+		"looping":          delivered(2, hop(2, 3, 1, 1), hop(3, 2, 1, 1), hop(2, 1, 1, 1), hop(1, 0, 1, 1)),
+		"dropped en route": dropped(3, hop(3, 2, 1, 1)),
+		"dropped at once":  dropped(1),
+	} {
+		if err := j.Check(tp, 3); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	late := delivered(1, hop(1, 0, 1, 1))
+	late.Completed = 0.5
+	markedDropped := delivered(1, hop(1, 0, 1, 1))
+	markedDropped.Drop = DropRetries
+	for name, c := range map[string]struct {
+		j    *PacketJourney
+		want string
+	}{
+		"sink origin":      {dropped(0), "origin is the sink"},
+		"origin outside":   {dropped(4), "origin 4 is outside"},
+		"negative origin":  {dropped(-1), "origin -1 is outside"},
+		"broken chain":     {delivered(2, hop(1, 0, 1, 1)), "does not continue from node 2"},
+		"through sink":     {delivered(1, hop(1, 0, 1, 1), hop(0, 1, 1, 1), hop(1, 0, 1, 1)), "leaves the sink"},
+		"not a link":       {delivered(2, hop(2, 0, 1, 1)), "not a link"},
+		"outside topology": {delivered(3, hop(3, 7, 1, 1)), "not a link"},
+		"observed zero":    {delivered(1, hop(1, 0, 1, 0)), "attempt 0 of 1"},
+		"observed late":    {delivered(1, hop(1, 0, 1, 2)), "attempt 2 of 1"},
+		"zero attempts":    {delivered(1, hop(1, 0, 0, 0)), "attempt 0 of 0"},
+		"past budget":      {delivered(1, hop(1, 0, 4, 1)), "attempt 4, past the budget of 3"},
+		"short of sink":    {delivered(2, hop(2, 1, 1, 1)), "ends at node 1, not the sink"},
+		"dropped at sink":  {dropped(1, hop(1, 0, 1, 1)), "after reaching the sink"},
+		"marked dropped":   {markedDropped, "drop reason retries"},
+		"not dropped":      {&PacketJourney{Origin: 1}, "drop reason delivered"},
+		"before birth":     {late, "before its generation"},
+	} {
+		err := c.j.Check(tp, 3)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
 	}
 }

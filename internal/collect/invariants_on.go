@@ -8,12 +8,10 @@ import (
 	"dophy/internal/topo"
 )
 
-// netInvariants audits every completed journey: the hop chain must be
-// connected from the origin, each hop's receiver-observed first-delivery
-// attempt must lie within the sender's ground-truth attempt count, and a
-// delivered packet must end at the sink. These are the preconditions every
-// tomography scheme decodes under; a violation here means estimator error
-// is being measured against corrupt ground truth.
+// netInvariants audits every completed journey against PacketJourney.Check
+// under the ARQ's attempt budget: the preconditions every tomography scheme
+// decodes under. A violation here means estimator error is being measured
+// against corrupt ground truth.
 //
 // It also audits the journey lifecycle behind Network.Recycle: a journey is
 // in flight from generate to finish, finished until recycled, and recycled
@@ -55,29 +53,8 @@ func (netInvariants) onFinish(n *Network, j *PacketJourney) {
 			j.Origin, j.Seq, lifeNames[j.life.state]))
 	}
 	j.life.state = lifeFinished
-	at := j.Origin
-	for i, h := range j.Hops {
-		if h.Link.From != at {
-			panic(fmt.Sprintf("collect: invariant violated: journey %d/%d hop %d starts at %v, previous hop ended at %v",
-				j.Origin, j.Seq, i, h.Link.From, at))
-		}
-		if h.Attempts < 1 {
-			panic(fmt.Sprintf("collect: invariant violated: journey %d/%d hop %d has %d attempts",
-				j.Origin, j.Seq, i, h.Attempts))
-		}
-		if h.Observed < 1 || h.Observed > h.Attempts {
-			panic(fmt.Sprintf("collect: invariant violated: journey %d/%d hop %d observed attempt %d outside [1,%d]",
-				j.Origin, j.Seq, i, h.Observed, h.Attempts))
-		}
-		at = h.Link.To
-	}
-	if j.Delivered && at != topo.Sink {
-		panic(fmt.Sprintf("collect: invariant violated: delivered journey %d/%d ends at %v, not the sink",
-			j.Origin, j.Seq, at))
-	}
-	if j.Completed < j.Generated {
-		panic(fmt.Sprintf("collect: invariant violated: journey %d/%d completed at %v before generation at %v",
-			j.Origin, j.Seq, j.Completed, j.Generated))
+	if err := j.Check(n.tp, n.arq.MaxAttempts()); err != nil {
+		panic(fmt.Sprintf("collect: invariant violated: journey %d/%d: %v", j.Origin, j.Seq, err))
 	}
 }
 

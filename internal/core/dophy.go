@@ -107,7 +107,9 @@ func (c Config) validate() {
 	}
 }
 
-// Overhead accumulates Dophy's transmission costs for one epoch.
+// Overhead is the annotation-cost ledger for one epoch, shared by every
+// in-packet scheme (Dophy here, the recording baselines in pathrecord).
+// Book is the one rule that fills it.
 type Overhead struct {
 	Packets int64 // delivered packets annotated
 	Hops    int64 // hop records encoded
@@ -125,6 +127,26 @@ type Overhead struct {
 	// distributed encoding path (zero for the sink-side path, which models
 	// the same packets without carrying state).
 	InFlightStateBits int64
+}
+
+// Book adds one delivered packet, once its annotation is encoded: hops are
+// its hop records, headerBits its origin header, finalBits its flushed
+// annotation and prefixBits[i] the annotation's length after hop i. Hop i
+// radiates the header plus the annotation through hop i-1, plus stateBits
+// of carried coder registers from the second hop on, once per attempt.
+func (o *Overhead) Book(hops []collect.Hop, headerBits, finalBits int, prefixBits []int, stateBits int) {
+	o.Packets++
+	o.Hops += int64(len(hops))
+	o.AnnotationBits += int64(finalBits)
+	o.HeaderBits += int64(headerBits)
+	for i, h := range hops {
+		carried := headerBits
+		if i > 0 {
+			carried += prefixBits[i-1] + stateBits
+			o.InFlightStateBits += int64(stateBits * h.Attempts)
+		}
+		o.TransmittedBits += int64(carried * h.Attempts)
+	}
 }
 
 // BitsPerPacket returns mean final annotation+header bits per packet.
@@ -293,21 +315,7 @@ func (d *Dophy) OnJourney(j *collect.PacketJourney) int {
 // length after hop i; stateBits is the coder-register overhead carried into
 // every hop after the first (0 on the sink-side path).
 func (d *Dophy) deliver(j *collect.PacketJourney, data []byte, finalBits int, prefixBits []int, stateBits int, countModel *model.Static, hopModels []*model.Static) {
-	d.overhead.Packets++
-	d.overhead.Hops += int64(len(j.Hops))
-	d.overhead.AnnotationBits += int64(finalBits)
-	d.overhead.HeaderBits += int64(d.originBits)
-	// Transmitted bits: hop i radiates the annotation accumulated through
-	// hop i-1 (receiver-side appends), plus the header, once per attempt.
-	for i, h := range j.Hops {
-		carried := d.originBits
-		if i > 0 {
-			carried += prefixBits[i-1] + stateBits
-			d.overhead.InFlightStateBits += int64(stateBits * h.Attempts)
-		}
-		d.overhead.TransmittedBits += int64(carried * h.Attempts)
-	}
-
+	d.overhead.Book(j.Hops, d.originBits, finalBits, prefixBits, stateBits)
 	hops, counts, err := d.decode(j.Origin, data, len(j.Hops), countModel, hopModels)
 	if err != nil {
 		d.decodeErrors++
@@ -352,9 +360,7 @@ func (d *Dophy) encode(j *collect.PacketJourney) (data []byte, finalBits int, pr
 	e.Reset(w)
 	prefixBits = d.prefixBuf[:0]
 	for _, h := range j.Hops {
-		hm := d.hopModels[h.Link.From]
-		idx := neighborIndex(d.tp, h.Link.From, h.Link.To)
-		e.Encode(hm, idx)
+		e.Encode(d.hopModels[h.Link.From], d.lt.NeighborIndex(h.Link))
 		e.Encode(d.countModel, d.agg.Map(h.Observed-1))
 		prefixBits = append(prefixBits, w.Bits())
 	}
@@ -367,7 +373,9 @@ func (d *Dophy) encode(j *collect.PacketJourney) (data []byte, finalBits int, pr
 // decode reconstructs the hop links and count symbols from an annotation
 // under an explicit model version: the one the packet was encoded under,
 // which for an in-flight packet spanning a model update is not the current
-// one. The returned slices alias the engine's scratch buffers and are only
+// one. It stops at the sink, and a decode that reaches the sink in other
+// than nHops hops is an error: a prefix of the packet's path is not its
+// path. The returned slices alias the engine's scratch buffers and are only
 // valid until the next decode call.
 func (d *Dophy) decode(origin topo.NodeID, data []byte, nHops int, countModel *model.Static, hopModels []*model.Static) ([]topo.Link, []int, error) {
 	d.decReader.Reset(data)
@@ -398,16 +406,10 @@ func (d *Dophy) decode(origin topo.NodeID, data []byte, nHops int, countModel *m
 		cur = next
 	}
 	d.linkBuf, d.countBuf = links, counts
-	return links, counts, nil
-}
-
-// neighborIndex returns to's index in from's sorted neighbour list.
-func neighborIndex(tp *topo.Topology, from, to topo.NodeID) int {
-	i := tp.LinkTable().NeighborIndex(topo.Link{From: from, To: to})
-	if i < 0 {
-		panic(fmt.Sprintf("core: %d is not a neighbour of %d", to, from))
+	if len(links) != nHops {
+		return nil, nil, fmt.Errorf("core: decode reached the sink after %d of %d hops", len(links), nHops)
 	}
-	return i
+	return links, counts, nil
 }
 
 // EndEpoch closes the current epoch: returns the per-link estimates and

@@ -237,6 +237,26 @@ func TestOverheadScalesWithPathLength(t *testing.T) {
 	}
 }
 
+// TestOverheadBook pins the booking rule on one three-hop packet: hop i
+// radiates the header, the annotation through hop i-1 and, from the second
+// hop on, the carried coder state, once per attempt.
+func TestOverheadBook(t *testing.T) {
+	j := journey([]topo.NodeID{3, 2, 1, 0}, []int{1, 2, 3})
+	var o Overhead
+	o.Book(j.Hops, 6, 14, []int{3, 7, 12}, 2)
+	want := Overhead{
+		Packets:           1,
+		Hops:              3,
+		AnnotationBits:    14,
+		HeaderBits:        6,
+		TransmittedBits:   6*1 + (6+3+2)*2 + (6+7+2)*3,
+		InFlightStateBits: 2*2 + 2*3,
+	}
+	if o != want {
+		t.Fatalf("booked %+v, want %+v", o, want)
+	}
+}
+
 func TestTransmittedBitsAccounting(t *testing.T) {
 	tp := topo.Chain(4, 10, 10.5)
 	d := New(tp, DefaultConfig())
@@ -415,7 +435,7 @@ func TestDecodeRobustOnGarbage(t *testing.T) {
 // FuzzDecodeArbitrary feeds the sink-side decoder arbitrary annotation
 // bytes, an origin and a hop count in [0, 64]. It must never panic, and a
 // successful decode must be a walk through the neighbour tables from the
-// origin to the sink of at most that many hops.
+// origin to the sink of exactly that many hops.
 func FuzzDecodeArbitrary(f *testing.F) {
 	tp := topo.Grid(4, 10, 1, 14, rng.New(61))
 	d := New(tp, DefaultConfig())
@@ -430,7 +450,7 @@ func FuzzDecodeArbitrary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(links) > nHops || len(counts) != len(links) {
+		if len(links) != nHops || len(counts) != len(links) {
 			t.Fatalf("decoded %d links and %d counts for %d hops", len(links), len(counts), nHops)
 		}
 		cur := origin
@@ -447,6 +467,23 @@ func FuzzDecodeArbitrary(f *testing.F) {
 			t.Fatalf("walk from %d ends at %d, not the sink", origin, cur)
 		}
 	})
+}
+
+// TestThroughSinkIsDecodeError: a journey that reaches the sink and
+// leaves it again (1 -> 0 -> 1 -> 0) decodes only up to its first arrival,
+// and a decode shorter than the packet's hop count is a decode error, not
+// one accumulated hop.
+func TestThroughSinkIsDecodeError(t *testing.T) {
+	tp := topo.Chain(3, 10, 10.5)
+	d := New(tp, DefaultConfig())
+	d.OnJourney(journey([]topo.NodeID{1, 0, 1, 0}, []int{1, 1, 1}))
+	if d.decodeErrors != 1 || d.linkObs.At(d.lt.Index(topo.Link{From: 1, To: 0})).Total() != 0 {
+		t.Fatalf("decode errors %d, link 1->0 holds %v observations; want 1 and 0",
+			d.decodeErrors, d.linkObs.At(d.lt.Index(topo.Link{From: 1, To: 0})).Total())
+	}
+	if rep := d.EndEpoch(); rep.DecodeErrors != 1 {
+		t.Fatalf("report shows %d decode errors, want 1", rep.DecodeErrors)
+	}
 }
 
 func TestObsDecayCarriesEvidence(t *testing.T) {

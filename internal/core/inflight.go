@@ -79,7 +79,7 @@ func (a *Annotator) OnHop(j *collect.PacketJourney, h collect.Hop) {
 		w = bitio.NewWriter()
 		e = arith.NewEncoder(w)
 	}
-	e.Encode(pa.hopModels[h.Link.From], neighborIndex(a.d.tp, h.Link.From, h.Link.To))
+	e.Encode(pa.hopModels[h.Link.From], a.d.lt.NeighborIndex(h.Link))
 	e.Encode(pa.countModel, a.d.agg.Map(h.Observed-1))
 	pa.state = e.Suspend(w)
 	pa.completed = w.Completed()

@@ -60,14 +60,14 @@ type Report struct {
 
 // Cost converts radiated bit counters into a Report. transmittedBits is the
 // scheme's radiated annotation volume (prefix x attempts accounting),
-// extraBits covers dissemination floods, packets normalises.
-func Cost(p Params, transmittedBits, extraBits, packets int64) Report {
+// disseminationBits covers model-update floods, packets normalises.
+func Cost(p Params, transmittedBits, disseminationBits, packets int64) Report {
 	if packets <= 0 {
 		return Report{}
 	}
 	annot := p.MarginalMicroJ(float64(transmittedBits) / 8 / float64(packets))
 	// Dissemination rides on dedicated frames: charge full frame cost.
-	dissem := p.FrameMicroJ(float64(extraBits)/8) / float64(packets)
+	dissem := p.FrameMicroJ(float64(disseminationBits)/8) / float64(packets)
 	return Report{
 		AnnotationMicroJPerPacket:    annot,
 		DisseminationMicroJPerPacket: dissem,

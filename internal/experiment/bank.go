@@ -76,6 +76,11 @@ func (sc Scenario) schemeConfigs() schemeConfigs {
 	return c
 }
 
+// DophyConfig is the Dophy configuration a run of sc gives its dophy
+// scheme, attempt budget included; a tool that decodes the run's journeys
+// outside the run (cmd/dophy-trace) decodes under it.
+func (sc Scenario) DophyConfig() core.Config { return sc.schemeConfigs().dophy }
+
 // newSchemeBank builds dophy plus the groups sc.Schemes selects, configured
 // by sc.schemeConfigs. pool takes each journey back once the bank is done
 // with it.
@@ -151,18 +156,13 @@ func (b *schemeBank) harvest(epoch int, truth *trace.Epoch, queueDrops int64) *E
 
 func fromDophy(name string, rep *core.EpochReport) *SchemeEpoch {
 	se := &SchemeEpoch{
-		Name:            name,
-		Table:           rep.Table,
-		Loss:            make([]float64, len(rep.Est)),
-		Samples:         make([]int64, len(rep.Est)),
-		StdErr:          make([]float64, len(rep.Est)),
-		AnnotationBits:  rep.Overhead.AnnotationBits,
-		HeaderBits:      rep.Overhead.HeaderBits,
-		ExtraBits:       rep.Overhead.DisseminationBits,
-		TransmittedBits: rep.Overhead.TransmittedBits,
-		Packets:         rep.Overhead.Packets,
-		Hops:            rep.Overhead.Hops,
-		DecodeErrors:    rep.DecodeErrors,
+		Name:         name,
+		Table:        rep.Table,
+		Loss:         make([]float64, len(rep.Est)),
+		Samples:      make([]int64, len(rep.Est)),
+		StdErr:       make([]float64, len(rep.Est)),
+		Overhead:     rep.Overhead,
+		DecodeErrors: rep.DecodeErrors,
 	}
 	for i, est := range rep.Est {
 		se.Loss[i] = est.Loss // NaN marks not-estimated, as in the report
@@ -174,15 +174,11 @@ func fromDophy(name string, rep *core.EpochReport) *SchemeEpoch {
 
 func fromPathRecord(name string, rep *pathrecord.EpochReport) *SchemeEpoch {
 	return &SchemeEpoch{
-		Name:            name,
-		Table:           rep.Table,
-		Loss:            rep.Loss,
-		Samples:         rep.Samples,
-		AnnotationBits:  rep.Overhead.AnnotationBits,
-		HeaderBits:      rep.Overhead.HeaderBits,
-		TransmittedBits: rep.Overhead.TransmittedBits,
-		Packets:         rep.Overhead.Packets,
-		Hops:            rep.Overhead.Hops,
-		DecodeErrors:    rep.DecodeErrors,
+		Name:         name,
+		Table:        rep.Table,
+		Loss:         rep.Loss,
+		Samples:      rep.Samples,
+		Overhead:     rep.Overhead,
+		DecodeErrors: rep.DecodeErrors,
 	}
 }

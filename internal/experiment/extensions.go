@@ -504,14 +504,14 @@ func T11(seed uint64, o RunOptions) *Table {
 	res := Run(sc)
 	p := energy.DefaultParams()
 	for _, scheme := range overheadSchemes {
-		var txBits, extraBits, packets int64
+		var txBits, disseminationBits, packets int64
 		for _, eo := range res.Epochs {
 			se := eo.scheme(scheme)
 			txBits += se.TransmittedBits
-			extraBits += se.ExtraBits
+			disseminationBits += se.DisseminationBits
 			packets += se.Packets
 		}
-		rep := energy.Cost(p, txBits, extraBits, packets)
+		rep := energy.Cost(p, txBits, disseminationBits, packets)
 		// Packets per node per day at the scenario's generation period.
 		pktsPerDay := 86400 / float64(sc.Collect.GenPeriod)
 		mJPerDay := rep.TotalMicroJPerPacket * pktsPerDay / 1000

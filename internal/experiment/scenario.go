@@ -200,17 +200,10 @@ type SchemeEpoch struct {
 	Samples []int64
 	// StdErr holds per-link standard errors where the scheme provides them.
 	StdErr []float64
-	// AnnotationBits / HeaderBits / ExtraBits decompose the epoch overhead
-	// (ExtraBits covers model dissemination).
-	AnnotationBits int64
-	HeaderBits     int64
-	ExtraBits      int64
-	// TransmittedBits is the radiated annotation volume (prefix bits times
-	// per-hop transmissions, plus headers).
-	TransmittedBits int64
-	Packets         int64
-	Hops            int64
-	DecodeErrors    int64
+	// Overhead is the in-packet schemes' cost ledger for the epoch (zero
+	// for MINC and LSQ, which annotate nothing).
+	core.Overhead
+	DecodeErrors int64
 }
 
 // NumEstimated counts links the scheme estimated this epoch.
@@ -222,14 +215,6 @@ func (s *SchemeEpoch) NumEstimated() int {
 		}
 	}
 	return n
-}
-
-// BitsPerPacket is the mean in-packet cost.
-func (s *SchemeEpoch) BitsPerPacket() float64 {
-	if s.Packets == 0 {
-		return 0
-	}
-	return float64(s.AnnotationBits+s.HeaderBits) / float64(s.Packets)
 }
 
 // Accuracy scores one scheme against epoch ground truth, on the links the
@@ -391,14 +376,14 @@ func (r *RunResult) MeanBitsPerPacket(scheme string) float64 {
 	return float64(totalBits) / float64(totalPkts)
 }
 
-// TotalBitsPerPacket includes dissemination (ExtraBits) amortised over
+// TotalBitsPerPacket includes dissemination (DisseminationBits) amortised over
 // packets — the figure optimisation 2 trades off. It panics if the run did
 // not build the scheme.
 func (r *RunResult) TotalBitsPerPacket(scheme string) float64 {
 	var totalBits, totalPkts int64
 	for _, eo := range r.Epochs {
 		se := eo.scheme(scheme)
-		totalBits += se.AnnotationBits + se.HeaderBits + se.ExtraBits
+		totalBits += se.AnnotationBits + se.HeaderBits + se.DisseminationBits
 		totalPkts += se.Packets
 	}
 	if totalPkts == 0 {

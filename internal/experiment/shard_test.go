@@ -37,7 +37,7 @@ func renderRun(res *RunResult) string {
 		for _, name := range names {
 			se := eo.Schemes[name]
 			fmt.Fprintf(&b, "  scheme %s ann=%d hdr=%d extra=%d tx=%d pkts=%d hops=%d decerr=%d\n",
-				name, se.AnnotationBits, se.HeaderBits, se.ExtraBits,
+				name, se.AnnotationBits, se.HeaderBits, se.DisseminationBits,
 				se.TransmittedBits, se.Packets, se.Hops, se.DecodeErrors)
 			for i := range se.Loss {
 				var s int64

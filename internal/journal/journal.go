@@ -57,11 +57,11 @@ func FromJourney(j *collect.PacketJourney) Record {
 	return r
 }
 
-// ToJourney converts a Record back into a simulator journey.
+// ToJourney converts a Record back into a simulator journey. It checks
+// only what the conversion needs, the drop reason's name; whether the
+// journey could have happened is PacketJourney.Check's to say, which
+// Reader applies to every record.
 func (r Record) ToJourney() (*collect.PacketJourney, error) {
-	if r.Origin < 0 {
-		return nil, fmt.Errorf("journal: negative origin %d", r.Origin)
-	}
 	j := &collect.PacketJourney{
 		Origin:    topo.NodeID(r.Origin),
 		Seq:       r.Seq,
@@ -72,17 +72,11 @@ func (r Record) ToJourney() (*collect.PacketJourney, error) {
 	if !r.Delivered {
 		d, ok := dropReason(r.Drop)
 		if !ok {
-			return nil, fmt.Errorf("journal: unknown drop reason %q", r.Drop)
+			return nil, fmt.Errorf("unknown drop reason %q", r.Drop)
 		}
 		j.Drop = d
 	}
-	for i, h := range r.Hops {
-		if h.Attempts < 1 || h.Observed < 1 || h.Observed > h.Attempts {
-			return nil, fmt.Errorf("journal: hop %d has invalid attempts=%d observed=%d", i, h.Attempts, h.Observed)
-		}
-		if h.From < 0 || h.To < 0 {
-			return nil, fmt.Errorf("journal: hop %d has negative node id", i)
-		}
+	for _, h := range r.Hops {
 		j.Hops = append(j.Hops, collect.Hop{
 			Link:     topo.Link{From: topo.NodeID(h.From), To: topo.NodeID(h.To)},
 			Attempts: h.Attempts,
@@ -130,18 +124,25 @@ func (w *Writer) Count() int64 { return w.n }
 // Flush drains buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader streams journeys back from a JSON-lines stream.
+// Reader streams journeys back from a JSON-lines stream. It is where
+// journeys enter from outside the simulator, so it returns only journeys
+// that pass PacketJourney.Check on its topology and attempt budget.
 type Reader struct {
-	dec  *json.Decoder
-	line int
+	dec         *json.Decoder
+	tp          *topo.Topology
+	maxAttempts int
+	line        int
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{dec: json.NewDecoder(bufio.NewReader(r))}
+// NewReader wraps r, checking every record against tp under a budget of
+// maxAttempts transmissions per hop.
+func NewReader(r io.Reader, tp *topo.Topology, maxAttempts int) *Reader {
+	return &Reader{dec: json.NewDecoder(bufio.NewReader(r)), tp: tp, maxAttempts: maxAttempts}
 }
 
-// Read returns the next journey, or io.EOF at the end of the stream.
+// Read returns the next journey, or io.EOF at the end of the stream. A
+// record that does not parse, or that could not have happened on the
+// reader's topology, is an error naming the record.
 func (r *Reader) Read() (*collect.PacketJourney, error) {
 	var rec Record
 	if err := r.dec.Decode(&rec); err != nil {
@@ -154,6 +155,9 @@ func (r *Reader) Read() (*collect.PacketJourney, error) {
 	j, err := rec.ToJourney()
 	if err != nil {
 		return nil, fmt.Errorf("journal: record %d: %w", r.line, err)
+	}
+	if err := j.Check(r.tp, r.maxAttempts); err != nil {
+		return nil, fmt.Errorf("journal: record %d does not fit the %d-node topology: %w", r.line, r.tp.N(), err)
 	}
 	return j, nil
 }

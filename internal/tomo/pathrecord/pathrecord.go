@@ -16,13 +16,13 @@
 package pathrecord
 
 import (
-	"fmt"
 	"math"
 
 	"dophy/internal/coding/bitio"
 	"dophy/internal/coding/huffman"
 	"dophy/internal/coding/model"
 	"dophy/internal/collect"
+	"dophy/internal/core"
 	"dophy/internal/tomo/geomle"
 	"dophy/internal/topo"
 )
@@ -66,29 +66,6 @@ func DefaultConfig(v Variant) Config {
 	return Config{Variant: v, MaxAttempts: 8, MinSamples: 10}
 }
 
-// Overhead mirrors core.Overhead for the recording baselines.
-type Overhead struct {
-	Packets        int64
-	Hops           int64
-	AnnotationBits int64
-	HeaderBits     int64
-	// TransmittedBits counts annotation bits actually radiated: the prefix
-	// carried into each hop times that hop's transmissions, plus the header
-	// on every transmission (same accounting as core.Overhead).
-	TransmittedBits int64
-}
-
-// BitsPerPacket returns mean annotation+header bits per packet.
-func (o Overhead) BitsPerPacket() float64 {
-	if o.Packets == 0 {
-		return 0
-	}
-	return float64(o.AnnotationBits+o.HeaderBits) / float64(o.Packets)
-}
-
-// BytesPerPacket returns BitsPerPacket/8.
-func (o Overhead) BytesPerPacket() float64 { return o.BitsPerPacket() / 8 }
-
 // Recorder is the sink-side engine for one variant.
 type Recorder struct {
 	// inv carries the build-tag-gated conservation checks; a zero-size
@@ -105,7 +82,8 @@ type Recorder struct {
 	epochCounts  []uint64      // count histogram for next epoch's code
 	linkObs      *geomle.Arena // per-link accumulators, indexed by lt
 	w            *bitio.Writer // scratch annotation writer, reset per journey
-	overhead     Overhead
+	prefixBits   []int         // scratch annotation length after each hop
+	overhead     core.Overhead
 	epoch        int
 	decodeErrors int64
 }
@@ -117,7 +95,7 @@ type EpochReport struct {
 	Table        *topo.LinkTable
 	Loss         []float64 // per-attempt loss, NaN = not estimated
 	Samples      []int64
-	Overhead     Overhead
+	Overhead     core.Overhead
 	DecodeErrors int64
 }
 
@@ -150,34 +128,26 @@ func New(tp *topo.Topology, cfg Config) *Recorder {
 	return r
 }
 
-// OnJourney accounts and records one delivered packet, returning its
-// annotation size in bits (0 when ignored).
+// OnJourney records one delivered packet and books its costs, returning
+// its annotation size in bits (0 when ignored). A packet with a count the
+// variant's field cannot hold (a sender count past MaxAttempts) is a decode
+// error, and nothing of it is booked or recorded.
 func (r *Recorder) OnJourney(j *collect.PacketJourney) int {
 	if !j.Delivered || len(j.Hops) == 0 {
 		return 0
 	}
-	r.overhead.Packets++
-	r.overhead.Hops += int64(len(j.Hops))
-	r.overhead.HeaderBits += int64(r.originBits)
-	w := r.w
-	w.Reset()
 	for _, h := range j.Hops {
-		// The bits accumulated so far (plus the header) radiate on every
-		// transmission of this hop.
-		r.overhead.TransmittedBits += int64((w.Bits() + r.originBits) * h.Attempts)
-		observed := h.Observed
-		if r.cfg.SenderCounts {
-			observed = h.Attempts
-		}
-		count := observed - 1 // retransmission count
-		if count < 0 || count >= r.cfg.MaxAttempts {
+		if r.observed(h) > r.cfg.MaxAttempts {
 			r.decodeErrors++
 			return 0
 		}
-		li := r.lt.Index(h.Link)
-		if li < 0 {
-			panic(fmt.Sprintf("pathrecord: %v is not a link of the topology", h.Link))
-		}
+	}
+	w := r.w
+	w.Reset()
+	prefixBits := r.prefixBits[:0]
+	for _, h := range j.Hops {
+		observed := r.observed(h)
+		count := observed - 1 // retransmission count
 		switch r.cfg.Variant {
 		case Raw:
 			w.WriteBits(uint64(h.Link.To), 16)
@@ -190,11 +160,22 @@ func (r *Recorder) OnJourney(j *collect.PacketJourney) int {
 			r.code.Encode(w, count)
 			r.epochCounts[count]++
 		}
-		r.linkObs.At(li).AddAttempt(observed)
+		r.linkObs.At(r.lt.Index(h.Link)).AddAttempt(observed)
 		r.inv.onHopRecorded()
+		prefixBits = append(prefixBits, w.Bits())
 	}
-	r.overhead.AnnotationBits += int64(w.Bits())
+	r.prefixBits = prefixBits
+	r.overhead.Book(j.Hops, r.originBits, w.Bits(), prefixBits, 0)
 	return w.Bits()
+}
+
+// observed is the attempt index the variant records for h: the
+// receiver's first delivery, or the sender's count under SenderCounts.
+func (r *Recorder) observed(h collect.Hop) int {
+	if r.cfg.SenderCounts {
+		return h.Attempts
+	}
+	return h.Observed
 }
 
 // EndEpoch returns the epoch's estimates and overhead and resets state.
@@ -231,7 +212,7 @@ func (r *Recorder) EndEpoch() *EpochReport {
 	}
 	r.linkObs.Reset()
 	r.inv.onEpochReset()
-	r.overhead = Overhead{}
+	r.overhead = core.Overhead{}
 	r.decodeErrors = 0
 	return rep
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dophy/internal/collect"
+	"dophy/internal/core"
 	"dophy/internal/rng"
 	"dophy/internal/topo"
 )
@@ -133,15 +134,24 @@ func TestEpochReset(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeCountCountsError: a packet with a count past the
+// recorder's MaxAttempts is a decode error, and rejecting it at its second
+// hop leaves the ledger and the link observations as they were.
 func TestOutOfRangeCountCountsError(t *testing.T) {
 	tp := topo.Chain(3, 10, 10.5)
 	cfg := DefaultConfig(Raw)
 	cfg.MaxAttempts = 2
+	cfg.MinSamples = 1
 	r := New(tp, cfg)
-	r.OnJourney(journey([]topo.NodeID{1, 0}, []int{5})) // attempts beyond budget
+	r.OnJourney(journey([]topo.NodeID{2, 1, 0}, []int{1, 5})) // attempts beyond budget
 	rep := r.EndEpoch()
-	if rep.DecodeErrors != 1 {
-		t.Fatalf("decode errors = %d", rep.DecodeErrors)
+	if rep.DecodeErrors != 1 || rep.Overhead != (core.Overhead{}) {
+		t.Fatalf("decode errors %d, overhead %+v; want 1 and nothing booked", rep.DecodeErrors, rep.Overhead)
+	}
+	for i, n := range rep.Samples {
+		if n != 0 {
+			t.Fatalf("link %v holds %d samples of a rejected packet", rep.Table.Link(topo.LinkIdx(i)), n)
+		}
 	}
 }
 
